@@ -196,11 +196,16 @@ impl<K: Semiring, M: MatrixStorage<Elem = K>> Instance<K, M> {
         self.mats.insert(var.into(), m);
     }
 
+    /// The value assigned to the size symbol `sym`.
+    pub fn dim(&self, sym: &str) -> Option<usize> {
+        self.dims.get(sym).copied()
+    }
+
     /// The value of a size symbol; `Dim::One` always resolves to 1.
     pub fn dim_value(&self, dim: &Dim) -> Option<usize> {
         match dim {
             Dim::One => Some(1),
-            Dim::Sym(s) => self.dims.get(s).copied(),
+            Dim::Sym(s) => self.dim(s),
         }
     }
 

@@ -379,7 +379,7 @@ where
 
 fn op_name(op: &PlanOp) -> &'static str {
     match op {
-        PlanOp::Var(_) => "var",
+        PlanOp::Var(..) => "var",
         PlanOp::Const(_) => "const",
         PlanOp::Transpose(_) => "transpose",
         PlanOp::Ones(_) => "ones",
@@ -416,7 +416,7 @@ where
     let node = plan.node(id);
     let child = |c: NodeId| &deltas[c];
     match &node.op {
-        PlanOp::Var(_) => NodeDelta::Dirty(update.clone()),
+        PlanOp::Var(..) => NodeDelta::Dirty(update.clone()),
         // `1(e)` depends only on the child's row count, which an entry
         // update never changes.
         PlanOp::Ones(_) => NodeDelta::Clean,

@@ -15,13 +15,21 @@
 //!   queries (e.g. powers of the same adjacency matrix) are computed once
 //!   for the whole batch.
 //!
+//! One iteration of a `for`/Σ/Π body costs its kernels plus that memo
+//! bookkeeping and nothing else: the environment and the invalidation
+//! index are vectors over the plan's [`VarSlot`]s, the canonical vectors
+//! of a (small) dimension are built once per executor and shared, and
+//! under an active trace only nodes *outside* every loop open a span — an
+//! outermost loop is one span closed by one summary event; what happened
+//! per node inside it is in the [`NodeSample`]s.
+//!
 //! Product nodes the planner marked heavy run on the row-partitioned
 //! threaded kernels of [`matlang_matrix::parallel`]; the worker count
 //! honors [`ExecOptions::threads`], which defaults to the `MATLANG_THREADS`
 //! environment variable via [`matlang_matrix::configured_threads`].
 
-use crate::plan::{NodeId, Plan, PlanOp, ReprChoice};
-use matlang_core::{Dim, EvalError, FunctionRegistry, Instance, MatrixType};
+use crate::plan::{NodeId, Plan, PlanOp, ReprChoice, VarSlot};
+use matlang_core::{EvalError, FunctionRegistry, Instance, MatrixType};
 use matlang_matrix::MatrixStorage;
 use matlang_semiring::Semiring;
 use std::collections::HashMap;
@@ -31,6 +39,15 @@ use std::sync::Arc;
 /// representation from a cost-model hint: a wrong estimate must not
 /// materialize a huge dense matrix.
 const DENSE_HINT_MAX_ENTRIES: usize = 1 << 20;
+
+/// Largest dimension whose canonical vectors an executor keeps and shares
+/// across iterations and nesting levels.  A canonical vector costs O(n)
+/// memory on every backend (CSR carries n + 1 row pointers), so a retained
+/// basis is O(n²): at most ≈ 0.5 MiB here.  Above the bound each iteration
+/// allocates its own vector, as the tree evaluator does — there the O(n)
+/// allocation is matched by the O(n) kernels that consume it, whereas at
+/// n = 12 it was most of an iteration.
+const SHARED_BASIS_MAX_DIM: usize = 256;
 
 /// Executor configuration.
 #[derive(Clone, Copy, Debug)]
@@ -174,12 +191,6 @@ pub fn cache_residency<M: MatrixStorage>(cache: &NodeCache<M>) -> (usize, usize)
     (entries, bytes)
 }
 
-enum FoldKind {
-    Sum,
-    HProd,
-    MProd,
-}
-
 /// Evaluates a [`Plan`] over one instance, memoizing node results.
 ///
 /// The executor is generic over the storage backend exactly like
@@ -196,7 +207,15 @@ pub struct Executor<'p, K: Semiring, M: MatrixStorage<Elem = K>> {
     /// of loop iterations hitting a multi-million-entry cached product,
     /// deep clones would dwarf the evaluation itself.
     cache: NodeCache<M>,
-    env: HashMap<String, Arc<M>>,
+    /// Loop/let bindings by [`VarSlot`]; an empty slot falls through to
+    /// the instance matrix of that name.
+    env: Vec<Option<Arc<M>>>,
+    /// The canonical vectors `e_0 … e_{n-1}` of every dimension up to
+    /// [`SHARED_BASIS_MAX_DIM`] a loop has ranged over, shared by every
+    /// iteration of every nesting level.
+    basis: HashMap<usize, Arc<[Arc<M>]>>,
+    /// How many loops enclose the node being evaluated.
+    loop_depth: usize,
     stats: ExecStats,
     /// Per-node samples: shape/nnz/hit counts always, wall time only under
     /// [`ExecOptions::profile`].
@@ -218,7 +237,9 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
             registry,
             options,
             cache: vec![None; plan.nodes().len()],
-            env: HashMap::new(),
+            env: vec![None; plan.slot_count()],
+            basis: HashMap::new(),
+            loop_depth: 0,
             stats: ExecStats {
                 trace_id: matlang_obs::trace::current_id(),
                 ..ExecStats::default()
@@ -319,11 +340,12 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
         self.stats.cache_misses += 1;
         // On the warm path (cache hit above) neither branch below runs, so
         // tracing costs nothing per node once a prepared query's roots are
-        // cached; with an active trace, each computed node becomes a child
-        // span (nested via guard scoping, inclusive of its children).
-        let _span = matlang_obs::trace::active().then(|| {
-            matlang_obs::trace::span(&format!("execute:{}", self.plan.node(id).op.label()))
-        });
+        // cached; with an active trace, each node computed outside every
+        // loop becomes a child span (nested via guard scoping, inclusive of
+        // its children).  Inside a loop nothing is opened: the outermost
+        // loop's span and summary event stand for its iterations.
+        let _span = (self.loop_depth == 0 && matlang_obs::trace::active())
+            .then(|| matlang_obs::trace::span(self.plan.node(id).op.span_name()));
         let timer = self.options.profile.then(std::time::Instant::now);
         let mut value = self.compute(id)?;
         {
@@ -371,8 +393,9 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
 
     fn compute(&mut self, id: NodeId) -> Result<Arc<M>, EvalError> {
         let plan = self.plan;
-        match &plan.node(id).op {
-            PlanOp::Var(name) => self.lookup(name),
+        let op = &plan.node(id).op;
+        match op {
+            PlanOp::Var(name, slot) => self.lookup(name, *slot),
             PlanOp::Const(c) => Ok(Arc::new(M::scalar(K::from_f64(c.0)))),
             PlanOp::Transpose(a) => Ok(Arc::new(self.eval_node(*a)?.transpose())),
             PlanOp::Ones(a) => {
@@ -452,39 +475,56 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
                 let refs: Vec<&M> = values.iter().map(Arc::as_ref).collect();
                 Ok(Arc::new(M::zip_with(&refs, |entries| f(entries))?))
             }
-            PlanOp::Let { var, value, body } => {
+            PlanOp::Let {
+                var_slot,
+                value,
+                body,
+                ..
+            } => {
                 let bound = self.eval_node(*value)?;
-                let saved = self.bind(var, bound);
+                let saved = self.bind(*var_slot, bound);
                 let result = self.eval_node(*body);
-                self.unbind(var, saved);
+                self.unbind(*var_slot, saved);
                 result
             }
             PlanOp::For {
-                var,
+                var_slot,
                 var_dim,
                 acc,
+                acc_slot,
                 acc_type,
                 init,
                 body,
-            } => self.run_for(var, var_dim, acc, acc_type, *init, *body),
-            PlanOp::Sum { var, var_dim, body } => {
-                self.fold_loop(var, var_dim, *body, FoldKind::Sum)
-            }
-            PlanOp::HProd { var, var_dim, body } => {
-                self.fold_loop(var, var_dim, *body, FoldKind::HProd)
-            }
-            PlanOp::MProd { var, var_dim, body } => {
-                self.fold_loop(var, var_dim, *body, FoldKind::MProd)
-            }
+                ..
+            } => self.run_for(*var_slot, var_dim, acc, *acc_slot, acc_type, *init, *body),
+            PlanOp::Sum {
+                var_slot,
+                var_dim,
+                body,
+                ..
+            } => self.fold_loop(op.label(), *var_slot, var_dim, *body, M::add),
+            PlanOp::HProd {
+                var_slot,
+                var_dim,
+                body,
+                ..
+            } => self.fold_loop(op.label(), *var_slot, var_dim, *body, M::hadamard),
+            PlanOp::MProd {
+                var_slot,
+                var_dim,
+                body,
+                ..
+            } => self.fold_loop(op.label(), *var_slot, var_dim, *body, M::matmul),
         }
     }
 
     #[allow(clippy::too_many_arguments)]
     fn run_for(
         &mut self,
-        var: &str,
+        var: VarSlot,
         var_dim: &str,
-        acc: &str,
+        acc_name: &str,
+        acc: VarSlot,
         acc_type: &MatrixType,
         init: Option<NodeId>,
         body: NodeId,
@@ -496,46 +536,31 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
                 .ok_or_else(|| EvalError::UnknownDimension {
                     symbol: acc_type.rows.to_string(),
                 })?;
+        let mismatch = |found| EvalError::LoopShapeMismatch {
+            acc: acc_name.to_string(),
+            expected: acc_shape,
+            found,
+        };
         let mut accumulator = match init {
             Some(init) => {
                 let value = self.eval_node(init)?;
                 if value.shape() != acc_shape {
-                    return Err(EvalError::LoopShapeMismatch {
-                        acc: acc.to_string(),
-                        expected: acc_shape,
-                        found: value.shape(),
-                    });
+                    return Err(mismatch(value.shape()));
                 }
                 value
             }
             None => Arc::new(M::zeros(acc_shape.0, acc_shape.1)),
         };
-        let saved_var = self.take_binding(var);
-        let saved_acc = self.take_binding(acc);
-        let mut outcome = Ok(());
-        for i in 0..n {
-            let canonical = Arc::new(M::canonical(n, i)?);
-            self.bind(var, canonical);
-            self.bind(acc, Arc::clone(&accumulator));
-            match self.eval_node(body) {
-                Ok(value) => {
-                    if value.shape() != acc_shape {
-                        outcome = Err(EvalError::LoopShapeMismatch {
-                            acc: acc.to_string(),
-                            expected: acc_shape,
-                            found: value.shape(),
-                        });
-                        break;
-                    }
-                    accumulator = value;
-                }
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
+        let saved_acc = self.env[acc].take();
+        let outcome = self.iterate("for", var, n, |exec| {
+            exec.bind(acc, Arc::clone(&accumulator));
+            let value = exec.eval_node(body)?;
+            if value.shape() != acc_shape {
+                return Err(mismatch(value.shape()));
             }
-        }
-        self.unbind(var, saved_var);
+            accumulator = value;
+            Ok(())
+        });
         self.unbind(acc, saved_acc);
         outcome.map(|_| accumulator)
     }
@@ -545,52 +570,94 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
     /// the paper's neutral-element initialization).
     fn fold_loop(
         &mut self,
-        var: &str,
+        label: &'static str,
+        var: VarSlot,
         var_dim: &str,
         body: NodeId,
-        kind: FoldKind,
+        combine: impl Fn(&M, &M) -> matlang_matrix::Result<M>,
     ) -> Result<Arc<M>, EvalError> {
         let n = self.dim_of(var_dim)?;
-        let saved_var = self.take_binding(var);
         let mut acc: Option<Arc<M>> = None;
-        let mut outcome = Ok(());
-        for i in 0..n {
-            let canonical = Arc::new(M::canonical(n, i)?);
-            self.bind(var, canonical);
-            match self.eval_node(body) {
-                Ok(value) => {
-                    let combined = match acc.take() {
-                        None => Ok(value),
-                        Some(prev) => match kind {
-                            FoldKind::Sum => prev.add(value.as_ref()).map(Arc::new),
-                            FoldKind::HProd => prev.hadamard(value.as_ref()).map(Arc::new),
-                            FoldKind::MProd => prev.matmul(value.as_ref()).map(Arc::new),
-                        }
-                        .map_err(EvalError::from),
-                    };
-                    match combined {
-                        Ok(next) => acc = Some(next),
-                        Err(e) => {
-                            outcome = Err(e);
-                            break;
-                        }
-                    }
-                }
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
-            }
-        }
-        self.unbind(var, saved_var);
-        outcome?;
+        self.iterate(label, var, n, |exec| {
+            let value = exec.eval_node(body)?;
+            acc = Some(match acc.take() {
+                None => value,
+                Some(prev) => Arc::new(combine(prev.as_ref(), value.as_ref())?),
+            });
+            Ok(())
+        })?;
         acc.ok_or(EvalError::EmptyIteration {
             symbol: var_dim.to_string(),
         })
     }
 
-    fn lookup(&self, name: &str) -> Result<Arc<M>, EvalError> {
-        if let Some(m) = self.env.get(name) {
+    /// The loop skeleton shared by `for` and the folds: binds `var` to each
+    /// canonical vector of dimension `n` in turn and runs `iteration`,
+    /// stopping at its first error; the binding `var` shadowed is restored
+    /// either way.  (Taking it out up front does not invalidate — the first
+    /// `bind` does, before any dependent node is evaluated again.)
+    ///
+    /// Under an active trace the **outermost** loop — the only one whose
+    /// node opened a span — closes it with one summary event; nested loops
+    /// and the nodes inside record nothing.
+    fn iterate(
+        &mut self,
+        label: &'static str,
+        var: VarSlot,
+        n: usize,
+        mut iteration: impl FnMut(&mut Self) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
+        let basis = self.shared_basis(n)?;
+        let traced_from =
+            (self.loop_depth == 0 && matlang_obs::trace::active()).then_some(self.stats);
+        let saved_var = self.env[var].take();
+        self.loop_depth += 1;
+        let mut iterations = 0;
+        let mut outcome = Ok(());
+        for i in 0..n {
+            let canonical = match &basis {
+                Some(shared) => Ok(Arc::clone(&shared[i])),
+                None => M::canonical(n, i).map(Arc::new),
+            };
+            outcome = canonical.map_err(EvalError::from).and_then(|canonical| {
+                self.bind(var, canonical);
+                iteration(self)
+            });
+            if outcome.is_err() {
+                break;
+            }
+            iterations += 1;
+        }
+        self.loop_depth -= 1;
+        self.unbind(var, saved_var);
+        if let Some(before) = traced_from {
+            let inside = self.stats.since(&before);
+            matlang_obs::trace::event(format!(
+                "loop:{label} iterations={iterations} computed={} hits={}",
+                inside.cache_misses, inside.cache_hits
+            ));
+        }
+        outcome
+    }
+
+    /// The canonical vectors of dimension `n`, built on first use; `None`
+    /// above [`SHARED_BASIS_MAX_DIM`].
+    fn shared_basis(&mut self, n: usize) -> Result<Option<Arc<[Arc<M>]>>, EvalError> {
+        if n > SHARED_BASIS_MAX_DIM {
+            return Ok(None);
+        }
+        if let Some(basis) = self.basis.get(&n) {
+            return Ok(Some(Arc::clone(basis)));
+        }
+        let basis: Arc<[Arc<M>]> = (0..n)
+            .map(|i| M::canonical(n, i).map(Arc::new))
+            .collect::<Result<_, _>>()?;
+        self.basis.insert(n, Arc::clone(&basis));
+        Ok(Some(basis))
+    }
+
+    fn lookup(&self, name: &str, slot: VarSlot) -> Result<Arc<M>, EvalError> {
+        if let Some(m) = &self.env[slot] {
             return Ok(Arc::clone(m));
         }
         self.instance
@@ -602,51 +669,34 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
     }
 
     fn dim_of(&self, symbol: &str) -> Result<usize, EvalError> {
-        let n = self
-            .instance
-            .dim_value(&Dim::Sym(symbol.to_string()))
-            .ok_or_else(|| EvalError::UnknownDimension {
+        match self.instance.dim(symbol) {
+            None => Err(EvalError::UnknownDimension {
                 symbol: symbol.to_string(),
-            })?;
-        if n == 0 {
-            return Err(EvalError::EmptyIteration {
+            }),
+            Some(0) => Err(EvalError::EmptyIteration {
                 symbol: symbol.to_string(),
-            });
+            }),
+            Some(n) => Ok(n),
         }
-        Ok(n)
     }
 
-    /// Binds `name`, dropping the cache entries that depended on its
+    /// Binds `slot`, dropping the cache entries that depended on its
     /// previous binding.  Returns the binding it replaced.
-    fn bind(&mut self, name: &str, value: Arc<M>) -> Option<Arc<M>> {
-        self.invalidate(name);
-        self.env.insert(name.to_string(), value)
+    fn bind(&mut self, slot: VarSlot, value: Arc<M>) -> Option<Arc<M>> {
+        self.invalidate(slot);
+        self.env[slot].replace(value)
     }
 
-    /// Removes a binding *without* invalidating — callers must follow up
-    /// with [`bind`](Self::bind) (which invalidates) before any dependent
-    /// node is evaluated again.
-    fn take_binding(&mut self, name: &str) -> Option<Arc<M>> {
-        self.env.remove(name)
+    /// Restores the binding saved by [`bind`](Self::bind) (or taken out of
+    /// `env` before a loop), dropping dependent cache entries computed
+    /// under the inner binding.
+    fn unbind(&mut self, slot: VarSlot, saved: Option<Arc<M>>) {
+        self.invalidate(slot);
+        self.env[slot] = saved;
     }
 
-    /// Restores the binding saved by [`bind`](Self::bind) /
-    /// [`take_binding`](Self::take_binding), dropping dependent cache
-    /// entries computed under the inner binding.
-    fn unbind(&mut self, name: &str, saved: Option<Arc<M>>) {
-        self.invalidate(name);
-        match saved {
-            Some(value) => {
-                self.env.insert(name.to_string(), value);
-            }
-            None => {
-                self.env.remove(name);
-            }
-        }
-    }
-
-    fn invalidate(&mut self, name: &str) {
-        for &id in self.plan.dependents_of(name) {
+    fn invalidate(&mut self, slot: VarSlot) {
+        for &id in self.plan.dependents_of_slot(slot) {
             if self.cache[id].take().is_some() {
                 self.stats.invalidations += 1;
             }
@@ -880,6 +930,67 @@ mod tests {
         // Outside a trace the id is the wire's "no trace" marker.
         let (_, stats) = run_one(&e, &inst);
         assert_eq!(stats.trace_id, 0);
+    }
+
+    #[test]
+    fn only_nodes_outside_every_loop_are_traced() {
+        // Gᵀ + Σv. Σw. (vᵀ·G·w) × (v·wᵀ): one depth-0 transpose and add,
+        // one outermost Σ with a nested Σ inside it.
+        let (v, w) = (|| Expr::var("v"), || Expr::var("w"));
+        let body = v().t().mm(Expr::var("G")).mm(w()).smul(v().mm(w().t()));
+        let e = Expr::var("G")
+            .t()
+            .add(Expr::sum("v", "n", Expr::sum("w", "n", body)));
+        let inst = instance();
+        let id = matlang_obs::trace::next_id();
+        let (out, stats) = {
+            let _t = matlang_obs::trace::begin(id, "engine loop test");
+            run_one(&e, &inst)
+        };
+        let expected = evaluate(&e, &inst, &FunctionRegistry::standard_field()).unwrap();
+        assert_eq!(out.unwrap(), expected);
+        let trace = matlang_obs::trace::recent(matlang_obs::trace::RING_CAPACITY)
+            .into_iter()
+            .find(|t| t.id == id)
+            .expect("trace recorded");
+        let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_ref()).collect();
+        let executed: Vec<&str> = names
+            .iter()
+            .copied()
+            .filter(|n| n.starts_with("execute:"))
+            .collect();
+        assert_eq!(
+            executed,
+            [
+                "execute:add",
+                "execute:transpose",
+                "execute:var",
+                "execute:sum"
+            ],
+            "depth-0 nodes and the outermost loop only: {names:?}"
+        );
+        let summaries: Vec<&str> = names
+            .iter()
+            .copied()
+            .filter(|n| n.starts_with("loop:"))
+            .collect();
+        assert_eq!(
+            summaries.len(),
+            1,
+            "the nested Σ reports nothing: {names:?}"
+        );
+        // Everything but the four depth-0 misses happened inside the loop.
+        assert_eq!(
+            summaries[0],
+            format!(
+                "loop:sum iterations=4 computed={} hits={}",
+                stats.cache_misses - 4,
+                stats.cache_hits
+            )
+        );
+        let sum_span = names.iter().position(|n| *n == "execute:sum");
+        let summary = trace.spans.iter().find(|s| s.name.starts_with("loop:"));
+        assert_eq!(summary.unwrap().parent, sum_span, "summary closes the span");
     }
 
     #[test]

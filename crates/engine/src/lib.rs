@@ -70,7 +70,7 @@ pub mod rewrite;
 pub use delta::{DeltaFallback, DeltaOverlay, DeltaReport};
 pub use exec::{cache_residency, ExecOptions, ExecStats, Executor, NodeCache, NodeSample};
 pub use plan::{
-    AppliedRewrite, NodeEstimate, NodeId, Plan, PlanNode, PlanOp, PlanReport, ReprChoice,
+    AppliedRewrite, NodeEstimate, NodeId, Plan, PlanNode, PlanOp, PlanReport, ReprChoice, VarSlot,
 };
 pub use planner::{InstanceStats, ObservedStats, PlanOptions, Planner, VarStats};
 pub use rewrite::{rewrite_with_stats, RewriteOutcome};

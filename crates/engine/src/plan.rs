@@ -7,11 +7,14 @@
 //! executor memoizes one result per node.  Loop-invariant hoisting falls
 //! out of the same mechanism — each node records the set of matrix
 //! variables its value depends on ([`PlanNode::free_vars`]), the plan keeps
-//! a reverse index from variable name to dependent nodes, and the executor
+//! a reverse index from variable to dependent nodes, and the executor
 //! drops exactly those cache entries when a loop rebinds its iteration
 //! vector.  A node inside a Σ/Π body that does not mention the loop
 //! variable therefore keeps its cached value across all `n` iterations: it
 //! is computed once, exactly as if it had been hoisted out of the loop.
+//! Variable names are interned to dense [`VarSlot`]s while the plan is
+//! built, so the executor's environment and that reverse index are plain
+//! vectors: rebinding a loop variable hashes and allocates nothing.
 //!
 //! Plans are built by the [`crate::Planner`] and evaluated by the
 //! [`crate::Executor`]; [`PlanReport`] summarizes what the planner did
@@ -26,6 +29,13 @@ use std::hash::{Hash, Hasher};
 /// Index of a node in its [`Plan`]; children always have smaller ids than
 /// their parents (the node list is in topological order).
 pub type NodeId = usize;
+
+/// Dense index of a variable *name* in its [`Plan`]: every occurrence of
+/// one name — instance matrix, loop vector, accumulator or `let` binding,
+/// shadowed or not — shares one slot, mirroring the by-name scoping of the
+/// tree evaluator.  Operations carry the slot beside the name; the name
+/// stays the identity ([`Plan::explain`], [`Plan::node_fingerprints`]).
+pub type VarSlot = usize;
 
 /// A literal scalar with **bitwise** equality and hashing, so that plan
 /// operations containing constants can be hash-consed.  (Plain `f64` is not
@@ -54,8 +64,9 @@ impl Hash for ConstVal {
 /// the owning [`Plan`].
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum PlanOp {
-    /// A matrix variable (instance matrix or loop/let binding).
-    Var(String),
+    /// A matrix variable (instance matrix or loop/let binding) and its
+    /// slot.
+    Var(String, VarSlot),
     /// A literal scalar constant.
     Const(ConstVal),
     /// Transpose `eᵀ`.
@@ -97,6 +108,8 @@ pub enum PlanOp {
     Let {
         /// The bound variable name.
         var: String,
+        /// The slot of `var`.
+        var_slot: VarSlot,
         /// The bound value.
         value: NodeId,
         /// The body in which the binding is visible.
@@ -106,10 +119,14 @@ pub enum PlanOp {
     For {
         /// The iteration vector variable.
         var: String,
+        /// The slot of `var`.
+        var_slot: VarSlot,
         /// The size symbol governing the iteration count.
         var_dim: String,
         /// The accumulator variable.
         acc: String,
+        /// The slot of `acc`.
+        acc_slot: VarSlot,
         /// The declared accumulator type.
         acc_type: MatrixType,
         /// Optional initializer (defaults to the zero matrix).
@@ -121,6 +138,8 @@ pub enum PlanOp {
     Sum {
         /// The iteration vector variable.
         var: String,
+        /// The slot of `var`.
+        var_slot: VarSlot,
         /// The size symbol governing the iteration count.
         var_dim: String,
         /// The summand.
@@ -130,6 +149,8 @@ pub enum PlanOp {
     HProd {
         /// The iteration vector variable.
         var: String,
+        /// The slot of `var`.
+        var_slot: VarSlot,
         /// The size symbol governing the iteration count.
         var_dim: String,
         /// The factor.
@@ -139,6 +160,8 @@ pub enum PlanOp {
     MProd {
         /// The iteration vector variable.
         var: String,
+        /// The slot of `var`.
+        var_slot: VarSlot,
         /// The size symbol governing the iteration count.
         var_dim: String,
         /// The factor.
@@ -150,7 +173,7 @@ impl PlanOp {
     /// The child node ids of this operation, in evaluation order.
     pub fn children(&self) -> Vec<NodeId> {
         match self {
-            PlanOp::Var(_) | PlanOp::Const(_) => Vec::new(),
+            PlanOp::Var(..) | PlanOp::Const(_) => Vec::new(),
             PlanOp::Transpose(a) | PlanOp::Ones(a) | PlanOp::Diag(a) => vec![*a],
             PlanOp::MatMul(a, b)
             | PlanOp::Add(a, b)
@@ -174,27 +197,33 @@ impl PlanOp {
         }
     }
 
-    /// A short static name for this operation kind — used for tracing span
-    /// labels (`execute:matmul`) and the `EXPLAIN`/`PROFILE` renderings.
+    /// A short static name for this operation kind (`matmul`) — used in the
+    /// `EXPLAIN`/`PROFILE` renderings and loop summary events.
     pub fn label(&self) -> &'static str {
+        &self.span_name()["execute:".len()..]
+    }
+
+    /// The tracing span name of this operation kind (`execute:matmul`) —
+    /// static, so opening a node span allocates nothing.
+    pub fn span_name(&self) -> &'static str {
         match self {
-            PlanOp::Var(_) => "var",
-            PlanOp::Const(_) => "const",
-            PlanOp::Transpose(_) => "transpose",
-            PlanOp::Ones(_) => "ones",
-            PlanOp::Diag(_) => "diag",
-            PlanOp::MatMul(_, _) => "matmul",
-            PlanOp::Add(_, _) => "add",
-            PlanOp::ScalarMul(_, _) => "scalar-mul",
-            PlanOp::Hadamard(_, _) => "hadamard",
-            PlanOp::ScaleRows { .. } => "scale-rows",
-            PlanOp::ScaleCols { .. } => "scale-cols",
-            PlanOp::Apply(_, _) => "apply",
-            PlanOp::Let { .. } => "let",
-            PlanOp::For { .. } => "for",
-            PlanOp::Sum { .. } => "sum",
-            PlanOp::HProd { .. } => "hprod",
-            PlanOp::MProd { .. } => "mprod",
+            PlanOp::Var(..) => "execute:var",
+            PlanOp::Const(_) => "execute:const",
+            PlanOp::Transpose(_) => "execute:transpose",
+            PlanOp::Ones(_) => "execute:ones",
+            PlanOp::Diag(_) => "execute:diag",
+            PlanOp::MatMul(_, _) => "execute:matmul",
+            PlanOp::Add(_, _) => "execute:add",
+            PlanOp::ScalarMul(_, _) => "execute:scalar-mul",
+            PlanOp::Hadamard(_, _) => "execute:hadamard",
+            PlanOp::ScaleRows { .. } => "execute:scale-rows",
+            PlanOp::ScaleCols { .. } => "execute:scale-cols",
+            PlanOp::Apply(_, _) => "execute:apply",
+            PlanOp::Let { .. } => "execute:let",
+            PlanOp::For { .. } => "execute:for",
+            PlanOp::Sum { .. } => "execute:sum",
+            PlanOp::HProd { .. } => "execute:hprod",
+            PlanOp::MProd { .. } => "execute:mprod",
         }
     }
 
@@ -209,10 +238,12 @@ impl PlanOp {
                 .join(" ")
         };
         match self {
-            PlanOp::Var(name) => format!("var {name}"),
+            PlanOp::Var(name, _) => format!("var {name}"),
             PlanOp::Const(c) => format!("const {}", c.0),
             PlanOp::Apply(name, args) => format!("apply {name} {}", kids(args)),
-            PlanOp::Let { var, value, body } => format!("let {var} = #{value} in #{body}"),
+            PlanOp::Let {
+                var, value, body, ..
+            } => format!("let {var} = #{value} in #{body}"),
             PlanOp::For {
                 var,
                 var_dim,
@@ -224,9 +255,15 @@ impl PlanOp {
                 Some(init) => format!("for {var}:{var_dim} acc {acc} init #{init} body #{body}"),
                 None => format!("for {var}:{var_dim} acc {acc} body #{body}"),
             },
-            PlanOp::Sum { var, var_dim, body } => format!("sum {var}:{var_dim} #{body}"),
-            PlanOp::HProd { var, var_dim, body } => format!("hprod {var}:{var_dim} #{body}"),
-            PlanOp::MProd { var, var_dim, body } => format!("mprod {var}:{var_dim} #{body}"),
+            PlanOp::Sum {
+                var, var_dim, body, ..
+            } => format!("sum {var}:{var_dim} #{body}"),
+            PlanOp::HProd {
+                var, var_dim, body, ..
+            } => format!("hprod {var}:{var_dim} #{body}"),
+            PlanOp::MProd {
+                var, var_dim, body, ..
+            } => format!("mprod {var}:{var_dim} #{body}"),
             other => {
                 let children = other.children();
                 if children.is_empty() {
@@ -423,7 +460,10 @@ impl fmt::Display for PlanReport {
 pub struct Plan {
     pub(crate) nodes: Vec<PlanNode>,
     pub(crate) roots: Vec<NodeId>,
-    pub(crate) dependents: HashMap<String, Vec<NodeId>>,
+    /// Variable name → slot, for every name the plan mentions.
+    pub(crate) slots: HashMap<String, VarSlot>,
+    /// Per slot, the nodes whose value depends on that variable.
+    pub(crate) dependents: Vec<Vec<NodeId>>,
     /// The planner's summary of this plan.
     pub report: PlanReport,
 }
@@ -446,7 +486,21 @@ impl Plan {
 
     /// The nodes whose cached value must be dropped when `var` is rebound.
     pub fn dependents_of(&self, var: &str) -> &[NodeId] {
-        self.dependents.get(var).map(Vec::as_slice).unwrap_or(&[])
+        self.slots
+            .get(var)
+            .map_or(&[], |&slot| self.dependents_of_slot(slot))
+    }
+
+    /// [`dependents_of`](Plan::dependents_of) by slot — the executor's
+    /// per-iteration path, a vector index.
+    pub(crate) fn dependents_of_slot(&self, slot: VarSlot) -> &[NodeId] {
+        &self.dependents[slot]
+    }
+
+    /// How many variable slots the plan uses; every [`VarSlot`] in its
+    /// operations is below this.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.dependents.len()
     }
 
     /// A fingerprint of the plan's **physical structure**: the interned
@@ -584,7 +638,7 @@ pub(crate) fn op_fingerprint(op: &PlanOp, fingerprints: &[u64]) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     op.label().hash(&mut h);
     match op {
-        PlanOp::Var(name) => name.hash(&mut h),
+        PlanOp::Var(name, _) => name.hash(&mut h),
         PlanOp::Const(c) => c.hash(&mut h),
         PlanOp::Apply(name, _) => name.hash(&mut h),
         PlanOp::Let { var, .. } => var.hash(&mut h),

@@ -20,6 +20,7 @@
 
 use crate::plan::{
     AppliedRewrite, ConstVal, NodeEstimate, NodeId, Plan, PlanNode, PlanOp, PlanReport, ReprChoice,
+    VarSlot,
 };
 use matlang_core::{rewrite, Dim, Expr, Instance, MatrixType};
 use matlang_matrix::repr::{MIN_ADAPTIVE_ENTRIES, SPARSIFY_THRESHOLD};
@@ -260,7 +261,7 @@ impl ObservedStats {
                 cols: sample.cols,
                 nnz: sample.nnz as usize,
             };
-            if let PlanOp::Var(name) = &node.op {
+            if let PlanOp::Var(name, _) = &node.op {
                 self.vars.insert(name.clone(), stats);
             }
             self.nodes.insert(*fp, stats);
@@ -327,6 +328,7 @@ impl Planner {
             nodes: Vec::new(),
             fingerprints: Vec::new(),
             dedup: HashMap::new(),
+            slots: HashMap::new(),
             scope: Vec::new(),
             loops: Vec::new(),
             fused: Vec::new(),
@@ -343,7 +345,7 @@ impl Planner {
                 let rewrite_span = matlang_obs::trace::span("rewrite");
                 let outcome = crate::rewrite::rewrite_with_stats(&planned, stats);
                 for applied in &outcome.applied {
-                    matlang_obs::trace::event(&format!("rewrite:{}", applied.rule));
+                    matlang_obs::trace::event(format!("rewrite:{}", applied.rule));
                 }
                 drop(rewrite_span);
                 report.rewrites.extend(outcome.applied);
@@ -354,7 +356,8 @@ impl Planner {
         }
         report.rewrites.append(&mut builder.fused);
         let mut nodes = builder.nodes;
-        let mut dependents: HashMap<String, Vec<NodeId>> = HashMap::new();
+        let slots = builder.slots;
+        let mut dependents: Vec<Vec<NodeId>> = vec![Vec::new(); slots.len()];
         for (id, node) in nodes.iter_mut().enumerate() {
             node.cacheable = node.refs > 1 || node.hoistable;
             if node.refs > 1 {
@@ -381,7 +384,9 @@ impl Planner {
                 report.delta_supported_nodes += 1;
             }
             for var in &node.free_vars {
-                dependents.entry(var.clone()).or_default().push(id);
+                // Free variables stem from `Var` operations, whose names
+                // were interned when they were built.
+                dependents[slots[var]].push(id);
             }
         }
         report.dag_nodes = nodes.len();
@@ -392,6 +397,7 @@ impl Planner {
         Plan {
             nodes,
             roots,
+            slots,
             dependents,
             report,
         }
@@ -424,6 +430,9 @@ struct Builder<'a> {
     /// always fingerprinted before the node itself.
     fingerprints: Vec<u64>,
     dedup: HashMap<DedupKey, NodeId>,
+    /// Every variable name seen so far → its dense slot, in first-seen
+    /// order.
+    slots: HashMap<String, VarSlot>,
     /// Bound loop/let variables in scope, innermost last, with the advisory
     /// statistics of their bound value (`None` when unknown — which also
     /// correctly shadows any instance matrix of the same name).
@@ -436,9 +445,22 @@ struct Builder<'a> {
 }
 
 impl Builder<'_> {
+    /// The slot of `name`, interning it on first sight.
+    fn slot(&mut self, name: &str) -> VarSlot {
+        if let Some(&slot) = self.slots.get(name) {
+            return slot;
+        }
+        let slot = self.slots.len();
+        self.slots.insert(name.to_string(), slot);
+        slot
+    }
+
     fn build(&mut self, expr: &Expr) -> NodeId {
         match expr {
-            Expr::Var(name) => self.intern(PlanOp::Var(name.clone())),
+            Expr::Var(name) => {
+                let slot = self.slot(name);
+                self.intern(PlanOp::Var(name.clone(), slot))
+            }
             Expr::Const(c) => self.intern(PlanOp::Const(ConstVal(*c))),
             Expr::Transpose(e) => {
                 let a = self.build(e);
@@ -507,8 +529,10 @@ impl Builder<'_> {
                 self.scope.push((var.clone(), value_stats));
                 let body_id = self.build(body);
                 self.scope.pop();
+                let var_slot = self.slot(var);
                 self.intern(PlanOp::Let {
                     var: var.clone(),
+                    var_slot,
                     value: value_id,
                     body: body_id,
                 })
@@ -539,43 +563,51 @@ impl Builder<'_> {
                 self.loops.pop();
                 self.scope.pop();
                 self.scope.pop();
+                let (var_slot, acc_slot) = (self.slot(var), self.slot(acc));
                 self.intern(PlanOp::For {
                     var: var.clone(),
+                    var_slot,
                     var_dim: var_dim.clone(),
                     acc: acc.clone(),
+                    acc_slot,
                     acc_type: acc_type.clone(),
                     init: init_id,
                     body: body_id,
                 })
             }
             Expr::Sum { var, var_dim, body } => {
-                let body_id = self.build_loop_body(var, var_dim, body);
+                let (var_slot, body) = self.build_loop_body(var, var_dim, body);
                 self.intern(PlanOp::Sum {
                     var: var.clone(),
+                    var_slot,
                     var_dim: var_dim.clone(),
-                    body: body_id,
+                    body,
                 })
             }
             Expr::HProd { var, var_dim, body } => {
-                let body_id = self.build_loop_body(var, var_dim, body);
+                let (var_slot, body) = self.build_loop_body(var, var_dim, body);
                 self.intern(PlanOp::HProd {
                     var: var.clone(),
+                    var_slot,
                     var_dim: var_dim.clone(),
-                    body: body_id,
+                    body,
                 })
             }
             Expr::MProd { var, var_dim, body } => {
-                let body_id = self.build_loop_body(var, var_dim, body);
+                let (var_slot, body) = self.build_loop_body(var, var_dim, body);
                 self.intern(PlanOp::MProd {
                     var: var.clone(),
+                    var_slot,
                     var_dim: var_dim.clone(),
-                    body: body_id,
+                    body,
                 })
             }
         }
     }
 
-    fn build_loop_body(&mut self, var: &str, var_dim: &str, body: &Expr) -> NodeId {
+    /// Builds a Σ/Π body under its loop variable's scope, returning the
+    /// variable's slot and the body node.
+    fn build_loop_body(&mut self, var: &str, var_dim: &str, body: &Expr) -> (VarSlot, NodeId) {
         let var_stats = self.stats.dim(var_dim).map(|n| VarStats {
             rows: n,
             cols: 1,
@@ -586,7 +618,7 @@ impl Builder<'_> {
         let body_id = self.build(body);
         self.loops.pop();
         self.scope.pop();
-        body_id
+        (self.slot(var), body_id)
     }
 
     /// Interns the fused scaling node for `diag(vec) · mat` (`row_side`)
@@ -709,7 +741,7 @@ impl Builder<'_> {
     fn free_vars_of(&self, op: &PlanOp) -> BTreeSet<String> {
         let of = |id: &NodeId| self.nodes[*id].free_vars.clone();
         match op {
-            PlanOp::Var(name) => BTreeSet::from([name.clone()]),
+            PlanOp::Var(name, _) => BTreeSet::from([name.clone()]),
             PlanOp::Const(_) => BTreeSet::new(),
             PlanOp::Transpose(a) | PlanOp::Ones(a) | PlanOp::Diag(a) => of(a),
             PlanOp::MatMul(a, b)
@@ -729,7 +761,9 @@ impl Builder<'_> {
                 }
                 out
             }
-            PlanOp::Let { var, value, body } => {
+            PlanOp::Let {
+                var, value, body, ..
+            } => {
                 let mut out = of(body);
                 out.remove(var);
                 out.extend(of(value));
@@ -772,7 +806,7 @@ impl Builder<'_> {
     fn estimate(&self, op: &PlanOp) -> Option<NodeEstimate> {
         let est = |id: &NodeId| self.nodes[*id].est;
         match op {
-            PlanOp::Var(name) => {
+            PlanOp::Var(name, _) => {
                 let s = self.lookup_var(name)?;
                 Some(finish(s.rows, s.cols, s.nnz as f64, 0.0, false))
             }

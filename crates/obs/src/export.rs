@@ -9,6 +9,8 @@
 //! Layout: each trace becomes one thread lane (`tid` = position in the
 //! slice, newest last), holding a complete `"X"` event for the whole
 //! request followed by one `"X"` event per span at its recorded offset.
+//! The request event's `args` carry `dropped_spans`: how many records the
+//! trace discarded at its cap ([`crate::trace::MAX_SPANS_PER_TRACE`]).
 //! Ring timestamps are relative to each trace's start — absolute wall
 //! times are not recorded — so lanes all start at `ts = 0`; within a lane
 //! the offsets are real and nesting renders faithfully.
@@ -44,6 +46,8 @@ struct Event<'a> {
     ts: u64,
     dur: u64,
     trace_id: u64,
+    /// Set on the request event only.
+    dropped_spans: Option<u64>,
 }
 
 fn push_event(out: &mut String, first: &mut bool, e: Event<'_>) {
@@ -56,9 +60,13 @@ fn push_event(out: &mut String, first: &mut bool, e: Event<'_>) {
     let _ = write!(
         out,
         "\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-         \"pid\":1,\"tid\":{},\"args\":{{\"trace_id\":\"{:016x}\"}}}}",
+         \"pid\":1,\"tid\":{},\"args\":{{\"trace_id\":\"{:016x}\"",
         e.cat, e.ts, e.dur, e.tid, e.trace_id
     );
+    if let Some(dropped) = e.dropped_spans {
+        let _ = write!(out, ",\"dropped_spans\":{dropped}");
+    }
+    out.push_str("}}");
 }
 
 /// Renders `traces` as a Chrome trace-event JSON array (the "JSON Array
@@ -81,6 +89,7 @@ pub fn render_chrome_trace(traces: &[TraceRecord]) -> String {
                 ts: 0,
                 dur: trace.total_us,
                 trace_id: trace.id,
+                dropped_spans: Some(trace.dropped_spans),
             },
         );
         for span in &trace.spans {
@@ -94,6 +103,7 @@ pub fn render_chrome_trace(traces: &[TraceRecord]) -> String {
                     ts: span.start_us,
                     dur: span.dur_us,
                     trace_id: trace.id,
+                    dropped_spans: None,
                 },
             );
         }
@@ -368,18 +378,19 @@ mod tests {
             total_us: 120,
             spans: vec![
                 SpanRecord {
-                    name: "plan".to_string(),
+                    name: "plan".into(),
                     parent: None,
                     start_us: 3,
                     dur_us: 40,
                 },
                 SpanRecord {
-                    name: "execute:matmul".to_string(),
+                    name: "execute:matmul".into(),
                     parent: Some(0),
                     start_us: 45,
                     dur_us: 70,
                 },
             ],
+            dropped_spans: 0,
         }
     }
 
@@ -394,6 +405,16 @@ mod tests {
     }
 
     #[test]
+    fn the_request_event_reports_dropped_spans() {
+        let mut t = sample_trace(3, "QUERY g looping");
+        t.dropped_spans = 98_977;
+        let json = render_chrome_trace(&[t]);
+        assert_eq!(validate_chrome_trace(&json), Ok(3));
+        assert_eq!(json.matches("\"dropped_spans\":98977").count(), 1);
+        assert_eq!(json.matches("dropped_spans").count(), 1, "root event only");
+    }
+
+    #[test]
     fn empty_slice_renders_empty_array() {
         let json = render_chrome_trace(&[]);
         assert_eq!(validate_chrome_trace(&json), Ok(0));
@@ -402,7 +423,7 @@ mod tests {
     #[test]
     fn escapes_hostile_labels() {
         let mut t = sample_trace(7, "EXEC \"quoted\" \\slash\n\ttab");
-        t.spans[0].name = "span\u{0001}ctl".to_string();
+        t.spans[0].name = "span\u{0001}ctl".into();
         let json = render_chrome_trace(&[t]);
         assert_eq!(validate_chrome_trace(&json), Ok(3));
         assert!(json.contains("\\\"quoted\\\""));

@@ -7,19 +7,27 @@
 //! zero-duration *events* ([`event`]) into it.  When the root guard drops,
 //! the finished [`TraceRecord`] — parent plus children, with microsecond
 //! offsets relative to the trace start — is pushed into a bounded global
-//! ring buffer, and traces that took longer than the `MATLANG_SLOW_MS`
-//! threshold (default 100 ms, overridable at runtime with [`set_slow_ms`])
-//! are additionally recorded in the slow-query log and counted in the
-//! `slow_queries_total` counter.  Fast traces with **no spans at all** —
-//! warm cache-hit requests, which never enter instrumented engine code —
-//! are dropped at the root instead of pushed, keeping the hot path free of
-//! the ring lock and the ring full of traces with structure.
+//! ring buffer, and traces that took longer than their slow threshold
+//! (`MATLANG_SLOW_MS`, default 100 ms, overridable at runtime with
+//! [`set_slow_ms`]; read once at [`begin`] and carried on the trace, or
+//! given per trace with [`begin_with_slow_ms`]) are additionally recorded
+//! in the slow-query log and counted in the `slow_queries_total` counter.
+//! Fast traces with **no spans at all** — warm cache-hit requests, which
+//! never enter instrumented engine code — are dropped at the root instead
+//! of pushed, keeping the hot path free of the ring lock and the ring full
+//! of traces with structure.
+//!
+//! A trace retains at most [`MAX_SPANS_PER_TRACE`] span records: past the
+//! cap [`span`] and [`event`] record nothing and the trace counts what it
+//! dropped ([`TraceRecord::dropped_spans`]), so no request — however many
+//! instrumented calls it makes — can grow the ring without bound.
 //!
 //! When no trace is active on the current thread — the common case for
 //! engine code driven outside a server session — [`span`] and [`event`] are
 //! a thread-local read and nothing else, so instrumented library code pays
 //! near-zero cost.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,11 +37,17 @@ use std::time::Instant;
 /// How many finished traces (and slow queries) the ring buffers retain.
 pub const RING_CAPACITY: usize = 256;
 
+/// How many span records (spans and events) one trace retains; later ones
+/// are counted in [`TraceRecord::dropped_spans`] and otherwise discarded.
+pub const MAX_SPANS_PER_TRACE: usize = 1024;
+
 /// One span inside a finished trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Span name, e.g. `"plan"`, `"rewrite"`, `"execute:matmul"`.
-    pub name: String,
+    /// Span name, e.g. `"plan"`, `"rewrite"`, `"execute:matmul"`.  Static
+    /// for every span on a request's hot path, so opening one allocates
+    /// nothing; only names carrying figures (a loop summary) are owned.
+    pub name: Cow<'static, str>,
     /// Index into [`TraceRecord::spans`] of the enclosing span, if any.
     pub parent: Option<usize>,
     /// Start offset relative to the trace start, in microseconds.
@@ -51,8 +65,10 @@ pub struct TraceRecord {
     pub label: String,
     /// Total wall time of the trace in microseconds.
     pub total_us: u64,
-    /// Child spans in creation order.
+    /// Child spans in creation order (at most [`MAX_SPANS_PER_TRACE`]).
     pub spans: Vec<SpanRecord>,
+    /// Spans and events discarded because the trace was at its cap.
+    pub dropped_spans: u64,
 }
 
 /// One slow-query log entry.
@@ -81,7 +97,11 @@ struct ActiveTrace {
     label_len: u8,
     label_buf: [u8; LABEL_CAPACITY],
     started: Instant,
+    /// The slow-query threshold this trace is judged against, fixed at
+    /// [`begin`] so a later [`set_slow_ms`] cannot reclassify it.
+    slow_us: u64,
     spans: Vec<SpanRecord>,
+    dropped_spans: u64,
     stack: Vec<usize>,
 }
 
@@ -90,6 +110,23 @@ impl ActiveTrace {
         // The buffer was copied from a `&str` prefix cut at a char
         // boundary, so it is valid UTF-8 by construction.
         std::str::from_utf8(&self.label_buf[..self.label_len as usize]).unwrap_or_default()
+    }
+
+    /// Appends a record under the current span and returns its index, or
+    /// counts it as dropped when the trace is at [`MAX_SPANS_PER_TRACE`].
+    fn record(&mut self, name: Cow<'static, str>) -> Option<usize> {
+        if self.spans.len() >= MAX_SPANS_PER_TRACE {
+            self.dropped_spans += 1;
+            return None;
+        }
+        let idx = self.spans.len();
+        self.spans.push(SpanRecord {
+            name,
+            parent: self.stack.last().copied(),
+            start_us: self.started.elapsed().as_micros() as u64,
+            dur_us: 0,
+        });
+        Some(idx)
     }
 }
 
@@ -206,6 +243,8 @@ pub fn slow_ms() -> u64 {
 }
 
 /// Override the slow-query threshold at runtime (tests, admin tooling).
+/// Applies to traces begun afterwards; one already open keeps the
+/// threshold it was begun with.
 pub fn set_slow_ms(ms: u64) {
     SLOW_MS_OVERRIDE.store(ms, Ordering::Relaxed);
 }
@@ -228,6 +267,14 @@ pub struct TraceGuard {
 /// disabled or another trace is already active on the thread — an inner
 /// `begin` never clobbers the outer request's trace.
 pub fn begin(id: u64, label: &str) -> TraceGuard {
+    begin_with_slow_ms(id, label, slow_ms())
+}
+
+/// [`begin`] with this trace's own slow-query threshold in place of the
+/// process-wide [`slow_ms`] — a caller that needs a particular threshold
+/// (a test forcing the slow path with `0`) sets it on the trace it owns
+/// and leaves the global alone.
+pub fn begin_with_slow_ms(id: u64, label: &str, slow_ms: u64) -> TraceGuard {
     let inert = TraceGuard {
         armed: false,
         _not_send: std::marker::PhantomData,
@@ -251,7 +298,9 @@ pub fn begin(id: u64, label: &str) -> TraceGuard {
             label_len: cut as u8,
             label_buf,
             started: Instant::now(),
+            slow_us: slow_ms.saturating_mul(1000),
             spans: Vec::new(),
+            dropped_spans: 0,
             stack: Vec::new(),
         });
         TraceGuard {
@@ -270,7 +319,7 @@ impl Drop for TraceGuard {
             return;
         };
         let total_us = t.started.elapsed().as_micros() as u64;
-        let slow = total_us >= slow_ms().saturating_mul(1000);
+        let slow = total_us >= t.slow_us;
         // Claim any parked forensic detail either way, so an abandoned
         // attachment for a fast trace cannot linger in the parking lot.
         let detail = take_slow_detail(t.id);
@@ -300,6 +349,7 @@ impl Drop for TraceGuard {
                 label: t.label().to_string(),
                 total_us,
                 spans: t.spans,
+                dropped_spans: t.dropped_spans,
             };
             if let Ok(mut traces) = ring().lock() {
                 if traces.len() == RING_CAPACITY {
@@ -319,20 +369,12 @@ pub struct SpanGuard {
 }
 
 /// Open a child span of the trace active on this thread.  A no-op guard when
-/// no trace is active.
-pub fn span(name: &str) -> SpanGuard {
+/// no trace is active or the trace is at [`MAX_SPANS_PER_TRACE`].
+pub fn span(name: impl Into<Cow<'static, str>>) -> SpanGuard {
     let idx = ACTIVE.with(|a| {
         let mut slot = a.borrow_mut();
         let t = slot.as_mut()?;
-        let start_us = t.started.elapsed().as_micros() as u64;
-        let parent = t.stack.last().copied();
-        let idx = t.spans.len();
-        t.spans.push(SpanRecord {
-            name: name.to_string(),
-            parent,
-            start_us,
-            dur_us: 0,
-        });
+        let idx = t.record(name.into())?;
         t.stack.push(idx);
         Some(idx)
     });
@@ -364,19 +406,12 @@ impl Drop for SpanGuard {
 }
 
 /// Record a zero-duration event (e.g. one applied rewrite rule) under the
-/// current span of the active trace.  A no-op when no trace is active.
-pub fn event(name: &str) {
+/// current span of the active trace.  A no-op when no trace is active or
+/// the trace is at [`MAX_SPANS_PER_TRACE`].
+pub fn event(name: impl Into<Cow<'static, str>>) {
     ACTIVE.with(|a| {
-        let mut slot = a.borrow_mut();
-        if let Some(t) = slot.as_mut() {
-            let start_us = t.started.elapsed().as_micros() as u64;
-            let parent = t.stack.last().copied();
-            t.spans.push(SpanRecord {
-                name: name.to_string(),
-                parent,
-                start_us,
-                dur_us: 0,
-            });
+        if let Some(t) = a.borrow_mut().as_mut() {
+            t.record(name.into());
         }
     });
 }
@@ -430,7 +465,7 @@ mod tests {
         assert_eq!(current_id(), 0, "trace must close when the guard drops");
         let t = find_trace(id).expect("trace must land in the ring buffer");
         assert_eq!(t.label, "EXEC g 0");
-        let names: Vec<&str> = t.spans.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = t.spans.iter().map(|s| s.name.as_ref()).collect();
         assert_eq!(
             names,
             ["plan", "rewrite", "rewrite:fuse-mprod", "execute:matmul"]
@@ -483,12 +518,11 @@ mod tests {
     #[test]
     fn slow_queries_are_logged_when_over_threshold() {
         let id = next_id();
-        set_slow_ms(0); // every trace counts as slow
         {
-            let _t = begin(id, "EXEC slow 0");
+            // Threshold 0 on this trace only: it counts as slow.
+            let _t = begin_with_slow_ms(id, "EXEC slow 0", 0);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        set_slow_ms(SLOW_MS_UNSET); // restore env/default behaviour
         let slow = slow_queries(RING_CAPACITY);
         let entry = slow.iter().find(|s| s.trace_id == id);
         let entry = entry.expect("slow query must be logged");
@@ -500,13 +534,11 @@ mod tests {
     #[test]
     fn slow_detail_attaches_through_the_side_channel() {
         let id = next_id();
-        set_slow_ms(0); // every trace counts as slow
         {
-            let _t = begin(id, "EXEC forensic 0");
+            let _t = begin_with_slow_ms(id, "EXEC forensic 0", 0);
             attach_slow_detail(current_id(), vec!["plan nodes=3".into(), "#0 var G".into()]);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        set_slow_ms(SLOW_MS_UNSET);
         let entry = slow_queries(RING_CAPACITY)
             .into_iter()
             .find(|s| s.trace_id == id)
@@ -534,18 +566,51 @@ mod tests {
         // again for the dead id and asking for it via a new slow trace
         // cannot resurrect it.
         let id2 = next_id();
-        set_slow_ms(0);
         {
-            let _t = begin(id2, "EXEC forensic 1");
+            let _t = begin_with_slow_ms(id2, "EXEC forensic 1", 0);
             attach_slow_detail(id2, vec!["second".into()]);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        set_slow_ms(SLOW_MS_UNSET);
         let entry = slow_queries(RING_CAPACITY)
             .into_iter()
             .find(|s| s.trace_id == id2)
             .expect("slow query must be logged");
         assert_eq!(entry.detail, vec!["second".to_string()]);
+    }
+
+    #[test]
+    fn a_trace_retains_at_most_the_span_cap() {
+        let id = next_id();
+        {
+            let _t = begin(id, "QUERY looping 0");
+            for _ in 0..100_000 {
+                let _s = span("execute:matmul");
+            }
+            event("past-the-cap");
+        }
+        let t = find_trace(id).expect("trace must land in the ring buffer");
+        assert_eq!(t.spans.len(), MAX_SPANS_PER_TRACE);
+        assert_eq!(
+            t.dropped_spans,
+            100_001 - MAX_SPANS_PER_TRACE as u64,
+            "every record past the cap is counted, not kept"
+        );
+        assert!(t.spans.iter().all(|s| s.name == "execute:matmul"));
+    }
+
+    #[test]
+    fn the_slow_threshold_travels_with_the_trace() {
+        // A threshold no trace reaches, then 0: the verdict follows the
+        // value handed to each trace, whatever the process-wide setting.
+        let (fast, slow) = (next_id(), next_id());
+        drop(begin_with_slow_ms(fast, "EXEC never-slow 0", u64::MAX));
+        drop(begin_with_slow_ms(slow, "EXEC always-slow 0", 0));
+        let logged: Vec<u64> = slow_queries(RING_CAPACITY)
+            .iter()
+            .map(|s| s.trace_id)
+            .collect();
+        assert!(!logged.contains(&fast));
+        assert!(logged.contains(&slow));
     }
 
     #[test]
@@ -587,30 +652,35 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), all.len(), "duplicate trace ids in the ring");
-        // The newest-n view is the tail of the full listing.
-        let tail: Vec<u64> = recent(8).iter().map(|t| t.id).collect();
-        let full: Vec<u64> = recent(usize::MAX).iter().map(|t| t.id).collect();
+        // The newest-n view is the tail of the ring.  Sibling tests push
+        // between any two listings, so this is checked on one listing:
+        // whichever of its entries are ours are our newest, in order.
+        let tail = recent(8);
         assert_eq!(tail.len(), 8);
-        assert_eq!(tail, full[full.len() - 8..]);
+        let ours: Vec<u64> = tail
+            .iter()
+            .map(|t| t.id)
+            .filter(|id| issued.contains(id))
+            .collect();
+        assert_eq!(ours, issued[ISSUED - ours.len()..]);
     }
 
     #[test]
     fn slow_ring_wraparound_retains_newest_in_issue_order() {
         const ISSUED: usize = RING_CAPACITY + 44;
-        set_slow_ms(0); // every trace counts as slow
         let mut issued = Vec::with_capacity(ISSUED);
         for _ in 0..ISSUED {
             let id = next_id();
             issued.push(id);
-            let _t = begin(id, "EXEC slow-wrap 0");
+            // Threshold 0 on each trace: every one counts as slow.
+            let _t = begin_with_slow_ms(id, "EXEC slow-wrap 0", 0);
         }
-        set_slow_ms(SLOW_MS_UNSET);
         let all = slow_queries(usize::MAX);
         assert!(all.len() <= RING_CAPACITY);
-        // Sibling tests toggle the process-wide threshold concurrently, so
-        // a prefix of ours can be missing — but the survivors must still
-        // appear in issue order with no duplicates, and more than the ring
-        // holds can never survive.
+        // Sibling tests log slow queries of their own concurrently, so ours
+        // need not be contiguous — but the survivors must appear in issue
+        // order with no duplicates, and more than the ring holds can never
+        // survive.
         let ours: Vec<u64> = all
             .iter()
             .map(|s| s.trace_id)
@@ -624,13 +694,15 @@ mod tests {
         deduped.sort_unstable();
         deduped.dedup();
         assert_eq!(deduped.len(), ours.len(), "duplicate slow-log entries");
-        // The newest-n view is the tail of the full listing.
-        let tail: Vec<u64> = slow_queries(8).iter().map(|s| s.trace_id).collect();
-        let full: Vec<u64> = slow_queries(usize::MAX)
+        // The newest-n view is the tail of the ring: on one listing (see
+        // the trace-ring twin of this test), ours are our newest, in order.
+        let tail = slow_queries(8);
+        assert_eq!(tail.len(), 8);
+        let ours: Vec<u64> = tail
             .iter()
             .map(|s| s.trace_id)
+            .filter(|id| issued.contains(id))
             .collect();
-        assert_eq!(tail.len(), 8);
-        assert_eq!(tail, full[full.len() - 8..]);
+        assert_eq!(ours, issued[ISSUED - ours.len()..]);
     }
 }

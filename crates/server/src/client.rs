@@ -186,6 +186,10 @@ impl Client {
     /// Connects to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // Same reasoning as the server side (`serve_connection`): a `LOAD`
+        // body spans several buffer flushes and must not wait out the
+        // peer's delayed ACK.
+        stream.set_nodelay(true)?;
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),

@@ -83,6 +83,11 @@ pub fn serve_connection(
     stats: Arc<SessionStats>,
 ) -> std::io::Result<()> {
     matlang_obs::counter!("connections_total").inc();
+    // A reply larger than the 8 KiB `BufWriter` goes out in several
+    // segments; with Nagle on, the last partial one waits for the peer's
+    // delayed ACK (≈ 40 ms).  Every reply ends in exactly one explicit
+    // flush, so there are no small writes for Nagle to coalesce.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(CountingStream {
         inner: stream,

@@ -363,3 +363,54 @@ fn empty_update_batches_short_circuit_without_touching_the_cache() {
     assert!(client.update("g", "missing", &[]).is_err());
     handle.shutdown();
 }
+
+#[test]
+fn looping_queries_cannot_grow_the_trace_ring_without_bound() {
+    use matlang_obs::trace::{recent, MAX_SPANS_PER_TRACE, RING_CAPACITY};
+
+    let handle = spawn();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.create_instance("fw", true).unwrap();
+    // n = 6: three nested loops compute ≈ 2 000 plan nodes per request,
+    // twice the span cap.
+    let n = 6;
+    client.set_dim("fw", "n", n).unwrap();
+    let entries: Vec<(usize, usize, f64)> = (0..n * n)
+        .map(|k| (k / n, k % n, if k / n == k % n { 0.75 } else { 0.01 }))
+        .collect();
+    client.load("fw", "G", n, n, &entries).unwrap();
+    let text = matlang_algorithms::graphs::transitive_closure_fw("G", "n").to_string();
+
+    let mut traced = Vec::with_capacity(300);
+    for _ in 0..300 {
+        let result = client.query("fw", &text).unwrap();
+        assert!(result.stats.cache_misses > MAX_SPANS_PER_TRACE as u64);
+        traced.push(result.trace);
+    }
+
+    let ring = recent(RING_CAPACITY);
+    assert!(ring.len() <= RING_CAPACITY);
+    assert!(ring.iter().all(|t| t.spans.len() <= MAX_SPANS_PER_TRACE));
+    assert!(
+        ring.iter().map(|t| t.spans.len()).sum::<usize>() <= RING_CAPACITY * MAX_SPANS_PER_TRACE
+    );
+    // The looping requests themselves sit far below the cap: their nodes
+    // inside the loops open no spans at all.
+    let ours: Vec<_> = ring.iter().filter(|t| traced.contains(&t.id)).collect();
+    assert!(!ours.is_empty(), "the newest QUERY traces must be retained");
+    for t in ours {
+        assert!(
+            t.spans.len() <= 64 && t.dropped_spans == 0,
+            "QUERY trace {:x} holds {} spans (+{} dropped)",
+            t.id,
+            t.spans.len(),
+            t.dropped_spans
+        );
+        assert!(t.spans.iter().any(|s| s.name.starts_with("loop:for ")));
+    }
+    // The export stays a valid document and reports the drop count.
+    let json = client.trace_export(Some(8)).unwrap();
+    assert!(matlang_obs::export::validate_chrome_trace(&json).unwrap() > 0);
+    assert!(json.contains("\"dropped_spans\":0"));
+    handle.shutdown();
+}

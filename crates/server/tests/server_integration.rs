@@ -220,6 +220,49 @@ fn timing_guard_prepared_exec_beats_per_request_parse_plan_eval() {
     handle.shutdown();
 }
 
+/// A reply spanning several 8 KiB buffer flushes must not wait out the
+/// peer's delayed ACK: without `TCP_NODELAY` on the accepted stream every
+/// such `EXEC` takes ≈ 40 ms over loopback regardless of its size.  The
+/// absolute bound sits between the two regimes (a warm 64 KiB reply
+/// encodes, travels and decodes in a few milliseconds).
+#[test]
+fn large_reply_stall_guard() {
+    let bound_ms = if cfg!(debug_assertions) { 35 } else { 20 };
+    let handle = spawn();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.create_instance("g", true).unwrap();
+    client.set_dim("g", "n", 300).unwrap();
+    client.gen_erdos_renyi("g", "G", "n", 8.0, 5).unwrap();
+    let qid = client.prepare("g", "(G * G)").unwrap();
+    let warm = client.exec("g", qid).unwrap();
+    let mut wire = Vec::new();
+    matlang_server::protocol::write_result(&mut wire, &warm).unwrap();
+    assert!(
+        wire.len() >= 64 * 1024,
+        "the reply must span many buffer flushes, got {} bytes",
+        wire.len()
+    );
+
+    let mut elapsed: Vec<std::time::Duration> = (0..5)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            let result = client.exec("g", qid).unwrap();
+            assert_eq!(result.stats.cache_misses, 0, "EXEC must stay warm");
+            started.elapsed()
+        })
+        .collect();
+    elapsed.sort();
+    let median = elapsed[2];
+    eprintln!("warm EXEC of a {} byte reply ×5: {elapsed:?}", wire.len());
+    assert!(
+        median.as_millis() < bound_ms,
+        "a {} byte reply took {median:?} (median of 5; bound {bound_ms} ms): \
+         the flushes are stalling on delayed ACKs",
+        wire.len()
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn sessions_on_separate_instances_run_concurrently() {
     let handle = spawn();

@@ -11,17 +11,20 @@
 //!   feedback re-planned against current + observed statistics
 //!   (matrix×vector association throughout).
 //! - **replan-cost** — the re-plan itself (statistics snapshot, drift
-//!   check, plan build, cache reset), measured by forcing the threshold
-//!   to its floor so every EXEC re-plans.
+//!   check, plan build, cache reset), measured on a store whose
+//!   threshold is at its floor so every EXEC re-plans.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use matlang_bench::quick_criterion;
-use matlang_server::{set_replan_drift, Store};
+use matlang_server::{Store, StoreConfig};
 
 const N: usize = 192;
 
-fn seeded(name: &str) -> Store {
-    let store = Store::new();
+/// A store with the given drift threshold whose standing chain query was
+/// planned (and warmed once) while `A` was ~empty, then had `A` flooded
+/// dense.  Returns the store and the query id.
+fn flooded(name: &str, replan_drift: f64) -> (Store, usize) {
+    let store = Store::with_config(StoreConfig::builder().replan_drift(replan_drift).build());
     store.create_instance(name, true).unwrap();
     store.set_dim(name, "n", N).unwrap();
     store
@@ -36,29 +39,23 @@ fn seeded(name: &str) -> Store {
     store.load_matrix(name, "B", N, N, b).unwrap();
     let v: Vec<(usize, usize, f64)> = (0..N).map(|i| (i, 0, (i % 5 + 1) as f64)).collect();
     store.load_matrix(name, "v", N, 1, v).unwrap();
-    store
-}
-
-fn flood() -> Vec<(usize, usize, f64)> {
-    let mut entries = Vec::with_capacity(N * N);
+    let qid = store.prepare(name, "((A * B) * v)").unwrap().qid;
+    store.exec(name, &[qid]).unwrap();
+    let mut flood = Vec::with_capacity(N * N);
     for i in 0..N {
         for j in 0..N {
-            entries.push((i, j, ((i * 31 + j) % 11 + 1) as f64));
+            flood.push((i, j, ((i * 31 + j) % 11 + 1) as f64));
         }
     }
-    entries
+    store.update(name, "A", &flood).unwrap();
+    (store, qid)
 }
 
 fn bench_feedback_replan(c: &mut Criterion) {
     let mut group = c.benchmark_group("feedback_replan");
-    let text = "((A * B) * v)";
 
-    // Stale side: plan while A is ~empty, freeze re-planning, flood A.
-    let stale = seeded("s");
-    let stale_qid = stale.prepare("s", text).unwrap().qid;
-    stale.exec("s", &[stale_qid]).unwrap();
-    set_replan_drift(Some(f64::MAX));
-    stale.update("s", "A", &flood()).unwrap();
+    // Stale side: a store that never re-plans keeps the sparse-regime plan.
+    let (stale, stale_qid) = flooded("s", f64::MAX);
     let mut toggle = 0u64;
     group.bench_function("stale-plan-recompute", |b| {
         b.iter(|| {
@@ -70,14 +67,10 @@ fn bench_feedback_replan(c: &mut Criterion) {
     });
 
     // Fresh side: same history, but one EXEC at the default threshold
-    // lets the drift feedback re-plan before measuring.
-    let fresh = seeded("f");
-    let fresh_qid = fresh.prepare("f", text).unwrap().qid;
+    // lets the drift feedback re-plan before measuring (the toggle below
+    // keeps nnz constant, so it never re-plans again).
+    let (fresh, fresh_qid) = flooded("f", matlang_server::DEFAULT_REPLAN_DRIFT);
     fresh.exec("f", &[fresh_qid]).unwrap();
-    fresh.update("f", "A", &flood()).unwrap();
-    set_replan_drift(None);
-    fresh.exec("f", &[fresh_qid]).unwrap();
-    set_replan_drift(Some(f64::MAX));
     group.bench_function("replanned-recompute", |b| {
         b.iter(|| {
             toggle += 1;
@@ -89,18 +82,17 @@ fn bench_feedback_replan(c: &mut Criterion) {
 
     // The re-plan itself: floor threshold + alternating nnz makes every
     // EXEC cross the drift check and rebuild the plan.
-    set_replan_drift(Some(1.0));
+    let (floor, floor_qid) = flooded("r", 1.0);
     group.bench_function("replan-cost", |b| {
         b.iter(|| {
             toggle += 1;
             // Alternate one entry between zero and non-zero so the nnz
             // ratio stays above the floor on every EXEC.
             let v = if toggle % 2 == 0 { 0.0 } else { 3.0 };
-            fresh.update("f", "A", &[(1, 1, v)]).unwrap();
-            fresh.exec("f", &[fresh_qid]).unwrap()[0].entries.len()
+            floor.update("r", "A", &[(1, 1, v)]).unwrap();
+            floor.exec("r", &[floor_qid]).unwrap()[0].entries.len()
         })
     });
-    set_replan_drift(None);
     group.finish();
 }
 

@@ -84,9 +84,6 @@ pub enum DeltaFallback {
     /// No prepared plan exists for the instance, so there is no DAG to
     /// propagate through.
     NoPlan,
-    /// Delta maintenance is disabled
-    /// ([`crate::PlanOptions::delta_maintenance`]).
-    Disabled,
     /// The batch failed mid-application; dependents were invalidated to
     /// stay consistent.
     PartialBatch,
@@ -99,7 +96,6 @@ impl DeltaFallback {
             DeltaFallback::NonIdempotentSemiring => "non-idempotent-semiring",
             DeltaFallback::NotInsertOnly => "not-insert-only",
             DeltaFallback::NoPlan => "no-plan",
-            DeltaFallback::Disabled => "disabled",
             DeltaFallback::PartialBatch => "partial-batch",
         }
     }
@@ -704,7 +700,6 @@ mod tests {
             DeltaFallback::NonIdempotentSemiring,
             DeltaFallback::NotInsertOnly,
             DeltaFallback::NoPlan,
-            DeltaFallback::Disabled,
             DeltaFallback::PartialBatch,
         ] {
             assert!(!fb.code().contains(char::is_whitespace));

@@ -57,9 +57,6 @@ pub struct ExecOptions {
     /// environment variable or the machine's available parallelism).
     /// `1` disables threading entirely.
     pub threads: usize,
-    /// Apply the planner's per-node representation choices to cached
-    /// values (adaptive backend only; other backends ignore the hints).
-    pub apply_repr_hints: bool,
     /// Time every node computation in the per-node [`NodeSample`]s — the
     /// engine side of the server's `PROFILE` verb.  Off by default: the
     /// executor always records output shape/nnz and hit/computed counts on
@@ -73,7 +70,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             threads: matlang_matrix::configured_threads(),
-            apply_repr_hints: true,
             profile: false,
         }
     }
@@ -363,28 +359,28 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
         }
         let node = self.plan.node(id);
         if node.cacheable {
-            if self.options.apply_repr_hints {
-                if let Some(est) = node.est {
-                    // Re-representing needs ownership; values still shared
-                    // with the environment (plain variable loads) keep
-                    // their current representation rather than pay a deep
-                    // clone.
-                    value = match Arc::try_unwrap(value) {
-                        Ok(owned) => {
-                            let adjusted = match est.choice {
-                                ReprChoice::Sparse => owned.prefer_repr(true),
-                                ReprChoice::Dense
-                                    if owned.rows() * owned.cols() <= DENSE_HINT_MAX_ENTRIES =>
-                                {
-                                    owned.prefer_repr(false)
-                                }
-                                ReprChoice::Dense => owned,
-                            };
-                            Arc::new(adjusted)
-                        }
-                        Err(shared) => shared,
-                    };
-                }
+            // Apply the planner's representation choice (adaptive backend
+            // only; other backends ignore the hint).
+            if let Some(est) = node.est {
+                // Re-representing needs ownership; values still shared
+                // with the environment (plain variable loads) keep
+                // their current representation rather than pay a deep
+                // clone.
+                value = match Arc::try_unwrap(value) {
+                    Ok(owned) => {
+                        let adjusted = match est.choice {
+                            ReprChoice::Sparse => owned.prefer_repr(true),
+                            ReprChoice::Dense
+                                if owned.rows() * owned.cols() <= DENSE_HINT_MAX_ENTRIES =>
+                            {
+                                owned.prefer_repr(false)
+                            }
+                            ReprChoice::Dense => owned,
+                        };
+                        Arc::new(adjusted)
+                    }
+                    Err(shared) => shared,
+                };
             }
             self.cache[id] = Some(Arc::clone(&value));
         }

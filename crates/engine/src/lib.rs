@@ -21,8 +21,8 @@
 //! * [`Executor`] evaluates the DAG with one memoized result per shared or
 //!   loop-invariant node, dropping cache entries precisely when a loop
 //!   rebinds a variable they depend on — so hoisting falls out of cache
-//!   scoping — and runs marked products on the row-partitioned
-//!   `std::thread::scope` kernels of [`matlang_matrix::parallel`].
+//!   scoping — and runs marked products on the row-partitioned pooled
+//!   kernels of [`matlang_matrix::parallel`].
 //! * [`Engine`] ties the two together, including **batched evaluation** of
 //!   many queries over one instance with a shared node cache
 //!   ([`Engine::evaluate_batch`]).
@@ -150,23 +150,21 @@ pub struct BatchOutcome<M> {
 /// [`Executor`] directly.
 #[derive(Clone, Debug, Default)]
 pub struct Engine {
-    /// Planning configuration (simplification, parallel threshold).
+    /// Planning configuration (simplification, cost rewrites).
     pub plan_options: PlanOptions,
-    /// Execution configuration (threads, representation hints).
+    /// Execution configuration (threads, profiling).
     pub exec_options: ExecOptions,
 }
 
 impl Engine {
-    /// An engine with default options: simplification on, representation
-    /// hints on, worker count from `MATLANG_THREADS` /
-    /// `available_parallelism`.
+    /// An engine with default options: simplification and cost rewrites
+    /// on, worker count from `MATLANG_THREADS` / `available_parallelism`.
     pub fn new() -> Self {
         Engine::default()
     }
 
-    /// A typed builder over every engine option — cost rewrites,
-    /// simplification, delta maintenance, thread override — replacing the
-    /// accumulated one-off constructors:
+    /// A typed builder over the engine options — cost rewrites,
+    /// simplification, thread override:
     ///
     /// ```
     /// use matlang_engine::Engine;
@@ -178,32 +176,6 @@ impl Engine {
     /// ```
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
-    }
-
-    /// Overrides the worker-thread count (`1` forces serial kernels).
-    #[deprecated(since = "0.6.0", note = "use `Engine::builder().threads(n)`")]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.exec_options.threads = threads.max(1);
-        self
-    }
-
-    /// Disables the `rewrite::simplify` pre-pass (see
-    /// [`PlanOptions::simplify`] for when that matters).
-    #[deprecated(since = "0.6.0", note = "use `Engine::builder().simplify(false)`")]
-    pub fn without_simplify(mut self) -> Self {
-        self.plan_options.simplify = false;
-        self
-    }
-
-    /// Disables the cost-based rewrite layer — chain reordering,
-    /// transpose/ones pushdown and diag-product fusion (see
-    /// [`PlanOptions::cost_rewrites`]).  Useful for strict
-    /// operation-order parity with the tree evaluator and as the
-    /// baseline in the `rewrite_speedup` benchmark.
-    #[deprecated(since = "0.6.0", note = "use `Engine::builder().cost_rewrites(false)`")]
-    pub fn without_cost_rewrites(mut self) -> Self {
-        self.plan_options.cost_rewrites = false;
-        self
     }
 
     /// Plans `queries` against `instance`'s statistics without executing.
@@ -278,60 +250,39 @@ impl Engine {
     }
 }
 
-/// Builds an [`Engine`] from named options — the typed replacement for the
-/// deprecated `with_threads` / `without_simplify` /
-/// `without_cost_rewrites` one-off constructors.  Every setter has the
+/// Builds an [`Engine`] from named options.  Every setter has the
 /// default-on semantics of [`PlanOptions`] / [`ExecOptions`]; unset fields
 /// keep their defaults.
 #[derive(Clone, Debug, Default)]
 pub struct EngineBuilder {
-    plan_options: PlanOptions,
-    exec_options: ExecOptions,
+    engine: Engine,
 }
 
 impl EngineBuilder {
     /// Enables/disables the cost-based rewrite layer
     /// ([`PlanOptions::cost_rewrites`], default `true`).
     pub fn cost_rewrites(mut self, enabled: bool) -> Self {
-        self.plan_options.cost_rewrites = enabled;
+        self.engine.plan_options.cost_rewrites = enabled;
         self
     }
 
     /// Enables/disables the `rewrite::simplify` pre-pass
     /// ([`PlanOptions::simplify`], default `true`).
     pub fn simplify(mut self, enabled: bool) -> Self {
-        self.plan_options.simplify = enabled;
-        self
-    }
-
-    /// Enables/disables delta-maintenance policy for services running
-    /// incremental updates ([`PlanOptions::delta_maintenance`], default
-    /// `true`; see [`delta`]).
-    pub fn delta_maintenance(mut self, enabled: bool) -> Self {
-        self.plan_options.delta_maintenance = enabled;
+        self.engine.plan_options.simplify = enabled;
         self
     }
 
     /// Overrides the worker-thread count (`1` forces serial kernels; the
     /// default follows `MATLANG_THREADS` / available parallelism).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.exec_options.threads = threads.max(1);
-        self
-    }
-
-    /// Estimated multiplications above which a product runs threaded
-    /// ([`PlanOptions::parallel_work_threshold`]).
-    pub fn parallel_work_threshold(mut self, threshold: f64) -> Self {
-        self.plan_options.parallel_work_threshold = threshold;
+        self.engine.exec_options.threads = threads.max(1);
         self
     }
 
     /// The configured engine.
     pub fn build(self) -> Engine {
-        Engine {
-            plan_options: self.plan_options,
-            exec_options: self.exec_options,
-        }
+        self.engine
     }
 }
 
@@ -374,29 +325,14 @@ mod tests {
             .threads(1)
             .simplify(false)
             .cost_rewrites(false)
-            .delta_maintenance(false)
-            .parallel_work_threshold(1e5)
             .build();
         assert_eq!(engine.exec_options.threads, 1);
         assert!(!engine.plan_options.simplify);
         assert!(!engine.plan_options.cost_rewrites);
-        assert!(!engine.plan_options.delta_maintenance);
-        assert_eq!(engine.plan_options.parallel_work_threshold, 1e5);
         // Defaults stay on when unset.
         let default = Engine::builder().build();
-        assert!(default.plan_options.delta_maintenance);
+        assert!(default.plan_options.cost_rewrites);
         assert!(default.plan_options.simplify);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_still_configure() {
-        // One-release shims: same effect as the builder equivalents.
-        let engine = Engine::new().with_threads(1).without_simplify();
-        assert_eq!(engine.exec_options.threads, 1);
-        assert!(!engine.plan_options.simplify);
-        let engine = Engine::new().without_cost_rewrites();
-        assert!(!engine.plan_options.cost_rewrites);
     }
 
     #[test]

@@ -55,19 +55,6 @@ pub struct PlanOptions {
     /// intermediate values round; disable for strict operation-order
     /// parity.
     pub cost_rewrites: bool,
-    /// Estimated semiring multiplications above which a product node is
-    /// marked for the threaded kernel (default `1e6`): below roughly a
-    /// million multiply-adds, thread spawn/join overhead eats the win.
-    pub parallel_work_threshold: f64,
-    /// Let services maintain cached plan-node values through delta
-    /// propagation ([`crate::delta`]) on incremental updates instead of
-    /// invalidating and recomputing (default `true`).  The planner itself
-    /// only reports coverage ([`crate::PlanReport::delta_supported_nodes`]);
-    /// the flag is policy for update paths like the query server's
-    /// `UPDATE`, which additionally gate on
-    /// [`crate::delta::join_is_idempotent`] and the update being
-    /// insert-only so patched values stay bit-identical to recomputation.
-    pub delta_maintenance: bool,
 }
 
 impl Default for PlanOptions {
@@ -75,11 +62,14 @@ impl Default for PlanOptions {
         PlanOptions {
             simplify: true,
             cost_rewrites: true,
-            parallel_work_threshold: 1e6,
-            delta_maintenance: true,
         }
     }
 }
+
+/// Estimated semiring multiplications (for elementwise kernels: output
+/// entries) above which a node is marked for the threaded kernel: below
+/// roughly a million multiply-adds, pool dispatch overhead eats the win.
+const PARALLEL_WORK_THRESHOLD: f64 = 1e6;
 
 /// Per-variable statistics of one instance matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -830,7 +820,7 @@ impl Builder<'_> {
                 }
                 let (nnz, own_work) =
                     product_cost((l.rows, l.cols, l.nnz), (r.rows, r.cols, r.nnz));
-                let parallel = own_work >= self.options.parallel_work_threshold;
+                let parallel = own_work >= PARALLEL_WORK_THRESHOLD;
                 Some(finish(
                     l.rows,
                     r.cols,
@@ -847,7 +837,7 @@ impl Builder<'_> {
                 // compared against (a sparse result falls back to the
                 // serial O(nnz) merge at execution time, where the mark is
                 // simply ignored).
-                let parallel = (l.rows * l.cols) as f64 >= self.options.parallel_work_threshold;
+                let parallel = (l.rows * l.cols) as f64 >= PARALLEL_WORK_THRESHOLD;
                 Some(finish(l.rows, l.cols, nnz, l.work + r.work + nnz, parallel))
             }
             PlanOp::ScalarMul(l, r) => {
@@ -863,7 +853,7 @@ impl Builder<'_> {
             PlanOp::Hadamard(l, r) => {
                 let (l, r) = (est(l)?, est(r)?);
                 let nnz = l.nnz.min(r.nnz);
-                let parallel = (l.rows * l.cols) as f64 >= self.options.parallel_work_threshold;
+                let parallel = (l.rows * l.cols) as f64 >= PARALLEL_WORK_THRESHOLD;
                 Some(finish(l.rows, l.cols, nnz, l.work + r.work + nnz, parallel))
             }
             PlanOp::ScaleRows { vec, mat } | PlanOp::ScaleCols { mat, vec } => {
@@ -1138,16 +1128,13 @@ mod tests {
         s.vars.insert(
             "D".to_string(),
             VarStats {
-                rows: 100,
-                cols: 100,
-                nnz: 10_000,
+                rows: 200,
+                cols: 200,
+                nnz: 40_000,
             },
         );
-        let planner = Planner::with_options(PlanOptions {
-            parallel_work_threshold: 1e5,
-            ..PlanOptions::default()
-        });
-        let plan = planner.plan_one(&Expr::var("D").mm(Expr::var("D")), &s);
+        // 200³ = 8e6 multiplies, well past PARALLEL_WORK_THRESHOLD.
+        let plan = Planner::new().plan_one(&Expr::var("D").mm(Expr::var("D")), &s);
         let est = plan.node(plan.roots()[0]).est.unwrap();
         assert_eq!(est.choice, ReprChoice::Dense);
         assert!(est.parallel);

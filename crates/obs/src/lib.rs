@@ -22,8 +22,8 @@
 //!   child spans with [`trace::span`] (a no-op when no trace is active on the
 //!   current thread).  When the root guard drops, the finished trace —
 //!   parent span plus children — is recorded into a bounded ring buffer, and
-//!   traces slower than the `MATLANG_SLOW_MS` threshold additionally land in
-//!   the slow-query log.
+//!   traces slower than the threshold they were begun with additionally land
+//!   in the slow-query log.
 //!
 //! * [`export`] — renders finished traces from the ring as Chrome
 //!   trace-event JSON (`chrome://tracing` / Perfetto), with a hand-rolled
@@ -69,9 +69,12 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turn observability recording on or off process-wide.
+/// Turn observability recording on or off process-wide.  This is process
+/// state by nature, not a per-store setting: it gates the one process-wide
+/// [`registry`] that kernels at the bottom of the dependency graph
+/// (`matlang_matrix`) write to with no store or engine handle in reach.
 ///
-/// Used by the release-mode overhead guard to measure the instrumented warm
+/// Used by the release-mode overhead guards to measure the instrumented warm
 /// `EXEC` path against the same binary with recording disabled.
 pub fn set_enabled(on: bool) {
     enabled(); // latch the env override first so it cannot clobber `on` later

@@ -8,10 +8,10 @@
 //! the finished [`TraceRecord`] — parent plus children, with microsecond
 //! offsets relative to the trace start — is pushed into a bounded global
 //! ring buffer, and traces that took longer than their slow threshold
-//! (`MATLANG_SLOW_MS`, default 100 ms, overridable at runtime with
-//! [`set_slow_ms`]; read once at [`begin`] and carried on the trace, or
-//! given per trace with [`begin_with_slow_ms`]) are additionally recorded
-//! in the slow-query log and counted in the `slow_queries_total` counter.
+//! ([`DEFAULT_SLOW_MS`] for [`begin`], or given per trace with
+//! [`begin_with_slow_ms`] — the server passes its store's configured
+//! threshold) are additionally recorded in the slow-query log and counted
+//! in the `slow_queries_total` counter.
 //! Fast traces with **no spans at all** — warm cache-hit requests, which
 //! never enter instrumented engine code — are dropped at the root instead
 //! of pushed, keeping the hot path free of the ring lock and the ring full
@@ -97,8 +97,7 @@ struct ActiveTrace {
     label_len: u8,
     label_buf: [u8; LABEL_CAPACITY],
     started: Instant,
-    /// The slow-query threshold this trace is judged against, fixed at
-    /// [`begin`] so a later [`set_slow_ms`] cannot reclassify it.
+    /// The slow-query threshold this trace is judged against.
     slow_us: u64,
     spans: Vec<SpanRecord>,
     dropped_spans: u64,
@@ -136,10 +135,9 @@ thread_local! {
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Sentinel meaning "no runtime override, read `MATLANG_SLOW_MS`" — pass
-/// it to [`set_slow_ms`] to clear a previous override.
-pub const SLOW_MS_UNSET: u64 = u64::MAX;
-static SLOW_MS_OVERRIDE: AtomicU64 = AtomicU64::new(SLOW_MS_UNSET);
+/// The slow-query threshold, in milliseconds, of a trace begun with
+/// [`begin`].
+pub const DEFAULT_SLOW_MS: u64 = 100;
 
 /// How many traces' pending forensic detail the side channel retains while
 /// their root guards are still open.
@@ -226,29 +224,6 @@ pub fn active() -> bool {
     ACTIVE.with(|a| a.borrow().is_some())
 }
 
-/// The slow-query threshold in milliseconds: a [`set_slow_ms`] override if
-/// one was made, else `MATLANG_SLOW_MS`, else 100.
-pub fn slow_ms() -> u64 {
-    let o = SLOW_MS_OVERRIDE.load(Ordering::Relaxed);
-    if o != SLOW_MS_UNSET {
-        return o;
-    }
-    static ENV: OnceLock<u64> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("MATLANG_SLOW_MS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(100)
-    })
-}
-
-/// Override the slow-query threshold at runtime (tests, admin tooling).
-/// Applies to traces begun afterwards; one already open keeps the
-/// threshold it was begun with.
-pub fn set_slow_ms(ms: u64) {
-    SLOW_MS_OVERRIDE.store(ms, Ordering::Relaxed);
-}
-
 /// Guard returned by [`begin`]; dropping it finishes the trace and records
 /// it into the ring buffer (and the slow-query log when over threshold).
 #[must_use = "dropping the guard is what finishes and records the trace"]
@@ -267,13 +242,11 @@ pub struct TraceGuard {
 /// disabled or another trace is already active on the thread — an inner
 /// `begin` never clobbers the outer request's trace.
 pub fn begin(id: u64, label: &str) -> TraceGuard {
-    begin_with_slow_ms(id, label, slow_ms())
+    begin_with_slow_ms(id, label, DEFAULT_SLOW_MS)
 }
 
-/// [`begin`] with this trace's own slow-query threshold in place of the
-/// process-wide [`slow_ms`] — a caller that needs a particular threshold
-/// (a test forcing the slow path with `0`) sets it on the trace it owns
-/// and leaves the global alone.
+/// [`begin`] with this trace's own slow-query threshold in milliseconds
+/// in place of [`DEFAULT_SLOW_MS`].
 pub fn begin_with_slow_ms(id: u64, label: &str, slow_ms: u64) -> TraceGuard {
     let inert = TraceGuard {
         armed: false,

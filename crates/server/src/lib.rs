@@ -53,6 +53,7 @@
 //! ```
 
 pub mod client;
+pub mod config;
 pub mod error;
 pub mod persist;
 pub mod protocol;
@@ -64,6 +65,9 @@ pub use client::{
     parse_metrics_map, Client, ClientError, DeltaWire, ErrorCode, InstanceEntry, ServerHello,
     SlowlogEntry, UpdateReply,
 };
+pub use config::{
+    StoreConfig, StoreConfigBuilder, DEFAULT_REPLAN_DRIFT, DEFAULT_WAL_COMPACT, PLAN_CACHE_CAPACITY,
+};
 pub use error::ServerError;
 pub use protocol::{
     ExecStatsWire, GenKind, Request, ResponseHeader, SemiringKind, WireResult, CAPABILITIES,
@@ -71,10 +75,8 @@ pub use protocol::{
 };
 pub use session::SessionStats;
 pub use store::{
-    mem_budget, replan_drift, set_mem_budget, set_replan_drift, DeltaDisposition, HealthReport,
-    InstanceInfo, PrepareOutcome, ResourceAccount, ServerSemiring, Store, StoreConfig,
-    StoreConfigBuilder, UpdateOutcome, WalStat, DEFAULT_REPLAN_DRIFT, DEFAULT_WAL_COMPACT,
-    PLAN_CACHE_CAPACITY,
+    DeltaDisposition, HealthReport, InstanceInfo, PrepareOutcome, ResourceAccount, ServerSemiring,
+    Store, UpdateOutcome, WalStat,
 };
 pub use worker::ConnQueue;
 
@@ -163,8 +165,10 @@ pub struct ServerConfig {
     /// accept loop (backpressure).
     pub queue_capacity: usize,
     /// Store configuration (plan-cache capacity, data directory, WAL
-    /// compaction threshold); the default honours `MATLANG_DATA_DIR` and
-    /// `MATLANG_WAL_COMPACT`.
+    /// compaction threshold, memory budget, re-plan drift ratio, slow-query
+    /// threshold); the default honours `MATLANG_DATA_DIR`,
+    /// `MATLANG_WAL_COMPACT`, `MATLANG_MEM_BUDGET`, `MATLANG_REPLAN_DRIFT`
+    /// and `MATLANG_SLOW_MS`.
     pub store: StoreConfig,
 }
 

@@ -117,8 +117,13 @@ pub fn serve_connection(
                 // line; the guard stays alive across the dispatch so the
                 // parse/plan/execute spans attach to it, and its id is
                 // echoed on RESULT headers as `trace=`.
-                let _trace = (traced(&request) && matlang_obs::enabled())
-                    .then(|| matlang_obs::trace::begin(matlang_obs::trace::next_id(), trimmed));
+                let _trace = (traced(&request) && matlang_obs::enabled()).then(|| {
+                    matlang_obs::trace::begin_with_slow_ms(
+                        matlang_obs::trace::next_id(),
+                        trimmed,
+                        store.config().slow_ms(),
+                    )
+                });
                 let timer = executes(&request).then(std::time::Instant::now);
                 dispatch(store, request, &mut reader, &mut writer)?;
                 if let Some(t) = timer {

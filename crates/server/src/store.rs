@@ -6,12 +6,13 @@
 //!   read lock is enough to *find* an instance, per-instance `Mutex`es
 //!   serialize work on one instance while different instances proceed in
 //!   parallel on different worker threads;
-//! * a process-wide **plan cache** keyed by `(queries fingerprint, schema
+//! * a **plan cache** keyed by `(queries fingerprint, schema
 //!   fingerprint, stats generation)` ([`matlang_engine::expr_fingerprint`]
 //!   / [`InstanceStats::schema_fingerprint`] / the instance's adaptive
 //!   re-plan counter): two instances with the same shape preparing the
 //!   same queries share one hash-consed [`Plan`].
-//!   The cache is bounded at [`PLAN_CACHE_CAPACITY`] with
+//!   The cache is bounded (default
+//!   [`PLAN_CACHE_CAPACITY`](crate::PLAN_CACHE_CAPACITY)) with
 //!   least-recently-used eviction, so a long-lived server preparing ever
 //!   new query batches cannot grow it without bound.  With the engine's
 //!   cost-based rewrite layer, the cached plan is the *rewritten* DAG —
@@ -31,10 +32,10 @@
 //! [`ObservedStats`] store.  Before executing, the store compares the
 //! instance's **current** per-variable nnz against the snapshot the
 //! active plan was built from: when any plan-referenced variable has
-//! drifted past the configurable ratio (`MATLANG_REPLAN_DRIFT`, default
-//! 4×, runtime-overridable with [`set_replan_drift`]), the plan is
-//! transparently rebuilt from fresh statistics *plus* the observed store
-//! — chain association and dense/CSR representation choices re-derive
+//! drifted past the store's configured ratio
+//! ([`StoreConfigBuilder::replan_drift`](crate::StoreConfigBuilder::replan_drift),
+//! default 4×), the plan is transparently rebuilt from fresh statistics
+//! *plus* the observed store — chain association and dense/CSR representation choices re-derive
 //! from executed reality instead of stale estimates.  Each re-plan bumps
 //! the instance's stats generation, which is part of the plan-cache key,
 //! so stale plan variants cannot be resurrected by a later `PREPARE`.
@@ -66,6 +67,7 @@
 //! [`UpdateOutcome`] — standing queries over other variables keep their
 //! warm results either way.
 
+use crate::config::StoreConfig;
 use crate::error::ServerError;
 use crate::persist::{self, Snapshot, Wal, WalRecord};
 use crate::protocol::{ExecStatsWire, GenKind, SemiringKind, WireResult};
@@ -81,264 +83,7 @@ use matlang_semiring::{Boolean, MinPlus, Nat, Real, Semiring};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
-
-/// Default observed-density drift ratio past which the next `EXEC`
-/// re-plans (see [`replan_drift`]).
-pub const DEFAULT_REPLAN_DRIFT: f64 = 4.0;
-
-/// Runtime override for the drift threshold, stored as `f64` bits; NaN
-/// bits are the "unset" sentinel (NaN can never be a meaningful ratio).
-/// The literal is Rust's canonical quiet-NaN bit pattern — spelled out
-/// because `f64::NAN.to_bits()` is not `const` on the MSRV; the
-/// `nan_sentinel_matches_f64_nan` test pins the equivalence.
-static REPLAN_DRIFT_OVERRIDE: AtomicU64 = AtomicU64::new(NAN_BITS);
-const NAN_BITS: u64 = 0x7ff8_0000_0000_0000;
-
-/// One-time latch for the `MATLANG_REPLAN_DRIFT` environment variable.
-static REPLAN_DRIFT_ENV: OnceLock<Option<f64>> = OnceLock::new();
-
-/// The observed-density ratio past which an instance's next `EXEC`
-/// transparently re-plans: runtime override ([`set_replan_drift`]) if
-/// set, else the `MATLANG_REPLAN_DRIFT` environment variable, else
-/// [`DEFAULT_REPLAN_DRIFT`].  A variable drifts when
-/// `(max(nnz)+1)/(min(nnz)+1)` between the planned-against snapshot and
-/// the current instance exceeds this ratio (the `+1` keeps the ratio
-/// finite through the empty↔dense flip that matters most).
-pub fn replan_drift() -> f64 {
-    let bits = REPLAN_DRIFT_OVERRIDE.load(Ordering::Relaxed);
-    let overridden = f64::from_bits(bits);
-    if !overridden.is_nan() {
-        return overridden;
-    }
-    REPLAN_DRIFT_ENV
-        .get_or_init(|| {
-            std::env::var("MATLANG_REPLAN_DRIFT")
-                .ok()
-                .and_then(|v| v.trim().parse::<f64>().ok())
-                .filter(|v| *v >= 1.0)
-        })
-        .unwrap_or(DEFAULT_REPLAN_DRIFT)
-}
-
-/// Overrides the drift threshold process-wide (`None` restores the
-/// environment/default resolution).  In-process mutation beats env
-/// fiddling for tests: `std::env::set_var` is racy across threads.
-pub fn set_replan_drift(ratio: Option<f64>) {
-    let bits = match ratio {
-        Some(r) if r >= 1.0 => r.to_bits(),
-        _ => f64::NAN.to_bits(),
-    };
-    REPLAN_DRIFT_OVERRIDE.store(bits, Ordering::Relaxed);
-}
-
-/// Runtime override for the soft memory budget: `u64::MAX` means "unset,
-/// fall through to the environment", `0` means "explicitly unlimited".
-/// Neither sentinel is a meaningful budget, so no real value is shadowed.
-static MEM_BUDGET_OVERRIDE: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// One-time latch for the `MATLANG_MEM_BUDGET` environment variable.
-static MEM_BUDGET_ENV: OnceLock<Option<u64>> = OnceLock::new();
-
-/// Parses a byte budget: plain bytes, or with a binary suffix `k`/`m`/`g`
-/// (case-insensitive, powers of 1024 — `64m` is 64·2²⁰ bytes).
-fn parse_mem_budget(raw: &str) -> Option<u64> {
-    let v = raw.trim();
-    if v.is_empty() {
-        return None;
-    }
-    let (digits, shift) = match v.as_bytes()[v.len() - 1].to_ascii_lowercase() {
-        b'k' => (&v[..v.len() - 1], 10u32),
-        b'm' => (&v[..v.len() - 1], 20),
-        b'g' => (&v[..v.len() - 1], 30),
-        _ => (v, 0),
-    };
-    digits
-        .trim()
-        .parse::<u64>()
-        .ok()
-        .and_then(|n| n.checked_mul(1u64 << shift))
-        .filter(|bytes| *bytes > 0)
-}
-
-/// The soft memory budget in bytes, if one is configured: runtime
-/// override ([`set_mem_budget`]) if set, else the `MATLANG_MEM_BUDGET`
-/// environment variable (plain bytes or `k`/`m`/`g` binary suffixes),
-/// else unlimited.  When the accounted bytes across every instance
-/// exceed this figure, `HEALTH` reports `status=pressure` and the store
-/// sheds *derived* state — cold plan-cache entries, then idle instances'
-/// memo caches and overlays — after each mutating request.  Primary data
-/// is never shed, so a budget smaller than the loaded matrices simply
-/// keeps the server in (reported) pressure.
-pub fn mem_budget() -> Option<u64> {
-    match MEM_BUDGET_OVERRIDE.load(Ordering::Relaxed) {
-        u64::MAX => *MEM_BUDGET_ENV.get_or_init(|| {
-            std::env::var("MATLANG_MEM_BUDGET")
-                .ok()
-                .and_then(|v| parse_mem_budget(&v))
-        }),
-        0 => None,
-        bytes => Some(bytes),
-    }
-}
-
-/// Overrides the soft memory budget process-wide.  `Some(0)` forces
-/// "unlimited" regardless of the environment; `None` restores the
-/// environment/default resolution.  Same rationale as
-/// [`set_replan_drift`]: in-process mutation beats `std::env::set_var`
-/// for tests.
-pub fn set_mem_budget(budget: Option<u64>) {
-    let sentinel = match budget {
-        Some(bytes) if bytes > 0 && bytes < u64::MAX => bytes,
-        Some(_) => 0,
-        None => u64::MAX,
-    };
-    MEM_BUDGET_OVERRIDE.store(sentinel, Ordering::Relaxed);
-}
-
-/// Default WAL compaction threshold: once a persisted instance's log
-/// exceeds this many bytes, the next applied `UPDATE` folds it into a
-/// fresh snapshot (see [`StoreConfigBuilder::wal_compact`] and the
-/// `MATLANG_WAL_COMPACT` environment variable).
-pub const DEFAULT_WAL_COMPACT: u64 = 1 << 20;
-
-/// One-time latch for the `MATLANG_WAL_COMPACT` environment variable
-/// (same `k`/`m`/`g` binary-suffix grammar as `MATLANG_MEM_BUDGET`).
-static WAL_COMPACT_ENV: OnceLock<Option<u64>> = OnceLock::new();
-
-fn wal_compact_env() -> Option<u64> {
-    *WAL_COMPACT_ENV.get_or_init(|| {
-        std::env::var("MATLANG_WAL_COMPACT")
-            .ok()
-            .and_then(|v| parse_mem_budget(&v))
-    })
-}
-
-/// One-time latch for the `MATLANG_DATA_DIR` environment variable — the
-/// default data directory a [`StoreConfig`] starts from.
-static DATA_DIR_ENV: OnceLock<Option<PathBuf>> = OnceLock::new();
-
-fn data_dir_env() -> Option<PathBuf> {
-    DATA_DIR_ENV
-        .get_or_init(|| {
-            std::env::var_os("MATLANG_DATA_DIR")
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from)
-        })
-        .clone()
-}
-
-/// Construction-time configuration for a [`Store`], built with
-/// [`StoreConfig::builder`] and consumed by [`Store::with_config`] /
-/// [`Store::open`].  Collapses the knobs that used to be scattered across
-/// `Store::with_plan_cache_capacity`, [`set_mem_budget`] and
-/// [`set_replan_drift`] call sites (mirroring the `Engine::builder`
-/// precedent), and adds the persistence pair: the data directory and the
-/// WAL compaction threshold.
-#[derive(Clone, Debug)]
-pub struct StoreConfig {
-    plan_cache_capacity: usize,
-    data_dir: Option<PathBuf>,
-    wal_compact: u64,
-    mem_budget: Option<Option<u64>>,
-    replan_drift: Option<Option<f64>>,
-}
-
-impl Default for StoreConfig {
-    /// Environment-resolved defaults: `MATLANG_DATA_DIR` (no persistence
-    /// when unset), `MATLANG_WAL_COMPACT` (else [`DEFAULT_WAL_COMPACT`]),
-    /// plan cache at [`PLAN_CACHE_CAPACITY`], budget/drift untouched.
-    fn default() -> Self {
-        StoreConfig::builder().build()
-    }
-}
-
-impl StoreConfig {
-    /// Starts a builder from the environment-resolved defaults.
-    pub fn builder() -> StoreConfigBuilder {
-        StoreConfigBuilder {
-            config: StoreConfig {
-                plan_cache_capacity: PLAN_CACHE_CAPACITY,
-                data_dir: data_dir_env(),
-                wal_compact: wal_compact_env().unwrap_or(DEFAULT_WAL_COMPACT),
-                mem_budget: None,
-                replan_drift: None,
-            },
-        }
-    }
-
-    /// The configured data directory, if persistence is available.
-    pub fn data_dir(&self) -> Option<&Path> {
-        self.data_dir.as_deref()
-    }
-
-    /// The WAL compaction threshold in bytes.
-    pub fn wal_compact(&self) -> u64 {
-        self.wal_compact
-    }
-
-    /// The plan-cache bound.
-    pub fn plan_cache_capacity(&self) -> usize {
-        self.plan_cache_capacity
-    }
-}
-
-/// Builder for [`StoreConfig`]; see [`StoreConfig::builder`].
-#[derive(Clone, Debug)]
-pub struct StoreConfigBuilder {
-    config: StoreConfig,
-}
-
-impl StoreConfigBuilder {
-    /// Bounds the process-wide plan cache (default
-    /// [`PLAN_CACHE_CAPACITY`]).
-    pub fn plan_cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.plan_cache_capacity = capacity;
-        self
-    }
-
-    /// Enables persistence under `dir`: [`Store::with_config`] recovers
-    /// every snapshot found there and `PERSIST <inst> on` becomes legal.
-    pub fn data_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.config.data_dir = Some(dir.into());
-        self
-    }
-
-    /// Disables persistence even when `MATLANG_DATA_DIR` is set.
-    pub fn no_data_dir(mut self) -> Self {
-        self.config.data_dir = None;
-        self
-    }
-
-    /// Sets the WAL size (bytes) past which an applied `UPDATE` triggers
-    /// compaction into a fresh snapshot (default `MATLANG_WAL_COMPACT`,
-    /// else [`DEFAULT_WAL_COMPACT`]).
-    pub fn wal_compact(mut self, bytes: u64) -> Self {
-        self.config.wal_compact = bytes.max(1);
-        self
-    }
-
-    /// Applies [`set_mem_budget`] when the store is built (`Some(0)`
-    /// forces unlimited; the setting is process-wide, recorded here so
-    /// one builder call configures the whole store).
-    pub fn mem_budget(mut self, budget: Option<u64>) -> Self {
-        self.config.mem_budget = Some(budget);
-        self
-    }
-
-    /// Applies [`set_replan_drift`] when the store is built (process-wide,
-    /// same caveat as [`Self::mem_budget`]).
-    pub fn replan_drift(mut self, ratio: Option<f64>) -> Self {
-        self.config.replan_drift = Some(ratio);
-        self
-    }
-
-    /// Finishes the configuration.
-    pub fn build(self) -> StoreConfig {
-        self.config
-    }
-}
+use std::sync::{Arc, Mutex, RwLock};
 
 /// One prepared statement: the query text, its parsed form and its
 /// fingerprint (the dedup key — re-preparing the same text returns the
@@ -899,12 +644,6 @@ impl WalStat {
     }
 }
 
-/// How many `(queries, schema)` plan variants the process-wide plan cache
-/// retains before evicting the least-recently-used one.  Plans are small
-/// next to instance data, but an unbounded cache would grow with every
-/// distinct prepared batch a long-lived server ever sees (ROADMAP item).
-pub const PLAN_CACHE_CAPACITY: usize = 64;
-
 /// The plan-cache key: `(queries fingerprint, schema fingerprint, stats
 /// generation)`.  The generation is 0 until the owning instance's drift
 /// check re-plans, so same-schema instances still share plans; after a
@@ -1005,7 +744,7 @@ impl LruPlanCache {
     }
 
     /// Refreshes the plan-cache gauges (entry count and node weight).
-    /// O(entries) at ≤ [`PLAN_CACHE_CAPACITY`] entries, called only on
+    /// O(entries) at ≤ `capacity` entries, called only on
     /// content changes, never on lookups.
     fn publish(&self) {
         matlang_obs::gauge!("plan_cache_plans").set(self.len() as i64);
@@ -1018,8 +757,7 @@ pub struct Store {
     instances: RwLock<HashMap<String, Arc<Mutex<ServerInstance>>>>,
     plan_cache: Mutex<LruPlanCache>,
     engine: Engine,
-    data_dir: Option<PathBuf>,
-    wal_compact: u64,
+    config: StoreConfig,
 }
 
 impl Default for Store {
@@ -1043,60 +781,45 @@ impl Store {
         Store::with_config(StoreConfig::builder().data_dir(dir).build())
     }
 
-    /// A store from an explicit [`StoreConfig`].  Applies the process-wide
-    /// budget/drift settings the builder recorded, then — when a data
-    /// directory is configured — creates it and recovers every instance
-    /// with a snapshot there.  A snapshot or WAL that fails integrity
-    /// checks skips that one instance (with a `persist:recover-failed`
-    /// trace event); recovery never panics.
+    /// A store from an explicit [`StoreConfig`], which it keeps for its
+    /// lifetime ([`Store::config`]).  When a data directory is configured
+    /// it is created and every instance with a snapshot there recovered.
+    /// A snapshot or WAL that fails integrity checks skips that one
+    /// instance (with a `persist:recover-failed` trace event); recovery
+    /// never panics.
     pub fn with_config(config: StoreConfig) -> Store {
-        if let Some(budget) = config.mem_budget {
-            set_mem_budget(budget);
-        }
-        if let Some(ratio) = config.replan_drift {
-            set_replan_drift(ratio);
-        }
         let store = Store {
             instances: RwLock::new(HashMap::new()),
-            plan_cache: Mutex::new(LruPlanCache::new(config.plan_cache_capacity)),
+            plan_cache: Mutex::new(LruPlanCache::new(config.plan_cache_capacity())),
             engine: Engine::new(),
-            data_dir: config.data_dir,
-            wal_compact: config.wal_compact.max(1),
+            config,
         };
         store.recover_all();
         store
     }
 
-    /// A store with an explicit plan-cache bound and no persistence.
-    #[deprecated(
-        note = "use StoreConfig::builder().plan_cache_capacity(..) with Store::with_config"
-    )]
-    pub fn with_plan_cache_capacity(capacity: usize) -> Store {
-        Store::with_config(
-            StoreConfig::builder()
-                .plan_cache_capacity(capacity)
-                .no_data_dir()
-                .build(),
-        )
+    /// The configuration this store was built with.
+    pub fn config(&self) -> &StoreConfig {
+        &self.config
     }
 
     /// The data directory this store persists under, if any.
     pub fn data_dir(&self) -> Option<&Path> {
-        self.data_dir.as_deref()
+        self.config.data_dir()
     }
 
     /// Boot-time recovery: one attempt per snapshot found in the data
     /// directory.  Failures are contained per instance.
     fn recover_all(&self) {
-        let Some(dir) = self.data_dir.clone() else {
+        let Some(dir) = self.data_dir() else {
             return;
         };
-        if std::fs::create_dir_all(&dir).is_err() {
+        if std::fs::create_dir_all(dir).is_err() {
             matlang_obs::trace::event("persist:recover-failed");
             return;
         }
-        for name in persist::scan_snapshots(&dir) {
-            match self.recover_one(&dir, &name) {
+        for name in persist::scan_snapshots(dir) {
+            match self.recover_one(dir, &name) {
                 Ok(()) => {
                     matlang_obs::counter!("persist_recovered_total").inc();
                     matlang_obs::trace::event("persist:recover");
@@ -1172,11 +895,11 @@ impl Store {
         name: &str,
         backend: &'static str,
     ) -> Result<(), ServerError> {
-        let covered_seq = match (&state.persist, self.data_dir.as_deref()) {
+        let covered_seq = match (&state.persist, self.data_dir()) {
             (Some(p), Some(_)) => p.wal.last_seq,
             _ => return Ok(()),
         };
-        let dir = self.data_dir.as_deref().expect("matched above");
+        let dir = self.data_dir().expect("matched above");
         let snap = encode_snapshot(state, backend, covered_seq);
         let bytes = snap
             .write_atomic(&persist::snapshot_path(dir, name))
@@ -1229,7 +952,7 @@ impl Store {
                 return;
             }
         }
-        if state.persist.as_ref().expect("append path").wal.bytes > self.wal_compact {
+        if state.persist.as_ref().expect("append path").wal.bytes > self.config.wal_compact() {
             matlang_obs::trace::event("persist:compact");
             // Best-effort: on failure the WAL still holds every record,
             // so durability is unharmed and the next append retries.
@@ -1252,7 +975,7 @@ impl Store {
                 if state.persist.is_some() {
                     return Ok(true);
                 }
-                let dir = self.data_dir.as_deref().ok_or_else(|| {
+                let dir = self.data_dir().ok_or_else(|| {
                     ServerError::storage(
                         "no data directory configured (set MATLANG_DATA_DIR or StoreConfig data_dir)",
                     )
@@ -1287,7 +1010,7 @@ impl Store {
                     retract_wal_bytes(p);
                 }
                 state.persist = None;
-                if let Some(dir) = self.data_dir.as_deref() {
+                if let Some(dir) = self.data_dir() {
                     if persist::filesystem_safe(name) {
                         persist::remove_instance_files(dir, name)
                             .map_err(|e| ServerError::storage(e.to_string()))?;
@@ -1320,7 +1043,7 @@ impl Store {
                     Ok((bytes, path.to_path_buf()))
                 }
                 None => {
-                    let dir = self.data_dir.as_deref().ok_or_else(|| {
+                    let dir = self.data_dir().ok_or_else(|| {
                         ServerError::storage(
                             "SAVE without a path needs a data directory (set MATLANG_DATA_DIR or StoreConfig data_dir)",
                         )
@@ -1395,7 +1118,7 @@ impl Store {
                 records: p.wal.records,
                 wal_bytes: p.wal.bytes,
                 snapshot_bytes: p.snapshot_bytes,
-                compact_threshold: self.wal_compact,
+                compact_threshold: self.config.wal_compact(),
             },
             None => WalStat {
                 persisted: false,
@@ -1403,7 +1126,7 @@ impl Store {
                 records: 0,
                 wal_bytes: 0,
                 snapshot_bytes: 0,
-                compact_threshold: self.wal_compact,
+                compact_threshold: self.config.wal_compact(),
             },
         }))
     }
@@ -1456,7 +1179,7 @@ impl Store {
             state.persist = None;
             unpublish_account(name, &mut state.account)
         });
-        if let Some(dir) = self.data_dir.as_deref() {
+        if let Some(dir) = self.data_dir() {
             if persist::filesystem_safe(name) {
                 let _ = persist::remove_instance_files(dir, name);
             }
@@ -1729,7 +1452,8 @@ impl Store {
     }
 
     /// Re-plans the instance's prepared batch when the current
-    /// per-variable statistics have drifted past [`replan_drift`] from
+    /// per-variable statistics have drifted past the configured
+    /// [`replan_drift`](StoreConfig::replan_drift) from
     /// the snapshot the active plan was built against.  The new plan is
     /// built from fresh statistics plus the harvested [`ObservedStats`],
     /// cached under the bumped stats generation, and starts with a cold
@@ -1757,7 +1481,7 @@ impl Store {
             };
             worst = worst.max((hi as f64 + 1.0) / (lo as f64 + 1.0));
         }
-        if worst <= replan_drift() {
+        if worst <= self.config.replan_drift() {
             return;
         }
         matlang_obs::counter!("replan_total").inc();
@@ -1853,7 +1577,7 @@ impl Store {
         // slowlog entry when it drops.
         let spent_us = request_timer.map(|t| t.elapsed().as_micros() as u64);
         if let Some(elapsed_us) = spent_us {
-            if elapsed_us >= matlang_obs::trace::slow_ms().saturating_mul(1_000) {
+            if elapsed_us >= self.config.slow_ms().saturating_mul(1_000) {
                 let mut detail = plan.explain();
                 for (id, sample) in exec.observed_samples().iter().enumerate() {
                     if sample.computed == 0 && sample.hits == 0 {
@@ -1996,9 +1720,7 @@ impl Store {
         let (rows, cols) = matrix.shape();
         // Decide the path *before* mutating anything: the delta rules are
         // only exact for idempotent ⊕ and insert-only batches.
-        let mut fallback = if !self.engine.plan_options.delta_maintenance {
-            Some(DeltaFallback::Disabled)
-        } else if !has_plan {
+        let mut fallback = if !has_plan {
             Some(DeltaFallback::NoPlan)
         } else if !join_is_idempotent::<K>() {
             Some(DeltaFallback::NonIdempotentSemiring)
@@ -2241,7 +1963,7 @@ impl Store {
                 state.stats_generation,
                 state.replans,
                 state.observed.executions,
-                replan_drift(),
+                self.config.replan_drift(),
             )];
             lines.append(&mut var_lines);
             lines.push(format!("observed nodes={}", state.observed.nodes.len()));
@@ -2267,7 +1989,7 @@ impl Store {
                 state.account.total_bytes() as u64
             });
         }
-        let budget = mem_budget();
+        let budget = self.config.mem_budget();
         let status = match budget {
             Some(b) if total_bytes > b => "pressure",
             _ => "ok",
@@ -2358,7 +2080,8 @@ impl Store {
     }
 
     /// Sheds memory after a mutating request when the aggregate accounted
-    /// bytes exceed the soft budget ([`mem_budget`]): first the cold half
+    /// bytes exceed the soft budget
+    /// ([`mem_budget`](StoreConfig::mem_budget)): first the cold half
     /// of the plan cache (plans are pure derived state), then the memo
     /// caches and overlays of idle instances — coldest `last_active_us`
     /// first — skipping `just_used` and anything currently locked
@@ -2370,7 +2093,7 @@ impl Store {
         if !matlang_obs::enabled() {
             return;
         }
-        let Some(budget) = mem_budget() else {
+        let Some(budget) = self.config.mem_budget() else {
             return;
         };
         let over = || matlang_obs::gauge!("instance_bytes").get() > budget as i64;
@@ -2431,7 +2154,7 @@ pub struct HealthReport {
     pub status: &'static str,
     /// Accounted bytes across every instance (data + caches + overlays).
     pub total_bytes: u64,
-    /// The soft budget ([`mem_budget`]), if one is configured.
+    /// The soft budget ([`StoreConfig::mem_budget`]), if one is configured.
     pub budget: Option<u64>,
     /// Instances hosted.
     pub instances: usize,
@@ -2575,27 +2298,6 @@ fn wire_result<M: MatrixStorage>(
 mod tests {
     use super::*;
     use matlang_core::evaluate;
-
-    #[test]
-    fn nan_sentinel_matches_f64_nan() {
-        assert_eq!(NAN_BITS, f64::NAN.to_bits());
-        assert!(f64::from_bits(NAN_BITS).is_nan());
-    }
-
-    #[test]
-    fn mem_budget_parser_accepts_binary_suffixes() {
-        assert_eq!(parse_mem_budget("1048576"), Some(1 << 20));
-        assert_eq!(parse_mem_budget("512k"), Some(512 << 10));
-        assert_eq!(parse_mem_budget("64M"), Some(64 << 20));
-        assert_eq!(parse_mem_budget("2g"), Some(2u64 << 30));
-        assert_eq!(parse_mem_budget(" 8K "), Some(8 << 10));
-        // Zero, empty, negative and non-numeric inputs mean "no budget".
-        assert_eq!(parse_mem_budget("0"), None);
-        assert_eq!(parse_mem_budget(""), None);
-        assert_eq!(parse_mem_budget("k"), None);
-        assert_eq!(parse_mem_budget("-4"), None);
-        assert_eq!(parse_mem_budget("nope"), None);
-    }
 
     fn seeded_store() -> Store {
         let store = Store::new();

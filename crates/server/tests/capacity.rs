@@ -1,8 +1,9 @@
 //! Wire-level tests for the capacity-observability surface: byte-level
 //! resource accounting (`instance_bytes{name=…}` vs ground truth), the
 //! `HEALTH` / `TOP` / `TRACE EXPORT` verbs, per-session accounting, the
-//! `_sum`/`_count` histogram series, and ring wraparound behaviour for
-//! `SLOWLOG` and `TRACE EXPORT`.
+//! `_sum`/`_count` histogram series, ring wraparound behaviour for
+//! `SLOWLOG` and `TRACE EXPORT`, and pressure shedding under a per-store
+//! memory budget.
 //!
 //! The metrics registry and trace rings are process-wide, so assertions
 //! here are scoped to this file's own instance names and trace labels —
@@ -10,11 +11,16 @@
 
 use matlang_matrix::{Matrix, MatrixRepr, MatrixStorage, SparseMatrix};
 use matlang_semiring::Real;
-use matlang_server::{Client, Server, ServerConfig, ServerHandle};
+use matlang_server::{Client, Server, ServerConfig, ServerHandle, Store, StoreConfig};
 
 fn spawn() -> ServerHandle {
+    spawn_with(StoreConfig::default())
+}
+
+fn spawn_with(store: StoreConfig) -> ServerHandle {
     Server::spawn(ServerConfig {
         workers: 2,
+        store,
         ..ServerConfig::default()
     })
     .expect("server spawns on an ephemeral port")
@@ -318,7 +324,8 @@ fn sessions_account_requests_bytes_and_exec_time() {
 
 #[test]
 fn slowlog_and_trace_export_survive_ring_wraparound() {
-    let handle = spawn();
+    // Zero threshold: every traced request to this server is a slow query.
+    let handle = spawn_with(StoreConfig::builder().slow_ms(0).build());
     let mut client = Client::connect(handle.addr()).unwrap();
     client.create_instance("cap_wrap", true).unwrap();
     client.set_dim("cap_wrap", "n", 4).unwrap();
@@ -326,9 +333,6 @@ fn slowlog_and_trace_export_survive_ring_wraparound() {
         .load("cap_wrap", "G", 4, 4, &[(0, 1, 1.0), (1, 2, 1.0)])
         .unwrap();
 
-    // Zero threshold: every traced request is a slow query.  The server
-    // workers share this process, so the override takes effect directly.
-    matlang_obs::trace::set_slow_ms(0);
     // 300 requests — past the 256-slot rings — collecting the trace id
     // each RESULT header echoes, in issue order.
     const ISSUED: usize = 300;
@@ -336,7 +340,6 @@ fn slowlog_and_trace_export_survive_ring_wraparound() {
     for _ in 0..ISSUED {
         issued_ids.push(client.query("cap_wrap", "(G * G)").unwrap().trace);
     }
-    matlang_obs::trace::set_slow_ms(matlang_obs::trace::SLOW_MS_UNSET);
 
     // Our retained slowlog entries must be exactly the *newest* suffix
     // of what we issued: same ids, same order, no duplicates, and
@@ -389,4 +392,162 @@ fn slowlog_and_trace_export_survive_ring_wraparound() {
     );
 
     handle.shutdown();
+}
+
+fn top_token(lines: &[String], instance: &str, key: &str) -> u64 {
+    let line = lines
+        .iter()
+        .find(|l| l.starts_with(&format!("instance={instance} ")))
+        .unwrap_or_else(|| panic!("no {instance} line in TOP: {lines:?}"));
+    line.split_whitespace()
+        .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("missing {key}= in `{line}`"))
+}
+
+/// A soft memory budget smaller than the loaded data keeps the store
+/// permanently over budget, so every mutating request sheds derived
+/// state — the cold half of the plan cache and the memo caches of *idle*
+/// instances — while the just-used instance keeps its warm cache and
+/// primary data is never touched.
+#[test]
+fn over_budget_store_sheds_plans_and_idle_memo_caches() {
+    // Capacity 2 so the "evict down to the cold half" plan-cache policy
+    // is observable with two distinct plans.  One byte of budget: the
+    // primary data alone exceeds it forever.
+    let store = Store::with_config(
+        StoreConfig::builder()
+            .plan_cache_capacity(2)
+            .mem_budget(Some(1))
+            .build(),
+    );
+    for name in ["a", "b"] {
+        store.create_instance(name, true).unwrap();
+        store.set_dim(name, "n", 16).unwrap();
+        let entries: Vec<(usize, usize, f64)> = (0..16).map(|i| (i, (i + 3) % 16, 1.0)).collect();
+        store.load_matrix(name, "G", 16, 16, entries).unwrap();
+    }
+    // Distinct queries so the two instances hold two distinct plans.
+    store.prepare("a", "(G * G)").unwrap();
+    store.prepare("b", "(G + G)").unwrap();
+    assert_eq!(store.plan_cache_len(), 2);
+
+    // Warm both instances, `b` last: the shed pass after `b`'s EXEC sees
+    // `a` idle with a resident memo cache and evicts it, plus the cold
+    // half of the plan cache.  `b` (just used) must keep its warm cache.
+    store.exec("a", &[0]).unwrap();
+    store.exec("b", &[0]).unwrap();
+
+    let top = store.top(None);
+    assert_eq!(top.len(), 2);
+    assert_eq!(
+        top_token(&top, "a", "cache_entries"),
+        0,
+        "idle instance's memo cache must be shed: {top:?}"
+    );
+    assert!(
+        top_token(&top, "b", "cache_entries") >= 1,
+        "the just-used instance keeps its warm cache: {top:?}"
+    );
+    // Primary data is never shed.
+    assert!(top_token(&top, "a", "data") > 0);
+    assert!(top_token(&top, "b", "data") > 0);
+    assert_eq!(
+        store.plan_cache_len(),
+        1,
+        "cold half of the plan cache evicted"
+    );
+
+    let health = store.health();
+    assert_eq!(health.status, "pressure");
+    assert_eq!(health.budget, Some(1));
+    assert!(health.total_bytes > 1);
+    assert!(
+        health.pressure_evictions >= 2,
+        "plan + memo evictions must be counted, got {}",
+        health.pressure_evictions
+    );
+    assert!(health.render().contains("status=pressure"));
+
+    // Shed state is derived: the evicted instance recomputes and answers
+    // correctly on the next EXEC.
+    let replay = store.exec("a", &[0]).unwrap();
+    assert_eq!(replay.len(), 1);
+}
+
+/// Configuration belongs to the store it was built into: a second store
+/// in the same process, built later with different (default) settings,
+/// must not change how the first one behaves — and vice versa.
+#[test]
+fn two_stores_in_one_process_keep_their_own_settings() {
+    fn header_token(store: &Store, key: &str) -> String {
+        let stats = store.stats("t").unwrap();
+        stats[0]
+            .split_whitespace()
+            .find_map(|t| t.strip_prefix(&format!("{key}=")))
+            .unwrap_or_else(|| panic!("missing {key}= in STATS header: {}", stats[0]))
+            .to_string()
+    }
+
+    // Built first: one byte of budget, plans frozen for good.  Built
+    // second: the defaults (no budget, re-plan on 4× drift), spelled out
+    // so the environment cannot move them.
+    let tight = Store::with_config(
+        StoreConfig::builder()
+            .no_data_dir()
+            .mem_budget(Some(1))
+            .replan_drift(f64::MAX)
+            .build(),
+    );
+    let default = Store::with_config(
+        StoreConfig::builder()
+            .no_data_dir()
+            .mem_budget(None)
+            .replan_drift(matlang_server::DEFAULT_REPLAN_DRIFT)
+            .build(),
+    );
+    assert_eq!(tight.config().mem_budget(), Some(1));
+    assert_eq!(default.config().mem_budget(), None);
+
+    // Identical traffic: plan while G holds one entry, then grow it to 16
+    // (a (16+1)/(1+1) = 8.5× drift) and execute again.
+    let fill: Vec<(usize, usize, f64)> = (0..16).map(|i| (i, (i + 3) % 16, 1.0)).collect();
+    let mut answers = Vec::new();
+    for store in [&tight, &default] {
+        store.create_instance("t", true).unwrap();
+        store.set_dim("t", "n", 16).unwrap();
+        store
+            .load_matrix("t", "G", 16, 16, vec![(0, 1, 1.0)])
+            .unwrap();
+        let qid = store.prepare("t", "(G * G)").unwrap().qid;
+        store.exec("t", &[qid]).unwrap();
+        store.update("t", "G", &fill).unwrap();
+        answers.push(store.exec("t", &[qid]).unwrap().remove(0).entries);
+    }
+    assert_eq!(answers[0], answers[1], "settings never change results");
+
+    let health = tight.health();
+    assert_eq!(health.status, "pressure");
+    assert_eq!(health.budget, Some(1));
+    assert!(health.render().contains(" budget=1 "));
+    assert_eq!(
+        header_token(&tight, "replans"),
+        "0",
+        "a frozen store never re-plans"
+    );
+    assert_eq!(
+        header_token(&tight, "threshold"),
+        format!("{:.2}", f64::MAX)
+    );
+
+    let health = default.health();
+    assert_eq!(health.status, "ok");
+    assert_eq!(health.budget, None);
+    assert!(health.render().contains(" budget=- "));
+    assert_eq!(
+        header_token(&default, "replans"),
+        "1",
+        "8.5× drift is past the 4× default"
+    );
+    assert_eq!(header_token(&default, "threshold"), "4.00");
 }

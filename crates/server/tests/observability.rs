@@ -7,11 +7,16 @@
 //! monotone (nonzero / increased-by) rather than exact — other tests in
 //! the same process may be incrementing them concurrently.
 
-use matlang_server::{Client, DeltaWire, Server, ServerConfig, ServerHandle};
+use matlang_server::{Client, DeltaWire, Server, ServerConfig, ServerHandle, StoreConfig};
 
 fn spawn() -> ServerHandle {
+    spawn_with(StoreConfig::default())
+}
+
+fn spawn_with(store: StoreConfig) -> ServerHandle {
     Server::spawn(ServerConfig {
         workers: 2,
+        store,
         ..ServerConfig::default()
     })
     .expect("server spawns on an ephemeral port")
@@ -282,15 +287,12 @@ fn stats_reports_the_feedback_state_over_the_wire() {
 
 #[test]
 fn slowlog_captures_plan_and_profile_forensics() {
-    let handle = spawn();
+    // A server whose slow threshold is zero, so this EXEC qualifies.
+    let handle = spawn_with(StoreConfig::builder().slow_ms(0).build());
     let mut client = Client::connect(handle.addr()).unwrap();
     seed(&mut client, "slowg");
     let qid = client.prepare("slowg", "(transpose(G) * (G * G))").unwrap();
-    // Lower the slow threshold to zero so this EXEC qualifies, then
-    // restore the environment-driven default for sibling tests.
-    matlang_obs::trace::set_slow_ms(0);
     let result = client.exec("slowg", qid).unwrap();
-    matlang_obs::trace::set_slow_ms(matlang_obs::trace::SLOW_MS_UNSET);
     assert_ne!(result.trace, 0);
 
     let entries = client.slowlog(Some(32)).unwrap();

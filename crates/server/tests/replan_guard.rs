@@ -13,17 +13,14 @@
 //! Harness style follows `obs_overhead_guard`: interleaved adjacent-pair
 //! rounds alternating which side runs first, median pair ratio, looser
 //! bound in debug builds.
-//!
-//! This file holds exactly one test: it overrides the process-wide drift
-//! threshold, which must not race sibling tests in the same binary.
 
-use matlang_server::{set_replan_drift, Store};
+use matlang_server::{Store, StoreConfig};
 use std::time::{Duration, Instant};
 
 const N: usize = 192;
 
-fn seeded(name: &str) -> Store {
-    let store = Store::new();
+fn seeded(name: &str, config: StoreConfig) -> Store {
+    let store = Store::with_config(config);
     store.create_instance(name, true).unwrap();
     store.set_dim(name, "n", N).unwrap();
     // A starts ~empty; B and v are dense.
@@ -59,10 +56,12 @@ fn timing_guard_drift_replanned_exec_beats_the_stale_plan_2x() {
         (9, 8, 2.0)
     };
 
-    // Plans must not leak between the two stores through a shared global
-    // cache: `Store` keeps its plan cache per instance, per store.
-    let stale = seeded("s");
-    let fresh = seeded("f");
+    // The stale side is frozen for good — nothing re-plans it, however
+    // far A drifts; the fresh side re-plans at the default threshold.
+    // Plans cannot leak between the two: `Store` keeps its plan cache
+    // (like its configuration) per store.
+    let stale = seeded("s", StoreConfig::builder().replan_drift(f64::MAX).build());
+    let fresh = seeded("f", StoreConfig::default());
     let text = "((A * B) * v)";
     let stale_qid = stale.prepare("s", text).unwrap().qid;
     let fresh_qid = fresh.prepare("f", text).unwrap().qid;
@@ -78,27 +77,22 @@ fn timing_guard_drift_replanned_exec_beats_the_stale_plan_2x() {
             flood.push((i, j, ((i * 31 + j) % 11 + 1) as f64));
         }
     }
-    // Freeze the stale side first so nothing re-plans while flooding.
-    set_replan_drift(Some(f64::MAX));
     stale.update("s", "A", &flood).unwrap();
     fresh.update("f", "A", &flood).unwrap();
     stale.exec("s", &[stale_qid]).unwrap();
     assert_eq!(replans_of(&stale, "s"), 0, "stale side must keep its plan");
-    // Let the fresh side see the drift at the default threshold: its next
+    // The fresh side sees the drift at the default threshold: its next
     // EXEC transparently re-plans against the now-dense A.
-    set_replan_drift(None);
     let replanned = fresh.exec("f", &[fresh_qid]).unwrap();
     assert_eq!(replans_of(&fresh, "f"), 1, "drift must trigger a re-plan");
-    // Re-freeze before touching the stale side again: the measurement
-    // below must compare plan quality, not further re-planning.
-    set_replan_drift(Some(f64::MAX));
     // Same answer either way — the rewrite is association-only.
     let stale_now = stale.exec("s", &[stale_qid]).unwrap();
     assert_eq!(replans_of(&stale, "s"), 0, "stale side re-planned anyway");
     assert_eq!(replanned[0].entries, stale_now[0].entries);
 
     // Each iteration flips one A entry between two non-zero values (nnz
-    // unchanged — no drift) to invalidate the memo cache, then recomputes
+    // unchanged — no drift, so the measurement compares plan quality, not
+    // further re-planning) to invalidate the memo cache, then recomputes
     // the chain.  The update cost is identical on both sides; what
     // differs is the association the plan executes.
     let mut toggle = 0u64;
@@ -128,7 +122,6 @@ fn timing_guard_drift_replanned_exec_beats_the_stale_plan_2x() {
         };
         ratios.push(slow.as_secs_f64() / fast.as_secs_f64());
     }
-    set_replan_drift(None);
 
     ratios.sort_by(|a, b| a.total_cmp(b));
     let ratio = ratios[rounds / 2];

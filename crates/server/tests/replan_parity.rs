@@ -1,6 +1,6 @@
 //! Feedback-driven re-planning must never change results.
 //!
-//! With the drift threshold forced to its floor (`set_replan_drift(1.0)`)
+//! With a store's drift threshold at its floor (`replan_drift(1.0)`)
 //! every `UPDATE` that changes a variable's nnz makes the next `EXEC`
 //! re-plan from current + observed statistics.  This suite runs a corpus
 //! of standing queries on both storage backends through repeated
@@ -8,15 +8,12 @@
 //! [`matlang_core::evaluate`] over a mirrored instance — the same
 //! contract the `server_integration` suite pins for the static path.
 //! The CI matrix repeats it under `MATLANG_THREADS=1` and `=4`.
-//!
-//! This file holds exactly one test: it overrides the process-wide drift
-//! threshold, which must not race sibling tests in the same binary.
 
 use matlang_core::{evaluate, FunctionRegistry, Instance};
 use matlang_matrix::Matrix;
 use matlang_parser::parse;
 use matlang_semiring::Real;
-use matlang_server::{set_replan_drift, Store};
+use matlang_server::{Store, StoreConfig};
 
 const N: usize = 6;
 
@@ -66,11 +63,10 @@ fn dense_of(result: &matlang_server::WireResult) -> Matrix<Real> {
 
 #[test]
 fn forced_drift_replans_stay_bit_identical_to_core_evaluate() {
-    set_replan_drift(Some(1.0));
     let registry = FunctionRegistry::standard_field();
     for adaptive in [false, true] {
         let name = if adaptive { "adp" } else { "dns" };
-        let store = Store::new();
+        let store = Store::with_config(StoreConfig::builder().replan_drift(1.0).build());
         store.create_instance(name, adaptive).unwrap();
         store.set_dim(name, "n", N).unwrap();
         let seed = vec![(0, 1, 1.0), (1, 2, 2.0), (4, 5, -3.0)];
@@ -118,5 +114,4 @@ fn forced_drift_replans_stay_bit_identical_to_core_evaluate() {
             .unwrap_or_else(|| panic!("malformed STATS header: {}", stats[0]));
         assert!(replans >= 1, "no re-plan happened on {name}: {}", stats[0]);
     }
-    set_replan_drift(None);
 }

@@ -184,13 +184,24 @@ fn main() {
         println!("   {line}");
     }
 
-    // Slow-query forensics: zero the slow threshold for one EXEC so it
-    // lands in the slowlog with its plan + per-node observations, then
-    // restore the environment-driven default.
-    matlang::obs::trace::set_slow_ms(0);
-    let slow = client.exec("g", qids[1]).unwrap();
-    matlang::obs::trace::set_slow_ms(matlang::obs::trace::SLOW_MS_UNSET);
-    let slowlog = client.slowlog(Some(8)).unwrap();
+    // Slow-query forensics: the slow threshold is a per-store setting, so
+    // a second server configured with a zero threshold logs every EXEC —
+    // with its plan + per-node observations — while the main one keeps
+    // the default.
+    let slow_handle = Server::spawn(ServerConfig {
+        store: StoreConfig::builder().slow_ms(0).build(),
+        ..ServerConfig::default()
+    })
+    .expect("spawn zero-threshold server");
+    let mut slow_client = Client::connect(slow_handle.addr()).expect("connect");
+    slow_client.create_instance("s", true).unwrap();
+    slow_client.set_dim("s", "n", 200).unwrap();
+    slow_client
+        .gen_erdos_renyi("s", "G", "n", 8.0, 2023)
+        .unwrap();
+    let slow_qid = slow_client.prepare("s", queries[1].1).unwrap();
+    let slow = slow_client.exec("s", slow_qid).unwrap();
+    let slowlog = slow_client.slowlog(Some(8)).unwrap();
     let entry = slowlog
         .iter()
         .find(|e| e.trace_id == slow.trace)
@@ -266,7 +277,9 @@ fn main() {
         trace_json.len()
     );
 
+    slow_client.quit().unwrap();
+    slow_handle.shutdown();
     client.quit().unwrap();
     handle.shutdown();
-    println!("server shut down cleanly");
+    println!("servers shut down cleanly");
 }

@@ -113,9 +113,18 @@ pub trait MatrixStorage: Clone + PartialEq + Debug + Send + Sync + Sized + 'stat
         self.rows() * self.cols() * std::mem::size_of::<Self::Elem>()
     }
 
+    /// Visits every non-zero entry as `(row, col, &value)` in row-major
+    /// order, without materialising them — what a consumer that streams
+    /// the entries somewhere else (a socket, a counter) wants.
+    fn for_each_nonzero(&self, f: impl FnMut(usize, usize, &Self::Elem));
+
     /// The non-zero entries as owned `(row, col, value)` triples in
     /// row-major order.
-    fn nonzero_entries(&self) -> Vec<(usize, usize, Self::Elem)>;
+    fn nonzero_entries(&self) -> Vec<(usize, usize, Self::Elem)> {
+        let mut entries = Vec::with_capacity(self.nnz());
+        self.for_each_nonzero(|i, j, v| entries.push((i, j, v.clone())));
+        entries
+    }
 
     /// Matrix transpose `eᵀ`.
     fn transpose(&self) -> Self;
@@ -319,11 +328,10 @@ impl<K: Semiring> MatrixStorage for Matrix<K> {
         Matrix::heap_bytes(self)
     }
 
-    fn nonzero_entries(&self) -> Vec<(usize, usize, K)> {
+    fn for_each_nonzero(&self, mut f: impl FnMut(usize, usize, &K)) {
         self.iter_entries()
             .filter(|(_, _, v)| !v.is_zero())
-            .map(|(i, j, v)| (i, j, v.clone()))
-            .collect()
+            .for_each(|(i, j, v)| f(i, j, v));
     }
 
     fn transpose(&self) -> Self {
@@ -515,10 +523,8 @@ impl<K: Semiring> MatrixStorage for SparseMatrix<K> {
         SparseMatrix::heap_bytes(self)
     }
 
-    fn nonzero_entries(&self) -> Vec<(usize, usize, K)> {
-        self.iter_entries()
-            .map(|(i, j, v)| (i, j, v.clone()))
-            .collect()
+    fn for_each_nonzero(&self, mut f: impl FnMut(usize, usize, &K)) {
+        self.iter_entries().for_each(|(i, j, v)| f(i, j, v));
     }
 
     fn transpose(&self) -> Self {
@@ -678,10 +684,10 @@ impl<K: Semiring> MatrixStorage for MatrixRepr<K> {
         MatrixRepr::heap_bytes(self)
     }
 
-    fn nonzero_entries(&self) -> Vec<(usize, usize, K)> {
+    fn for_each_nonzero(&self, f: impl FnMut(usize, usize, &K)) {
         match self {
-            MatrixRepr::Dense(d) => MatrixStorage::nonzero_entries(d),
-            MatrixRepr::Sparse(s) => MatrixStorage::nonzero_entries(s),
+            MatrixRepr::Dense(d) => d.for_each_nonzero(f),
+            MatrixRepr::Sparse(s) => s.for_each_nonzero(f),
         }
     }
 
@@ -813,7 +819,15 @@ mod tests {
         assert_eq!(M::scalar(Real(5.0)).as_scalar().unwrap(), Real(5.0));
         assert_eq!(ma.nnz(), 3);
         assert!((ma.density() - 0.75).abs() < 1e-12);
-        assert_eq!(ma.nonzero_entries().len(), 3);
+        // The visitor skips the interior zero, goes row-major, and is what
+        // `nonzero_entries` collects.
+        let mut visited = Vec::new();
+        ma.for_each_nonzero(|i, j, v| visited.push((i, j, *v)));
+        assert_eq!(
+            visited,
+            vec![(0, 0, Real(1.0)), (1, 0, Real(2.0)), (1, 1, Real(3.0))]
+        );
+        assert_eq!(ma.nonzero_entries(), visited);
         let doubled = M::zip_with(&[&ma], |vs| Real(vs[0].0 * 2.0)).unwrap();
         assert_eq!(doubled.to_dense(), a.scalar_mul(&Real(2.0)));
         let vec = M::from_dense(Matrix::from_f64_rows(&[&[1.0], &[0.0]]).unwrap());

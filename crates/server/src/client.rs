@@ -6,11 +6,14 @@
 //! for `ERR` replies, so callers can branch on [`ErrorCode`] instead of
 //! string-matching messages.
 
-use crate::protocol::{read_lines_block, read_result, SemiringKind, WireResult};
+use crate::protocol::{
+    bounded_line, read_lines_block, read_result, EntryEncoder, LineRead, SemiringKind, WireResult,
+};
+use crate::session::SOCKET_BUFFER_BYTES;
 use matlang_matrix::{Matrix, MatrixStorage};
 use matlang_semiring::Real;
 use std::fmt;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// The stable error category of a failed request — the client-side twin of
@@ -37,6 +40,8 @@ pub enum ErrorCode {
     Storage,
     /// `EPROTO` — the request was malformed or out of protocol.
     Protocol,
+    /// `ETOOBIG` — a line was longer than the server buffers.
+    TooBig,
     /// A local I/O failure — the socket, not the server, failed.
     Io,
     /// The server's reply did not match the protocol grammar.
@@ -59,6 +64,7 @@ impl ErrorCode {
             "EEVAL" => Some(ErrorCode::Eval),
             "ESTORE" => Some(ErrorCode::Storage),
             "EPROTO" => Some(ErrorCode::Protocol),
+            "ETOOBIG" => Some(ErrorCode::TooBig),
             _ => None,
         }
     }
@@ -191,8 +197,8 @@ impl Client {
         // peer's delayed ACK.
         stream.set_nodelay(true)?;
         Ok(Client {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
+            reader: BufReader::with_capacity(SOCKET_BUFFER_BYTES, stream.try_clone()?),
+            writer: BufWriter::with_capacity(SOCKET_BUFFER_BYTES, stream),
         })
     }
 
@@ -203,11 +209,16 @@ impl Client {
     }
 
     fn read_reply(&mut self) -> Result<String, ClientError> {
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply).map_err(ClientError::io)? == 0 {
-            return Err(ClientError::io("connection closed"));
-        }
-        let reply = reply.trim_end().to_string();
+        let reply = match bounded_line(&mut self.reader, |line| line.trim_end().to_string()) {
+            Ok(LineRead::Line(reply)) => reply,
+            Ok(LineRead::Eof) => return Err(ClientError::io("connection closed")),
+            Ok(LineRead::TooLong) => {
+                return Err(ClientError::malformed(
+                    crate::ServerError::LineTooLong.to_string(),
+                ))
+            }
+            Err(e) => return Err(ClientError::io(e)),
+        };
         match reply.strip_prefix("ERR ") {
             Some(rest) => {
                 // `ERR <CODE> <message>`; a code this client version does
@@ -280,9 +291,11 @@ impl Client {
             entries.len()
         )
         .map_err(ClientError::io)?;
-        for (i, j, v) in entries {
-            writeln!(self.writer, "{i} {j} {v}").map_err(ClientError::io)?;
+        let mut body = EntryEncoder::new(&mut self.writer);
+        for &(i, j, v) in entries {
+            body.push(i, j, v);
         }
+        body.finish().map_err(ClientError::io)?;
         self.writer.flush().map_err(ClientError::io)?;
         self.read_reply().map(|_| ())
     }

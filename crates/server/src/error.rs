@@ -63,6 +63,10 @@ pub enum ServerError {
         /// What was wrong with the request.
         message: String,
     },
+    /// A request or `LOAD` entry line was longer than the server buffers
+    /// (`ETOOBIG`); it was discarded unread and the session carries on.
+    /// The cap is [`crate::protocol::MAX_LINE_BYTES`].
+    LineTooLong,
 }
 
 impl ServerError {
@@ -79,6 +83,7 @@ impl ServerError {
             ServerError::Eval { .. } => "EEVAL",
             ServerError::Storage { .. } => "ESTORE",
             ServerError::Protocol { .. } => "EPROTO",
+            ServerError::LineTooLong => "ETOOBIG",
         }
     }
 
@@ -114,6 +119,9 @@ impl fmt::Display for ServerError {
             ServerError::Eval { message } => write!(f, "eval error: {message}"),
             ServerError::Storage { message } => write!(f, "{message}"),
             ServerError::Protocol { message } => write!(f, "{message}"),
+            ServerError::LineTooLong => {
+                write!(f, "line exceeds {} bytes", crate::protocol::MAX_LINE_BYTES)
+            }
         }
     }
 }
@@ -143,13 +151,14 @@ mod tests {
             },
             ServerError::storage("x"),
             ServerError::protocol("x"),
+            ServerError::LineTooLong,
         ];
         let codes: Vec<&str> = all.iter().map(ServerError::code).collect();
         assert_eq!(
             codes,
             vec![
                 "EEXISTS", "ENOINST", "ENOVAR", "ENOQUERY", "ENOPREP", "EPARSE", "ETYPE", "EEVAL",
-                "ESTORE", "EPROTO",
+                "ESTORE", "EPROTO", "ETOOBIG",
             ]
         );
         for (e, code) in all.iter().zip(&codes) {

@@ -70,8 +70,8 @@ pub use config::{
 };
 pub use error::ServerError;
 pub use protocol::{
-    ExecStatsWire, GenKind, Request, ResponseHeader, SemiringKind, WireResult, CAPABILITIES,
-    PROTOCOL_VERSION,
+    ExecStatsWire, GenKind, Request, ResponseHeader, SemiringKind, SharedResult, WireResult,
+    CAPABILITIES, MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
 pub use session::SessionStats;
 pub use store::{

@@ -7,10 +7,11 @@
 
 use crate::error::ServerError;
 use crate::protocol::{
-    write_err, write_lines_block, write_result, Request, CAPABILITIES, PROTOCOL_VERSION,
+    bounded_line, read_entry, write_err, write_lines_block, write_shared_result, LineRead, Request,
+    CAPABILITIES, PROTOCOL_VERSION,
 };
 use crate::store::{DeltaDisposition, Store};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,6 +30,12 @@ pub struct SessionStats {
     /// (`EXEC`/`EXECBATCH`/`QUERY`), microseconds.
     pub exec_time_us: AtomicU64,
 }
+
+/// `BufReader`/`BufWriter` capacity on both ends of a connection, sized
+/// for a reply rather than a request line: an 0.8 MB `RESULT` block is
+/// ≈ 13 socket writes and reads instead of the ≈ 100 of the 8 KiB default,
+/// each of which wakes the peer.
+pub(crate) const SOCKET_BUFFER_BYTES: usize = 64 * 1024;
 
 /// A `Write` passthrough to the session socket that adds every written
 /// byte to the session's [`SessionStats`].  Sits *inside* the
@@ -83,30 +90,32 @@ pub fn serve_connection(
     stats: Arc<SessionStats>,
 ) -> std::io::Result<()> {
     matlang_obs::counter!("connections_total").inc();
-    // A reply larger than the 8 KiB `BufWriter` goes out in several
-    // segments; with Nagle on, the last partial one waits for the peer's
-    // delayed ACK (≈ 40 ms).  Every reply ends in exactly one explicit
-    // flush, so there are no small writes for Nagle to coalesce.
+    // A reply larger than the `BufWriter` goes out in several segments;
+    // with Nagle on, the last partial one waits for the peer's delayed ACK
+    // (≈ 40 ms).  Every reply ends in exactly one explicit flush, so there
+    // are no small writes for Nagle to coalesce.
     stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(CountingStream {
-        inner: stream,
-        stats: Arc::clone(&stats),
-    });
+    let mut reader = BufReader::with_capacity(SOCKET_BUFFER_BYTES, stream.try_clone()?);
+    let mut writer = BufWriter::with_capacity(
+        SOCKET_BUFFER_BYTES,
+        CountingStream {
+            inner: stream,
+            stats: Arc::clone(&stats),
+        },
+    );
     let mut line = String::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(()); // client hung up
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
+        let request = match bounded_line(&mut reader, |text| line.push_str(text.trim()))? {
+            LineRead::Eof => return Ok(()), // client hung up
+            LineRead::Line(()) if line.is_empty() => continue,
+            LineRead::Line(()) => Request::parse(&line).map_err(ServerError::protocol),
+            LineRead::TooLong => Err(ServerError::LineTooLong),
+        };
         matlang_obs::counter!("requests_total").inc();
         stats.requests.fetch_add(1, Ordering::Relaxed);
-        match Request::parse(trimmed) {
-            Err(message) => write_err(&mut writer, &ServerError::protocol(message))?,
+        match request {
+            Err(error) => write_err(&mut writer, &error)?,
             Ok(Request::Quit) => {
                 writeln!(writer, "OK bye")?;
                 writer.flush()?;
@@ -120,7 +129,7 @@ pub fn serve_connection(
                 let _trace = (traced(&request) && matlang_obs::enabled()).then(|| {
                     matlang_obs::trace::begin_with_slow_ms(
                         matlang_obs::trace::next_id(),
-                        trimmed,
+                        &line,
                         store.config().slow_ms(),
                     )
                 });
@@ -185,26 +194,23 @@ fn dispatch(
             // (the vector still grows to the real entry count).
             let mut entries = Vec::with_capacity(nnz.min(1 << 16));
             let mut parse_error = None;
-            let mut line = String::new();
             for _ in 0..nnz {
-                line.clear();
-                if reader.read_line(&mut line)? == 0 {
-                    return write_err(writer, &ServerError::protocol("connection closed mid-LOAD"));
-                }
-                let mut tokens = line.split_whitespace();
-                let entry = (|| {
-                    Some((
-                        tokens.next()?.parse::<usize>().ok()?,
-                        tokens.next()?.parse::<usize>().ok()?,
-                        tokens.next()?.parse::<f64>().ok()?,
-                    ))
-                })();
+                let entry = read_entry(reader, |line, _| {
+                    ServerError::protocol(format!("malformed entry `{}`", line.trim()))
+                })?;
                 match entry {
-                    Some(e) => entries.push(e),
-                    None => {
-                        parse_error.get_or_insert_with(|| {
-                            ServerError::protocol(format!("malformed entry `{}`", line.trim()))
-                        });
+                    LineRead::Line(Ok(entry)) => entries.push(entry),
+                    LineRead::Line(Err(error)) => {
+                        parse_error.get_or_insert(error);
+                    }
+                    LineRead::TooLong => {
+                        parse_error.get_or_insert(ServerError::LineTooLong);
+                    }
+                    LineRead::Eof => {
+                        return write_err(
+                            writer,
+                            &ServerError::protocol("connection closed mid-LOAD"),
+                        )
                     }
                 }
             }
@@ -245,22 +251,22 @@ fn dispatch(
             ),
             Err(e) => write_err(writer, &e),
         },
-        Request::Exec { instance, qid } => match store.exec(&instance, &[qid]) {
-            Ok(results) => write_result(writer, &results[0]),
+        Request::Exec { instance, qid } => match store.exec_shared(&instance, &[qid]) {
+            Ok(results) => write_shared_result(writer, &results[0]),
             Err(e) => write_err(writer, &e),
         },
-        Request::ExecBatch { instance, qids } => match store.exec(&instance, &qids) {
+        Request::ExecBatch { instance, qids } => match store.exec_shared(&instance, &qids) {
             Ok(results) => {
                 writeln!(writer, "BATCH {}", results.len())?;
                 for result in &results {
-                    write_result(writer, result)?;
+                    write_shared_result(writer, result)?;
                 }
                 Ok(())
             }
             Err(e) => write_err(writer, &e),
         },
-        Request::Query { instance, text } => match store.query(&instance, &text) {
-            Ok(result) => write_result(writer, &result),
+        Request::Query { instance, text } => match store.query_shared(&instance, &text) {
+            Ok(result) => write_shared_result(writer, &result),
             Err(e) => write_err(writer, &e),
         },
         Request::Update {

@@ -70,7 +70,7 @@
 use crate::config::StoreConfig;
 use crate::error::ServerError;
 use crate::persist::{self, Snapshot, Wal, WalRecord};
-use crate::protocol::{ExecStatsWire, GenKind, SemiringKind, WireResult};
+use crate::protocol::{ExecStatsWire, GenKind, SemiringKind, SharedResult, WireResult};
 use matlang_core::{typecheck, Dim, Expr, FunctionRegistry, Instance, MatrixType, Schema};
 use matlang_engine::delta::{absorbs, join_is_idempotent, propagate, DeltaFallback, DeltaOverlay};
 use matlang_engine::{expr_fingerprint, Engine, Executor, InstanceStats, ObservedStats, Plan};
@@ -1443,6 +1443,18 @@ impl Store {
     /// Executes prepared queries through the instance's persistent memo
     /// cache, returning one wire result per query id.
     pub fn exec(&self, name: &str, qids: &[usize]) -> Result<Vec<WireResult>, ServerError> {
+        let shared = self.exec_shared(name, qids)?;
+        Ok(shared.iter().map(SharedResult::to_wire).collect())
+    }
+
+    /// [`exec`](Self::exec) without the copy: each result is the matrix
+    /// the executor returned (on a warm hit, the memo cache's own `Arc`),
+    /// for the session to stream once the instance lock is released.
+    pub fn exec_shared(
+        &self,
+        name: &str,
+        qids: &[usize],
+    ) -> Result<Vec<SharedResult>, ServerError> {
         let instance = self.instance(name)?;
         let mut guard = instance.lock().expect("instance poisoned");
         let outcome = with_state!(&mut *guard, |state| self.exec_in(state, name, qids));
@@ -1510,7 +1522,7 @@ impl Store {
         state: &mut BackendState<K, M>,
         name: &str,
         qids: &[usize],
-    ) -> Result<Vec<WireResult>, ServerError> {
+    ) -> Result<Vec<SharedResult>, ServerError> {
         if state.plan.is_none() {
             return Err(ServerError::NoPreparedQueries);
         }
@@ -1548,8 +1560,8 @@ impl Store {
                 matlang_obs::histogram!("exec_latency_us").observe(t.elapsed().as_micros() as u64);
             }
             match run {
-                Ok(value) => results.push(wire_result(
-                    value.as_ref(),
+                Ok(value) => results.push(shared_result(
+                    value,
                     exec.stats().since(&before),
                     plan.nodes().len(),
                     plan.structure_fingerprint(),
@@ -1616,6 +1628,12 @@ impl Store {
     /// prepared-statement machinery and its persistent cache entirely.
     /// This is the per-request-cost baseline `EXEC` is measured against.
     pub fn query(&self, name: &str, text: &str) -> Result<WireResult, ServerError> {
+        self.query_shared(name, text).map(|shared| shared.to_wire())
+    }
+
+    /// [`query`](Self::query) without the copy — see
+    /// [`exec_shared`](Self::exec_shared).
+    pub fn query_shared(&self, name: &str, text: &str) -> Result<SharedResult, ServerError> {
         matlang_obs::counter!("query_total").inc();
         let expr = parse_traced(text)?;
         let instance = self.instance(name)?;
@@ -1627,7 +1645,7 @@ impl Store {
         &self,
         state: &mut BackendState<K, M>,
         expr: &Expr,
-    ) -> Result<WireResult, ServerError> {
+    ) -> Result<SharedResult, ServerError> {
         let schema = derive_schema(&state.instance)?;
         typecheck(expr, &schema).map_err(|e| ServerError::Type {
             message: e.to_string(),
@@ -1646,8 +1664,8 @@ impl Store {
             .map_err(|e| ServerError::Eval {
                 message: e.to_string(),
             })?;
-        Ok(wire_result(
-            value.as_ref(),
+        Ok(shared_result(
+            value,
             exec.stats(),
             plan.nodes().len(),
             plan.structure_fingerprint(),
@@ -2268,30 +2286,24 @@ fn derive_schema<K: Semiring, M: MatrixStorage<Elem = K>>(
     Ok(schema)
 }
 
-fn wire_result<M: MatrixStorage>(
-    value: &M,
+fn shared_result<M: MatrixStorage>(
+    value: Arc<M>,
     stats: matlang_engine::ExecStats,
     plan_nodes: usize,
     fingerprint: u64,
     delta_patches: u64,
     delta_fallbacks: u64,
-) -> WireResult {
+) -> SharedResult {
     let mut wire_stats = ExecStatsWire::from(stats);
     wire_stats.delta_patches = delta_patches;
     wire_stats.delta_fallbacks = delta_fallbacks;
-    WireResult {
-        rows: value.rows(),
-        cols: value.cols(),
-        entries: value
-            .nonzero_entries()
-            .into_iter()
-            .map(|(i, j, v)| (i, j, v.to_f64()))
-            .collect(),
-        stats: wire_stats,
+    SharedResult::new(
+        value,
+        wire_stats,
         plan_nodes,
         fingerprint,
-        trace: matlang_obs::trace::current_id(),
-    }
+        matlang_obs::trace::current_id(),
+    )
 }
 
 #[cfg(test)]

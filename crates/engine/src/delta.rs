@@ -386,6 +386,7 @@ fn op_name(op: &PlanOp) -> &'static str {
         PlanOp::Hadamard(_, _) => "hadamard",
         PlanOp::ScaleRows { .. } => "scalerows",
         PlanOp::ScaleCols { .. } => "scalecols",
+        PlanOp::MaskedMatMul { .. } => "maskedmatmul",
         PlanOp::Apply(_, _) => "apply",
         PlanOp::Let { .. } => "let",
         PlanOp::For { .. } => "for",
@@ -442,6 +443,19 @@ where
         },
         PlanOp::MatMul(a, b) => matmul_delta(cache, overlay, deltas, *a, *b),
         PlanOp::Hadamard(a, b) => hadamard_delta(cache, overlay, deltas, *a, *b),
+        PlanOp::MaskedMatMul {
+            left,
+            right,
+            mask,
+            mask_on_left,
+        } => masked_delta(
+            cache,
+            overlay,
+            deltas,
+            (*left, *right),
+            *mask,
+            *mask_on_left,
+        ),
         PlanOp::ScalarMul(s, e) => {
             if !matches!(child(*s), NodeDelta::Clean) {
                 // The scalar operand changed: every entry of the result
@@ -510,13 +524,7 @@ where
             Ok(())
         };
         if let NodeDelta::Dirty(d) = dl {
-            let r_base = cache[b].as_ref().ok_or(MatrixError::BadConstruction {
-                message: "uncached product operand".into(),
-            })?;
-            fold(r_base.matmul_delta_pre(d)?)?;
-            if let Some(r_ov) = overlay.pending[b].as_ref() {
-                fold(d.matmul(r_ov)?)?;
-            }
+            fold(delta_times_node(cache, overlay, d, b)?)?;
         }
         if let NodeDelta::Dirty(d) = dr {
             let l_base = cache[a].as_ref().ok_or(MatrixError::BadConstruction {
@@ -533,6 +541,121 @@ where
         Ok(Some(d)) => NodeDelta::Dirty(d),
         Ok(None) => NodeDelta::Clean,
         Err(_) => NodeDelta::Unknown,
+    }
+}
+
+/// `d · x_new` for a sparse `d` and the cached node `x`, expanded over
+/// `x`'s base ⊕ overlay so only sparse-delta kernels run.
+fn delta_times_node<K, M>(
+    cache: &NodeCache<M>,
+    overlay: &DeltaOverlay<K>,
+    d: &SparseMatrix<K>,
+    x: NodeId,
+) -> Result<SparseMatrix<K>, MatrixError>
+where
+    K: Semiring,
+    M: MatrixStorage<Elem = K>,
+{
+    let base = cache[x].as_ref().ok_or(MatrixError::BadConstruction {
+        message: "uncached product operand".into(),
+    })?;
+    let product = base.matmul_delta_pre(d)?;
+    match overlay.pending[x].as_ref() {
+        Some(ov) => product.add(&d.matmul(ov)?),
+        None => Ok(product),
+    }
+}
+
+/// `d ∘ x_new` (`x_new ∘ d` with `node_on_left`, the kernel's `⊗` order)
+/// for a sparse `d` and the cached node `x`, whose value is only read at
+/// `d`'s support via [`DeltaOverlay::value_at`].
+fn delta_hadamard_node<K, M>(
+    cache: &NodeCache<M>,
+    overlay: &DeltaOverlay<K>,
+    d: &SparseMatrix<K>,
+    x: NodeId,
+    node_on_left: bool,
+) -> Option<SparseMatrix<K>>
+where
+    K: Semiring,
+    M: MatrixStorage<Elem = K>,
+{
+    let mut triplets = Vec::with_capacity(d.nnz());
+    for (i, j, v) in d.iter_entries() {
+        let other = overlay.value_at(cache, x, i, j)?;
+        let term = if node_on_left {
+            other.mul(v)
+        } else {
+            v.mul(&other)
+        };
+        if !term.is_zero() {
+            triplets.push((i, j, term));
+        }
+    }
+    SparseMatrix::from_triplets(d.rows(), d.cols(), triplets).ok()
+}
+
+/// `Δ((l·r)∘m) = Δ(l·r)∘m_new ⊕ (l_new·r_new)∘Δm` for the fused masked
+/// product, whose product operand has no cached value to read.  The first
+/// term is [`matmul_delta`]'s, read against the mask's current value at its
+/// own support.  The second needs the product only in the rows `Δm`
+/// touches: a 0/1 row selector `S` gives `S·l_new`, those rows of `l_new`,
+/// and `(S·l_new)·r_new` is those rows of the product — two sparse-delta
+/// products on any backend, never a full one.
+fn masked_delta<K, M>(
+    cache: &NodeCache<M>,
+    overlay: &DeltaOverlay<K>,
+    deltas: &[NodeDelta<K>],
+    (left, right): (NodeId, NodeId),
+    mask: NodeId,
+    mask_on_left: bool,
+) -> NodeDelta<K>
+where
+    K: Semiring,
+    M: MatrixStorage<Elem = K>,
+{
+    let dp = matmul_delta(cache, overlay, deltas, left, right);
+    let dm = &deltas[mask];
+    if matches!(dp, NodeDelta::Unknown) || matches!(dm, NodeDelta::Unknown) {
+        return NodeDelta::Unknown;
+    }
+    let terms = || -> Option<Option<SparseMatrix<K>>> {
+        let through_product = match &dp {
+            NodeDelta::Dirty(d) => {
+                Some(delta_hadamard_node(cache, overlay, d, mask, mask_on_left)?)
+            }
+            _ => None,
+        };
+        let through_mask = match dm {
+            NodeDelta::Dirty(d) => {
+                let mut touched: Vec<usize> = d.iter_entries().map(|(i, _, _)| i).collect();
+                touched.dedup();
+                let selector = SparseMatrix::from_triplets(
+                    d.rows(),
+                    d.rows(),
+                    touched.into_iter().map(|i| (i, i, K::one())).collect(),
+                )
+                .ok()?;
+                let l_rows = delta_times_node(cache, overlay, &selector, left).ok()?;
+                let p_rows = delta_times_node(cache, overlay, &l_rows, right).ok()?;
+                let term = if mask_on_left {
+                    d.hadamard(&p_rows)
+                } else {
+                    p_rows.hadamard(d)
+                };
+                Some(term.ok()?)
+            }
+            _ => None,
+        };
+        Some(match (through_product, through_mask) {
+            (Some(a), Some(b)) => Some(a.add(&b).ok()?),
+            (a, b) => a.or(b),
+        })
+    };
+    match terms() {
+        Some(Some(d)) => NodeDelta::Dirty(d),
+        Some(None) => NodeDelta::Clean,
+        None => NodeDelta::Unknown,
     }
 }
 
@@ -567,26 +690,10 @@ where
             Some(())
         };
         if let NodeDelta::Dirty(d) = dl {
-            let mut triplets = Vec::with_capacity(d.nnz());
-            for (i, j, v) in d.iter_entries() {
-                let other = overlay.value_at(cache, b, i, j)?;
-                let term = v.mul(&other); // left ⊗ right, the kernel order
-                if !term.is_zero() {
-                    triplets.push((i, j, term));
-                }
-            }
-            fold(SparseMatrix::from_triplets(d.rows(), d.cols(), triplets).ok()?)?;
+            fold(delta_hadamard_node(cache, overlay, d, b, false)?)?;
         }
         if let NodeDelta::Dirty(d) = dr {
-            let mut triplets = Vec::with_capacity(d.nnz());
-            for (i, j, v) in d.iter_entries() {
-                let other = overlay.value_at(cache, a, i, j)?;
-                let term = other.mul(v);
-                if !term.is_zero() {
-                    triplets.push((i, j, term));
-                }
-            }
-            fold(SparseMatrix::from_triplets(d.rows(), d.cols(), triplets).ok()?)?;
+            fold(delta_hadamard_node(cache, overlay, d, a, true)?)?;
         }
         acc
     };
@@ -755,6 +862,68 @@ mod tests {
 
             let cold = engine.evaluate(&expr, &inst, &registry).unwrap();
             assert_eq!(patched.to_dense(), cold.to_dense(), "delta path diverged");
+        }
+    }
+
+    /// The fused masked product has no cached product to read: inserts into
+    /// `G` reach the triangle query `(G·G)∘G` (and its commuted form)
+    /// through the product's delta *and* through the mask's, over several
+    /// rounds so both operands and the mask carry pending overlays.
+    #[test]
+    fn masked_product_inserts_are_bit_identical_to_recompute() {
+        fn check<K: Semiring>(expr: &Expr, weight: impl Fn(usize) -> K) {
+            let n = 12;
+            let registry = FunctionRegistry::<K>::new();
+            let mut ring = Matrix::<K>::zeros(n, n);
+            for k in 0..n {
+                ring.set(k, (k + 1) % n, weight(k)).unwrap();
+            }
+            let mut inst: Instance<K, MatrixRepr<K>> = Instance::new()
+                .with_dim("n", n)
+                .with_matrix("G", MatrixRepr::from_dense_auto(ring));
+            let engine = Engine::new();
+            let mut plan = engine.plan(std::slice::from_ref(expr), &inst);
+            assert_eq!(plan.report.fused_products, 1, "{}", plan.report);
+            plan.mark_all_cacheable();
+            let root = plan.roots()[0];
+            let mut exec = crate::Executor::new(&plan, &inst, &registry, engine.exec_options);
+            exec.run(root).unwrap();
+            let mut cache = exec.into_cache();
+            let mut overlay = DeltaOverlay::new(plan.nodes().len());
+
+            // Chords that close triangles over the ring and over each other.
+            for (step, (i, j)) in [(2, 0), (0, 2), (5, 3), (4, 6), (6, 4), (3, 1), (1, 5)]
+                .into_iter()
+                .enumerate()
+            {
+                let w = weight(n + step);
+                let g = inst.matrix_mut("G").unwrap();
+                g.set_entry(i, j, w.clone()).unwrap();
+                let delta = SparseMatrix::from_triplets(n, n, vec![(i, j, w)]).unwrap();
+                let report = propagate(&plan, &mut cache, &mut overlay, "G", &delta);
+                assert_eq!(report.invalidated, 0, "the masked product has a rule");
+                assert!(report.unsupported.is_empty());
+
+                overlay.flush_for_roots(&mut cache, plan.roots());
+                let mut warm = crate::Executor::with_cache(
+                    &plan,
+                    &inst,
+                    &registry,
+                    engine.exec_options,
+                    cache,
+                );
+                let patched = warm.run_shared(root).unwrap();
+                assert_eq!(warm.stats().cache_misses, 0, "root must be served warm");
+                cache = warm.into_cache();
+                let cold = matlang_core::evaluate(expr, &inst, &registry).unwrap();
+                assert_eq!(patched.to_dense(), cold.to_dense(), "step {step}: {expr}");
+            }
+        }
+        let g = || Expr::var("G");
+        for expr in [g().mm(g()).had(g()), g().had(g().mm(g()))] {
+            check(&expr, |_| Boolean(true));
+            check(&expr, |k| MinPlus(1.0 + (k * 7 % 5) as f64));
+            check(&expr, |k| MaxPlus(1.0 + (k * 7 % 5) as f64));
         }
     }
 

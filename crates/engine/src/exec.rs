@@ -113,8 +113,9 @@ pub struct ExecStats {
     /// Elementwise operations (add/Hadamard) executed on the threaded
     /// kernels.
     pub parallel_elementwise: u64,
-    /// Products executed on the fused diag-scaling kernels
-    /// (`scale_rows`/`scale_cols`) instead of materializing a diagonal.
+    /// Products executed on a fused kernel: the diag-scaling
+    /// `scale_rows`/`scale_cols` instead of materializing a diagonal, or
+    /// `matmul_masked` instead of materializing a product for a mask.
     pub fused_products: u64,
     /// Cached node values patched in place by delta propagation
     /// ([`crate::delta`]) instead of being invalidated and recomputed.
@@ -445,6 +446,28 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
                 let scale = self.eval_node(*vec)?;
                 self.stats.fused_products += 1;
                 Ok(Arc::new(matrix.scale_cols(scale.as_ref())?))
+            }
+            PlanOp::MaskedMatMul {
+                left,
+                right,
+                mask,
+                mask_on_left,
+            } => {
+                // Operands in the order the unfused Hadamard would have
+                // reached them.
+                let (l, r, m) = if *mask_on_left {
+                    let m = self.eval_node(*mask)?;
+                    (self.eval_node(*left)?, self.eval_node(*right)?, m)
+                } else {
+                    let (l, r) = (self.eval_node(*left)?, self.eval_node(*right)?);
+                    (l, r, self.eval_node(*mask)?)
+                };
+                self.stats.fused_products += 1;
+                Ok(Arc::new(l.matmul_masked(
+                    r.as_ref(),
+                    m.as_ref(),
+                    *mask_on_left,
+                )?))
             }
             PlanOp::Hadamard(a, b) => {
                 let parallel = plan.node(id).est.map(|e| e.parallel).unwrap_or(false);

@@ -10,14 +10,15 @@
 //!   DAG-shaped physical [`Plan`]: the algebraic rewriter
 //!   (`matlang_core::rewrite`) runs first, then the **cost-based rewrite
 //!   layer** ([`rewrite`]) reorders matrix chains by the classic DP,
-//!   pushes transposes into products and `1(e)` onto its row source, and
+//!   pushes transposes into products and `1(e)` onto its row source,
 //!   products against a diagonalized vector are fused into scaling
-//!   kernels; structurally identical subexpressions are hash-consed to a
-//!   single node (CSE), loop-invariant nodes are identified, and a simple
-//!   nnz/density cost model built from [`InstanceStats`] chooses a
-//!   storage representation per node and marks heavy products for the
-//!   threaded kernels.  Every cost-based rewrite is recorded in the
-//!   [`PlanReport`].
+//!   kernels, and a Hadamard product with a matrix product nothing else
+//!   reads becomes one masked product; structurally identical
+//!   subexpressions are hash-consed to a single node (CSE),
+//!   loop-invariant nodes are identified, and a simple nnz/density cost
+//!   model built from [`InstanceStats`] chooses a storage representation
+//!   per node and marks heavy products for the threaded kernels.  Every
+//!   cost-based rewrite is recorded in the [`PlanReport`].
 //! * [`Executor`] evaluates the DAG with one memoized result per shared or
 //!   loop-invariant node, dropping cache entries precisely when a loop
 //!   rebinds a variable they depend on — so hoisting falls out of cache

@@ -102,6 +102,23 @@ pub enum PlanOp {
         /// The scaling vector (the operand of the fused `diag`).
         vec: NodeId,
     },
+    /// Fused `(left · right) ∘ mask` — the planner's masked-product rewrite
+    /// of a Hadamard product with a matrix product nothing else reads.
+    /// Evaluates its operands in the unfused order (`mask` first when it
+    /// was the Hadamard's left operand) and runs
+    /// [`matlang_matrix::MatrixStorage::matmul_masked`], which on CSR
+    /// operands accumulates only at the mask's stored positions instead of
+    /// materializing the product.
+    MaskedMatMul {
+        /// The product's left factor.
+        left: NodeId,
+        /// The product's right factor.
+        right: NodeId,
+        /// The Hadamard product's other operand.
+        mask: NodeId,
+        /// Whether the unfused node was `mask ∘ (left · right)`.
+        mask_on_left: bool,
+    },
     /// Pointwise function application `f(e₁, …, e_k)`.
     Apply(String, Vec<NodeId>),
     /// `let var = value in body`.
@@ -181,6 +198,18 @@ impl PlanOp {
             | PlanOp::Hadamard(a, b) => vec![*a, *b],
             PlanOp::ScaleRows { vec, mat } => vec![*vec, *mat],
             PlanOp::ScaleCols { mat, vec } => vec![*mat, *vec],
+            PlanOp::MaskedMatMul {
+                left,
+                right,
+                mask,
+                mask_on_left,
+            } => {
+                if *mask_on_left {
+                    vec![*mask, *left, *right]
+                } else {
+                    vec![*left, *right, *mask]
+                }
+            }
             PlanOp::Apply(_, args) => args.clone(),
             PlanOp::Let { value, body, .. } => vec![*value, *body],
             PlanOp::For { init, body, .. } => {
@@ -193,6 +222,44 @@ impl PlanOp {
             }
             PlanOp::Sum { body, .. } | PlanOp::HProd { body, .. } | PlanOp::MProd { body, .. } => {
                 vec![*body]
+            }
+        }
+    }
+
+    /// Rewrites every child id through `f` — the renumbering step after the
+    /// planner drops a node from the DAG.
+    pub(crate) fn map_children(&mut self, f: impl Fn(NodeId) -> NodeId) {
+        match self {
+            PlanOp::Var(..) | PlanOp::Const(_) => {}
+            PlanOp::Transpose(a) | PlanOp::Ones(a) | PlanOp::Diag(a) => *a = f(*a),
+            PlanOp::MatMul(a, b)
+            | PlanOp::Add(a, b)
+            | PlanOp::ScalarMul(a, b)
+            | PlanOp::Hadamard(a, b)
+            | PlanOp::ScaleRows { vec: a, mat: b }
+            | PlanOp::ScaleCols { mat: a, vec: b }
+            | PlanOp::Let {
+                value: a, body: b, ..
+            } => {
+                *a = f(*a);
+                *b = f(*b);
+            }
+            PlanOp::MaskedMatMul {
+                left, right, mask, ..
+            } => {
+                *left = f(*left);
+                *right = f(*right);
+                *mask = f(*mask);
+            }
+            PlanOp::Apply(_, args) => args.iter_mut().for_each(|a| *a = f(*a)),
+            PlanOp::For { init, body, .. } => {
+                if let Some(init) = init {
+                    *init = f(*init);
+                }
+                *body = f(*body);
+            }
+            PlanOp::Sum { body, .. } | PlanOp::HProd { body, .. } | PlanOp::MProd { body, .. } => {
+                *body = f(*body)
             }
         }
     }
@@ -218,6 +285,7 @@ impl PlanOp {
             PlanOp::Hadamard(_, _) => "execute:hadamard",
             PlanOp::ScaleRows { .. } => "execute:scale-rows",
             PlanOp::ScaleCols { .. } => "execute:scale-cols",
+            PlanOp::MaskedMatMul { .. } => "execute:matmul-masked",
             PlanOp::Apply(_, _) => "execute:apply",
             PlanOp::Let { .. } => "execute:let",
             PlanOp::For { .. } => "execute:for",
@@ -369,7 +437,8 @@ pub struct PlanNode {
 #[derive(Clone, Debug, PartialEq)]
 pub struct AppliedRewrite {
     /// The rule identifier: `"matrix-chain-reorder"`,
-    /// `"transpose-pushdown"`, `"ones-pushdown"` or `"diag-pushdown"`.
+    /// `"transpose-pushdown"`, `"ones-pushdown"`, `"diag-pushdown"` or
+    /// `"masked-product"`.
     pub rule: &'static str,
     /// A human-readable summary of the rewritten site.
     pub detail: String,
@@ -406,10 +475,11 @@ pub struct PlanReport {
     /// parallel kernel.
     pub parallel_elementwise: usize,
     /// Every cost-based rewrite the planner applied (chain reordering,
-    /// transpose/ones pushdown, diag fusion), in application order.
+    /// transpose/ones pushdown, diag and masked-product fusion), in
+    /// application order.
     pub rewrites: Vec<AppliedRewrite>,
     /// Product nodes fused into [`PlanOp::ScaleRows`] /
-    /// [`PlanOp::ScaleCols`] kernels.
+    /// [`PlanOp::ScaleCols`] / [`PlanOp::MaskedMatMul`] kernels.
     pub fused_products: usize,
     /// Nodes with a delta-propagation rule ([`PlanOp::supports_delta`]);
     /// updates reaching the remaining nodes invalidate instead of patch.
@@ -635,6 +705,36 @@ impl Plan {
 /// fingerprint nodes *while interning them* and consult observed
 /// statistics for the subtree being built.
 pub(crate) fn op_fingerprint(op: &PlanOp, fingerprints: &[u64]) -> u64 {
+    // A masked product computes the value of the Hadamard-of-product pair
+    // it replaces, so it takes that pair's fingerprint: what was observed
+    // for the subexpression keeps matching whichever way it is planned.
+    // (The two stand-in ops below only lend their labels.)
+    if let PlanOp::MaskedMatMul {
+        left,
+        right,
+        mask,
+        mask_on_left,
+    } = *op
+    {
+        let binary = |label: &str, a: u64, b: u64| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            label.hash(&mut h);
+            a.hash(&mut h);
+            b.hash(&mut h);
+            h.finish()
+        };
+        let product = binary(
+            PlanOp::MatMul(left, right).label(),
+            fingerprints[left],
+            fingerprints[right],
+        );
+        let (a, b) = if mask_on_left {
+            (fingerprints[mask], product)
+        } else {
+            (product, fingerprints[mask])
+        };
+        return binary(PlanOp::Hadamard(left, right).label(), a, b);
+    }
     let mut h = std::collections::hash_map::DefaultHasher::new();
     op.label().hash(&mut h);
     match op {

@@ -17,6 +17,9 @@
 //!    [`InstanceStats`] bottom-up, choose a storage representation per node
 //!    (density against the thresholds of [`matlang_matrix::repr`]), and
 //!    mark products heavy enough for the row-partitioned parallel kernel.
+//! 5. **Masked-product fusion** — once every query is in the DAG and each
+//!    node's consumers are known, a Hadamard product with a matrix product
+//!    nothing else reads becomes one [`PlanOp::MaskedMatMul`].
 
 use crate::plan::{
     AppliedRewrite, ConstVal, NodeEstimate, NodeId, Plan, PlanNode, PlanOp, PlanReport, ReprChoice,
@@ -44,8 +47,9 @@ pub struct PlanOptions {
     /// or fractional literals).
     pub simplify: bool,
     /// Run the cost-based rewrite layer ([`crate::rewrite`]) on every
-    /// query before building the DAG, and fuse `diag(v) · A` / `A ·
-    /// diag(v)` products into the scaling kernels (default `true`).
+    /// query before building the DAG, fuse `diag(v) · A` / `A · diag(v)`
+    /// products into the scaling kernels and `(A · B) ∘ M` into the masked
+    /// product (default `true`).
     ///
     /// Unlike [`simplify`](PlanOptions::simplify), these rules are
     /// identities in every commutative semiring (no constants are
@@ -344,6 +348,9 @@ impl Planner {
             report.tree_nodes += planned.size();
             roots.push(builder.build(&planned));
         }
+        if self.options.cost_rewrites {
+            builder.fuse_masked_products(&mut roots);
+        }
         report.rewrites.append(&mut builder.fused);
         let mut nodes = builder.nodes;
         let slots = builder.slots;
@@ -367,7 +374,10 @@ impl Planner {
                     _ => report.parallel_elementwise += 1,
                 }
             }
-            if matches!(node.op, PlanOp::ScaleRows { .. } | PlanOp::ScaleCols { .. }) {
+            if matches!(
+                node.op,
+                PlanOp::ScaleRows { .. } | PlanOp::ScaleCols { .. } | PlanOp::MaskedMatMul { .. }
+            ) {
                 report.fused_products += 1;
             }
             if node.op.supports_delta() {
@@ -429,8 +439,8 @@ struct Builder<'a> {
     scope: Vec<(String, Option<VarStats>)>,
     /// The enclosing loops' bound-variable names, innermost last.
     loops: Vec<Vec<String>>,
-    /// Diag-pushdown fusions performed while building, merged into
-    /// [`PlanReport::rewrites`] afterwards.
+    /// Diag-pushdown and masked-product fusions performed while building,
+    /// merged into [`PlanReport::rewrites`] afterwards.
     fused: Vec<AppliedRewrite>,
 }
 
@@ -679,27 +689,7 @@ impl Builder<'_> {
             return id;
         }
         let fingerprint = crate::plan::op_fingerprint(&key.0, &self.fingerprints);
-        // Observed truth beats the model: when this exact subtree was
-        // executed before with the same output shape, take its measured
-        // nnz and re-derive the representation choice from the observed
-        // density.  Parent estimates then propagate from the corrected
-        // value.  Shape mismatches mean the schema changed since the
-        // observation — ignore those.
-        let est = match (self.estimate(&key.0), self.observed.nodes.get(&fingerprint)) {
-            (Some(e), Some(obs)) if obs.rows == e.rows && obs.cols == e.cols => {
-                Some(finish(e.rows, e.cols, obs.nnz as f64, e.work, e.parallel))
-            }
-            // A node the model could not estimate at all (e.g. a variable
-            // absent from the statistics) still gets an observed one.
-            (None, Some(obs)) => Some(finish(
-                obs.rows,
-                obs.cols,
-                obs.nnz as f64,
-                obs.nnz as f64,
-                false,
-            )),
-            (e, _) => e,
-        };
+        let est = self.estimate_with_observed(&key.0, fingerprint);
         let id = self.nodes.len();
         self.nodes.push(PlanNode {
             op: key.0.clone(),
@@ -713,6 +703,152 @@ impl Builder<'_> {
         self.dedup.insert(key, id);
         self.mark_hoistable(id);
         id
+    }
+
+    /// The cost model's estimate for `op`, corrected by an observation of
+    /// the subtree with this `fingerprint`.  Observed truth beats the
+    /// model: when this exact subtree was executed before with the same
+    /// output shape, take its measured nnz and re-derive the representation
+    /// choice from the observed density.  Parent estimates then propagate
+    /// from the corrected value.  Shape mismatches mean the schema changed
+    /// since the observation — ignore those.
+    fn estimate_with_observed(&self, op: &PlanOp, fingerprint: u64) -> Option<NodeEstimate> {
+        match (self.estimate(op), self.observed.nodes.get(&fingerprint)) {
+            (Some(e), Some(obs)) if obs.rows == e.rows && obs.cols == e.cols => {
+                Some(finish(e.rows, e.cols, obs.nnz as f64, e.work, e.parallel))
+            }
+            // A node the model could not estimate at all (e.g. a variable
+            // absent from the statistics) still gets an observed one.
+            (None, Some(obs)) => Some(finish(
+                obs.rows,
+                obs.cols,
+                obs.nnz as f64,
+                obs.nnz as f64,
+                false,
+            )),
+            (e, _) => e,
+        }
+    }
+
+    /// Masked-product fusion, a pass over the finished DAG: rewrites
+    /// `Hadamard(MatMul(a, b), m)` / `Hadamard(m, MatMul(a, b))` into one
+    /// [`PlanOp::MaskedMatMul`] when the Hadamard is the product's only
+    /// consumer — a product another node or a root also reads is
+    /// materialized anyway — and the estimates certify the shapes, so the
+    /// fused kernel cannot hit an error the operands' evaluation order
+    /// would have hidden.  A loop-invariant product whose mask mentions a
+    /// rebound variable the product does not stays unfused too: the
+    /// executor keeps such a product across iterations, and fusing would
+    /// redo it in each.  The orphaned product nodes are dropped and the DAG
+    /// renumbered, `roots` included; nothing may be interned afterwards.
+    fn fuse_masked_products(&mut self, roots: &mut [NodeId]) {
+        let is_product = |id: NodeId| matches!(self.nodes[id].op, PlanOp::MatMul(..));
+        let any_candidate = self.nodes.iter().any(|node| match node.op {
+            PlanOp::Hadamard(l, r) => is_product(l) || is_product(r),
+            _ => false,
+        });
+        // Most plans stop here, before anything is allocated.
+        if !any_candidate {
+            return;
+        }
+        let n = self.nodes.len();
+        let mut consumers = vec![0usize; n];
+        let children = self.nodes.iter().flat_map(|node| node.op.children());
+        for child in children.chain(roots.iter().copied()) {
+            consumers[child] += 1;
+        }
+        // Every name some loop or `let` of the plan rebinds.
+        let rebound: BTreeSet<String> = self
+            .nodes
+            .iter()
+            .flat_map(|node| match &node.op {
+                PlanOp::For { var, acc, .. } => vec![var.clone(), acc.clone()],
+                PlanOp::Let { var, .. }
+                | PlanOp::Sum { var, .. }
+                | PlanOp::HProd { var, .. }
+                | PlanOp::MProd { var, .. } => vec![var.clone()],
+                _ => Vec::new(),
+            })
+            .collect();
+        let mut dead = vec![false; n];
+        for id in 0..n {
+            let PlanOp::Hadamard(l, r) = self.nodes[id].op else {
+                continue;
+            };
+            let candidate = [(l, r, false), (r, l, true)].into_iter().find_map(
+                |(product, mask, mask_on_left)| {
+                    let PlanOp::MatMul(left, right) = self.nodes[product].op else {
+                        return None;
+                    };
+                    let est = |id: NodeId| self.nodes[id].est;
+                    let (le, re, me) = (est(left)?, est(right)?, est(mask)?);
+                    let shapes_certified =
+                        le.cols == re.rows && (le.rows, re.cols) == (me.rows, me.cols);
+                    let kept_across_iterations = self.nodes[product].hoistable
+                        && self.nodes[mask].free_vars.iter().any(|var| {
+                            rebound.contains(var) && !self.nodes[product].free_vars.contains(var)
+                        });
+                    let fusable =
+                        consumers[product] == 1 && shapes_certified && !kept_across_iterations;
+                    fusable.then_some((
+                        product,
+                        PlanOp::MaskedMatMul {
+                            left,
+                            right,
+                            mask,
+                            mask_on_left,
+                        },
+                    ))
+                },
+            );
+            let Some((product, op)) = candidate else {
+                continue;
+            };
+            // The Hadamard node keeps its fingerprint: a masked product is
+            // fingerprinted as the pair it replaces.
+            let fused = self
+                .estimate_with_observed(&op, self.fingerprints[id])
+                .expect("operand estimates were just certified");
+            let unfused_work = self.nodes[id].est.map_or(fused.work, |e| e.work);
+            self.fused.push(AppliedRewrite {
+                rule: "masked-product",
+                detail: format!(
+                    "([{}×{}] product) ∘ mask fused into a masked product",
+                    fused.rows, fused.cols
+                ),
+                saving: (unfused_work - fused.work).max(0.0),
+            });
+            self.nodes[id].op = op;
+            dead[product] = true;
+        }
+        if !dead.contains(&true) {
+            return;
+        }
+        let mut new_id = Vec::with_capacity(n);
+        let mut next = 0;
+        for &gone in &dead {
+            new_id.push(next);
+            next += usize::from(!gone);
+        }
+        let mut gone = dead.iter();
+        self.nodes
+            .retain(|_| !*gone.next().expect("one flag per node"));
+        let mut gone = dead.iter();
+        self.fingerprints
+            .retain(|_| !*gone.next().expect("one flag per node"));
+        for root in roots {
+            *root = new_id[*root];
+        }
+        // Renumber, and re-derive every estimate above a masked product
+        // from its new one.  A variable's estimate came from the scope it
+        // was interned under and has no children to follow.
+        for id in 0..self.nodes.len() {
+            self.nodes[id].op.map_children(|child| new_id[child]);
+            if !matches!(self.nodes[id].op, PlanOp::Var(..)) {
+                self.nodes[id].est =
+                    self.estimate_with_observed(&self.nodes[id].op, self.fingerprints[id]);
+            }
+        }
     }
 
     /// Marks `id` loop-invariant when it occurs inside a loop body and is
@@ -742,6 +878,14 @@ impl Builder<'_> {
             | PlanOp::ScaleCols { mat: a, vec: b } => {
                 let mut out = of(a);
                 out.extend(of(b));
+                out
+            }
+            PlanOp::MaskedMatMul {
+                left, right, mask, ..
+            } => {
+                let mut out = of(left);
+                out.extend(of(right));
+                out.extend(of(mask));
                 out
             }
             PlanOp::Apply(_, args) => {
@@ -870,6 +1014,27 @@ impl Builder<'_> {
                     m.cols,
                     m.nnz * scale_frac,
                     v.work + m.work + m.nnz,
+                    false,
+                ))
+            }
+            PlanOp::MaskedMatMul {
+                left, right, mask, ..
+            } => {
+                let (l, r, m) = (est(left)?, est(right)?, est(mask)?);
+                if l.cols != r.rows {
+                    return None;
+                }
+                let (nnz, own_work) =
+                    product_cost((l.rows, l.cols, l.nnz), (r.rows, r.cols, r.nnz));
+                // The kernel stamps the mask's entries and multiplies only
+                // the product terms that land on one; an entry survives
+                // where both the product and the mask have one.
+                let kept = m.density();
+                Some(finish(
+                    l.rows,
+                    r.cols,
+                    nnz * kept,
+                    l.work + r.work + m.work + own_work * kept + m.nnz,
                     false,
                 ))
             }

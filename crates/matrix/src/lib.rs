@@ -58,3 +58,18 @@ pub use storage::MatrixStorage;
 
 /// Convenience alias for results in this crate.
 pub type Result<T> = std::result::Result<T, MatrixError>;
+
+/// Estimated multiply-adds below which a matrix product is not timed into
+/// `kernel_dense_matmul_us` / `kernel_sparse_matmul_us`: two clock reads
+/// and the histogram's atomics cost ≈ 0.1 µs, which a 12 × 12 product
+/// pays to record 0 µs.  The same kind of constant as the planner's
+/// `PARALLEL_WORK_THRESHOLD`: at 1–10 ns per multiply-add a product this
+/// size runs for 10 µs or more, so the timer stays under 1 % of what it
+/// measures and the histograms' `_sum` loses only sub-resolution samples.
+const KERNEL_TIMER_MIN_WORK: usize = 10_000;
+
+/// The start instant for a product kernel's histogram sample, when the
+/// product is big enough to be worth timing and metrics are on.
+fn kernel_timer(work: usize) -> Option<std::time::Instant> {
+    (work >= KERNEL_TIMER_MIN_WORK && matlang_obs::enabled()).then(std::time::Instant::now)
+}

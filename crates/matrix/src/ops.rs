@@ -50,7 +50,8 @@ impl<K: Semiring> Matrix<K> {
             });
         }
         let (n, m) = (self.rows(), other.cols());
-        let timer = matlang_obs::enabled().then(std::time::Instant::now);
+        let work = n.saturating_mul(self.cols()).saturating_mul(m);
+        let timer = crate::kernel_timer(work);
         let mut out = vec![K::zero(); n * m];
         self.matmul_into_rows(other, 0..n, &mut out);
         if let Some(t) = timer {

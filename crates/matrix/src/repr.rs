@@ -23,6 +23,7 @@
 use crate::sparse::SparseMatrix;
 use crate::{Matrix, Result};
 use matlang_semiring::{Ring, Semiring};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Sparse results denser than this are converted to dense storage.
@@ -69,17 +70,28 @@ impl<K: Semiring> MatrixRepr<K> {
 
     /// Exact conversion to dense storage.
     pub fn to_dense(&self) -> Matrix<K> {
-        match self {
-            MatrixRepr::Dense(d) => d.clone(),
-            MatrixRepr::Sparse(s) => s.to_dense(),
-        }
+        self.as_dense().into_owned()
     }
 
     /// Exact conversion to CSR storage.
     pub fn to_sparse(&self) -> SparseMatrix<K> {
+        self.as_sparse().into_owned()
+    }
+
+    /// The value in dense storage: borrowed when it already is, converted
+    /// otherwise — what a kernel that only reads its operand wants.
+    fn as_dense(&self) -> Cow<'_, Matrix<K>> {
         match self {
-            MatrixRepr::Dense(d) => SparseMatrix::from_dense(d),
-            MatrixRepr::Sparse(s) => s.clone(),
+            MatrixRepr::Dense(d) => Cow::Borrowed(d),
+            MatrixRepr::Sparse(s) => Cow::Owned(s.to_dense()),
+        }
+    }
+
+    /// The value in CSR storage, borrowed when it already is.
+    fn as_sparse(&self) -> Cow<'_, SparseMatrix<K>> {
+        match self {
+            MatrixRepr::Dense(d) => Cow::Owned(SparseMatrix::from_dense(d)),
+            MatrixRepr::Sparse(s) => Cow::Borrowed(s),
         }
     }
 
@@ -211,7 +223,7 @@ impl<K: Semiring> MatrixRepr<K> {
         use MatrixRepr::{Dense, Sparse};
         let out = match (self, other) {
             (Sparse(a), Sparse(b)) => Sparse(a.add(b)?),
-            (a, b) => Dense(a.to_dense().add(&b.to_dense())?),
+            (a, b) => Dense(a.as_dense().add(&b.as_dense())?),
         };
         Ok(out.normalized())
     }
@@ -254,9 +266,25 @@ impl<K: Semiring> MatrixRepr<K> {
         use MatrixRepr::{Dense, Sparse};
         let out = match (self, other) {
             (Dense(a), Dense(b)) => Dense(a.hadamard(b)?),
-            (a, b) => Sparse(a.to_sparse().hadamard(&b.to_sparse())?),
+            (a, b) => Sparse(a.as_sparse().hadamard(&b.as_sparse())?),
         };
         Ok(out.normalized())
+    }
+
+    /// Fused `(self · other) ∘ mask` (`mask ∘ (self · other)` with
+    /// `mask_on_left`).  Three CSR operands run the masked Gustavson pass
+    /// of [`SparseMatrix::matmul_masked`] and never build the product; any
+    /// dense operand takes the unfused pair.  Entries, errors and the
+    /// normalized representation are those of [`MatrixRepr::matmul`]
+    /// followed by [`MatrixRepr::hadamard`].
+    pub fn matmul_masked(&self, other: &Self, mask: &Self, mask_on_left: bool) -> Result<Self> {
+        use MatrixRepr::Sparse;
+        match (self, other, mask) {
+            (Sparse(a), Sparse(b), Sparse(m)) => {
+                Ok(Sparse(a.matmul_masked(b, m, mask_on_left)?).normalized())
+            }
+            _ => crate::storage::matmul_then_mask(self, other, mask, mask_on_left),
+        }
     }
 
     /// [`MatrixRepr::add`] with up to `threads` pooled workers for the
@@ -268,7 +296,7 @@ impl<K: Semiring> MatrixRepr<K> {
         let out = match (self, other) {
             (Sparse(a), Sparse(b)) => Sparse(a.add(b)?),
             (Dense(a), Dense(b)) => Dense(a.add_threaded(b, threads)?),
-            (a, b) => Dense(a.to_dense().add(&b.to_dense())?),
+            (a, b) => Dense(a.as_dense().add(&b.as_dense())?),
         };
         Ok(out.normalized())
     }

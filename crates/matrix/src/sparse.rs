@@ -466,13 +466,101 @@ impl<K: Semiring> SparseMatrix<K> {
                 right: other.shape(),
             });
         }
-        let timer = matlang_obs::enabled().then(std::time::Instant::now);
+        let timer = crate::kernel_timer(self.product_work(other));
         let out = self.matmul_rows(other, 0..self.rows);
         if let Some(t) = timer {
             matlang_obs::histogram!("kernel_sparse_matmul_us")
                 .observe(t.elapsed().as_micros() as u64);
         }
         Ok(out)
+    }
+
+    /// Expected multiply-adds of `self · other` — every stored left entry
+    /// against an average right row — in O(1), for the kernel-timer gate.
+    fn product_work(&self, other: &SparseMatrix<K>) -> usize {
+        self.nnz().saturating_mul(other.nnz()) / other.rows.max(1)
+    }
+
+    /// Fused `(self · other) ∘ mask` (`mask ∘ (self · other)` with
+    /// `mask_on_left`): Gustavson's row pass accumulating only at the
+    /// columns row `i` of `mask` stores, so the product is never built,
+    /// sorted or copied.  Bit-identical to the unfused pair: each kept entry
+    /// sums the same terms in the same `k`-ascending order (first term
+    /// assigned, not added), a product entry that sums to zero is dropped
+    /// before it meets the mask, `⊗` keeps its operand order, and the two
+    /// shape errors are the unfused pair's, inner dimension first.
+    pub fn matmul_masked(
+        &self,
+        other: &SparseMatrix<K>,
+        mask: &SparseMatrix<K>,
+        mask_on_left: bool,
+    ) -> Result<SparseMatrix<K>> {
+        if self.cols != other.rows {
+            return Err(MatrixError::InnerDimensionMismatch {
+                left: self.shape(),
+                right: other.shape(),
+            });
+        }
+        let product_shape = (self.rows, other.cols);
+        if product_shape != mask.shape() {
+            let (left, right) = if mask_on_left {
+                (mask.shape(), product_shape)
+            } else {
+                (product_shape, mask.shape())
+            };
+            return Err(MatrixError::ShapeMismatch {
+                left,
+                right,
+                op: "hadamard",
+            });
+        }
+        let timer = crate::kernel_timer(self.product_work(other));
+        let mut out = CsrBuilder::new(mask.rows, mask.cols, mask.nnz());
+        // `slot[j]` is 1 + the position in `mask`'s entry arrays of the
+        // entry that last claimed column `j`.  Positions grow with the row,
+        // so a value past the current row's start is this row's own stamp
+        // and the array is never cleared.
+        let mut slot = vec![0usize; mask.cols];
+        let mut acc: Vec<Option<K>> = Vec::new();
+        for i in 0..mask.rows {
+            let start = mask.indptr[i];
+            let (mc, mv) = mask.row_slices(i);
+            if !mc.is_empty() {
+                for (p, &j) in mc.iter().enumerate() {
+                    slot[j] = start + p + 1;
+                }
+                acc.clear();
+                acc.resize(mc.len(), None);
+                let (ac, av) = self.row_slices(i);
+                for (&k, a) in ac.iter().zip(av) {
+                    let (bc, bv) = other.row_slices(k);
+                    for (&j, b) in bc.iter().zip(bv) {
+                        if slot[j] > start {
+                            let term = a.mul(b);
+                            let cell = &mut acc[slot[j] - start - 1];
+                            *cell = Some(match cell.take() {
+                                Some(sum) => sum.add(&term),
+                                None => term,
+                            });
+                        }
+                    }
+                }
+                for ((&j, m), cell) in mc.iter().zip(mv).zip(&mut acc) {
+                    match cell.take() {
+                        Some(v) if !v.is_zero() => {
+                            out.push(j, if mask_on_left { m.mul(&v) } else { v.mul(m) })
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            out.finish_row();
+        }
+        if let Some(t) = timer {
+            matlang_obs::histogram!("kernel_sparse_matmul_us")
+                .observe(t.elapsed().as_micros() as u64);
+        }
+        Ok(out.build())
     }
 
     /// The Gustavson kernel restricted to the output rows in `rows`: computes

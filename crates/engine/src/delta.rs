@@ -444,18 +444,8 @@ where
         PlanOp::MatMul(a, b) => matmul_delta(cache, overlay, deltas, *a, *b),
         PlanOp::Hadamard(a, b) => hadamard_delta(cache, overlay, deltas, *a, *b),
         PlanOp::MaskedMatMul {
-            left,
-            right,
-            mask,
-            mask_on_left,
-        } => masked_delta(
-            cache,
-            overlay,
-            deltas,
-            (*left, *right),
-            *mask,
-            *mask_on_left,
-        ),
+            left, right, mask, ..
+        } => masked_delta(cache, overlay, deltas, (*left, *right), *mask),
         PlanOp::ScalarMul(s, e) => {
             if !matches!(child(*s), NodeDelta::Clean) {
                 // The scalar operand changed: every entry of the result
@@ -601,14 +591,15 @@ where
 /// own support.  The second needs the product only in the rows `Δm`
 /// touches: a 0/1 row selector `S` gives `S·l_new`, those rows of `l_new`,
 /// and `(S·l_new)·r_new` is those rows of the product — two sparse-delta
-/// products on any backend, never a full one.
+/// products on any backend, never a full one.  Both terms multiply
+/// product ⊗ mask as the kernel does, whichever side of the `∘` the mask
+/// was written on.
 fn masked_delta<K, M>(
     cache: &NodeCache<M>,
     overlay: &DeltaOverlay<K>,
     deltas: &[NodeDelta<K>],
     (left, right): (NodeId, NodeId),
     mask: NodeId,
-    mask_on_left: bool,
 ) -> NodeDelta<K>
 where
     K: Semiring,
@@ -621,9 +612,7 @@ where
     }
     let terms = || -> Option<Option<SparseMatrix<K>>> {
         let through_product = match &dp {
-            NodeDelta::Dirty(d) => {
-                Some(delta_hadamard_node(cache, overlay, d, mask, mask_on_left)?)
-            }
+            NodeDelta::Dirty(d) => Some(delta_hadamard_node(cache, overlay, d, mask, false)?),
             _ => None,
         };
         let through_mask = match dm {
@@ -638,12 +627,7 @@ where
                 .ok()?;
                 let l_rows = delta_times_node(cache, overlay, &selector, left).ok()?;
                 let p_rows = delta_times_node(cache, overlay, &l_rows, right).ok()?;
-                let term = if mask_on_left {
-                    d.hadamard(&p_rows)
-                } else {
-                    p_rows.hadamard(d)
-                };
-                Some(term.ok()?)
+                Some(p_rows.hadamard(d).ok()?)
             }
             _ => None,
         };

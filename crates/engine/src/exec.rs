@@ -463,11 +463,14 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
                     (l, r, self.eval_node(*mask)?)
                 };
                 self.stats.fused_products += 1;
-                Ok(Arc::new(l.matmul_masked(
-                    r.as_ref(),
-                    m.as_ref(),
-                    *mask_on_left,
-                )?))
+                let parallel = plan.node(id).est.map(|e| e.parallel).unwrap_or(false);
+                let masked = if parallel && self.options.threads > 1 {
+                    self.stats.parallel_products += 1;
+                    l.matmul_masked_threaded(r.as_ref(), m.as_ref(), self.options.threads)?
+                } else {
+                    l.matmul_masked(r.as_ref(), m.as_ref())?
+                };
+                Ok(Arc::new(masked))
             }
             PlanOp::Hadamard(a, b) => {
                 let parallel = plan.node(id).est.map(|e| e.parallel).unwrap_or(false);

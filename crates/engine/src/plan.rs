@@ -103,12 +103,15 @@ pub enum PlanOp {
         vec: NodeId,
     },
     /// Fused `(left · right) ∘ mask` — the planner's masked-product rewrite
-    /// of a Hadamard product with a matrix product nothing else reads.
-    /// Evaluates its operands in the unfused order (`mask` first when it
-    /// was the Hadamard's left operand) and runs
-    /// [`matlang_matrix::MatrixStorage::matmul_masked`], which on CSR
+    /// of a Hadamard product with a matrix product nothing else reads, all
+    /// three operands estimated sparse.  Evaluates its operands in the
+    /// unfused order (`mask` first when it was the Hadamard's left operand)
+    /// and runs [`matlang_matrix::MatrixStorage::matmul_masked`] (its
+    /// threaded form when the product is marked parallel), which on CSR
     /// operands accumulates only at the mask's stored positions instead of
-    /// materializing the product.
+    /// materializing the product.  The kernel multiplies product ⊗ mask for
+    /// either operand order: like every cost rewrite, the fusion assumes a
+    /// commutative `⊗`.
     MaskedMatMul {
         /// The product's left factor.
         left: NodeId,

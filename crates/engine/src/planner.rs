@@ -19,7 +19,8 @@
 //!    mark products heavy enough for the row-partitioned parallel kernel.
 //! 5. **Masked-product fusion** — once every query is in the DAG and each
 //!    node's consumers are known, a Hadamard product with a matrix product
-//!    nothing else reads becomes one [`PlanOp::MaskedMatMul`].
+//!    nothing else reads becomes one [`PlanOp::MaskedMatMul`] when the cost
+//!    model chose the sparse representation for both factors and the mask.
 
 use crate::plan::{
     AppliedRewrite, ConstVal, NodeEstimate, NodeId, Plan, PlanNode, PlanOp, PlanReport, ReprChoice,
@@ -370,7 +371,9 @@ impl Planner {
             }
             if node.est.map(|e| e.parallel).unwrap_or(false) {
                 match node.op {
-                    PlanOp::MatMul(_, _) => report.parallel_products += 1,
+                    PlanOp::MatMul(_, _) | PlanOp::MaskedMatMul { .. } => {
+                        report.parallel_products += 1
+                    }
                     _ => report.parallel_elementwise += 1,
                 }
             }
@@ -732,15 +735,22 @@ impl Builder<'_> {
 
     /// Masked-product fusion, a pass over the finished DAG: rewrites
     /// `Hadamard(MatMul(a, b), m)` / `Hadamard(m, MatMul(a, b))` into one
-    /// [`PlanOp::MaskedMatMul`] when the Hadamard is the product's only
-    /// consumer — a product another node or a root also reads is
-    /// materialized anyway — and the estimates certify the shapes, so the
-    /// fused kernel cannot hit an error the operands' evaluation order
-    /// would have hidden.  A loop-invariant product whose mask mentions a
-    /// rebound variable the product does not stays unfused too: the
-    /// executor keeps such a product across iterations, and fusing would
-    /// redo it in each.  The orphaned product nodes are dropped and the DAG
-    /// renumbered, `roots` included; nothing may be interned afterwards.
+    /// [`PlanOp::MaskedMatMul`] when
+    ///
+    /// * the Hadamard is the product's only consumer — a product another
+    ///   node or a root also reads is materialized anyway;
+    /// * the estimates certify the shapes, so the fused kernel cannot hit an
+    ///   error the operands' evaluation order would have hidden;
+    /// * the estimates choose CSR for both factors and the mask — only three
+    ///   CSR operands run the masked pass, with a dense one the kernel is
+    ///   the unfused pair and fusing would only take the product out of the
+    ///   cache and off the plan;
+    /// * the product is not a loop-invariant whose mask mentions a rebound
+    ///   variable the product does not: the executor keeps such a product
+    ///   across iterations, and fusing would redo it in each.
+    ///
+    /// The orphaned product nodes are dropped and the DAG renumbered,
+    /// `roots` included; nothing may be interned afterwards.
     fn fuse_masked_products(&mut self, roots: &mut [NodeId]) {
         let is_product = |id: NodeId| matches!(self.nodes[id].op, PlanOp::MatMul(..));
         let any_candidate = self.nodes.iter().any(|node| match node.op {
@@ -788,8 +798,11 @@ impl Builder<'_> {
                         && self.nodes[mask].free_vars.iter().any(|var| {
                             rebound.contains(var) && !self.nodes[product].free_vars.contains(var)
                         });
-                    let fusable =
-                        consumers[product] == 1 && shapes_certified && !kept_across_iterations;
+                    let all_sparse = [le, re, me].iter().all(|e| e.choice == ReprChoice::Sparse);
+                    let fusable = consumers[product] == 1
+                        && shapes_certified
+                        && all_sparse
+                        && !kept_across_iterations;
                     fusable.then_some((
                         product,
                         PlanOp::MaskedMatMul {
@@ -1026,16 +1039,18 @@ impl Builder<'_> {
                 }
                 let (nnz, own_work) =
                     product_cost((l.rows, l.cols, l.nnz), (r.rows, r.cols, r.nnz));
-                // The kernel stamps the mask's entries and multiplies only
-                // the product terms that land on one; an entry survives
-                // where both the product and the mask have one.
-                let kept = m.density();
+                // The kernel still visits every term of the product — that
+                // is the work, and what the threaded kernels are chosen on —
+                // but keeps only those landing on a stamped mask entry; an
+                // entry survives where both the product and the mask have
+                // one.
+                let kept = nnz * m.density();
                 Some(finish(
                     l.rows,
                     r.cols,
-                    nnz * kept,
-                    l.work + r.work + m.work + own_work * kept + m.nnz,
-                    false,
+                    kept,
+                    l.work + r.work + m.work + own_work + kept,
+                    own_work >= PARALLEL_WORK_THRESHOLD,
                 ))
             }
             PlanOp::Apply(_, args) => {

@@ -21,9 +21,14 @@ fn total(hadamard: Expr) -> Expr {
     var("G").ones().t().mm(hadamard.mm(var("G").ones()))
 }
 
-/// Four `n × n` operands, sparse enough that a product entry rarely lands
-/// on a mask entry and dense enough that some do.
+/// Four `n × n` operands at density 0.2: sparse enough for the estimates to
+/// choose CSR and a product entry to rarely land on a mask entry, dense
+/// enough that some do.
 fn operands<K: Semiring>(n: usize, integer_entries: bool) -> Instance<K> {
+    operands_at(n, integer_entries, 0.8)
+}
+
+fn operands_at<K: Semiring>(n: usize, integer_entries: bool, zero_probability: f64) -> Instance<K> {
     let operand = |seed| {
         random_matrix::<K>(
             n,
@@ -32,7 +37,7 @@ fn operands<K: Semiring>(n: usize, integer_entries: bool) -> Instance<K> {
                 seed,
                 min_value: if integer_entries { 1.0 } else { -1.0 },
                 max_value: if integer_entries { 3.0 } else { 1.0 },
-                zero_probability: 0.8,
+                zero_probability,
                 integer_entries,
             },
         )
@@ -117,9 +122,10 @@ fn the_triangle_query_and_its_commuted_form_fuse() {
     let triangles = total(g().mm(g()).had(g()));
     let commuted = total(g().had(g().mm(g())));
     // Integer weights: the outer chain may be re-associated, which only
-    // exact sums survive bit for bit.
-    let real = operands::<Real>(40, true);
-    let boolean = operands::<Boolean>(40, true);
+    // exact sums survive bit for bit.  Two entries a row, so the product is
+    // not estimated full and the mask is estimated to drop most of it.
+    let real = operands_at::<Real>(40, true, 0.95);
+    let boolean = operands_at::<Boolean>(40, true, 0.95);
     for query in [&triangles, &commuted] {
         let plan = assert_fused_parity(std::slice::from_ref(query), &real, 1);
         assert_fused_parity(std::slice::from_ref(query), &boolean, 1);
@@ -199,9 +205,10 @@ fn a_loop_invariant_product_under_a_varying_mask_stays_unfused() {
     // redo it under every v·vᵀ.
     let kept = Expr::sum("v", "n", var("G").mm(var("G")).had(v().diag()));
     assert_fused_parity(&[kept], &inst, 0);
-    // Under v·vᵀ it is that product which fuses, with G·G as its mask.
+    // Nor does v·vᵀ fuse with G·G as its mask: vectors this small are
+    // estimated (and stored) dense.
     let kept = Expr::sum("v", "n", var("G").mm(var("G")).had(v().mm(v().t())));
-    let plan = assert_fused_parity(&[kept], &inst, 1);
+    let plan = assert_fused_parity(&[kept], &inst, 0);
     assert!(plan.nodes().iter().any(|n| product(&n.op) && n.hoistable));
     // A product that varies with the loop fuses inside it.
     let varying = Expr::sum("v", "n", v().mm(v().t()).mm(var("G")).had(var("M")));
@@ -238,6 +245,53 @@ fn without_statistics_or_cost_rewrites_nothing_fuses() {
         fused.node_fingerprints()[fused.roots()[0]],
         plan.node_fingerprints()[plan.roots()[0]]
     );
+}
+
+#[test]
+fn a_dense_masked_product_keeps_the_threaded_pair() {
+    // 200³ = 8e6 multiplies, past the planner's threaded-kernel threshold.
+    // With a dense operand the fused kernel is the unfused pair run on one
+    // thread, so the plan must keep the pair and its parallel marks.
+    let n = 200;
+    let d = random_matrix::<Real>(n, n, &RandomMatrixConfig::seeded(5));
+    let inst: Instance<Real> = Instance::new().with_dim("n", n).with_matrix("D", d);
+    let registry = FunctionRegistry::<Real>::new();
+    let query = var("D").mm(var("D")).had(var("D"));
+    let expected = evaluate(&query, &inst, &registry).unwrap();
+    for (threads, threaded_products) in [(4, 1), (1, 0)] {
+        let engine = Engine::builder().threads(threads).build();
+        let out = engine.evaluate_batch(std::slice::from_ref(&query), &inst, &registry);
+        assert_eq!(out.report.fused_products, 0, "{}", out.report);
+        assert_eq!(out.report.parallel_products, 1, "{}", out.report);
+        assert_eq!(out.stats.parallel_products, threaded_products);
+        assert_eq!(out.stats.fused_products, 0);
+        assert_eq!(out.results[0].as_ref().unwrap(), &expected);
+    }
+}
+
+#[test]
+fn a_large_sparse_masked_product_runs_the_threaded_masked_kernel() {
+    // 4 000 rows of ≈ 17 entries: ≈ 1.2e6 product terms, so the fused node
+    // carries the product's parallel mark.
+    let n = 4000;
+    let g = sparse_erdos_renyi::<Real>(n, 17.0, 23);
+    let inst: SparseInstance<Real> = Instance::new()
+        .with_dim("n", n)
+        .with_matrix("G", MatrixRepr::from_sparse_auto(g));
+    let registry = FunctionRegistry::<Real>::new();
+    let query = var("G").mm(var("G")).had(var("G"));
+    let run =
+        |engine: Engine| engine.evaluate_batch(std::slice::from_ref(&query), &inst, &registry);
+    let unfused = run(Engine::builder().cost_rewrites(false).threads(1).build());
+    assert_eq!(unfused.report.fused_products, 0);
+    for (threads, threaded_products) in [(4, 1), (1, 0)] {
+        let out = run(Engine::builder().threads(threads).build());
+        assert_eq!(out.report.fused_products, 1, "{}", out.report);
+        assert_eq!(out.report.parallel_products, 1, "{}", out.report);
+        assert_eq!(out.stats.fused_products, 1);
+        assert_eq!(out.stats.parallel_products, threaded_products);
+        assert_eq!(out.results[0], unfused.results[0], "{threads} threads");
+    }
 }
 
 /// Release timing guard: the fused triangle plan against the same plan with

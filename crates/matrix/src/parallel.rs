@@ -23,10 +23,10 @@
 //! Passing `threads ≤ 1` (or a matrix too small to split) short-circuits to
 //! the serial kernel, so the threaded entry points are always safe to call.
 //!
-//! Threaded kernels: dense matrix product, Gustavson SpMM, and the dense
-//! elementwise `add` / `hadamard` (row-partitioned exactly like the
-//! products; elementwise kernels are memory-bound, so the win appears later
-//! than for products, but large Σ-loop bodies benefit).
+//! Threaded kernels: dense matrix product, Gustavson SpMM and its masked
+//! form, and the dense elementwise `add` / `hadamard` (row-partitioned
+//! exactly like the products; elementwise kernels are memory-bound, so the
+//! win appears later than for products, but large Σ-loop bodies benefit).
 
 use crate::pool::WorkerPool;
 use crate::{Matrix, MatrixError, Result, SparseMatrix};
@@ -177,27 +177,55 @@ impl<K: Semiring> SparseMatrix<K> {
                 right: other.shape(),
             });
         }
-        if threads <= 1 || self.rows() <= 1 {
-            return Ok(self.matmul_rows(other, 0..self.rows()));
-        }
-        let ranges = row_ranges(self.rows(), threads);
-        let mut blocks: Vec<Option<SparseMatrix<K>>> = vec![None; ranges.len()];
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = ranges
-            .into_iter()
-            .zip(blocks.iter_mut())
-            .map(|(range, slot)| {
-                Box::new(move || {
-                    *slot = Some(self.matmul_rows(other, range));
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        WorkerPool::global().scoped(tasks);
-        let blocks: Vec<SparseMatrix<K>> = blocks
-            .into_iter()
-            .map(|b| b.expect("SpMM worker completed"))
-            .collect();
-        SparseMatrix::vstack(&blocks)
+        stacked_row_blocks(self.rows(), threads, |rows| self.matmul_rows(other, rows))
     }
+
+    /// Fused `(self · other) ∘ mask` computed by up to `threads` pooled
+    /// workers: the masked row pass is as independent per output row as
+    /// the plain one, so it is partitioned and reassembled the same way.
+    /// Bit-identical to [`SparseMatrix::matmul_masked`].
+    pub fn matmul_masked_threaded(
+        &self,
+        other: &SparseMatrix<K>,
+        mask: &SparseMatrix<K>,
+        threads: usize,
+    ) -> Result<SparseMatrix<K>> {
+        self.check_masked_shapes(other, mask)?;
+        stacked_row_blocks(self.rows(), threads, |rows| {
+            self.matmul_masked_rows(other, mask, rows)
+        })
+    }
+}
+
+/// Runs `kernel` over one contiguous range of `0..rows` per worker and
+/// stacks the CSR blocks it returns in row order; `threads ≤ 1` or a
+/// single row runs it once over the whole range on the calling thread.
+fn stacked_row_blocks<K: Semiring>(
+    rows: usize,
+    threads: usize,
+    kernel: impl Fn(std::ops::Range<usize>) -> SparseMatrix<K> + Sync,
+) -> Result<SparseMatrix<K>> {
+    if threads <= 1 || rows <= 1 {
+        return Ok(kernel(0..rows));
+    }
+    let ranges = row_ranges(rows, threads);
+    let mut blocks: Vec<Option<SparseMatrix<K>>> = vec![None; ranges.len()];
+    let kernel = &kernel;
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = ranges
+        .into_iter()
+        .zip(blocks.iter_mut())
+        .map(|(range, slot)| {
+            Box::new(move || {
+                *slot = Some(kernel(range));
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    WorkerPool::global().scoped(tasks);
+    let blocks: Vec<SparseMatrix<K>> = blocks
+        .into_iter()
+        .map(|b| b.expect("SpMM worker completed"))
+        .collect();
+    SparseMatrix::vstack(&blocks)
 }
 
 #[cfg(test)]
@@ -250,6 +278,20 @@ mod tests {
         let serial = a.matmul(&b).unwrap();
         for threads in [1, 2, 3, 7, 200] {
             assert_eq!(a.matmul_threaded(&b, threads).unwrap(), serial);
+        }
+    }
+
+    #[test]
+    fn threaded_masked_spmm_is_bit_identical() {
+        let a: SparseMatrix<Real> = sparse_erdos_renyi(120, 5.0, 9);
+        let b: SparseMatrix<Real> = sparse_erdos_renyi(120, 3.0, 10);
+        let mask: SparseMatrix<Real> = sparse_erdos_renyi(120, 40.0, 11);
+        let unfused = a.matmul(&b).unwrap().hadamard(&mask).unwrap();
+        assert!(unfused.nnz() > 0);
+        assert_eq!(a.matmul_masked(&b, &mask).unwrap(), unfused);
+        for threads in [1, 2, 3, 7, 200] {
+            let threaded = a.matmul_masked_threaded(&b, &mask, threads).unwrap();
+            assert_eq!(threaded, unfused);
         }
     }
 

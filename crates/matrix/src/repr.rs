@@ -271,19 +271,36 @@ impl<K: Semiring> MatrixRepr<K> {
         Ok(out.normalized())
     }
 
-    /// Fused `(self · other) ∘ mask` (`mask ∘ (self · other)` with
-    /// `mask_on_left`).  Three CSR operands run the masked Gustavson pass
-    /// of [`SparseMatrix::matmul_masked`] and never build the product; any
-    /// dense operand takes the unfused pair.  Entries, errors and the
-    /// normalized representation are those of [`MatrixRepr::matmul`]
+    /// Fused `(self · other) ∘ mask`.  Three CSR operands run the masked
+    /// Gustavson pass of [`SparseMatrix::matmul_masked`] and never build the
+    /// product; any dense operand takes the unfused pair.  Entries, errors
+    /// and the normalized representation are those of [`MatrixRepr::matmul`]
     /// followed by [`MatrixRepr::hadamard`].
-    pub fn matmul_masked(&self, other: &Self, mask: &Self, mask_on_left: bool) -> Result<Self> {
+    pub fn matmul_masked(&self, other: &Self, mask: &Self) -> Result<Self> {
+        use MatrixRepr::Sparse;
+        match (self, other, mask) {
+            (Sparse(a), Sparse(b), Sparse(m)) => Ok(Sparse(a.matmul_masked(b, m)?).normalized()),
+            _ => self.matmul(other)?.hadamard(mask),
+        }
+    }
+
+    /// [`MatrixRepr::matmul_masked`] with up to `threads` pooled workers,
+    /// in the masked pass for three CSR operands and in the unfused pair
+    /// otherwise.  Bit-identical to [`MatrixRepr::matmul_masked`].
+    pub fn matmul_masked_threaded(
+        &self,
+        other: &Self,
+        mask: &Self,
+        threads: usize,
+    ) -> Result<Self> {
         use MatrixRepr::Sparse;
         match (self, other, mask) {
             (Sparse(a), Sparse(b), Sparse(m)) => {
-                Ok(Sparse(a.matmul_masked(b, m, mask_on_left)?).normalized())
+                Ok(Sparse(a.matmul_masked_threaded(b, m, threads)?).normalized())
             }
-            _ => crate::storage::matmul_then_mask(self, other, mask, mask_on_left),
+            _ => self
+                .matmul_threaded(other, threads)?
+                .hadamard_threaded(mask, threads),
         }
     }
 

@@ -481,48 +481,71 @@ impl<K: Semiring> SparseMatrix<K> {
         self.nnz().saturating_mul(other.nnz()) / other.rows.max(1)
     }
 
-    /// Fused `(self · other) ∘ mask` (`mask ∘ (self · other)` with
-    /// `mask_on_left`): Gustavson's row pass accumulating only at the
-    /// columns row `i` of `mask` stores, so the product is never built,
-    /// sorted or copied.  Bit-identical to the unfused pair: each kept entry
-    /// sums the same terms in the same `k`-ascending order (first term
+    /// Fused `(self · other) ∘ mask`: Gustavson's row pass accumulating only
+    /// at the columns row `i` of `mask` stores, so the product is never
+    /// built, sorted or copied.  Bit-identical to the unfused pair: each kept
+    /// entry sums the same terms in the same `k`-ascending order (first term
     /// assigned, not added), a product entry that sums to zero is dropped
-    /// before it meets the mask, `⊗` keeps its operand order, and the two
-    /// shape errors are the unfused pair's, inner dimension first.
+    /// before it meets the mask, and the two shape errors are the unfused
+    /// pair's, inner dimension first.
     pub fn matmul_masked(
         &self,
         other: &SparseMatrix<K>,
         mask: &SparseMatrix<K>,
-        mask_on_left: bool,
     ) -> Result<SparseMatrix<K>> {
+        self.check_masked_shapes(other, mask)?;
+        let timer = crate::kernel_timer(self.product_work(other));
+        let out = self.matmul_masked_rows(other, mask, 0..self.rows);
+        if let Some(t) = timer {
+            matlang_obs::histogram!("kernel_sparse_matmul_us")
+                .observe(t.elapsed().as_micros() as u64);
+        }
+        Ok(out)
+    }
+
+    /// The errors of `self.matmul(other)?.hadamard(mask)`, in its order.
+    pub(crate) fn check_masked_shapes(
+        &self,
+        other: &SparseMatrix<K>,
+        mask: &SparseMatrix<K>,
+    ) -> Result<()> {
         if self.cols != other.rows {
             return Err(MatrixError::InnerDimensionMismatch {
                 left: self.shape(),
                 right: other.shape(),
             });
         }
-        let product_shape = (self.rows, other.cols);
-        if product_shape != mask.shape() {
-            let (left, right) = if mask_on_left {
-                (mask.shape(), product_shape)
-            } else {
-                (product_shape, mask.shape())
-            };
+        if (self.rows, other.cols) != mask.shape() {
             return Err(MatrixError::ShapeMismatch {
-                left,
-                right,
+                left: (self.rows, other.cols),
+                right: mask.shape(),
                 op: "hadamard",
             });
         }
-        let timer = crate::kernel_timer(self.product_work(other));
-        let mut out = CsrBuilder::new(mask.rows, mask.cols, mask.nnz());
+        Ok(())
+    }
+
+    /// The masked kernel restricted to the output rows in `rows`, the unit
+    /// of work of the row-partitioned masked product in [`crate::parallel`]
+    /// the way [`matmul_rows`](Self::matmul_rows) is the plain product's.
+    ///
+    /// Callers must have run [`check_masked_shapes`](Self::check_masked_shapes)
+    /// and keep `rows` within `0..self.rows`.
+    pub(crate) fn matmul_masked_rows(
+        &self,
+        other: &SparseMatrix<K>,
+        mask: &SparseMatrix<K>,
+        rows: std::ops::Range<usize>,
+    ) -> SparseMatrix<K> {
+        let block_nnz = mask.indptr[rows.end] - mask.indptr[rows.start];
+        let mut out = CsrBuilder::new(rows.len(), mask.cols, block_nnz);
         // `slot[j]` is 1 + the position in `mask`'s entry arrays of the
         // entry that last claimed column `j`.  Positions grow with the row,
         // so a value past the current row's start is this row's own stamp
         // and the array is never cleared.
         let mut slot = vec![0usize; mask.cols];
         let mut acc: Vec<Option<K>> = Vec::new();
-        for i in 0..mask.rows {
+        for i in rows {
             let start = mask.indptr[i];
             let (mc, mv) = mask.row_slices(i);
             if !mc.is_empty() {
@@ -547,20 +570,14 @@ impl<K: Semiring> SparseMatrix<K> {
                 }
                 for ((&j, m), cell) in mc.iter().zip(mv).zip(&mut acc) {
                     match cell.take() {
-                        Some(v) if !v.is_zero() => {
-                            out.push(j, if mask_on_left { m.mul(&v) } else { v.mul(m) })
-                        }
+                        Some(v) if !v.is_zero() => out.push(j, v.mul(m)),
                         _ => {}
                     }
                 }
             }
             out.finish_row();
         }
-        if let Some(t) = timer {
-            matlang_obs::histogram!("kernel_sparse_matmul_us")
-                .observe(t.elapsed().as_micros() as u64);
-        }
-        Ok(out.build())
+        out.build()
     }
 
     /// The Gustavson kernel restricted to the output rows in `rows`: computes

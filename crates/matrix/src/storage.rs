@@ -210,15 +210,23 @@ pub trait MatrixStorage: Clone + PartialEq + Debug + Send + Sync + Sized + 'stat
         self.matmul(&scale.diag()?)
     }
 
-    /// Fused `(self · other) ∘ mask`, or `mask ∘ (self · other)` with
-    /// `mask_on_left` — the kernel behind the planner's masked-product
-    /// rewrite of a Hadamard product whose operand is a matrix product
-    /// nothing else reads.  Implementations must agree exactly with the
-    /// default (multiply, then mask), including the two shape errors and
-    /// their order; CSR storage overrides it with a pass that accumulates
-    /// only at the mask's stored positions and never builds the product.
-    fn matmul_masked(&self, other: &Self, mask: &Self, mask_on_left: bool) -> Result<Self> {
-        matmul_then_mask(self, other, mask, mask_on_left)
+    /// Fused `(self · other) ∘ mask` — the kernel behind the planner's
+    /// masked-product rewrite of a Hadamard product whose operand is a
+    /// matrix product nothing else reads.  Implementations must agree
+    /// exactly with the default (multiply, then mask), including the two
+    /// shape errors and their order; CSR storage overrides it with a pass
+    /// that accumulates only at the mask's stored positions and never
+    /// builds the product.
+    fn matmul_masked(&self, other: &Self, mask: &Self) -> Result<Self> {
+        self.matmul(other)?.hadamard(mask)
+    }
+
+    /// [`matmul_masked`](MatrixStorage::matmul_masked) with up to `threads`
+    /// worker threads, **bit-identical** to it; the default is the threaded
+    /// unfused pair.
+    fn matmul_masked_threaded(&self, other: &Self, mask: &Self, threads: usize) -> Result<Self> {
+        self.matmul_threaded(other, threads)?
+            .hadamard_threaded(mask, threads)
     }
 
     /// The trace of a square matrix.
@@ -285,23 +293,6 @@ pub trait MatrixStorage: Clone + PartialEq + Debug + Send + Sync + Sized + 'stat
         delta: &SparseMatrix<Self::Elem>,
     ) -> Result<SparseMatrix<Self::Elem>> {
         SparseMatrix::from_dense(&self.to_dense()).matmul(delta)
-    }
-}
-
-/// The unfused pair every [`MatrixStorage::matmul_masked`] must equal:
-/// the product, materialized, then the Hadamard product with `mask` on the
-/// side `mask_on_left` names.
-pub(crate) fn matmul_then_mask<M: MatrixStorage>(
-    a: &M,
-    b: &M,
-    mask: &M,
-    mask_on_left: bool,
-) -> Result<M> {
-    let product = a.matmul(b)?;
-    if mask_on_left {
-        mask.hadamard(&product)
-    } else {
-        product.hadamard(mask)
     }
 }
 
@@ -595,8 +586,12 @@ impl<K: Semiring> MatrixStorage for SparseMatrix<K> {
         SparseMatrix::scale_cols(self, scale)
     }
 
-    fn matmul_masked(&self, other: &Self, mask: &Self, mask_on_left: bool) -> Result<Self> {
-        SparseMatrix::matmul_masked(self, other, mask, mask_on_left)
+    fn matmul_masked(&self, other: &Self, mask: &Self) -> Result<Self> {
+        SparseMatrix::matmul_masked(self, other, mask)
+    }
+
+    fn matmul_masked_threaded(&self, other: &Self, mask: &Self, threads: usize) -> Result<Self> {
+        SparseMatrix::matmul_masked_threaded(self, other, mask, threads)
     }
 
     fn trace(&self) -> Result<K> {
@@ -775,8 +770,12 @@ impl<K: Semiring> MatrixStorage for MatrixRepr<K> {
         MatrixRepr::scale_cols(self, scale)
     }
 
-    fn matmul_masked(&self, other: &Self, mask: &Self, mask_on_left: bool) -> Result<Self> {
-        MatrixRepr::matmul_masked(self, other, mask, mask_on_left)
+    fn matmul_masked(&self, other: &Self, mask: &Self) -> Result<Self> {
+        MatrixRepr::matmul_masked(self, other, mask)
+    }
+
+    fn matmul_masked_threaded(&self, other: &Self, mask: &Self, threads: usize) -> Result<Self> {
+        MatrixRepr::matmul_masked_threaded(self, other, mask, threads)
     }
 
     fn trace(&self) -> Result<K> {

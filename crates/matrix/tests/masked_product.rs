@@ -1,7 +1,9 @@
 //! Parity of the fused masked product with the pair it replaces:
-//! `a.matmul_masked(b, m, false) == a.matmul(b)?.hadamard(m)` and
-//! `a.matmul_masked(b, m, true) == m.hadamard(&a.matmul(b)?)` — entries,
-//! stored structure and errors — on every backend and every semiring.
+//! `a.matmul_masked(b, m) == a.matmul(b)?.hadamard(m)` — entries, stored
+//! structure and errors — on every backend and every semiring, serial and
+//! threaded; and its value is `m.hadamard(&a.matmul(b)?)`'s too, since `⊗`
+//! commutes in each of them, which is what lets one kernel serve a mask on
+//! either side of the `∘`.
 //!
 //! CSR equality is structural (`indptr`/`indices`/`values`), so a stored
 //! zero or an entry the unfused pair would have dropped fails the
@@ -12,14 +14,21 @@ use matlang_matrix::{
 };
 use matlang_semiring::{Boolean, IntRing, MaxPlus, MinPlus, Nat, Real, Semiring};
 
-/// Both orientations of the fused kernel against the unfused pair, results
-/// and errors alike.
+/// The fused kernel, serial and threaded, against the unfused pair — results
+/// and errors alike — and its value against the pair with the mask on the
+/// left.
 fn assert_parity<M: MatrixStorage>(a: &M, b: &M, m: &M, context: &str) {
     let product = a.matmul(b);
     let unfused = product.clone().and_then(|p| p.hadamard(m));
-    assert_eq!(a.matmul_masked(b, m, false), unfused, "(a·b)∘m, {context}");
-    let mirrored = product.and_then(|p| m.hadamard(&p));
-    assert_eq!(a.matmul_masked(b, m, true), mirrored, "m∘(a·b), {context}");
+    let fused = a.matmul_masked(b, m);
+    assert_eq!(fused, unfused, "(a·b)∘m, {context}");
+    for threads in [2, 3] {
+        let threaded = a.matmul_masked_threaded(b, m, threads);
+        assert_eq!(threaded, unfused, "{threads} threads, {context}");
+    }
+    if let Ok(mirrored) = product.and_then(|p| m.hadamard(&p)) {
+        assert_eq!(fused, Ok(mirrored), "m∘(a·b), {context}");
+    }
 }
 
 /// The same operands on the dense, CSR and adaptive backends; on the
@@ -145,7 +154,7 @@ fn a_cancelled_product_entry_is_dropped_before_the_mask() {
         SparseMatrix::from_dense(&m),
     );
     assert_parity(&a, &b, &m, "cancellation");
-    assert_eq!(a.matmul_masked(&b, &m, false).unwrap().nnz(), 0);
+    assert_eq!(a.matmul_masked(&b, &m).unwrap().nnz(), 0);
 }
 
 #[test]
@@ -156,11 +165,7 @@ fn a_mask_entry_without_a_product_entry_yields_nothing() {
     let m = Matrix::from_rows(vec![vec![Nat(3), Nat(5)], vec![Nat(7), Nat(11)]]).unwrap();
     assert_parity_on_every_backend(&a, &b, &m, "full mask over one product entry");
     let fused = SparseMatrix::from_dense(&a)
-        .matmul_masked(
-            &SparseMatrix::from_dense(&b),
-            &SparseMatrix::from_dense(&m),
-            false,
-        )
+        .matmul_masked(&SparseMatrix::from_dense(&b), &SparseMatrix::from_dense(&m))
         .unwrap();
     assert_eq!(fused.nonzero_entries(), vec![(0, 0, Nat(6))]);
 }
@@ -174,7 +179,7 @@ fn shape_errors_are_the_unfused_pairs() {
         (mat(3, 4), mat(4, 2), mat(2, 3)),
         (mat(3, 4), mat(5, 2), mat(9, 9)),
     ] {
-        assert!(a.matmul_masked(&b, &m, false).is_err());
+        assert!(a.matmul_masked(&b, &m).is_err());
         assert_parity_on_every_backend(&a, &b, &m, "shape errors");
     }
 }

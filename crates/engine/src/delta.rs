@@ -117,7 +117,8 @@ pub struct DeltaReport {
     pub invalidated: u64,
     /// Overlays folded into their base value because they outgrew it.
     pub compacted: u64,
-    /// Operation names that forced partial fallback, for diagnostics.
+    /// Operation labels ([`PlanOp::label`]) that forced partial fallback,
+    /// for diagnostics.
     pub unsupported: BTreeSet<&'static str>,
 }
 
@@ -335,7 +336,7 @@ where
                 }
                 overlay.clear_node(id);
                 if !node.op.supports_delta() {
-                    report.unsupported.insert(op_name(&node.op));
+                    report.unsupported.insert(node.op.label());
                 }
                 deltas.push(NodeDelta::Unknown);
             }
@@ -371,29 +372,6 @@ where
         }
     }
     report
-}
-
-fn op_name(op: &PlanOp) -> &'static str {
-    match op {
-        PlanOp::Var(..) => "var",
-        PlanOp::Const(_) => "const",
-        PlanOp::Transpose(_) => "transpose",
-        PlanOp::Ones(_) => "ones",
-        PlanOp::Diag(_) => "diag",
-        PlanOp::MatMul(_, _) => "matmul",
-        PlanOp::Add(_, _) => "add",
-        PlanOp::ScalarMul(_, _) => "scalarmul",
-        PlanOp::Hadamard(_, _) => "hadamard",
-        PlanOp::ScaleRows { .. } => "scalerows",
-        PlanOp::ScaleCols { .. } => "scalecols",
-        PlanOp::MaskedMatMul { .. } => "maskedmatmul",
-        PlanOp::Apply(_, _) => "apply",
-        PlanOp::Let { .. } => "let",
-        PlanOp::For { .. } => "for",
-        PlanOp::Sum { .. } => "sum",
-        PlanOp::HProd { .. } => "hprod",
-        PlanOp::MProd { .. } => "mprod",
-    }
 }
 
 /// The per-operator propagation rules.  `id` is cached and depends on the
@@ -465,21 +443,20 @@ where
         // Δ = diag(Δvec)·mat_new ⊕ diag(vec_new)·Δmat, the second term
         // computed entrywise (`vec_new[i] ⊗ Δmat[i,j]`, the kernel's
         // multiplication order).
-        PlanOp::ScaleRows { vec, mat } => {
-            scaling_delta(cache, overlay, deltas, *vec, *mat, true, update)
-        }
+        PlanOp::ScaleRows { vec, mat } => scaling_delta(cache, overlay, deltas, *vec, *mat, true),
         // `scale_cols(mat, vec) = mat · diag(vec)`; the entrywise term is
         // `Δmat[i,j] ⊗ vec_new[j]`.
-        PlanOp::ScaleCols { mat, vec } => {
-            scaling_delta(cache, overlay, deltas, *vec, *mat, false, update)
-        }
+        PlanOp::ScaleCols { mat, vec } => scaling_delta(cache, overlay, deltas, *vec, *mat, false),
         PlanOp::Const(_)
         | PlanOp::Apply(_, _)
         | PlanOp::Let { .. }
         | PlanOp::For { .. }
         | PlanOp::Sum { .. }
         | PlanOp::HProd { .. }
-        | PlanOp::MProd { .. } => NodeDelta::Unknown,
+        | PlanOp::MProd { .. }
+        | PlanOp::Select { .. }
+        | PlanOp::Place { .. }
+        | PlanOp::PointUpdate { .. } => NodeDelta::Unknown,
     }
 }
 
@@ -696,7 +673,6 @@ fn scaling_delta<K, M>(
     vec: NodeId,
     mat: NodeId,
     row_scaling: bool,
-    _update: &SparseMatrix<K>,
 ) -> NodeDelta<K>
 where
     K: Semiring,

@@ -17,20 +17,23 @@
 //!
 //! One iteration of a `for`/Σ/Π body costs its kernels plus that memo
 //! bookkeeping and nothing else: the environment and the invalidation
-//! index are vectors over the plan's [`VarSlot`]s, the canonical vectors
-//! of a (small) dimension are built once per executor and shared, and
-//! under an active trace only nodes *outside* every loop open a span — an
-//! outermost loop is one span closed by one summary event; what happened
-//! per node inside it is in the [`NodeSample`]s.
+//! index are vectors over the plan's [`VarSlot`]s; a loop binds its
+//! iteration variable to the canonical vector's *index*, which the
+//! planner's loop-index ops ([`PlanOp::Select`], [`PlanOp::Place`],
+//! [`PlanOp::PointUpdate`]) read directly, and only a plain read of the
+//! variable builds the vector (those of a small dimension once per
+//! executor, shared); under an active trace only nodes *outside* every
+//! loop open a span — an outermost loop is one span closed by one summary
+//! event; what happened per node inside it is in the [`NodeSample`]s.
 //!
 //! Product nodes the planner marked heavy run on the row-partitioned
 //! threaded kernels of [`matlang_matrix::parallel`]; the worker count
 //! honors [`ExecOptions::threads`], which defaults to the `MATLANG_THREADS`
 //! environment variable via [`matlang_matrix::configured_threads`].
 
-use crate::plan::{NodeId, Plan, PlanOp, ReprChoice, VarSlot};
+use crate::plan::{LoopIndex, NodeId, Plan, PlanOp, ReprChoice, VarSlot};
 use matlang_core::{EvalError, FunctionRegistry, Instance, MatrixType};
-use matlang_matrix::MatrixStorage;
+use matlang_matrix::{Canonical, MatrixStorage};
 use matlang_semiring::Semiring;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -43,11 +46,19 @@ const DENSE_HINT_MAX_ENTRIES: usize = 1 << 20;
 /// Largest dimension whose canonical vectors an executor keeps and shares
 /// across iterations and nesting levels.  A canonical vector costs O(n)
 /// memory on every backend (CSR carries n + 1 row pointers), so a retained
-/// basis is O(n²): at most ≈ 0.5 MiB here.  Above the bound each iteration
-/// allocates its own vector, as the tree evaluator does — there the O(n)
-/// allocation is matched by the O(n) kernels that consume it, whereas at
-/// n = 12 it was most of an iteration.
+/// basis is O(n²): at most ≈ 0.5 MiB here.  Above the bound each read of
+/// the variable allocates its own vector, as the tree evaluator does —
+/// there the O(n) allocation is matched by the O(n) kernels that consume
+/// it, whereas at n = 12 it was most of an iteration.
 const SHARED_BASIS_MAX_DIM: usize = 256;
+
+/// What a variable slot is bound to.
+enum Binding<M> {
+    /// A `let` value or a loop's accumulator.
+    Value(Arc<M>),
+    /// A loop's iteration variable: the canonical vector, by index.
+    Canonical(Canonical),
+}
 
 /// Executor configuration.
 #[derive(Clone, Copy, Debug)]
@@ -80,6 +91,11 @@ impl Default for ExecOptions {
 /// the server's observed-statistics planner feedback; `total_ns` is filled
 /// only under [`ExecOptions::profile`].
 ///
+/// Shape and nnz describe the node's value as last computed — except for a
+/// node computed inside a loop, where they describe its **first**
+/// computation by this executor: counting nnz is O(rows·cols) on a dense
+/// value, and an iteration's count would only be overwritten by the next.
+///
 /// Wall time is *inclusive*: a node's `total_ns` contains the evaluation of
 /// its children on the same cache-miss path, exactly like the span tree the
 /// tracer records.
@@ -91,11 +107,11 @@ pub struct NodeSample {
     pub hits: u64,
     /// Total inclusive wall time of the computations, in nanoseconds.
     pub total_ns: u64,
-    /// Output shape as last computed.
+    /// Output rows as last (inside a loop: first) computed.
     pub rows: usize,
-    /// Output shape as last computed.
+    /// Output columns as last (inside a loop: first) computed.
     pub cols: usize,
-    /// Output nonzero count as last computed.
+    /// Output nonzero count as last (inside a loop: first) computed.
     pub nnz: u64,
 }
 
@@ -206,11 +222,11 @@ pub struct Executor<'p, K: Semiring, M: MatrixStorage<Elem = K>> {
     cache: NodeCache<M>,
     /// Loop/let bindings by [`VarSlot`]; an empty slot falls through to
     /// the instance matrix of that name.
-    env: Vec<Option<Arc<M>>>,
+    env: Vec<Option<Binding<M>>>,
     /// The canonical vectors `e_0 … e_{n-1}` of every dimension up to
-    /// [`SHARED_BASIS_MAX_DIM`] a loop has ranged over, shared by every
-    /// iteration of every nesting level.
-    basis: HashMap<usize, Arc<[Arc<M>]>>,
+    /// [`SHARED_BASIS_MAX_DIM`] a loop variable has been read as a matrix
+    /// in, shared by every iteration of every nesting level.
+    basis: HashMap<usize, Vec<Arc<M>>>,
     /// How many loops enclose the node being evaluated.
     loop_depth: usize,
     stats: ExecStats,
@@ -234,7 +250,7 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
             registry,
             options,
             cache: vec![None; plan.nodes().len()],
-            env: vec![None; plan.slot_count()],
+            env: (0..plan.slot_count()).map(|_| None).collect(),
             basis: HashMap::new(),
             loop_depth: 0,
             stats: ExecStats {
@@ -287,10 +303,11 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
     }
 
     /// The always-on per-node observation samples, indexed by [`NodeId`]:
-    /// output shape/nnz as last computed plus hit/computed counts.  Wall
-    /// times are 0 unless [`ExecOptions::profile`] was set.  This is what
-    /// the server harvests into its per-instance observed statistics after
-    /// every execution.
+    /// output shape/nnz as last computed — for a node inside a loop, as
+    /// first computed (see [`NodeSample`]) — plus hit/computed counts.
+    /// Wall times are 0 unless [`ExecOptions::profile`] was set.  This is
+    /// what the server harvests into its per-instance observed statistics
+    /// after every execution.
     pub fn observed_samples(&self) -> &[NodeSample] {
         &self.samples
     }
@@ -348,15 +365,20 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
         {
             // Always-on observation: shape/nnz ride the miss path, where
             // the compute they describe dwarfs them; only the per-node
-            // clock reads stay behind the `profile` flag.
+            // clock reads stay behind the `profile` flag.  Inside a loop
+            // only the first computation is described — a node computed
+            // per iteration would rescan a value the next iteration
+            // replaces.
             let sample = &mut self.samples[id];
             sample.computed += 1;
             if let Some(start) = timer {
                 sample.total_ns += start.elapsed().as_nanos() as u64;
             }
-            sample.rows = value.rows();
-            sample.cols = value.cols();
-            sample.nnz = value.nnz() as u64;
+            if self.loop_depth == 0 || sample.computed == 1 {
+                sample.rows = value.rows();
+                sample.cols = value.cols();
+                sample.nnz = value.nnz() as u64;
+            }
         }
         let node = self.plan.node(id);
         if node.cacheable {
@@ -425,15 +447,34 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
                 Ok(Arc::new(sum))
             }
             PlanOp::ScalarMul(a, b) => {
-                let left = self.eval_node(*a)?;
-                if !left.is_scalar() {
-                    return Err(EvalError::NotAScalar {
-                        shape: left.shape(),
-                    });
-                }
-                let scalar = left.as_scalar()?;
+                let scalar = scalar_of(self.eval_node(*a)?.as_ref())?;
                 let right = self.eval_node(*b)?;
                 Ok(Arc::new(right.scalar_mul(&scalar)))
+            }
+            PlanOp::Select { mat, row, col } => {
+                let matrix = self.eval_node(*mat)?;
+                let (row, col) = (self.index_of(row), self.index_of(col));
+                Ok(Arc::new(matrix.select(row, col)?))
+            }
+            PlanOp::Place { vec, row, col } => {
+                // The unit matrix places the semiring's one.
+                let operand = match vec {
+                    Some(vec) => self.eval_node(*vec)?,
+                    None => Arc::new(M::scalar(K::one())),
+                };
+                let (row, col) = (self.index_of(row), self.index_of(col));
+                Ok(Arc::new(operand.place(row, col)?))
+            }
+            PlanOp::PointUpdate {
+                mat,
+                scalar,
+                row,
+                col,
+            } => {
+                let matrix = self.eval_node(*mat)?;
+                let scalar = scalar_of(self.eval_node(*scalar)?.as_ref())?;
+                let (row, col) = (self.loop_index(row), self.loop_index(col));
+                Ok(Arc::new(matrix.point_update(&scalar, row, col)?))
             }
             PlanOp::ScaleRows { vec, mat } => {
                 let scale = self.eval_node(*vec)?;
@@ -504,7 +545,7 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
                 ..
             } => {
                 let bound = self.eval_node(*value)?;
-                let saved = self.bind(*var_slot, bound);
+                let saved = self.bind(*var_slot, Binding::Value(bound));
                 let result = self.eval_node(*body);
                 self.unbind(*var_slot, saved);
                 result
@@ -575,7 +616,7 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
         };
         let saved_acc = self.env[acc].take();
         let outcome = self.iterate("for", var, n, |exec| {
-            exec.bind(acc, Arc::clone(&accumulator));
+            exec.bind(acc, Binding::Value(Arc::clone(&accumulator)));
             let value = exec.eval_node(body)?;
             if value.shape() != acc_shape {
                 return Err(mismatch(value.shape()));
@@ -614,10 +655,11 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
     }
 
     /// The loop skeleton shared by `for` and the folds: binds `var` to each
-    /// canonical vector of dimension `n` in turn and runs `iteration`,
-    /// stopping at its first error; the binding `var` shadowed is restored
-    /// either way.  (Taking it out up front does not invalidate — the first
-    /// `bind` does, before any dependent node is evaluated again.)
+    /// canonical vector of dimension `n` in turn — by index, nothing is
+    /// built — and runs `iteration`, stopping at its first error; the
+    /// binding `var` shadowed is restored either way.  (Taking it out up
+    /// front does not invalidate — the first `bind` does, before any
+    /// dependent node is evaluated again.)
     ///
     /// Under an active trace the **outermost** loop — the only one whose
     /// node opened a span — closes it with one summary event; nested loops
@@ -629,7 +671,6 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
         n: usize,
         mut iteration: impl FnMut(&mut Self) -> Result<(), EvalError>,
     ) -> Result<(), EvalError> {
-        let basis = self.shared_basis(n)?;
         let traced_from =
             (self.loop_depth == 0 && matlang_obs::trace::active()).then_some(self.stats);
         let saved_var = self.env[var].take();
@@ -637,14 +678,9 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
         let mut iterations = 0;
         let mut outcome = Ok(());
         for i in 0..n {
-            let canonical = match &basis {
-                Some(shared) => Ok(Arc::clone(&shared[i])),
-                None => M::canonical(n, i).map(Arc::new),
-            };
-            outcome = canonical.map_err(EvalError::from).and_then(|canonical| {
-                self.bind(var, canonical);
-                iteration(self)
-            });
+            let canonical = Canonical::new(n, i).expect("the iteration index is below n");
+            self.bind(var, Binding::Canonical(canonical));
+            outcome = iteration(self);
             if outcome.is_err() {
                 break;
             }
@@ -662,25 +698,46 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
         outcome
     }
 
-    /// The canonical vectors of dimension `n`, built on first use; `None`
-    /// above [`SHARED_BASIS_MAX_DIM`].
-    fn shared_basis(&mut self, n: usize) -> Result<Option<Arc<[Arc<M>]>>, EvalError> {
+    /// The canonical vector `canonical` as a matrix: shared from the
+    /// dimension's basis, built on first use, up to
+    /// [`SHARED_BASIS_MAX_DIM`]; built afresh above it.
+    fn canonical_vector(&mut self, canonical: Canonical) -> Arc<M> {
+        let n = canonical.dim();
         if n > SHARED_BASIS_MAX_DIM {
-            return Ok(None);
+            return Arc::new(canonical.vector());
         }
-        if let Some(basis) = self.basis.get(&n) {
-            return Ok(Some(Arc::clone(basis)));
-        }
-        let basis: Arc<[Arc<M>]> = (0..n)
-            .map(|i| M::canonical(n, i).map(Arc::new))
-            .collect::<Result<_, _>>()?;
-        self.basis.insert(n, Arc::clone(&basis));
-        Ok(Some(basis))
+        let basis = self.basis.entry(n).or_insert_with(|| {
+            (0..n)
+                .map(|i| Arc::new(M::canonical(n, i).expect("index below the dimension")))
+                .collect()
+        });
+        Arc::clone(&basis[canonical.index()])
     }
 
-    fn lookup(&self, name: &str, slot: VarSlot) -> Result<Arc<M>, EvalError> {
-        if let Some(m) = &self.env[slot] {
-            return Ok(Arc::clone(m));
+    /// The canonical vector a loop has bound `index`'s variable to — the
+    /// planner emits loop-index ops only where a loop is the innermost
+    /// binder of that name, and the environment scopes bindings the same
+    /// way.
+    fn loop_index(&self, index: &LoopIndex) -> Canonical {
+        match self.env[index.slot] {
+            Some(Binding::Canonical(canonical)) => canonical,
+            _ => unreachable!("{} is read as a loop index outside its loop", index.var),
+        }
+    }
+
+    /// [`loop_index`](Self::loop_index) of an optional position.
+    fn index_of(&self, index: &Option<LoopIndex>) -> Option<Canonical> {
+        index.as_ref().map(|index| self.loop_index(index))
+    }
+
+    fn lookup(&mut self, name: &str, slot: VarSlot) -> Result<Arc<M>, EvalError> {
+        match &self.env[slot] {
+            Some(Binding::Value(m)) => return Ok(Arc::clone(m)),
+            Some(Binding::Canonical(canonical)) => {
+                let canonical = *canonical;
+                return Ok(self.canonical_vector(canonical));
+            }
+            None => {}
         }
         self.instance
             .matrix(name)
@@ -704,15 +761,15 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
 
     /// Binds `slot`, dropping the cache entries that depended on its
     /// previous binding.  Returns the binding it replaced.
-    fn bind(&mut self, slot: VarSlot, value: Arc<M>) -> Option<Arc<M>> {
+    fn bind(&mut self, slot: VarSlot, binding: Binding<M>) -> Option<Binding<M>> {
         self.invalidate(slot);
-        self.env[slot].replace(value)
+        self.env[slot].replace(binding)
     }
 
     /// Restores the binding saved by [`bind`](Self::bind) (or taken out of
     /// `env` before a loop), dropping dependent cache entries computed
     /// under the inner binding.
-    fn unbind(&mut self, slot: VarSlot, saved: Option<Arc<M>>) {
+    fn unbind(&mut self, slot: VarSlot, saved: Option<Binding<M>>) {
         self.invalidate(slot);
         self.env[slot] = saved;
     }
@@ -724,6 +781,16 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
             }
         }
     }
+}
+
+/// The value of the `1 × 1` operand of a scalar multiplication.
+fn scalar_of<M: MatrixStorage>(value: &M) -> Result<M::Elem, EvalError> {
+    if !value.is_scalar() {
+        return Err(EvalError::NotAScalar {
+            shape: value.shape(),
+        });
+    }
+    Ok(value.as_scalar()?)
 }
 
 #[cfg(test)]
@@ -748,7 +815,15 @@ mod tests {
     }
 
     fn run_one(expr: &Expr, inst: &Instance<Real>) -> (Result<Matrix<Real>, EvalError>, ExecStats) {
-        let plan = Planner::new().plan_one(expr, &InstanceStats::from_instance(inst));
+        run_planned(&Planner::new(), expr, inst)
+    }
+
+    fn run_planned(
+        planner: &Planner,
+        expr: &Expr,
+        inst: &Instance<Real>,
+    ) -> (Result<Matrix<Real>, EvalError>, ExecStats) {
+        let plan = planner.plan_one(expr, &InstanceStats::from_instance(inst));
         let registry = FunctionRegistry::standard_field();
         let mut exec = Executor::new(&plan, inst, &registry, ExecOptions::default());
         let root = plan.roots()[0];
@@ -783,9 +858,33 @@ mod tests {
         let (out, stats) = run_one(&e, &inst);
         let expected = evaluate(&e, &inst, &FunctionRegistry::standard_field()).unwrap();
         assert_eq!(out.unwrap(), expected);
-        // The Gram node misses once and hits on iterations 2..4.
+        // The Gram node misses once and hits on iterations 2..4, read by
+        // the lowered entry selection.
         assert!(stats.cache_hits >= 3, "expected hoisting hits: {stats}");
-        // v-dependent entries were dropped on every rebind.
+    }
+
+    #[test]
+    fn loop_invariant_subterms_are_computed_once_unlowered() {
+        // The same query as products with v (cost rewrites off): the Gram
+        // node still hits, and the cached v-dependent products are dropped
+        // on every rebind.
+        let e = Expr::sum(
+            "v",
+            "n",
+            Expr::var("v")
+                .t()
+                .mm(Expr::var("G").t().mm(Expr::var("G")))
+                .mm(Expr::var("v")),
+        );
+        let inst = instance();
+        let planner = Planner::with_options(crate::PlanOptions {
+            cost_rewrites: false,
+            ..crate::PlanOptions::default()
+        });
+        let (out, stats) = run_planned(&planner, &e, &inst);
+        let expected = evaluate(&e, &inst, &FunctionRegistry::standard_field()).unwrap();
+        assert_eq!(out.unwrap(), expected);
+        assert!(stats.cache_hits >= 3, "expected hoisting hits: {stats}");
         assert!(stats.invalidations > 0);
     }
 
@@ -1037,6 +1136,33 @@ mod tests {
         assert!(root_sample.nnz > 0, "observed output nnz must be recorded");
         assert_eq!(root_sample.total_ns, 0, "no clock reads without profile");
         assert!(samples.iter().any(|s| s.hits >= 1), "CSE reuse observed");
+    }
+
+    #[test]
+    fn in_loop_samples_describe_the_first_computation() {
+        // Σv. G·v: the column read runs once per iteration; its sample
+        // keeps column 0's nnz (2), not the last column's (1).  The sum,
+        // computed outside the loop, is described as last computed.
+        let inst: Instance<Real> = Instance::new().with_dim("n", 3).with_matrix(
+            "G",
+            Matrix::from_f64_rows(&[&[1.0, 0.0, 0.0], &[2.0, 0.0, 3.0], &[0.0, 4.0, 0.0]]).unwrap(),
+        );
+        let e = Expr::sum("v", "n", Expr::var("G").mm(Expr::var("v")));
+        let plan = Planner::new().plan_one(&e, &InstanceStats::from_instance(&inst));
+        let registry = FunctionRegistry::standard_field();
+        let mut exec = Executor::new(&plan, &inst, &registry, ExecOptions::default());
+        let root = plan.roots()[0];
+        exec.run(root).unwrap();
+        let column = plan
+            .nodes()
+            .iter()
+            .position(|n| matches!(n.op, PlanOp::Select { .. }))
+            .expect("G·v is a column read");
+        let sample = exec.observed_samples()[column];
+        assert_eq!(sample.computed, 3);
+        assert_eq!((sample.rows, sample.cols, sample.nnz), (3, 1, 2));
+        let total = exec.observed_samples()[root];
+        assert_eq!((total.computed, total.nnz), (1, 3));
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //!   layer** ([`rewrite`]) reorders matrix chains by the classic DP,
 //!   pushes transposes into products and `1(e)` onto its row source,
 //!   products against a diagonalized vector are fused into scaling
-//!   kernels, and a Hadamard product with a matrix product nothing else
-//!   reads becomes one masked product; structurally identical
+//!   kernels, a Hadamard product with a matrix product nothing else
+//!   reads becomes one masked product, and a product with a loop's
+//!   canonical vector becomes a row/column/entry selection, a placement or
+//!   a point update at the loop's index; structurally identical
 //!   subexpressions are hash-consed to a single node (CSE),
 //!   loop-invariant nodes are identified, and a simple nnz/density cost
 //!   model built from [`InstanceStats`] chooses a storage representation
@@ -71,7 +73,8 @@ pub mod rewrite;
 pub use delta::{DeltaFallback, DeltaOverlay, DeltaReport};
 pub use exec::{cache_residency, ExecOptions, ExecStats, Executor, NodeCache, NodeSample};
 pub use plan::{
-    AppliedRewrite, NodeEstimate, NodeId, Plan, PlanNode, PlanOp, PlanReport, ReprChoice, VarSlot,
+    AppliedRewrite, LoopIndex, NodeEstimate, NodeId, Plan, PlanNode, PlanOp, PlanReport,
+    ReprChoice, VarSlot,
 };
 pub use planner::{InstanceStats, ObservedStats, PlanOptions, Planner, VarStats};
 pub use rewrite::{rewrite_with_stats, RewriteOutcome};

@@ -59,6 +59,17 @@ impl Hash for ConstVal {
     }
 }
 
+/// A loop's iteration variable read as an index: the operand position of
+/// the canonical vector `bᵢ` it is bound to, which the executor never
+/// materializes for the ops that carry one.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct LoopIndex {
+    /// The iteration variable.
+    pub var: String,
+    /// The slot of `var`.
+    pub slot: VarSlot,
+}
+
 /// One operation of the physical plan — the same operator set as
 /// [`matlang_core::Expr`], with subexpressions replaced by [`NodeId`]s into
 /// the owning [`Plan`].
@@ -121,6 +132,44 @@ pub enum PlanOp {
         mask: NodeId,
         /// Whether the unfused node was `mask ∘ (left · right)`.
         mask_on_left: bool,
+    },
+    /// `vᵀ·mat`, `mat·w` or `vᵀ·mat·w` for loop iteration variables `v`,
+    /// `w` — the planner's loop-index lowering of a product with a
+    /// canonical vector: row `v`, column `w` or one entry of `mat`, read by
+    /// [`matlang_matrix::MatrixStorage::select`] at the loop's current
+    /// index.
+    Select {
+        /// The matrix read from.
+        mat: NodeId,
+        /// The row selector `v` of `vᵀ·mat`.
+        row: Option<LoopIndex>,
+        /// The column selector `w` of `mat·w`.
+        col: Option<LoopIndex>,
+    },
+    /// `v·vec` (a `1 × m` row placed as row `v`), `vec·wᵀ` (an `n × 1`
+    /// column placed as column `w`), or, without `vec`, the unit matrix
+    /// `v·wᵀ` (the semiring's one placed at `(v, w)`) — via
+    /// [`matlang_matrix::MatrixStorage::place`].
+    Place {
+        /// The placed operand; `None` for the unit matrix.
+        vec: Option<NodeId>,
+        /// The row position `v`.
+        row: Option<LoopIndex>,
+        /// The column position `w`.
+        col: Option<LoopIndex>,
+    },
+    /// `mat + scalar × (v·wᵀ)`: one entry of `mat` updated via
+    /// [`matlang_matrix::MatrixStorage::point_update`], evaluating `mat`
+    /// then `scalar` as the unfused sum does.
+    PointUpdate {
+        /// The updated matrix.
+        mat: NodeId,
+        /// The `1 × 1` scale of the unit matrix.
+        scalar: NodeId,
+        /// The row position `v`.
+        row: LoopIndex,
+        /// The column position `w`.
+        col: LoopIndex,
     },
     /// Pointwise function application `f(e₁, …, e_k)`.
     Apply(String, Vec<NodeId>),
@@ -213,6 +262,9 @@ impl PlanOp {
                     vec![*left, *right, *mask]
                 }
             }
+            PlanOp::Select { mat, .. } => vec![*mat],
+            PlanOp::Place { vec, .. } => vec.iter().copied().collect(),
+            PlanOp::PointUpdate { mat, scalar, .. } => vec![*mat, *scalar],
             PlanOp::Apply(_, args) => args.clone(),
             PlanOp::Let { value, body, .. } => vec![*value, *body],
             PlanOp::For { init, body, .. } => {
@@ -233,7 +285,7 @@ impl PlanOp {
     /// planner drops a node from the DAG.
     pub(crate) fn map_children(&mut self, f: impl Fn(NodeId) -> NodeId) {
         match self {
-            PlanOp::Var(..) | PlanOp::Const(_) => {}
+            PlanOp::Var(..) | PlanOp::Const(_) | PlanOp::Place { vec: None, .. } => {}
             PlanOp::Transpose(a) | PlanOp::Ones(a) | PlanOp::Diag(a) => *a = f(*a),
             PlanOp::MatMul(a, b)
             | PlanOp::Add(a, b)
@@ -241,12 +293,16 @@ impl PlanOp {
             | PlanOp::Hadamard(a, b)
             | PlanOp::ScaleRows { vec: a, mat: b }
             | PlanOp::ScaleCols { mat: a, vec: b }
+            | PlanOp::PointUpdate {
+                mat: a, scalar: b, ..
+            }
             | PlanOp::Let {
                 value: a, body: b, ..
             } => {
                 *a = f(*a);
                 *b = f(*b);
             }
+            PlanOp::Select { mat: a, .. } | PlanOp::Place { vec: Some(a), .. } => *a = f(*a),
             PlanOp::MaskedMatMul {
                 left, right, mask, ..
             } => {
@@ -289,6 +345,17 @@ impl PlanOp {
             PlanOp::ScaleRows { .. } => "execute:scale-rows",
             PlanOp::ScaleCols { .. } => "execute:scale-cols",
             PlanOp::MaskedMatMul { .. } => "execute:matmul-masked",
+            PlanOp::Select { row, col, .. } => match (row, col) {
+                (Some(_), None) => "execute:select-row",
+                (None, Some(_)) => "execute:select-col",
+                _ => "execute:select-entry",
+            },
+            PlanOp::Place { vec, row, .. } => match (vec, row) {
+                (None, _) => "execute:place-unit",
+                (Some(_), Some(_)) => "execute:place-row",
+                (Some(_), None) => "execute:place-col",
+            },
+            PlanOp::PointUpdate { .. } => "execute:point-update",
             PlanOp::Apply(_, _) => "execute:apply",
             PlanOp::Let { .. } => "execute:let",
             PlanOp::For { .. } => "execute:for",
@@ -336,21 +403,39 @@ impl PlanOp {
                 var, var_dim, body, ..
             } => format!("mprod {var}:{var_dim} #{body}"),
             other => {
+                let mut line = other.label().to_string();
                 let children = other.children();
-                if children.is_empty() {
-                    other.label().to_string()
-                } else {
-                    format!("{} {}", other.label(), kids(&children))
+                if !children.is_empty() {
+                    line = format!("{line} {}", kids(&children));
                 }
+                let at: Vec<&str> = other.loop_indices().map(|i| i.var.as_str()).collect();
+                if !at.is_empty() {
+                    line = format!("{line} at {}", at.join(","));
+                }
+                line
             }
         }
+    }
+
+    /// The loop iteration variables this operation reads as indices, row
+    /// position first.
+    pub fn loop_indices(&self) -> impl Iterator<Item = &LoopIndex> {
+        let (row, col) = match self {
+            PlanOp::Select { row, col, .. } | PlanOp::Place { row, col, .. } => {
+                (row.as_ref(), col.as_ref())
+            }
+            PlanOp::PointUpdate { row, col, .. } => (Some(row), Some(col)),
+            _ => (None, None),
+        };
+        row.into_iter().chain(col)
     }
 
     /// Whether [`crate::delta`] has a propagation rule for this operation.
     /// Nodes without one fall back to invalidation when an update reaches
     /// them: pointwise function application is not linear over the
     /// semiring, and the loop constructs rebind variables per iteration,
-    /// so their deltas are not expressible from the child deltas alone.
+    /// so their deltas are not expressible from the child deltas alone —
+    /// nor are those of the loop-index ops, which exist only inside loops.
     pub fn supports_delta(&self) -> bool {
         !matches!(
             self,
@@ -360,6 +445,9 @@ impl PlanOp {
                 | PlanOp::Sum { .. }
                 | PlanOp::HProd { .. }
                 | PlanOp::MProd { .. }
+                | PlanOp::Select { .. }
+                | PlanOp::Place { .. }
+                | PlanOp::PointUpdate { .. }
         )
     }
 }
@@ -440,8 +528,8 @@ pub struct PlanNode {
 #[derive(Clone, Debug, PartialEq)]
 pub struct AppliedRewrite {
     /// The rule identifier: `"matrix-chain-reorder"`,
-    /// `"transpose-pushdown"`, `"ones-pushdown"`, `"diag-pushdown"` or
-    /// `"masked-product"`.
+    /// `"transpose-pushdown"`, `"ones-pushdown"`, `"diag-pushdown"`,
+    /// `"masked-product"` or `"loop-index"`.
     pub rule: &'static str,
     /// A human-readable summary of the rewritten site.
     pub detail: String,
@@ -478,11 +566,13 @@ pub struct PlanReport {
     /// parallel kernel.
     pub parallel_elementwise: usize,
     /// Every cost-based rewrite the planner applied (chain reordering,
-    /// transpose/ones pushdown, diag and masked-product fusion), in
-    /// application order.
+    /// transpose/ones pushdown, diag and masked-product fusion, loop-index
+    /// lowering), in application order.
     pub rewrites: Vec<AppliedRewrite>,
     /// Product nodes fused into [`PlanOp::ScaleRows`] /
-    /// [`PlanOp::ScaleCols`] / [`PlanOp::MaskedMatMul`] kernels.
+    /// [`PlanOp::ScaleCols`] / [`PlanOp::MaskedMatMul`] kernels.  (Products
+    /// lowered to loop-index ops are not counted here: they show as
+    /// `loop-index` entries of [`rewrites`](PlanReport::rewrites).)
     pub fused_products: usize,
     /// Nodes with a delta-propagation rule ([`PlanOp::supports_delta`]);
     /// updates reaching the remaining nodes invalidate instead of patch.
@@ -496,7 +586,8 @@ impl PlanReport {
     /// Total estimated semiring operations saved per evaluation by the
     /// cost-based rewrites, summed over [`PlanReport::rewrites`].
     pub fn rewrite_savings(&self) -> f64 {
-        self.rewrites.iter().map(|r| r.saving).sum()
+        // Folded from +0.0: an empty `f64` sum is −0.0, which prints "-0".
+        self.rewrites.iter().fold(0.0, |total, r| total + r.saving)
     }
 }
 
@@ -763,7 +854,7 @@ pub(crate) fn op_fingerprint(op: &PlanOp, fingerprints: &[u64]) -> u64 {
             var.hash(&mut h);
             var_dim.hash(&mut h);
         }
-        _ => {}
+        _ => op.loop_indices().for_each(|index| index.var.hash(&mut h)),
     }
     for child in op.children() {
         fingerprints[child].hash(&mut h);

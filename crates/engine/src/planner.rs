@@ -9,7 +9,11 @@
 //! 2. **Hash-cons (CSE)** — intern every structurally distinct
 //!    subexpression once; repeated subtrees (within a query *and across
 //!    the queries of a batch*) share a [`NodeId`], so the executor computes
-//!    them once.
+//!    them once.  Under the cost rewrites, a product with a loop's
+//!    canonical vector is interned as a loop-index op instead
+//!    ([`PlanOp::Select`], [`PlanOp::Place`], [`PlanOp::PointUpdate`]): the
+//!    builder's scope knows which names a `for`/Σ/Π∘/Π binds until a `let`
+//!    or an accumulator shadows them.
 //! 3. **Hoisting analysis** — mark the nodes that sit inside a loop body
 //!    but do not depend on the loop's bound variables; the executor's
 //!    scoped memo keeps exactly those nodes alive across iterations.
@@ -23,8 +27,8 @@
 //!    model chose the sparse representation for both factors and the mask.
 
 use crate::plan::{
-    AppliedRewrite, ConstVal, NodeEstimate, NodeId, Plan, PlanNode, PlanOp, PlanReport, ReprChoice,
-    VarSlot,
+    AppliedRewrite, ConstVal, LoopIndex, NodeEstimate, NodeId, Plan, PlanNode, PlanOp, PlanReport,
+    ReprChoice, VarSlot,
 };
 use matlang_core::{rewrite, Dim, Expr, Instance, MatrixType};
 use matlang_matrix::repr::{MIN_ADAPTIVE_ENTRIES, SPARSIFY_THRESHOLD};
@@ -188,6 +192,78 @@ impl InstanceStats {
     }
 }
 
+/// One binder in scope: the bound name, the advisory statistics of its
+/// value (`None` when unknown — which also correctly shadows any instance
+/// matrix of the same name), and whether it is a `for`/Σ/Π∘/Π iteration
+/// variable, bound to a canonical vector until something shadows it.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct Binder {
+    name: String,
+    stats: Option<VarStats>,
+    iterates: bool,
+}
+
+/// The binders in scope while an expression is walked, innermost last —
+/// the planner's DAG builder and the cost-based rewriter each keep one.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Scope(Vec<Binder>);
+
+impl Scope {
+    /// Binds `name` to a value: a `let` or a loop's accumulator.
+    pub(crate) fn push(&mut self, name: &str, stats: Option<VarStats>) {
+        self.0.push(Binder {
+            name: name.to_string(),
+            stats,
+            iterates: false,
+        });
+    }
+
+    /// Binds a loop's iteration variable: a canonical vector of dimension
+    /// `dim`, when the dimension is known.
+    pub(crate) fn push_loop(&mut self, name: &str, dim: Option<usize>) {
+        self.0.push(Binder {
+            name: name.to_string(),
+            stats: dim.map(|rows| VarStats {
+                rows,
+                cols: 1,
+                nnz: 1,
+            }),
+            iterates: true,
+        });
+    }
+
+    /// Unbinds the innermost binder.
+    pub(crate) fn pop(&mut self) {
+        self.0.pop();
+    }
+
+    /// The innermost binder of `name`.
+    pub(crate) fn binder(&self, name: &str) -> Option<&Binder> {
+        self.0.iter().rev().find(|b| b.name == name)
+    }
+
+    /// The statistics of `name`: its innermost binder's, else the instance
+    /// matrix's.
+    pub(crate) fn stats(&self, name: &str, instance: &InstanceStats) -> Option<VarStats> {
+        match self.binder(name) {
+            Some(b) => b.stats,
+            None => instance.vars.get(name).copied(),
+        }
+    }
+
+    /// Whether `name` is a loop's iteration variable here.
+    pub(crate) fn iterates(&self, name: &str) -> bool {
+        self.binder(name).is_some_and(|b| b.iterates)
+    }
+
+    /// The dimension of the canonical vector `name` is bound to, when its
+    /// innermost binder is a loop over a known dimension.
+    pub(crate) fn loop_dim(&self, name: &str) -> Option<usize> {
+        let b = self.binder(name).filter(|b| b.iterates)?;
+        b.stats.map(|s| s.rows)
+    }
+}
+
 /// Interior-node observations are pruned back to the most recent plan's
 /// fingerprints once the store exceeds this many entries, bounding memory
 /// across arbitrarily many re-plans.
@@ -324,15 +400,17 @@ impl Planner {
             fingerprints: Vec::new(),
             dedup: HashMap::new(),
             slots: HashMap::new(),
-            scope: Vec::new(),
+            scope: Scope::default(),
             loops: Vec::new(),
             fused: Vec::new(),
         };
         let mut roots = Vec::with_capacity(queries.len());
         for query in queries {
             let mut planned = if self.options.simplify {
-                report.simplify_savings += rewrite::savings(query);
-                rewrite::simplify(query)
+                // `rewrite::savings`, without simplifying a second time.
+                let simplified = rewrite::simplify(query);
+                report.simplify_savings += query.size().saturating_sub(simplified.size());
+                simplified
             } else {
                 query.clone()
             };
@@ -420,8 +498,14 @@ impl Planner {
 /// misdrive representation and parallelism choices for the others.  When
 /// the scopes agree (the overwhelmingly common case, e.g. the same loop
 /// variable name over the same dimension) the keys collide and the nodes
-/// share, which is exactly what CSE wants.
-type DedupKey = (PlanOp, Vec<(String, Option<VarStats>)>);
+/// share, which is exactly what CSE wants.  The binder kind is part of the
+/// key too: a loop's canonical vector and a `let`-bound vector of the same
+/// name and shape are different values to the loop-index ops.
+type DedupKey = (PlanOp, Vec<Binder>);
+
+/// A loop's iteration variable as a product operand, with the dimension of
+/// the canonical vector it is bound to.
+type LoopOperand = (LoopIndex, usize);
 
 struct Builder<'a> {
     stats: &'a InstanceStats,
@@ -436,14 +520,12 @@ struct Builder<'a> {
     /// Every variable name seen so far → its dense slot, in first-seen
     /// order.
     slots: HashMap<String, VarSlot>,
-    /// Bound loop/let variables in scope, innermost last, with the advisory
-    /// statistics of their bound value (`None` when unknown — which also
-    /// correctly shadows any instance matrix of the same name).
-    scope: Vec<(String, Option<VarStats>)>,
+    /// Bound loop/let variables in scope.
+    scope: Scope,
     /// The enclosing loops' bound-variable names, innermost last.
     loops: Vec<Vec<String>>,
-    /// Diag-pushdown and masked-product fusions performed while building,
-    /// merged into [`PlanReport::rewrites`] afterwards.
+    /// Diag-pushdown, loop-index and masked-product fusions performed while
+    /// building, merged into [`PlanReport::rewrites`] afterwards.
     fused: Vec<AppliedRewrite>,
 }
 
@@ -478,12 +560,16 @@ impl Builder<'_> {
                 self.intern(PlanOp::Diag(a))
             }
             Expr::MatMul(a, b) => {
-                // Diag pushdown: fuse `diag(v) · B` / `A · diag(v)` into
-                // the scaling kernels when the statistics certify the
-                // shapes (so the fused kernel cannot hit an error case the
-                // unfused product would not).  Child build order matches
-                // the unfused product's evaluation order exactly.
+                // Loop-index lowering, then diag pushdown: fuse
+                // `diag(v) · B` / `A · diag(v)` into the scaling kernels
+                // when the statistics certify the shapes (so the fused
+                // kernel cannot hit an error case the unfused product would
+                // not).  Child build order matches the unfused product's
+                // evaluation order exactly.
                 if self.options.cost_rewrites {
+                    if let Some(id) = self.lower_loop_product(a, b) {
+                        return id;
+                    }
                     if let Expr::Diag(v) = a.as_ref() {
                         let vec = self.build(v);
                         let mat = self.build(b);
@@ -507,6 +593,11 @@ impl Builder<'_> {
                 self.intern(PlanOp::MatMul(a, b))
             }
             Expr::Add(a, b) => {
+                if self.options.cost_rewrites {
+                    if let Some(id) = self.lower_point_update(a, b) {
+                        return id;
+                    }
+                }
                 let (a, b) = (self.build(a), self.build(b));
                 self.intern(PlanOp::Add(a, b))
             }
@@ -529,7 +620,7 @@ impl Builder<'_> {
                     cols: e.cols,
                     nnz: e.nnz.round() as usize,
                 });
-                self.scope.push((var.clone(), value_stats));
+                self.scope.push(var, value_stats);
                 let body_id = self.build(body);
                 self.scope.pop();
                 let var_slot = self.slot(var);
@@ -549,18 +640,13 @@ impl Builder<'_> {
                 body,
             } => {
                 let init_id = init.as_ref().map(|e| self.build(e));
-                let var_stats = self.stats.dim(var_dim).map(|n| VarStats {
-                    rows: n,
-                    cols: 1,
-                    nnz: 1,
-                });
                 let acc_stats = self.stats.shape_of(acc_type).map(|(rows, cols)| VarStats {
                     rows,
                     cols,
                     nnz: rows * cols,
                 });
-                self.scope.push((var.clone(), var_stats));
-                self.scope.push((acc.clone(), acc_stats));
+                self.scope.push_loop(var, self.stats.dim(var_dim));
+                self.scope.push(acc, acc_stats);
                 self.loops.push(vec![var.clone(), acc.clone()]);
                 let body_id = self.build(body);
                 self.loops.pop();
@@ -611,17 +697,199 @@ impl Builder<'_> {
     /// Builds a Σ/Π body under its loop variable's scope, returning the
     /// variable's slot and the body node.
     fn build_loop_body(&mut self, var: &str, var_dim: &str, body: &Expr) -> (VarSlot, NodeId) {
-        let var_stats = self.stats.dim(var_dim).map(|n| VarStats {
-            rows: n,
-            cols: 1,
-            nnz: 1,
-        });
-        self.scope.push((var.to_string(), var_stats));
+        self.scope.push_loop(var, self.stats.dim(var_dim));
         self.loops.push(vec![var.to_string()]);
         let body_id = self.build(body);
         self.loops.pop();
         self.scope.pop();
         (self.slot(var), body_id)
+    }
+
+    /// `e` as a loop operand — `v`, or `vᵀ` when `transposed` — when `v` is
+    /// a loop's iteration variable over a known dimension here.
+    fn loop_operand(&mut self, e: &Expr, transposed: bool) -> Option<LoopOperand> {
+        let e = match (e, transposed) {
+            (Expr::Transpose(inner), true) => inner.as_ref(),
+            (e, false) => e,
+            _ => return None,
+        };
+        let Expr::Var(name) = e else {
+            return None;
+        };
+        let dim = self.scope.loop_dim(name)?;
+        let slot = self.slot(name);
+        Some((
+            LoopIndex {
+                var: name.clone(),
+                slot,
+            },
+            dim,
+        ))
+    }
+
+    /// Loop-index lowering of the product `a · b` when an operand is a
+    /// loop's canonical vector `v`/`w` (see [`PlanOp::Select`] and
+    /// [`PlanOp::Place`]):
+    ///
+    /// * `vᵀ·M·w`, either association → one entry of `M`;
+    /// * `v·wᵀ` → the unit matrix;
+    /// * `vᵀ·M` → row `v` of `M`; `M·w` → column `w` of `M`;
+    /// * `v·y` → the row `y` placed as row `v`; `x·wᵀ` → the column `x`
+    ///   placed as column `w`.
+    ///
+    /// `None` when neither operand is one, so the product builds as usual.
+    fn lower_loop_product(&mut self, a: &Expr, b: &Expr) -> Option<NodeId> {
+        let (row, col) = (self.loop_operand(a, true), self.loop_operand(b, false));
+        if let (Expr::MatMul(l, m), Some(w)) = (a, &col) {
+            if let Some(v) = self.loop_operand(l, true) {
+                return Some(self.lower_index(m, Some(v), Some(w.clone()), false));
+            }
+        }
+        if let (Some(v), Expr::MatMul(m, r)) = (&row, b) {
+            if let Some(w) = self.loop_operand(r, false) {
+                return Some(self.lower_index(m, Some(v.clone()), Some(w), false));
+            }
+        }
+        let (placed_row, placed_col) = (self.loop_operand(a, false), self.loop_operand(b, true));
+        Some(match (row, col, placed_row, placed_col) {
+            (_, _, Some(v), Some(w)) => self.unit(v, w),
+            (Some(v), ..) => self.lower_index(b, Some(v), None, false),
+            (_, Some(w), ..) => self.lower_index(a, None, Some(w), false),
+            (_, _, Some(v), _) => self.lower_index(b, Some(v), None, true),
+            (_, _, _, Some(w)) => self.lower_index(a, None, Some(w), true),
+            _ => return None,
+        })
+    }
+
+    /// Interns `vᵀ·x·w` as a [`PlanOp::Select`] — or, with `place`, `v·x·wᵀ`
+    /// as a [`PlanOp::Place`] — either factor absent, when `x`'s estimate
+    /// certifies the shapes, so the index op cannot fail where the products
+    /// would not.  Otherwise interns the unfused products around the built
+    /// `x`.
+    fn lower_index(
+        &mut self,
+        x: &Expr,
+        row: Option<LoopOperand>,
+        col: Option<LoopOperand>,
+        place: bool,
+    ) -> NodeId {
+        let x = self.build(x);
+        // Selecting needs `x` to span the vectors' dimensions; placing
+        // needs it to be a row (for `v·x`) or a column (for `x·wᵀ`).
+        let fits = |factor: &Option<LoopOperand>, have: usize| {
+            factor
+                .as_ref()
+                .map_or(true, |(_, dim)| have == if place { 1 } else { *dim })
+        };
+        let Some(e) = self.nodes[x]
+            .est
+            .filter(|e| fits(&row, e.rows) && fits(&col, e.cols))
+        else {
+            let mut id = x;
+            if let Some((v, _)) = row {
+                let v = self.canonical_operand(v, !place);
+                id = self.intern(PlanOp::MatMul(v, id));
+            }
+            if let Some((w, _)) = col {
+                let w = self.canonical_operand(w, place);
+                id = self.intern(PlanOp::MatMul(id, w));
+            }
+            return id;
+        };
+        // The saving: the own work of the first unfused product, `x` with a
+        // one-entry canonical vector, in the planner's cost model.
+        let x_est = (e.rows, e.cols, e.nnz);
+        let (_, saving) = match (&row, &col) {
+            (Some((_, n)), _) => {
+                product_cost(if place { (*n, 1, 1.0) } else { (1, *n, 1.0) }, x_est)
+            }
+            (None, Some((_, n))) => {
+                product_cost(x_est, if place { (1, *n, 1.0) } else { (*n, 1, 1.0) })
+            }
+            (None, None) => unreachable!("a lowered product has a canonical factor"),
+        };
+        let (row, col) = (row.map(|(v, _)| v), col.map(|(w, _)| w));
+        let op = if place {
+            PlanOp::Place {
+                vec: Some(x),
+                row,
+                col,
+            }
+        } else {
+            PlanOp::Select { mat: x, row, col }
+        };
+        self.record_loop_index(&op, (e.rows, e.cols), saving);
+        self.intern(op)
+    }
+
+    /// The unit matrix `v·wᵀ` as a [`PlanOp::Place`] without an operand —
+    /// the product of an `n × 1` and a `1 × m` vector is always defined.
+    fn unit(&mut self, v: LoopOperand, w: LoopOperand) -> NodeId {
+        let op = PlanOp::Place {
+            vec: None,
+            row: Some(v.0),
+            col: Some(w.0),
+        };
+        let (_, saving) = product_cost((v.1, 1, 1.0), (1, w.1, 1.0));
+        self.record_loop_index(&op, (v.1, w.1), saving);
+        self.intern(op)
+    }
+
+    /// Loop-index lowering of `x + s × (v·wᵀ)`: a [`PlanOp::PointUpdate`] of
+    /// `x` when the estimates certify `x` is `n × m` and `s` a scalar,
+    /// otherwise `x` plus the scaled unit matrix.  `None` when `update` is
+    /// not such a product, so the sum builds as usual.
+    fn lower_point_update(&mut self, x: &Expr, update: &Expr) -> Option<NodeId> {
+        let Expr::ScalarMul(s, unit) = update else {
+            return None;
+        };
+        let Expr::MatMul(v, wt) = unit.as_ref() else {
+            return None;
+        };
+        let (v, w) = (self.loop_operand(v, false)?, self.loop_operand(wt, true)?);
+        let (mat, scalar) = (self.build(x), self.build(s));
+        let certified = matches!(
+            (self.nodes[mat].est, self.nodes[scalar].est),
+            (Some(m), Some(s)) if (m.rows, m.cols) == (v.1, w.1) && (s.rows, s.cols) == (1, 1)
+        );
+        if !certified {
+            let unit = self.unit(v, w);
+            let scaled = self.intern(PlanOp::ScalarMul(scalar, unit));
+            return Some(self.intern(PlanOp::Add(mat, scaled)));
+        }
+        let op = PlanOp::PointUpdate {
+            mat,
+            scalar,
+            row: v.0,
+            col: w.0,
+        };
+        let (_, saving) = product_cost((v.1, 1, 1.0), (1, w.1, 1.0));
+        self.record_loop_index(&op, (v.1, w.1), saving);
+        Some(self.intern(op))
+    }
+
+    /// The `Var` node of a loop operand, transposed when asked — the
+    /// unfused product's operand where a lowering is not certified.
+    fn canonical_operand(&mut self, index: LoopIndex, transposed: bool) -> NodeId {
+        let var = self.intern(PlanOp::Var(index.var, index.slot));
+        if transposed {
+            self.intern(PlanOp::Transpose(var))
+        } else {
+            var
+        }
+    }
+
+    /// Records one loop-index lowering in the plan report; `saving` is the
+    /// own work of the first unfused product it replaces.
+    fn record_loop_index(&mut self, op: &PlanOp, (rows, cols): (usize, usize), saving: f64) {
+        self.fused.push(AppliedRewrite {
+            rule: "loop-index",
+            detail: format!(
+                "[{rows}×{cols}] product with a loop's canonical vector → {}",
+                op.label()
+            ),
+            saving,
+        });
     }
 
     /// Interns the fused scaling node for `diag(vec) · mat` (`row_side`)
@@ -680,10 +948,9 @@ impl Builder<'_> {
 
     fn intern(&mut self, op: PlanOp) -> NodeId {
         let free_vars = self.free_vars_of(&op);
-        let scope_sig: Vec<(String, Option<VarStats>)> = free_vars
+        let scope_sig: Vec<Binder> = free_vars
             .iter()
-            .filter(|name| self.scope.iter().any(|(bound, _)| bound == *name))
-            .map(|name| (name.clone(), self.lookup_var(name)))
+            .filter_map(|name| self.scope.binder(name).cloned())
             .collect();
         let key = (op, scope_sig);
         if let Some(&id) = self.dedup.get(&key) {
@@ -853,11 +1120,11 @@ impl Builder<'_> {
             *root = new_id[*root];
         }
         // Renumber, and re-derive every estimate above a masked product
-        // from its new one.  A variable's estimate came from the scope it
-        // was interned under and has no children to follow.
+        // from its new one.  A variable's or a placement's estimate came
+        // from the scope it was interned under.
         for id in 0..self.nodes.len() {
             self.nodes[id].op.map_children(|child| new_id[child]);
-            if !matches!(self.nodes[id].op, PlanOp::Var(..)) {
+            if !matches!(self.nodes[id].op, PlanOp::Var(..) | PlanOp::Place { .. }) {
                 self.nodes[id].est =
                     self.estimate_with_observed(&self.nodes[id].op, self.fingerprints[id]);
             }
@@ -901,6 +1168,11 @@ impl Builder<'_> {
                 out.extend(of(mask));
                 out
             }
+            PlanOp::Select { .. } | PlanOp::Place { .. } | PlanOp::PointUpdate { .. } => {
+                let mut out: BTreeSet<String> = op.children().iter().flat_map(of).collect();
+                out.extend(op.loop_indices().map(|index| index.var.clone()));
+                out
+            }
             PlanOp::Apply(_, args) => {
                 let mut out = BTreeSet::new();
                 for a in args {
@@ -941,20 +1213,11 @@ impl Builder<'_> {
         }
     }
 
-    fn lookup_var(&self, name: &str) -> Option<VarStats> {
-        for (bound, stats) in self.scope.iter().rev() {
-            if bound == name {
-                return *stats;
-            }
-        }
-        self.stats.vars.get(name).copied()
-    }
-
     fn estimate(&self, op: &PlanOp) -> Option<NodeEstimate> {
         let est = |id: &NodeId| self.nodes[*id].est;
         match op {
             PlanOp::Var(name, _) => {
-                let s = self.lookup_var(name)?;
+                let s = self.scope.stats(name, self.stats)?;
                 Some(finish(s.rows, s.cols, s.nnz as f64, 0.0, false))
             }
             PlanOp::Const(_) => Some(finish(1, 1, 1.0, 0.0, false)),
@@ -1051,6 +1314,41 @@ impl Builder<'_> {
                     kept,
                     l.work + r.work + m.work + own_work + kept,
                     own_work >= PARALLEL_WORK_THRESHOLD,
+                ))
+            }
+            PlanOp::Select { mat, row, col } => {
+                let m = est(mat)?;
+                let rows = if row.is_some() { 1 } else { m.rows };
+                let cols = if col.is_some() { 1 } else { m.cols };
+                let nnz = m.density() * (rows * cols) as f64;
+                Some(finish(rows, cols, nnz, m.work + nnz, false))
+            }
+            PlanOp::Place { vec, row, col } => {
+                // The unit matrix places the scalar one.
+                let v = match vec {
+                    Some(v) => est(v)?,
+                    None => finish(1, 1, 1.0, 0.0, false),
+                };
+                let dim = |index: &LoopIndex| self.scope.stats(&index.var, self.stats);
+                let rows = match row {
+                    Some(index) => dim(index)?.rows,
+                    None => v.rows,
+                };
+                let cols = match col {
+                    Some(index) => dim(index)?.rows,
+                    None => v.cols,
+                };
+                Some(finish(rows, cols, v.nnz, v.work + v.nnz, false))
+            }
+            PlanOp::PointUpdate { mat, scalar, .. } => {
+                // A copy of `mat` with one entry merged.
+                let (m, s) = (est(mat)?, est(scalar)?);
+                Some(finish(
+                    m.rows,
+                    m.cols,
+                    m.nnz + 1.0,
+                    m.work + s.work + m.nnz,
+                    false,
                 ))
             }
             PlanOp::Apply(_, args) => {
@@ -1258,8 +1556,11 @@ mod tests {
         let root = plan.node(plan.roots()[0]);
         assert!(root.free_vars.contains("G"));
         assert!(!root.free_vars.contains("v"));
-        // v, vᵀ and vᵀ·G all depend on v; the Σ node itself does not.
-        assert_eq!(plan.dependents_of("v").len(), 3);
+        // vᵀ·G is lowered to one row selection, which depends on v; the Σ
+        // node itself does not.
+        let dependents = plan.dependents_of("v");
+        assert_eq!(dependents.len(), 1);
+        assert_eq!(plan.node(dependents[0]).op.label(), "select-row");
     }
 
     #[test]
@@ -1406,6 +1707,14 @@ mod tests {
         let text = plan.report.to_string();
         assert!(text.contains("dag nodes"));
         assert!(text.contains("1 query"));
+    }
+
+    #[test]
+    fn a_report_without_rewrites_saves_zero_ops() {
+        let report = PlanReport::default();
+        assert_eq!(report.rewrite_savings().to_bits(), 0.0f64.to_bits());
+        let text = report.to_string();
+        assert!(text.contains("0 cost rewrites (≈0 ops saved)"), "{text}");
     }
 
     #[test]

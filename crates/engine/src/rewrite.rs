@@ -13,7 +13,8 @@
 //!   cost model.  Inside Σ/Π/for loops the DP amortizes the cost of
 //!   loop-invariant sub-products by the iteration count, because the
 //!   executor's scoped memo computes those once per loop, not per
-//!   iteration.
+//!   iteration.  A chain with a loop's canonical vector among its factors
+//!   is left as written, for the planner's loop-index lowering.
 //! * **Transpose pushdown** — `(e₁ · e₂)ᵀ → e₂ᵀ · e₁ᵀ` when transposing
 //!   the (cheap, CSR-friendly) operands beats materializing the product
 //!   and transposing it; `eᵀᵀ` introduced in the process is cancelled on
@@ -44,7 +45,7 @@
 //! [`PlanReport::rewrites`](crate::plan::PlanReport::rewrites).
 
 use crate::plan::AppliedRewrite;
-use crate::planner::{InstanceStats, VarStats};
+use crate::planner::{InstanceStats, Scope, VarStats};
 use matlang_core::Expr;
 use std::collections::BTreeSet;
 
@@ -117,6 +118,14 @@ fn flatten_chain(e: &Expr, out: &mut Vec<Expr>) {
     }
 }
 
+/// The number of factors of `e`'s maximal product spine.
+fn chain_len(e: &Expr) -> usize {
+    match e {
+        Expr::MatMul(a, b) => chain_len(a) + chain_len(b),
+        _ => 1,
+    }
+}
+
 /// Relative improvement below which a rewrite is not worth the churn (and
 /// floating-point cost ties must not flip the tree).
 const MIN_IMPROVEMENT: f64 = 0.999;
@@ -140,9 +149,8 @@ type ChainSeg = (ExprEstimate, f64, usize);
 
 struct Rewriter<'a> {
     stats: &'a InstanceStats,
-    /// Bound loop/let variables in scope, innermost last, with advisory
-    /// statistics (mirrors the planner's `Builder` scope).
-    scope: Vec<(String, Option<VarStats>)>,
+    /// Bound loop/let variables in scope (as in the planner's `Builder`).
+    scope: Scope,
     /// Enclosing loops, innermost last: bound-variable names plus the
     /// iteration count when the governing dimension is known.
     loops: Vec<(Vec<String>, Option<usize>)>,
@@ -151,12 +159,19 @@ struct Rewriter<'a> {
 
 impl Rewriter<'_> {
     fn lookup(&self, name: &str) -> Option<VarStats> {
-        for (bound, stats) in self.scope.iter().rev() {
-            if bound == name {
-                return *stats;
+        self.scope.stats(name, self.stats)
+    }
+
+    /// Whether `e` is `v` or `vᵀ` for a loop's iteration variable `v` — a
+    /// factor the planner lowers to an index operation.
+    fn is_canonical_factor(&self, e: &Expr) -> bool {
+        match e {
+            Expr::Var(name) => self.scope.iterates(name),
+            Expr::Transpose(inner) => {
+                matches!(inner.as_ref(), Expr::Var(name) if self.scope.iterates(name))
             }
+            _ => false,
         }
-        self.stats.vars.get(name).copied()
     }
 
     /// How many evaluations one computation of a subterm with free
@@ -297,14 +312,14 @@ impl Rewriter<'_> {
             }
             Expr::Let { var, value, body } => {
                 let v = self.est(value)?;
-                self.scope.push((
-                    var.clone(),
+                self.scope.push(
+                    var,
                     Some(VarStats {
                         rows: v.rows,
                         cols: v.cols,
                         nnz: v.nnz.round() as usize,
                     }),
-                ));
+                );
                 let b = self.est(body);
                 self.scope.pop();
                 let b = b?;
@@ -330,22 +345,15 @@ impl Rewriter<'_> {
                     Some(init) => self.est(init)?.work,
                     None => 0.0,
                 };
-                self.scope.push((
-                    var.clone(),
-                    Some(VarStats {
-                        rows: n,
-                        cols: 1,
-                        nnz: 1,
-                    }),
-                ));
-                self.scope.push((
-                    acc.clone(),
+                self.scope.push_loop(var, Some(n));
+                self.scope.push(
+                    acc,
                     Some(VarStats {
                         rows,
                         cols,
                         nnz: rows * cols,
                     }),
-                ));
+                );
                 let b = self.est(body);
                 self.scope.pop();
                 self.scope.pop();
@@ -362,14 +370,7 @@ impl Rewriter<'_> {
             | Expr::HProd { var, var_dim, body }
             | Expr::MProd { var, var_dim, body } => {
                 let n = self.stats.dim(var_dim)?;
-                self.scope.push((
-                    var.clone(),
-                    Some(VarStats {
-                        rows: n,
-                        cols: 1,
-                        nnz: 1,
-                    }),
-                ));
+                self.scope.push_loop(var, Some(n));
                 let b = self.est(body);
                 self.scope.pop();
                 let b = b?;
@@ -431,7 +432,7 @@ impl Rewriter<'_> {
                     cols: e.cols,
                     nnz: e.nnz.round() as usize,
                 });
-                self.scope.push((var.clone(), value_stats));
+                self.scope.push(var, value_stats);
                 let body = self.rewrite(body);
                 self.scope.pop();
                 Expr::Let {
@@ -450,18 +451,13 @@ impl Rewriter<'_> {
             } => {
                 let init = init.as_ref().map(|e| Box::new(self.rewrite(e)));
                 let n = self.stats.dim(var_dim);
-                let var_stats = n.map(|n| VarStats {
-                    rows: n,
-                    cols: 1,
-                    nnz: 1,
-                });
                 let acc_stats = self.stats.shape_of(acc_type).map(|(rows, cols)| VarStats {
                     rows,
                     cols,
                     nnz: rows * cols,
                 });
-                self.scope.push((var.clone(), var_stats));
-                self.scope.push((acc.clone(), acc_stats));
+                self.scope.push_loop(var, n);
+                self.scope.push(acc, acc_stats);
                 self.loops.push((vec![var.clone(), acc.clone()], n));
                 let body = self.rewrite(body);
                 self.loops.pop();
@@ -505,12 +501,7 @@ impl Rewriter<'_> {
 
     fn rewrite_loop_body(&mut self, var: &str, var_dim: &str, body: &Expr) -> Expr {
         let n = self.stats.dim(var_dim);
-        let var_stats = n.map(|n| VarStats {
-            rows: n,
-            cols: 1,
-            nnz: 1,
-        });
-        self.scope.push((var.to_string(), var_stats));
+        self.scope.push_loop(var, n);
         self.loops.push((vec![var.to_string()], n));
         let body = self.rewrite(body);
         self.loops.pop();
@@ -585,12 +576,20 @@ impl Rewriter<'_> {
     /// Re-parenthesizes a maximal product chain by the interval DP when
     /// the cost model finds a strictly cheaper association.  Factor order
     /// is preserved, so evaluation order (and therefore error behavior)
-    /// is unchanged; only the association differs.
+    /// is unchanged; only the association differs.  A chain with a loop's
+    /// canonical vector among its factors keeps the association it was
+    /// written with: the planner lowers `vᵀ·A·w` and its kin to index
+    /// operations, which a reassociation into `vᵀ·(A·(w·…))` would turn
+    /// back into full products.
     fn reorder_chain(&mut self, tree: Expr) -> Expr {
+        // Counted before the factors are cloned: most products have two.
+        if chain_len(&tree) < 3 {
+            return tree;
+        }
         let mut factors = Vec::new();
         flatten_chain(&tree, &mut factors);
         let k = factors.len();
-        if k < 3 {
+        if factors.iter().any(|f| self.is_canonical_factor(f)) {
             return tree;
         }
         let Some(ests) = factors
@@ -719,7 +718,7 @@ pub fn rewrite_with_stats(expr: &Expr, stats: &InstanceStats) -> RewriteOutcome 
     for _ in 0..4 {
         let mut rewriter = Rewriter {
             stats,
-            scope: Vec::new(),
+            scope: Scope::default(),
             loops: Vec::new(),
             applied: Vec::new(),
         };

@@ -31,6 +31,7 @@
 //! translations) runs on any of the three backends unchanged.
 
 pub mod error;
+pub mod index;
 pub mod matrix;
 pub mod mixed;
 pub mod ops;
@@ -44,6 +45,7 @@ pub mod special;
 pub mod storage;
 
 pub use error::MatrixError;
+pub use index::Canonical;
 pub use matrix::Matrix;
 pub use parallel::{configured_threads, MATLANG_THREADS_ENV};
 pub use pool::WorkerPool;

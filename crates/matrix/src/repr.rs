@@ -88,7 +88,7 @@ impl<K: Semiring> MatrixRepr<K> {
     }
 
     /// The value in CSR storage, borrowed when it already is.
-    fn as_sparse(&self) -> Cow<'_, SparseMatrix<K>> {
+    pub(crate) fn as_sparse(&self) -> Cow<'_, SparseMatrix<K>> {
         match self {
             MatrixRepr::Dense(d) => Cow::Owned(SparseMatrix::from_dense(d)),
             MatrixRepr::Sparse(s) => Cow::Borrowed(s),
@@ -99,13 +99,15 @@ impl<K: Semiring> MatrixRepr<K> {
     /// current one is a poor fit.  Every operation below normalizes its
     /// result, so evaluation automatically tracks the density of
     /// intermediate values (e.g. powers of an adjacency matrix densify as
-    /// paths multiply).
+    /// paths multiply).  A dense value that stays dense is moved, never
+    /// copied.
     pub fn normalized(self) -> Self {
         let (rows, cols) = self.shape();
-        if rows * cols < MIN_ADAPTIVE_ENTRIES {
-            return MatrixRepr::Dense(self.to_dense());
-        }
         match self {
+            MatrixRepr::Sparse(s) if rows * cols < MIN_ADAPTIVE_ENTRIES => {
+                MatrixRepr::Dense(s.to_dense())
+            }
+            small if rows * cols < MIN_ADAPTIVE_ENTRIES => small,
             MatrixRepr::Sparse(s) if s.density() > DENSIFY_THRESHOLD => {
                 MatrixRepr::Dense(s.to_dense())
             }
@@ -467,6 +469,16 @@ mod tests {
         let id = MatrixRepr::<Real>::from_sparse_auto(SparseMatrix::identity(4));
         assert!(!id.is_sparse(), "4x4 identity is below the adaptive floor");
         assert_eq!(id.backend_name(), "dense");
+    }
+
+    #[test]
+    fn small_dense_values_are_moved_not_copied() {
+        let row = dense(&[&[1.0, 0.0, 2.0]]);
+        let entries = row.entries().as_ptr();
+        match MatrixRepr::Dense(row).normalized() {
+            MatrixRepr::Dense(d) => assert_eq!(d.entries().as_ptr(), entries),
+            MatrixRepr::Sparse(_) => panic!("a 1 × 3 value stays dense"),
+        }
     }
 
     #[test]

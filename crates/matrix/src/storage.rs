@@ -16,7 +16,7 @@
 
 use crate::repr::MatrixRepr;
 use crate::sparse::SparseMatrix;
-use crate::{Matrix, Result};
+use crate::{Canonical, Matrix, Result};
 use matlang_semiring::Semiring;
 use std::fmt::Debug;
 
@@ -229,6 +229,48 @@ pub trait MatrixStorage: Clone + PartialEq + Debug + Send + Sync + Sized + 'stat
             .hadamard_threaded(mask, threads)
     }
 
+    /// `bᵢᵀ·self`, `self·bⱼ` or `bᵢᵀ·self·bⱼ` for canonical vectors `bᵢ`,
+    /// `bⱼ` (either absent): a row, a column or one entry of `self` — the
+    /// kernel behind the planner's loop-index lowering (see
+    /// [`crate::index`]).  The default is the unfused product, so every
+    /// backend is correct by construction; overrides must agree with it
+    /// entry for entry, error for error.
+    fn select(&self, row: Option<Canonical>, col: Option<Canonical>) -> Result<Self> {
+        let mut out = match row {
+            Some(r) => r.vector::<Self>().transpose().matmul(self)?,
+            None => self.clone(),
+        };
+        if let Some(c) = col {
+            out = out.matmul(&c.vector())?;
+        }
+        Ok(out)
+    }
+
+    /// `bᵢ·self` for a `1 × m` row, `self·bⱼᵀ` for an `n × 1` column (or
+    /// `bᵢ·self·bⱼᵀ` for a scalar — the unit matrix when it is one): the
+    /// operand placed as row `i`, column `j` or entry `(i, j)` of a zero
+    /// matrix.  Default: the unfused product, as for
+    /// [`select`](MatrixStorage::select).
+    fn place(&self, row: Option<Canonical>, col: Option<Canonical>) -> Result<Self> {
+        let mut out = match row {
+            Some(r) => r.vector::<Self>().matmul(self)?,
+            None => self.clone(),
+        };
+        if let Some(c) = col {
+            out = out.matmul(&c.vector::<Self>().transpose())?;
+        }
+        Ok(out)
+    }
+
+    /// The point update `self + scalar × (bᵢ·bⱼᵀ)`.  Default: the unfused
+    /// expression.
+    fn point_update(&self, scalar: &Self::Elem, row: Canonical, col: Canonical) -> Result<Self> {
+        let unit = row
+            .vector::<Self>()
+            .matmul(&col.vector::<Self>().transpose())?;
+        self.add(&unit.scalar_mul(scalar))
+    }
+
     /// The trace of a square matrix.
     fn trace(&self) -> Result<Self::Elem>;
 
@@ -399,6 +441,18 @@ impl<K: Semiring> MatrixStorage for Matrix<K> {
 
     fn scale_cols(&self, scale: &Self) -> Result<Self> {
         Matrix::scale_cols(self, scale)
+    }
+
+    fn select(&self, row: Option<Canonical>, col: Option<Canonical>) -> Result<Self> {
+        Matrix::select(self, row, col)
+    }
+
+    fn place(&self, row: Option<Canonical>, col: Option<Canonical>) -> Result<Self> {
+        Matrix::place(self, row, col)
+    }
+
+    fn point_update(&self, scalar: &K, row: Canonical, col: Canonical) -> Result<Self> {
+        Matrix::point_update(self, scalar, row, col)
     }
 
     fn trace(&self) -> Result<K> {
@@ -594,6 +648,18 @@ impl<K: Semiring> MatrixStorage for SparseMatrix<K> {
         SparseMatrix::matmul_masked_threaded(self, other, mask, threads)
     }
 
+    fn select(&self, row: Option<Canonical>, col: Option<Canonical>) -> Result<Self> {
+        SparseMatrix::select(self, row, col)
+    }
+
+    fn place(&self, row: Option<Canonical>, col: Option<Canonical>) -> Result<Self> {
+        SparseMatrix::place(self, row, col)
+    }
+
+    fn point_update(&self, scalar: &K, row: Canonical, col: Canonical) -> Result<Self> {
+        SparseMatrix::point_update(self, scalar, row, col)
+    }
+
     fn trace(&self) -> Result<K> {
         SparseMatrix::trace(self)
     }
@@ -776,6 +842,18 @@ impl<K: Semiring> MatrixStorage for MatrixRepr<K> {
 
     fn matmul_masked_threaded(&self, other: &Self, mask: &Self, threads: usize) -> Result<Self> {
         MatrixRepr::matmul_masked_threaded(self, other, mask, threads)
+    }
+
+    fn select(&self, row: Option<Canonical>, col: Option<Canonical>) -> Result<Self> {
+        MatrixRepr::select(self, row, col)
+    }
+
+    fn place(&self, row: Option<Canonical>, col: Option<Canonical>) -> Result<Self> {
+        MatrixRepr::place(self, row, col)
+    }
+
+    fn point_update(&self, scalar: &K, row: Canonical, col: Canonical) -> Result<Self> {
+        MatrixRepr::point_update(self, scalar, row, col)
     }
 
     fn trace(&self) -> Result<K> {

@@ -16,6 +16,8 @@
 //! * [`helpers`] — schema/instance builders shared by examples, tests and
 //!   benches.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod csanky;
 pub mod graphs;

@@ -1,7 +1,7 @@
-//! Experiment E11 — the query planning + parallel execution engine versus
+//! Experiment E11 — the query planning + memoizing execution engine versus
 //! naive tree-walking evaluation.
 //!
-//! Three series:
+//! Two series:
 //!
 //! 1. **Hoisting/CSE** — the Gram-trace query `Σv. vᵀ·(GᵀG)·v` over a
 //!    sparse average-degree-8 graph.  The naive evaluator recomputes the
@@ -11,19 +11,13 @@
 //! 2. **Batching** — four analytics queries sharing powers of one
 //!    adjacency matrix, evaluated naively one-by-one versus through the
 //!    engine's shared batch cache.
-//! 3. **Parallel SpMM** — squaring the n = 2000, average-degree-8 Boolean
-//!    adjacency matrix (the sparse subsystem's acceptance point) with the
-//!    serial Gustavson kernel versus the row-partitioned threaded kernel
-//!    at 2, 4 and `configured_threads()` workers.  The win requires ≥ 2
-//!    hardware threads; on a single-core host the threaded kernel
-//!    degrades gracefully to near-serial cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use matlang_bench::sparse_criterion;
 use matlang_core::{evaluate, Expr, FunctionRegistry, Instance, SparseInstance};
 use matlang_engine::Engine;
-use matlang_matrix::{configured_threads, sparse_erdos_renyi, MatrixRepr, SparseMatrix};
-use matlang_semiring::{Boolean, Nat};
+use matlang_matrix::{sparse_erdos_renyi, MatrixRepr};
+use matlang_semiring::Nat;
 
 const AVG_DEGREE: f64 = 8.0;
 
@@ -91,31 +85,9 @@ fn bench_batching(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_spmm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E11_parallel_spmm");
-    let n = 2000;
-    let sparse: SparseMatrix<Boolean> = sparse_erdos_renyi(n, AVG_DEGREE, 7 + n as u64);
-    group.bench_with_input(BenchmarkId::new("serial-gustavson", n), &n, |b, _| {
-        b.iter(|| sparse.matmul(&sparse).unwrap())
-    });
-    let mut thread_counts = vec![2usize, 4];
-    let configured = configured_threads();
-    if !thread_counts.contains(&configured) {
-        thread_counts.push(configured);
-    }
-    for threads in thread_counts {
-        let label = format!("threads-{threads}");
-        group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-            b.iter(|| sparse.matmul_threaded(&sparse, threads).unwrap())
-        });
-    }
-    group.finish();
-}
-
 fn run(c: &mut Criterion) {
     bench_hoisting(c);
     bench_batching(c);
-    bench_parallel_spmm(c);
 }
 
 criterion_group! {

@@ -7,6 +7,8 @@
 //! comparison — who wins, by what factor, and how the gap scales with the
 //! matrix dimension — not absolute numbers.
 
+#![forbid(unsafe_code)]
+
 use criterion::Criterion;
 use std::time::Duration;
 

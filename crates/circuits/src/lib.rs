@@ -15,6 +15,8 @@
 //!   fixed size): translate a circuit `Φₙ` into a for-MATLANG expression
 //!   over a single input-vector variable.
 
+#![forbid(unsafe_code)]
+
 pub mod circuit;
 pub mod compile;
 pub mod decompile;

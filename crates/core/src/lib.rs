@@ -32,6 +32,8 @@
 //!   path — dense, sparse-adaptive, and the `matlang_engine`
 //!   planner/executor — is checked against.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod desugar;
 pub mod display;

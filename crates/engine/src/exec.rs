@@ -25,11 +25,6 @@
 //! executor, shared); under an active trace only nodes *outside* every
 //! loop open a span — an outermost loop is one span closed by one summary
 //! event; what happened per node inside it is in the [`NodeSample`]s.
-//!
-//! Product nodes the planner marked heavy run on the row-partitioned
-//! threaded kernels of [`matlang_matrix::parallel`]; the worker count
-//! honors [`ExecOptions::threads`], which defaults to the `MATLANG_THREADS`
-//! environment variable via [`matlang_matrix::configured_threads`].
 
 use crate::plan::{LoopIndex, NodeId, Plan, PlanOp, ReprChoice, VarSlot};
 use matlang_core::{EvalError, FunctionRegistry, Instance, MatrixType};
@@ -61,13 +56,8 @@ enum Binding<M> {
 }
 
 /// Executor configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ExecOptions {
-    /// Worker threads for products the planner marked parallel (default:
-    /// [`matlang_matrix::configured_threads`], i.e. the `MATLANG_THREADS`
-    /// environment variable or the machine's available parallelism).
-    /// `1` disables threading entirely.
-    pub threads: usize,
     /// Time every node computation in the per-node [`NodeSample`]s — the
     /// engine side of the server's `PROFILE` verb.  Off by default: the
     /// executor always records output shape/nnz and hit/computed counts on
@@ -75,15 +65,6 @@ pub struct ExecOptions {
     /// warm hits never reach it), but the per-node `Instant` reads stay
     /// opt-in.
     pub profile: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            threads: matlang_matrix::configured_threads(),
-            profile: false,
-        }
-    }
 }
 
 /// Per-node observation sample.  Shape, nnz and hit/computed counts are
@@ -124,11 +105,6 @@ pub struct ExecStats {
     pub cache_misses: u64,
     /// Cache entries dropped because a variable they depend on was rebound.
     pub invalidations: u64,
-    /// Products executed on the threaded kernels.
-    pub parallel_products: u64,
-    /// Elementwise operations (add/Hadamard) executed on the threaded
-    /// kernels.
-    pub parallel_elementwise: u64,
     /// Products executed on a fused kernel: the diag-scaling
     /// `scale_rows`/`scale_cols` instead of materializing a diagonal, or
     /// `matmul_masked` instead of materializing a product for a mask.
@@ -153,8 +129,6 @@ impl ExecStats {
             cache_hits: self.cache_hits - earlier.cache_hits,
             cache_misses: self.cache_misses - earlier.cache_misses,
             invalidations: self.invalidations - earlier.invalidations,
-            parallel_products: self.parallel_products - earlier.parallel_products,
-            parallel_elementwise: self.parallel_elementwise - earlier.parallel_elementwise,
             fused_products: self.fused_products - earlier.fused_products,
             delta_patches: self.delta_patches - earlier.delta_patches,
             trace_id: self.trace_id,
@@ -166,13 +140,11 @@ impl std::fmt::Display for ExecStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} hits / {} misses / {} invalidations / {} parallel products / \
-             {} parallel elementwise / {} fused products / {} delta patches",
+            "{} hits / {} misses / {} invalidations / {} fused products / \
+             {} delta patches",
             self.cache_hits,
             self.cache_misses,
             self.invalidations,
-            self.parallel_products,
-            self.parallel_elementwise,
             self.fused_products,
             self.delta_patches
         )
@@ -423,28 +395,14 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
             }
             PlanOp::Diag(a) => Ok(Arc::new(self.eval_node(*a)?.diag()?)),
             PlanOp::MatMul(a, b) => {
-                let parallel = plan.node(id).est.map(|e| e.parallel).unwrap_or(false);
                 let left = self.eval_node(*a)?;
                 let right = self.eval_node(*b)?;
-                let product = if parallel && self.options.threads > 1 {
-                    self.stats.parallel_products += 1;
-                    left.matmul_threaded(right.as_ref(), self.options.threads)?
-                } else {
-                    left.matmul(right.as_ref())?
-                };
-                Ok(Arc::new(product))
+                Ok(Arc::new(left.matmul(right.as_ref())?))
             }
             PlanOp::Add(a, b) => {
-                let parallel = plan.node(id).est.map(|e| e.parallel).unwrap_or(false);
                 let left = self.eval_node(*a)?;
                 let right = self.eval_node(*b)?;
-                let sum = if parallel && self.options.threads > 1 {
-                    self.stats.parallel_elementwise += 1;
-                    left.add_threaded(right.as_ref(), self.options.threads)?
-                } else {
-                    left.add(right.as_ref())?
-                };
-                Ok(Arc::new(sum))
+                Ok(Arc::new(left.add(right.as_ref())?))
             }
             PlanOp::ScalarMul(a, b) => {
                 let scalar = scalar_of(self.eval_node(*a)?.as_ref())?;
@@ -504,26 +462,12 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
                     (l, r, self.eval_node(*mask)?)
                 };
                 self.stats.fused_products += 1;
-                let parallel = plan.node(id).est.map(|e| e.parallel).unwrap_or(false);
-                let masked = if parallel && self.options.threads > 1 {
-                    self.stats.parallel_products += 1;
-                    l.matmul_masked_threaded(r.as_ref(), m.as_ref(), self.options.threads)?
-                } else {
-                    l.matmul_masked(r.as_ref(), m.as_ref())?
-                };
-                Ok(Arc::new(masked))
+                Ok(Arc::new(l.matmul_masked(r.as_ref(), m.as_ref())?))
             }
             PlanOp::Hadamard(a, b) => {
-                let parallel = plan.node(id).est.map(|e| e.parallel).unwrap_or(false);
                 let left = self.eval_node(*a)?;
                 let right = self.eval_node(*b)?;
-                let product = if parallel && self.options.threads > 1 {
-                    self.stats.parallel_elementwise += 1;
-                    left.hadamard_threaded(right.as_ref(), self.options.threads)?
-                } else {
-                    left.hadamard(right.as_ref())?
-                };
-                Ok(Arc::new(product))
+                Ok(Arc::new(left.hadamard(right.as_ref())?))
             }
             PlanOp::Apply(name, args) => {
                 let f = self
@@ -1024,8 +968,6 @@ mod tests {
             cache_hits: 5,
             cache_misses: 3,
             invalidations: 2,
-            parallel_products: 1,
-            parallel_elementwise: 1,
             fused_products: 1,
             delta_patches: 4,
             trace_id: 7,
@@ -1172,10 +1114,7 @@ mod tests {
         let inst = instance();
         let plan = Planner::new().plan_one(&e, &InstanceStats::from_instance(&inst));
         let registry = FunctionRegistry::standard_field();
-        let options = ExecOptions {
-            profile: true,
-            ..ExecOptions::default()
-        };
+        let options = ExecOptions { profile: true };
         let mut exec = Executor::new(&plan, &inst, &registry, options);
         let root = plan.roots()[0];
         exec.run(root).unwrap();

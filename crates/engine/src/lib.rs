@@ -1,4 +1,4 @@
-//! Query planning and parallel execution for MATLANG expressions.
+//! Query planning and memoized execution for MATLANG expressions.
 //!
 //! The tree-walking evaluator in `matlang_core` implements the paper's
 //! semantics directly: every occurrence of a subexpression is re-evaluated,
@@ -19,20 +19,18 @@
 //!   subexpressions are hash-consed to a single node (CSE),
 //!   loop-invariant nodes are identified, and a simple nnz/density cost
 //!   model built from [`InstanceStats`] chooses a storage representation
-//!   per node and marks heavy products for the threaded kernels.  Every
-//!   cost-based rewrite is recorded in the [`PlanReport`].
+//!   per node.  Every cost-based rewrite is recorded in the
+//!   [`PlanReport`].
 //! * [`Executor`] evaluates the DAG with one memoized result per shared or
 //!   loop-invariant node, dropping cache entries precisely when a loop
 //!   rebinds a variable they depend on — so hoisting falls out of cache
-//!   scoping — and runs marked products on the row-partitioned pooled
-//!   kernels of [`matlang_matrix::parallel`].
+//!   scoping.  Every kernel runs on the calling thread.
 //! * [`Engine`] ties the two together, including **batched evaluation** of
 //!   many queries over one instance with a shared node cache
 //!   ([`Engine::evaluate_batch`]).
 //!
 //! Results agree with [`matlang_core::evaluate`] on every storage backend
-//! — same values, same error cases (the threaded kernels partition rows
-//! without changing per-row arithmetic; the `rewrite::simplify` pre-pass
+//! — same values, same error cases (the `rewrite::simplify` pre-pass
 //! is gated by [`constants_fold_exactly`] so its ℝ-based constant folding
 //! never runs over a semiring where it would change results; the
 //! cost-based rules are semiring identities whose reordering/dropping is
@@ -63,6 +61,8 @@
 //!     .unwrap();
 //! assert_eq!(out.as_scalar().unwrap(), Real(6.0));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod delta;
 pub mod exec;
@@ -136,7 +136,7 @@ pub struct BatchOutcome<M> {
     /// One result per query, in input order.  A failing query occupies its
     /// slot without aborting the rest of the batch.
     pub results: Vec<Result<M, EvalError>>,
-    /// Cache/parallelism counters attributed to each query.
+    /// Cache counters attributed to each query.
     pub per_query: Vec<ExecStats>,
     /// Totals across the batch.
     pub stats: ExecStats,
@@ -156,25 +156,24 @@ pub struct BatchOutcome<M> {
 pub struct Engine {
     /// Planning configuration (simplification, cost rewrites).
     pub plan_options: PlanOptions,
-    /// Execution configuration (threads, profiling).
+    /// Execution configuration (profiling).
     pub exec_options: ExecOptions,
 }
 
 impl Engine {
     /// An engine with default options: simplification and cost rewrites
-    /// on, worker count from `MATLANG_THREADS` / `available_parallelism`.
+    /// on, profiling off.
     pub fn new() -> Self {
         Engine::default()
     }
 
-    /// A typed builder over the engine options — cost rewrites,
-    /// simplification, thread override:
+    /// A typed builder over the engine options — cost rewrites and
+    /// simplification:
     ///
     /// ```
     /// use matlang_engine::Engine;
     /// let engine = Engine::builder()
     ///     .cost_rewrites(false)
-    ///     .threads(1)
     ///     .build();
     /// assert!(!engine.plan_options.cost_rewrites);
     /// ```
@@ -220,8 +219,7 @@ impl Engine {
 
     /// Plans and evaluates a single expression.  Semantically identical to
     /// [`matlang_core::evaluate`]; faster whenever the expression has
-    /// shared subexpressions, loop-invariant subterms or products heavy
-    /// enough to parallelize.
+    /// shared subexpressions or loop-invariant subterms.
     pub fn evaluate<K: Semiring, M: MatrixStorage<Elem = K>>(
         &self,
         expr: &Expr,
@@ -277,13 +275,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Overrides the worker-thread count (`1` forces serial kernels; the
-    /// default follows `MATLANG_THREADS` / available parallelism).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.engine.exec_options.threads = threads.max(1);
-        self
-    }
-
     /// The configured engine.
     pub fn build(self) -> Engine {
         self.engine
@@ -326,11 +317,9 @@ mod tests {
     #[test]
     fn builder_covers_every_option() {
         let engine = Engine::builder()
-            .threads(1)
             .simplify(false)
             .cost_rewrites(false)
             .build();
-        assert_eq!(engine.exec_options.threads, 1);
         assert!(!engine.plan_options.simplify);
         assert!(!engine.plan_options.cost_rewrites);
         // Defaults stay on when unset.

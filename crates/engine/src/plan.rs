@@ -19,7 +19,7 @@
 //! Plans are built by the [`crate::Planner`] and evaluated by the
 //! [`crate::Executor`]; [`PlanReport`] summarizes what the planner did
 //! (CSE sharing, hoistable nodes, `rewrite::simplify` savings, per-node
-//! representation choices and parallel-kernel marks).
+//! representation choices).
 
 use matlang_core::MatrixType;
 use std::collections::{BTreeSet, HashMap};
@@ -117,9 +117,8 @@ pub enum PlanOp {
     /// of a Hadamard product with a matrix product nothing else reads, all
     /// three operands estimated sparse.  Evaluates its operands in the
     /// unfused order (`mask` first when it was the Hadamard's left operand)
-    /// and runs [`matlang_matrix::MatrixStorage::matmul_masked`] (its
-    /// threaded form when the product is marked parallel), which on CSR
-    /// operands accumulates only at the mask's stored positions instead of
+    /// and runs [`matlang_matrix::MatrixStorage::matmul_masked`], which on
+    /// CSR operands accumulates only at the mask's stored positions instead of
     /// materializing the product.  The kernel multiplies product ⊗ mask for
     /// either operand order: like every cost rewrite, the fusion assumes a
     /// commutative `⊗`.
@@ -478,8 +477,6 @@ pub struct NodeEstimate {
     pub work: f64,
     /// The storage representation chosen for the result.
     pub choice: ReprChoice,
-    /// Whether a product node is heavy enough for the threaded kernel.
-    pub parallel: bool,
 }
 
 impl NodeEstimate {
@@ -560,11 +557,6 @@ pub struct PlanReport {
     pub dense_nodes: usize,
     /// Nodes whose cost-model choice is CSR storage.
     pub sparse_nodes: usize,
-    /// Product nodes marked for the row-partitioned parallel kernel.
-    pub parallel_products: usize,
-    /// Elementwise (add/Hadamard) nodes marked for the row-partitioned
-    /// parallel kernel.
-    pub parallel_elementwise: usize,
     /// Every cost-based rewrite the planner applied (chain reordering,
     /// transpose/ones pushdown, diag and masked-product fusion, loop-index
     /// lowering), in application order.
@@ -596,8 +588,8 @@ impl fmt::Display for PlanReport {
         write!(
             f,
             "{} quer{} · {} tree nodes → {} dag nodes ({} shared, {} hoistable) · \
-             simplify saved {} · repr {} dense / {} sparse · {} parallel products · \
-             {} parallel elementwise · {} cost rewrites (≈{:.0} ops saved) · \
+             simplify saved {} · repr {} dense / {} sparse · \
+             {} cost rewrites (≈{:.0} ops saved) · \
              {} fused products · {} delta-supported nodes",
             self.queries,
             if self.queries == 1 { "y" } else { "ies" },
@@ -608,8 +600,6 @@ impl fmt::Display for PlanReport {
             self.simplify_savings,
             self.dense_nodes,
             self.sparse_nodes,
-            self.parallel_products,
-            self.parallel_elementwise,
             self.rewrites.len(),
             self.rewrite_savings(),
             self.fused_products,
@@ -704,7 +694,7 @@ impl Plan {
 
     /// Renders the rewritten DAG as one line per node — operation, child
     /// references, the cost model's estimate (shape, nnz, work,
-    /// representation, parallel mark), cache and delta eligibility —
+    /// representation), cache and delta eligibility —
     /// followed by the root list and the applied cost-based rewrites.
     /// This is the payload of the query server's `EXPLAIN` verb.
     pub fn explain(&self) -> Vec<String> {
@@ -718,7 +708,7 @@ impl Plan {
         for (id, node) in self.nodes.iter().enumerate() {
             let est = match node.est {
                 Some(est) => format!(
-                    "est {}x{} nnz~{:.0} work~{:.0} {}{}",
+                    "est {}x{} nnz~{:.0} work~{:.0} {}",
                     est.rows,
                     est.cols,
                     est.nnz,
@@ -727,7 +717,6 @@ impl Plan {
                         ReprChoice::Dense => "dense",
                         ReprChoice::Sparse => "sparse",
                     },
-                    if est.parallel { " parallel" } else { "" },
                 ),
                 None => "est ?".to_string(),
             };

@@ -19,8 +19,7 @@
 //!    scoped memo keeps exactly those nodes alive across iterations.
 //! 4. **Cost model** — propagate shape / non-zero-count estimates from
 //!    [`InstanceStats`] bottom-up, choose a storage representation per node
-//!    (density against the thresholds of [`matlang_matrix::repr`]), and
-//!    mark products heavy enough for the row-partitioned parallel kernel.
+//!    (density against the thresholds of [`matlang_matrix::repr`]).
 //! 5. **Masked-product fusion** — once every query is in the DAG and each
 //!    node's consumers are known, a Hadamard product with a matrix product
 //!    nothing else reads becomes one [`PlanOp::MaskedMatMul`] when the cost
@@ -74,11 +73,6 @@ impl Default for PlanOptions {
         }
     }
 }
-
-/// Estimated semiring multiplications (for elementwise kernels: output
-/// entries) above which a node is marked for the threaded kernel: below
-/// roughly a million multiply-adds, pool dispatch overhead eats the win.
-const PARALLEL_WORK_THRESHOLD: f64 = 1e6;
 
 /// Per-variable statistics of one instance matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -134,7 +128,7 @@ impl InstanceStats {
     /// non-zero counts.  Two instances with the same fingerprint produce
     /// mutually *valid* plans: the node set, roots and dependency index
     /// are functions of the queries and shapes alone, while nnz tunes the
-    /// advisory representation/parallelism hints **and**, with the
+    /// advisory representation hints **and**, with the
     /// cost-based rewrite layer, the chosen chain association and kernel
     /// fusions — every such variant evaluates identically over any
     /// same-schema instance, it is merely cost-tuned for the nnz profile
@@ -447,14 +441,6 @@ impl Planner {
                 Some(ReprChoice::Sparse) => report.sparse_nodes += 1,
                 None => {}
             }
-            if node.est.map(|e| e.parallel).unwrap_or(false) {
-                match node.op {
-                    PlanOp::MatMul(_, _) | PlanOp::MaskedMatMul { .. } => {
-                        report.parallel_products += 1
-                    }
-                    _ => report.parallel_elementwise += 1,
-                }
-            }
             if matches!(
                 node.op,
                 PlanOp::ScaleRows { .. } | PlanOp::ScaleCols { .. } | PlanOp::MaskedMatMul { .. }
@@ -495,7 +481,7 @@ impl Planner {
 /// keeps structurally identical subexpressions *distinct* when variable
 /// shadowing gives the same name different shapes in different scopes —
 /// otherwise the first-interned occurrence's cost estimate would silently
-/// misdrive representation and parallelism choices for the others.  When
+/// misdrive representation choices for the others.  When
 /// the scopes agree (the overwhelmingly common case, e.g. the same loop
 /// variable name over the same dimension) the keys collide and the nodes
 /// share, which is exactly what CSE wants.  The binder kind is part of the
@@ -985,17 +971,11 @@ impl Builder<'_> {
     fn estimate_with_observed(&self, op: &PlanOp, fingerprint: u64) -> Option<NodeEstimate> {
         match (self.estimate(op), self.observed.nodes.get(&fingerprint)) {
             (Some(e), Some(obs)) if obs.rows == e.rows && obs.cols == e.cols => {
-                Some(finish(e.rows, e.cols, obs.nnz as f64, e.work, e.parallel))
+                Some(finish(e.rows, e.cols, obs.nnz as f64, e.work))
             }
             // A node the model could not estimate at all (e.g. a variable
             // absent from the statistics) still gets an observed one.
-            (None, Some(obs)) => Some(finish(
-                obs.rows,
-                obs.cols,
-                obs.nnz as f64,
-                obs.nnz as f64,
-                false,
-            )),
+            (None, Some(obs)) => Some(finish(obs.rows, obs.cols, obs.nnz as f64, obs.nnz as f64)),
             (e, _) => e,
         }
     }
@@ -1218,20 +1198,20 @@ impl Builder<'_> {
         match op {
             PlanOp::Var(name, _) => {
                 let s = self.scope.stats(name, self.stats)?;
-                Some(finish(s.rows, s.cols, s.nnz as f64, 0.0, false))
+                Some(finish(s.rows, s.cols, s.nnz as f64, 0.0))
             }
-            PlanOp::Const(_) => Some(finish(1, 1, 1.0, 0.0, false)),
+            PlanOp::Const(_) => Some(finish(1, 1, 1.0, 0.0)),
             PlanOp::Transpose(a) => {
                 let a = est(a)?;
-                Some(finish(a.cols, a.rows, a.nnz, a.work + a.nnz, false))
+                Some(finish(a.cols, a.rows, a.nnz, a.work + a.nnz))
             }
             PlanOp::Ones(a) => {
                 let a = est(a)?;
-                Some(finish(a.rows, 1, a.rows as f64, a.work, false))
+                Some(finish(a.rows, 1, a.rows as f64, a.work))
             }
             PlanOp::Diag(a) => {
                 let a = est(a)?;
-                Some(finish(a.rows, a.rows, a.nnz, a.work, false))
+                Some(finish(a.rows, a.rows, a.nnz, a.work))
             }
             PlanOp::MatMul(l, r) => {
                 let (l, r) = (est(l)?, est(r)?);
@@ -1240,41 +1220,21 @@ impl Builder<'_> {
                 }
                 let (nnz, own_work) =
                     product_cost((l.rows, l.cols, l.nnz), (r.rows, r.cols, r.nnz));
-                let parallel = own_work >= PARALLEL_WORK_THRESHOLD;
-                Some(finish(
-                    l.rows,
-                    r.cols,
-                    nnz,
-                    l.work + r.work + own_work,
-                    parallel,
-                ))
+                Some(finish(l.rows, r.cols, nnz, l.work + r.work + own_work))
             }
             PlanOp::Add(l, r) => {
                 let (l, r) = (est(l)?, est(r)?);
                 let nnz = l.nnz + r.nnz;
-                // The dense elementwise kernel touches every output entry
-                // once; that entry count is what the parallel threshold is
-                // compared against (a sparse result falls back to the
-                // serial O(nnz) merge at execution time, where the mark is
-                // simply ignored).
-                let parallel = (l.rows * l.cols) as f64 >= PARALLEL_WORK_THRESHOLD;
-                Some(finish(l.rows, l.cols, nnz, l.work + r.work + nnz, parallel))
+                Some(finish(l.rows, l.cols, nnz, l.work + r.work + nnz))
             }
             PlanOp::ScalarMul(l, r) => {
                 let (l, r) = (est(l)?, est(r)?);
-                Some(finish(
-                    r.rows,
-                    r.cols,
-                    r.nnz,
-                    l.work + r.work + r.nnz,
-                    false,
-                ))
+                Some(finish(r.rows, r.cols, r.nnz, l.work + r.work + r.nnz))
             }
             PlanOp::Hadamard(l, r) => {
                 let (l, r) = (est(l)?, est(r)?);
                 let nnz = l.nnz.min(r.nnz);
-                let parallel = (l.rows * l.cols) as f64 >= PARALLEL_WORK_THRESHOLD;
-                Some(finish(l.rows, l.cols, nnz, l.work + r.work + nnz, parallel))
+                Some(finish(l.rows, l.cols, nnz, l.work + r.work + nnz))
             }
             PlanOp::ScaleRows { vec, mat } | PlanOp::ScaleCols { mat, vec } => {
                 let (v, m) = (est(vec)?, est(mat)?);
@@ -1290,7 +1250,6 @@ impl Builder<'_> {
                     m.cols,
                     m.nnz * scale_frac,
                     v.work + m.work + m.nnz,
-                    false,
                 ))
             }
             PlanOp::MaskedMatMul {
@@ -1303,17 +1262,15 @@ impl Builder<'_> {
                 let (nnz, own_work) =
                     product_cost((l.rows, l.cols, l.nnz), (r.rows, r.cols, r.nnz));
                 // The kernel still visits every term of the product — that
-                // is the work, and what the threaded kernels are chosen on —
-                // but keeps only those landing on a stamped mask entry; an
-                // entry survives where both the product and the mask have
-                // one.
+                // is the work — but keeps only those landing on a stamped
+                // mask entry; an entry survives where both the product and
+                // the mask have one.
                 let kept = nnz * m.density();
                 Some(finish(
                     l.rows,
                     r.cols,
                     kept,
                     l.work + r.work + m.work + own_work + kept,
-                    own_work >= PARALLEL_WORK_THRESHOLD,
                 ))
             }
             PlanOp::Select { mat, row, col } => {
@@ -1321,13 +1278,13 @@ impl Builder<'_> {
                 let rows = if row.is_some() { 1 } else { m.rows };
                 let cols = if col.is_some() { 1 } else { m.cols };
                 let nnz = m.density() * (rows * cols) as f64;
-                Some(finish(rows, cols, nnz, m.work + nnz, false))
+                Some(finish(rows, cols, nnz, m.work + nnz))
             }
             PlanOp::Place { vec, row, col } => {
                 // The unit matrix places the scalar one.
                 let v = match vec {
                     Some(v) => est(v)?,
-                    None => finish(1, 1, 1.0, 0.0, false),
+                    None => finish(1, 1, 1.0, 0.0),
                 };
                 let dim = |index: &LoopIndex| self.scope.stats(&index.var, self.stats);
                 let rows = match row {
@@ -1338,18 +1295,12 @@ impl Builder<'_> {
                     Some(index) => dim(index)?.rows,
                     None => v.cols,
                 };
-                Some(finish(rows, cols, v.nnz, v.work + v.nnz, false))
+                Some(finish(rows, cols, v.nnz, v.work + v.nnz))
             }
             PlanOp::PointUpdate { mat, scalar, .. } => {
                 // A copy of `mat` with one entry merged.
                 let (m, s) = (est(mat)?, est(scalar)?);
-                Some(finish(
-                    m.rows,
-                    m.cols,
-                    m.nnz + 1.0,
-                    m.work + s.work + m.nnz,
-                    false,
-                ))
+                Some(finish(m.rows, m.cols, m.nnz + 1.0, m.work + s.work + m.nnz))
             }
             PlanOp::Apply(_, args) => {
                 // Arbitrary pointwise functions need not preserve zeros:
@@ -1364,12 +1315,11 @@ impl Builder<'_> {
                     first.cols,
                     (first.rows * first.cols) as f64,
                     work,
-                    false,
                 ))
             }
             PlanOp::Let { value, body, .. } => {
                 let (v, b) = (est(value)?, est(body)?);
-                Some(finish(b.rows, b.cols, b.nnz, v.work + b.work, false))
+                Some(finish(b.rows, b.cols, b.nnz, v.work + b.work))
             }
             PlanOp::For {
                 var_dim,
@@ -1390,24 +1340,17 @@ impl Builder<'_> {
                     cols,
                     (rows * cols) as f64,
                     init_work + n * b.work,
-                    false,
                 ))
             }
             PlanOp::Sum { var_dim, body, .. } => {
                 let n = self.stats.dim(var_dim)? as f64;
                 let b = est(body)?;
-                Some(finish(
-                    b.rows,
-                    b.cols,
-                    n * b.nnz,
-                    n * (b.work + b.nnz),
-                    false,
-                ))
+                Some(finish(b.rows, b.cols, n * b.nnz, n * (b.work + b.nnz)))
             }
             PlanOp::HProd { var_dim, body, .. } => {
                 let n = self.stats.dim(var_dim)? as f64;
                 let b = est(body)?;
-                Some(finish(b.rows, b.cols, b.nnz, n * (b.work + b.nnz), false))
+                Some(finish(b.rows, b.cols, b.nnz, n * (b.work + b.nnz)))
             }
             PlanOp::MProd { var_dim, body, .. } => {
                 let n = self.stats.dim(var_dim)? as f64;
@@ -1423,7 +1366,6 @@ impl Builder<'_> {
                     b.cols,
                     (b.rows * b.cols) as f64,
                     n * (b.work + step),
-                    false,
                 ))
             }
         }
@@ -1457,7 +1399,7 @@ pub(crate) fn product_cost(
 /// Clamps the non-zero estimate to the shape and derives the
 /// representation choice from the density thresholds of
 /// [`matlang_matrix::repr`].
-fn finish(rows: usize, cols: usize, nnz: f64, work: f64, parallel: bool) -> NodeEstimate {
+fn finish(rows: usize, cols: usize, nnz: f64, work: f64) -> NodeEstimate {
     let total = (rows * cols) as f64;
     let nnz = nnz.min(total);
     let choice = if rows * cols >= MIN_ADAPTIVE_ENTRIES && nnz <= SPARSIFY_THRESHOLD * total {
@@ -1471,7 +1413,6 @@ fn finish(rows: usize, cols: usize, nnz: f64, work: f64, parallel: bool) -> Node
         nnz,
         work,
         choice,
-        parallel,
     }
 }
 
@@ -1600,11 +1541,10 @@ mod tests {
         let est = root.est.expect("estimate present");
         assert_eq!((est.rows, est.cols), (1000, 1000));
         assert_eq!(est.choice, ReprChoice::Sparse);
-        assert!(!est.parallel, "64 000 multiplies is below the threshold");
     }
 
     #[test]
-    fn cost_model_marks_heavy_products_parallel() {
+    fn cost_model_prefers_dense_for_dense_products() {
         let mut s = stats();
         s.vars.insert(
             "D".to_string(),
@@ -1614,12 +1554,9 @@ mod tests {
                 nnz: 40_000,
             },
         );
-        // 200³ = 8e6 multiplies, well past PARALLEL_WORK_THRESHOLD.
         let plan = Planner::new().plan_one(&Expr::var("D").mm(Expr::var("D")), &s);
         let est = plan.node(plan.roots()[0]).est.unwrap();
         assert_eq!(est.choice, ReprChoice::Dense);
-        assert!(est.parallel);
-        assert_eq!(plan.report.parallel_products, 1);
     }
 
     #[test]

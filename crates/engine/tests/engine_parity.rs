@@ -1,8 +1,8 @@
-//! Planned/parallel execution must be result-identical to the tree-walking
+//! Planned execution must be result-identical to the tree-walking
 //! evaluator: over the shared operator corpus (including error cases), the
 //! paper's 4-clique query, and randomized expressions across the Boolean,
 //! ℕ and tropical (min-plus) semirings — on both the dense and the
-//! adaptive sparse backend, with and without threading.
+//! adaptive sparse backend.
 
 use matlang_algorithms::{csanky, graphs, lu};
 use matlang_core::corpus::{four_clique_corpus_expr, operator_corpus};
@@ -36,11 +36,7 @@ fn assert_engine_parity<K: Semiring>(
     registry: &FunctionRegistry<K>,
 ) {
     let naive = evaluate(expr, instance, registry);
-    let engines = [
-        Engine::new(),
-        Engine::builder().threads(2).build(),
-        Engine::builder().simplify(false).build(),
-    ];
+    let engines = [Engine::new(), Engine::builder().simplify(false).build()];
     for engine in &engines {
         let planned = engine.evaluate(expr, instance, registry);
         match (&naive, &planned) {

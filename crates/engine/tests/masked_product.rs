@@ -248,31 +248,24 @@ fn without_statistics_or_cost_rewrites_nothing_fuses() {
 }
 
 #[test]
-fn a_dense_masked_product_keeps_the_threaded_pair() {
-    // 200³ = 8e6 multiplies, past the planner's threaded-kernel threshold.
-    // With a dense operand the fused kernel is the unfused pair run on one
-    // thread, so the plan must keep the pair and its parallel marks.
+fn a_dense_masked_product_keeps_the_unfused_pair() {
+    // With a dense operand the fused kernel is the unfused pair, so the plan
+    // must keep the pair (and the product it caches).
     let n = 200;
     let d = random_matrix::<Real>(n, n, &RandomMatrixConfig::seeded(5));
     let inst: Instance<Real> = Instance::new().with_dim("n", n).with_matrix("D", d);
     let registry = FunctionRegistry::<Real>::new();
     let query = var("D").mm(var("D")).had(var("D"));
     let expected = evaluate(&query, &inst, &registry).unwrap();
-    for (threads, threaded_products) in [(4, 1), (1, 0)] {
-        let engine = Engine::builder().threads(threads).build();
-        let out = engine.evaluate_batch(std::slice::from_ref(&query), &inst, &registry);
-        assert_eq!(out.report.fused_products, 0, "{}", out.report);
-        assert_eq!(out.report.parallel_products, 1, "{}", out.report);
-        assert_eq!(out.stats.parallel_products, threaded_products);
-        assert_eq!(out.stats.fused_products, 0);
-        assert_eq!(out.results[0].as_ref().unwrap(), &expected);
-    }
+    let out = Engine::new().evaluate_batch(std::slice::from_ref(&query), &inst, &registry);
+    assert_eq!(out.report.fused_products, 0, "{}", out.report);
+    assert_eq!(out.stats.fused_products, 0);
+    assert_eq!(out.results[0].as_ref().unwrap(), &expected);
 }
 
 #[test]
-fn a_large_sparse_masked_product_runs_the_threaded_masked_kernel() {
-    // 4 000 rows of ≈ 17 entries: ≈ 1.2e6 product terms, so the fused node
-    // carries the product's parallel mark.
+fn a_large_sparse_masked_product_runs_the_masked_kernel() {
+    // 4 000 rows of ≈ 17 entries: ≈ 1.2e6 product terms.
     let n = 4000;
     let g = sparse_erdos_renyi::<Real>(n, 17.0, 23);
     let inst: SparseInstance<Real> = Instance::new()
@@ -282,16 +275,12 @@ fn a_large_sparse_masked_product_runs_the_threaded_masked_kernel() {
     let query = var("G").mm(var("G")).had(var("G"));
     let run =
         |engine: Engine| engine.evaluate_batch(std::slice::from_ref(&query), &inst, &registry);
-    let unfused = run(Engine::builder().cost_rewrites(false).threads(1).build());
+    let unfused = run(Engine::builder().cost_rewrites(false).build());
     assert_eq!(unfused.report.fused_products, 0);
-    for (threads, threaded_products) in [(4, 1), (1, 0)] {
-        let out = run(Engine::builder().threads(threads).build());
-        assert_eq!(out.report.fused_products, 1, "{}", out.report);
-        assert_eq!(out.report.parallel_products, 1, "{}", out.report);
-        assert_eq!(out.stats.fused_products, 1);
-        assert_eq!(out.stats.parallel_products, threaded_products);
-        assert_eq!(out.results[0], unfused.results[0], "{threads} threads");
-    }
+    let out = run(Engine::new());
+    assert_eq!(out.report.fused_products, 1, "{}", out.report);
+    assert_eq!(out.stats.fused_products, 1);
+    assert_eq!(out.results[0], unfused.results[0]);
 }
 
 /// Release timing guard: the fused triangle plan against the same plan with

@@ -96,17 +96,15 @@ fn assert_rewrite_parity<K: Semiring>(expr: &Expr, instance: &Instance<K>) {
     }
 
     // (2) End-to-end dense: engine (rewrites + fusion on) vs. naive.
-    for engine in [Engine::new(), Engine::builder().threads(2).build()] {
-        let planned = engine.evaluate(expr, instance, &registry);
-        match (&naive, &planned) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "dense engine result differs for {expr}"),
-            (Err(a), Err(b)) => assert_eq!(
-                std::mem::discriminant(a),
-                std::mem::discriminant(b),
-                "dense engine error differs for {expr}: {a} vs {b}"
-            ),
-            (a, b) => panic!("dense engine/naive mismatch for {expr}: {a:?} vs {b:?}"),
-        }
+    let planned = Engine::new().evaluate(expr, instance, &registry);
+    match (&naive, &planned) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "dense engine result differs for {expr}"),
+        (Err(a), Err(b)) => assert_eq!(
+            std::mem::discriminant(a),
+            std::mem::discriminant(b),
+            "dense engine error differs for {expr}: {a} vs {b}"
+        ),
+        (a, b) => panic!("dense engine/naive mismatch for {expr}: {a:?} vs {b:?}"),
     }
 
     // (3) End-to-end adaptive: backend changes must not interact with the

@@ -18,25 +18,20 @@
 //!   sparse·dense / dense·sparse operand pairs to the `O(nnz)`-aware
 //!   kernels in [`mixed`] instead of promoting the sparse side.
 //!
-//! The heavy kernels also come in row-partitioned parallel variants
-//! ([`parallel`]): workers of the reusable process-wide [`pool::WorkerPool`]
-//! each run the serial per-row kernel over a chunk of output rows, so
-//! threaded operations (both matmuls plus dense elementwise add/Hadamard)
-//! are bit-identical to serial ones while paying no per-operation thread
-//! spawn.  [`configured_threads`] reads the `MATLANG_THREADS` environment
-//! variable (default: `available_parallelism`).
+//! Every kernel runs on the calling thread: concurrency is the caller's
+//! business (the query server runs one request per session worker).
 //!
 //! The [`MatrixStorage`] trait is the common interface: anything generic
 //! over it (the evaluator, the graph algorithms, the RA⁺_K and WL
 //! translations) runs on any of the three backends unchanged.
+
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod index;
 pub mod matrix;
 pub mod mixed;
 pub mod ops;
-pub mod parallel;
-pub mod pool;
 pub mod random;
 pub mod repr;
 pub mod snapshot;
@@ -47,8 +42,6 @@ pub mod storage;
 pub use error::MatrixError;
 pub use index::Canonical;
 pub use matrix::Matrix;
-pub use parallel::{configured_threads, MATLANG_THREADS_ENV};
-pub use pool::WorkerPool;
 pub use random::{
     random_adjacency, random_invertible, random_matrix, random_vector, sparse_erdos_renyi,
     sparse_power_law, RandomMatrixConfig,
@@ -64,8 +57,7 @@ pub type Result<T> = std::result::Result<T, MatrixError>;
 /// Estimated multiply-adds below which a matrix product is not timed into
 /// `kernel_dense_matmul_us` / `kernel_sparse_matmul_us`: two clock reads
 /// and the histogram's atomics cost ≈ 0.1 µs, which a 12 × 12 product
-/// pays to record 0 µs.  The same kind of constant as the planner's
-/// `PARALLEL_WORK_THRESHOLD`: at 1–10 ns per multiply-add a product this
+/// pays to record 0 µs.  At 1–10 ns per multiply-add a product this
 /// size runs for 10 µs or more, so the timer stays under 1 % of what it
 /// measures and the histograms' `_sum` loses only sub-resolution samples.
 const KERNEL_TIMER_MIN_WORK: usize = 10_000;

@@ -53,35 +53,9 @@ impl<K: Semiring> Matrix<K> {
         let work = n.saturating_mul(self.cols()).saturating_mul(m);
         let timer = crate::kernel_timer(work);
         let mut out = vec![K::zero(); n * m];
-        self.matmul_into_rows(other, 0..n, &mut out);
-        if let Some(t) = timer {
-            matlang_obs::histogram!("kernel_dense_matmul_us")
-                .observe(t.elapsed().as_micros() as u64);
-        }
-        Matrix::from_vec(n, m, out)
-    }
-
-    /// The i-k-j kernel restricted to the output rows in `rows`, writing
-    /// into `out` (the row-major buffer for exactly those rows).  This is
-    /// the single implementation behind both [`Matrix::matmul`] and the
-    /// row-partitioned [`Matrix::matmul_threaded`] — sharing it is what
-    /// keeps serial and threaded products bit-identical by construction.
-    ///
-    /// Callers must have checked `self.cols() == other.rows()`, that
-    /// `rows` lies within `0..self.rows()`, and that
-    /// `out.len() == rows.len() * other.cols()`.
-    pub(crate) fn matmul_into_rows(
-        &self,
-        other: &Matrix<K>,
-        rows: std::ops::Range<usize>,
-        out: &mut [K],
-    ) {
-        let m = other.cols();
         let inner = self.cols();
-        let lhs = self.entries();
-        let rhs = other.entries();
-        for (r, out_row) in out.chunks_mut(m.max(1)).enumerate().take(rows.len()) {
-            let i = rows.start + r;
+        let (lhs, rhs) = (self.entries(), other.entries());
+        for (i, out_row) in out.chunks_mut(m.max(1)).enumerate() {
             let a_row = &lhs[i * inner..(i + 1) * inner];
             for (k, a) in a_row.iter().enumerate() {
                 if a.is_zero() {
@@ -93,6 +67,11 @@ impl<K: Semiring> Matrix<K> {
                 }
             }
         }
+        if let Some(t) = timer {
+            matlang_obs::histogram!("kernel_dense_matmul_us")
+                .observe(t.elapsed().as_micros() as u64);
+        }
+        Matrix::from_vec(n, m, out)
     }
 
     /// Fused `diag(scale) · self` for an `n × 1` vector `scale`: row `i` of

@@ -245,22 +245,6 @@ impl<K: Semiring> MatrixRepr<K> {
         Ok(out.normalized())
     }
 
-    /// [`MatrixRepr::matmul`] with up to `threads` worker threads for the
-    /// same-representation pairs (see [`crate::parallel`]).  The mixed
-    /// pairs run the serial mixed kernels — their cost is already dominated
-    /// by the sparse operand's `nnz`.  Bit-identical to
-    /// [`MatrixRepr::matmul`] for every operand pair.
-    pub fn matmul_threaded(&self, other: &Self, threads: usize) -> Result<Self> {
-        use MatrixRepr::{Dense, Sparse};
-        let out = match (self, other) {
-            (Sparse(a), Sparse(b)) => Sparse(a.matmul_threaded(b, threads)?),
-            (Sparse(a), Dense(b)) => Dense(a.matmul_dense(b)?),
-            (Dense(a), Sparse(b)) => Dense(a.matmul_sparse(b)?),
-            (Dense(a), Dense(b)) => Dense(a.matmul_threaded(b, threads)?),
-        };
-        Ok(out.normalized())
-    }
-
     /// Hadamard (pointwise) product `e₁ ∘ e₂`.  A sparse operand bounds the
     /// result's support, so one sparse side is enough to use the sparse
     /// kernel.
@@ -283,52 +267,6 @@ impl<K: Semiring> MatrixRepr<K> {
         match (self, other, mask) {
             (Sparse(a), Sparse(b), Sparse(m)) => Ok(Sparse(a.matmul_masked(b, m)?).normalized()),
             _ => self.matmul(other)?.hadamard(mask),
-        }
-    }
-
-    /// [`MatrixRepr::matmul_masked`] with up to `threads` pooled workers,
-    /// in the masked pass for three CSR operands and in the unfused pair
-    /// otherwise.  Bit-identical to [`MatrixRepr::matmul_masked`].
-    pub fn matmul_masked_threaded(
-        &self,
-        other: &Self,
-        mask: &Self,
-        threads: usize,
-    ) -> Result<Self> {
-        use MatrixRepr::Sparse;
-        match (self, other, mask) {
-            (Sparse(a), Sparse(b), Sparse(m)) => {
-                Ok(Sparse(a.matmul_masked_threaded(b, m, threads)?).normalized())
-            }
-            _ => self
-                .matmul_threaded(other, threads)?
-                .hadamard_threaded(mask, threads),
-        }
-    }
-
-    /// [`MatrixRepr::add`] with up to `threads` pooled workers for the
-    /// dense·dense pair (the sparse kernels are `O(nnz)` merges, already
-    /// cheap).  Bit-identical to [`MatrixRepr::add`] — the dispatch mirrors
-    /// the serial one exactly.
-    pub fn add_threaded(&self, other: &Self, threads: usize) -> Result<Self> {
-        use MatrixRepr::{Dense, Sparse};
-        let out = match (self, other) {
-            (Sparse(a), Sparse(b)) => Sparse(a.add(b)?),
-            (Dense(a), Dense(b)) => Dense(a.add_threaded(b, threads)?),
-            (a, b) => Dense(a.as_dense().add(&b.as_dense())?),
-        };
-        Ok(out.normalized())
-    }
-
-    /// [`MatrixRepr::hadamard`] with up to `threads` pooled workers for the
-    /// dense·dense pair.  Bit-identical to [`MatrixRepr::hadamard`].
-    pub fn hadamard_threaded(&self, other: &Self, threads: usize) -> Result<Self> {
-        use MatrixRepr::Dense;
-        match (self, other) {
-            (Dense(a), Dense(b)) => {
-                Ok(MatrixRepr::Dense(a.hadamard_threaded(b, threads)?).normalized())
-            }
-            (a, b) => a.hadamard(b),
         }
     }
 
@@ -587,7 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn set_entry_keeps_representation_and_threaded_elementwise_agree() {
+    fn set_entry_keeps_representation() {
         let mut d = MatrixRepr::Dense(dense(&[&[1.0, 0.0], &[0.0, 2.0]]));
         d.set_entry(0, 1, Real(3.0)).unwrap();
         assert!(!d.is_sparse(), "point updates must not flip representation");
@@ -596,20 +534,6 @@ mod tests {
         s.set_entry(3, 4, Real(5.0)).unwrap();
         assert!(s.is_sparse());
         assert_eq!(s.nnz(), 17);
-
-        let a = MatrixRepr::Dense(Matrix::<Real>::all_ones(12, 12));
-        let b = MatrixRepr::Dense(
-            Matrix::from_rows((0..12).map(|i| vec![Real(i as f64 + 1.0); 12]).collect()).unwrap(),
-        );
-        assert_eq!(a.add_threaded(&b, 4).unwrap(), a.add(&b).unwrap());
-        assert_eq!(a.hadamard_threaded(&b, 4).unwrap(), a.hadamard(&b).unwrap());
-        // Mixed pairs fall back to the serial dispatch.
-        let sp = MatrixRepr::<Real>::Sparse(SparseMatrix::identity(12));
-        assert_eq!(a.add_threaded(&sp, 4).unwrap(), a.add(&sp).unwrap());
-        assert_eq!(
-            a.hadamard_threaded(&sp, 4).unwrap(),
-            a.hadamard(&sp).unwrap()
-        );
     }
 
     #[test]

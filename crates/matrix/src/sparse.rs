@@ -467,7 +467,38 @@ impl<K: Semiring> SparseMatrix<K> {
             });
         }
         let timer = crate::kernel_timer(self.product_work(other));
-        let out = self.matmul_rows(other, 0..self.rows);
+        let m = other.cols;
+        let mut out = CsrBuilder::new(self.rows, m, self.nnz());
+        // Dense accumulator reused across rows; `occupied` tracks the touched
+        // columns so clearing costs O(row nnz), not O(m).
+        let mut acc: Vec<K> = vec![K::zero(); m];
+        let mut present = vec![false; m];
+        let mut occupied: Vec<usize> = Vec::new();
+        for i in 0..self.rows {
+            let (ac, av) = self.row_slices(i);
+            for (&k, a) in ac.iter().zip(av) {
+                let (bc, bv) = other.row_slices(k);
+                for (&j, b) in bc.iter().zip(bv) {
+                    let term = a.mul(b);
+                    if present[j] {
+                        acc[j] = acc[j].add(&term);
+                    } else {
+                        acc[j] = term;
+                        present[j] = true;
+                        occupied.push(j);
+                    }
+                }
+            }
+            occupied.sort_unstable();
+            for &j in &occupied {
+                let v = std::mem::replace(&mut acc[j], K::zero());
+                present[j] = false;
+                out.push(j, v);
+            }
+            occupied.clear();
+            out.finish_row();
+        }
+        let out = out.build();
         if let Some(t) = timer {
             matlang_obs::histogram!("kernel_sparse_matmul_us")
                 .observe(t.elapsed().as_micros() as u64);
@@ -493,22 +524,6 @@ impl<K: Semiring> SparseMatrix<K> {
         other: &SparseMatrix<K>,
         mask: &SparseMatrix<K>,
     ) -> Result<SparseMatrix<K>> {
-        self.check_masked_shapes(other, mask)?;
-        let timer = crate::kernel_timer(self.product_work(other));
-        let out = self.matmul_masked_rows(other, mask, 0..self.rows);
-        if let Some(t) = timer {
-            matlang_obs::histogram!("kernel_sparse_matmul_us")
-                .observe(t.elapsed().as_micros() as u64);
-        }
-        Ok(out)
-    }
-
-    /// The errors of `self.matmul(other)?.hadamard(mask)`, in its order.
-    pub(crate) fn check_masked_shapes(
-        &self,
-        other: &SparseMatrix<K>,
-        mask: &SparseMatrix<K>,
-    ) -> Result<()> {
         if self.cols != other.rows {
             return Err(MatrixError::InnerDimensionMismatch {
                 left: self.shape(),
@@ -522,30 +537,15 @@ impl<K: Semiring> SparseMatrix<K> {
                 op: "hadamard",
             });
         }
-        Ok(())
-    }
-
-    /// The masked kernel restricted to the output rows in `rows`, the unit
-    /// of work of the row-partitioned masked product in [`crate::parallel`]
-    /// the way [`matmul_rows`](Self::matmul_rows) is the plain product's.
-    ///
-    /// Callers must have run [`check_masked_shapes`](Self::check_masked_shapes)
-    /// and keep `rows` within `0..self.rows`.
-    pub(crate) fn matmul_masked_rows(
-        &self,
-        other: &SparseMatrix<K>,
-        mask: &SparseMatrix<K>,
-        rows: std::ops::Range<usize>,
-    ) -> SparseMatrix<K> {
-        let block_nnz = mask.indptr[rows.end] - mask.indptr[rows.start];
-        let mut out = CsrBuilder::new(rows.len(), mask.cols, block_nnz);
+        let timer = crate::kernel_timer(self.product_work(other));
+        let mut out = CsrBuilder::new(self.rows, mask.cols, mask.nnz());
         // `slot[j]` is 1 + the position in `mask`'s entry arrays of the
         // entry that last claimed column `j`.  Positions grow with the row,
         // so a value past the current row's start is this row's own stamp
         // and the array is never cleared.
         let mut slot = vec![0usize; mask.cols];
         let mut acc: Vec<Option<K>> = Vec::new();
-        for i in rows {
+        for i in 0..self.rows {
             let start = mask.indptr[i];
             let (mc, mv) = mask.row_slices(i);
             if !mc.is_empty() {
@@ -577,89 +577,12 @@ impl<K: Semiring> SparseMatrix<K> {
             }
             out.finish_row();
         }
-        out.build()
-    }
-
-    /// The Gustavson kernel restricted to the output rows in `rows`: computes
-    /// the `rows.len() × other.cols` horizontal slice of `self · other`.
-    /// This is the unit of work of the row-partitioned parallel SpMM in
-    /// [`crate::parallel`]; running it over `0..self.rows()` is exactly
-    /// [`SparseMatrix::matmul`], so serial and parallel products perform the
-    /// identical per-row semiring operations in the identical order.
-    ///
-    /// Callers must have checked `self.cols == other.rows` and that `rows`
-    /// is within `0..self.rows`.
-    pub(crate) fn matmul_rows(
-        &self,
-        other: &SparseMatrix<K>,
-        rows: std::ops::Range<usize>,
-    ) -> SparseMatrix<K> {
-        let m = other.cols;
-        let block_nnz = self.indptr[rows.end] - self.indptr[rows.start];
-        let mut out = CsrBuilder::new(rows.len(), m, block_nnz);
-        // Dense accumulator reused across rows; `occupied` tracks the touched
-        // columns so clearing costs O(row nnz), not O(m).
-        let mut acc: Vec<K> = vec![K::zero(); m];
-        let mut present = vec![false; m];
-        let mut occupied: Vec<usize> = Vec::new();
-        for i in rows {
-            let (ac, av) = self.row_slices(i);
-            for (&k, a) in ac.iter().zip(av) {
-                let (bc, bv) = other.row_slices(k);
-                for (&j, b) in bc.iter().zip(bv) {
-                    let term = a.mul(b);
-                    if present[j] {
-                        acc[j] = acc[j].add(&term);
-                    } else {
-                        acc[j] = term;
-                        present[j] = true;
-                        occupied.push(j);
-                    }
-                }
-            }
-            occupied.sort_unstable();
-            for &j in &occupied {
-                let v = std::mem::replace(&mut acc[j], K::zero());
-                present[j] = false;
-                out.push(j, v);
-            }
-            occupied.clear();
-            out.finish_row();
+        let out = out.build();
+        if let Some(t) = timer {
+            matlang_obs::histogram!("kernel_sparse_matmul_us")
+                .observe(t.elapsed().as_micros() as u64);
         }
-        out.build()
-    }
-
-    /// Vertical concatenation of row blocks sharing a column count — the
-    /// reassembly step of the row-partitioned parallel SpMM.  An empty block
-    /// list produces the `0 × 0` matrix.
-    pub fn vstack(blocks: &[SparseMatrix<K>]) -> Result<SparseMatrix<K>> {
-        let cols = blocks.first().map(|b| b.cols).unwrap_or(0);
-        let rows: usize = blocks.iter().map(|b| b.rows).sum();
-        let nnz: usize = blocks.iter().map(|b| b.nnz()).sum();
-        let mut indptr = Vec::with_capacity(rows + 1);
-        indptr.push(0);
-        let mut indices = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for block in blocks {
-            if block.cols != cols {
-                return Err(MatrixError::ShapeMismatch {
-                    left: (rows, cols),
-                    right: block.shape(),
-                    op: "vstack",
-                });
-            }
-            let offset = indices.len();
-            indptr.extend(block.indptr.iter().skip(1).map(|p| p + offset));
-            indices.extend_from_slice(&block.indices);
-            values.extend_from_slice(&block.values);
-        }
-        Ok(SparseMatrix {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-        })
+        Ok(out)
     }
 
     /// Sparse matrix–vector product against a dense vector: `A · x` with `x`

@@ -135,18 +135,6 @@ pub trait MatrixStorage: Clone + PartialEq + Debug + Send + Sync + Sized + 'stat
     /// Matrix product `e₁ · e₂`.
     fn matmul(&self, other: &Self) -> Result<Self>;
 
-    /// Matrix product computed with up to `threads` worker threads.
-    /// Implementations must be **bit-identical** to
-    /// [`matmul`](MatrixStorage::matmul) for every operand pair and thread
-    /// count — the row-partitioned kernels in [`crate::parallel`] guarantee
-    /// this by running the serial per-row kernel on every row.  The default
-    /// ignores `threads` and runs the serial product, so backends without a
-    /// parallel kernel stay correct.
-    fn matmul_threaded(&self, other: &Self, threads: usize) -> Result<Self> {
-        let _ = threads;
-        self.matmul(other)
-    }
-
     /// Re-selects the storage representation according to a planner hint
     /// (`sparse = true` prefers CSR, `false` prefers dense).  Entries are
     /// never changed; single-representation backends ignore the hint, the
@@ -158,24 +146,6 @@ pub trait MatrixStorage: Clone + PartialEq + Debug + Send + Sync + Sized + 'stat
 
     /// Hadamard (pointwise) product `e₁ ∘ e₂` (entrywise `⊙`).
     fn hadamard(&self, other: &Self) -> Result<Self>;
-
-    /// Matrix addition computed with up to `threads` worker threads.
-    /// Implementations must be **bit-identical** to
-    /// [`add`](MatrixStorage::add); the default ignores `threads` and runs
-    /// the serial kernel.
-    fn add_threaded(&self, other: &Self, threads: usize) -> Result<Self> {
-        let _ = threads;
-        self.add(other)
-    }
-
-    /// Hadamard product computed with up to `threads` worker threads.
-    /// Implementations must be **bit-identical** to
-    /// [`hadamard`](MatrixStorage::hadamard); the default ignores `threads`
-    /// and runs the serial kernel.
-    fn hadamard_threaded(&self, other: &Self, threads: usize) -> Result<Self> {
-        let _ = threads;
-        self.hadamard(other)
-    }
 
     /// Sets one entry **in place** — the incremental-update hook used by
     /// streaming/mutating workloads (e.g. the query server's `UPDATE`).
@@ -219,14 +189,6 @@ pub trait MatrixStorage: Clone + PartialEq + Debug + Send + Sync + Sized + 'stat
     /// builds the product.
     fn matmul_masked(&self, other: &Self, mask: &Self) -> Result<Self> {
         self.matmul(other)?.hadamard(mask)
-    }
-
-    /// [`matmul_masked`](MatrixStorage::matmul_masked) with up to `threads`
-    /// worker threads, **bit-identical** to it; the default is the threaded
-    /// unfused pair.
-    fn matmul_masked_threaded(&self, other: &Self, mask: &Self, threads: usize) -> Result<Self> {
-        self.matmul_threaded(other, threads)?
-            .hadamard_threaded(mask, threads)
     }
 
     /// `bᵢᵀ·self`, `self·bⱼ` or `bᵢᵀ·self·bⱼ` for canonical vectors `bᵢ`,
@@ -407,20 +369,8 @@ impl<K: Semiring> MatrixStorage for Matrix<K> {
         Matrix::matmul(self, other)
     }
 
-    fn matmul_threaded(&self, other: &Self, threads: usize) -> Result<Self> {
-        Matrix::matmul_threaded(self, other, threads)
-    }
-
     fn hadamard(&self, other: &Self) -> Result<Self> {
         Matrix::hadamard(self, other)
-    }
-
-    fn add_threaded(&self, other: &Self, threads: usize) -> Result<Self> {
-        Matrix::add_threaded(self, other, threads)
-    }
-
-    fn hadamard_threaded(&self, other: &Self, threads: usize) -> Result<Self> {
-        Matrix::hadamard_threaded(self, other, threads)
     }
 
     fn set_entry(&mut self, row: usize, col: usize, value: K) -> Result<()> {
@@ -612,10 +562,6 @@ impl<K: Semiring> MatrixStorage for SparseMatrix<K> {
         SparseMatrix::matmul(self, other)
     }
 
-    fn matmul_threaded(&self, other: &Self, threads: usize) -> Result<Self> {
-        SparseMatrix::matmul_threaded(self, other, threads)
-    }
-
     fn hadamard(&self, other: &Self) -> Result<Self> {
         SparseMatrix::hadamard(self, other)
     }
@@ -642,10 +588,6 @@ impl<K: Semiring> MatrixStorage for SparseMatrix<K> {
 
     fn matmul_masked(&self, other: &Self, mask: &Self) -> Result<Self> {
         SparseMatrix::matmul_masked(self, other, mask)
-    }
-
-    fn matmul_masked_threaded(&self, other: &Self, mask: &Self, threads: usize) -> Result<Self> {
-        SparseMatrix::matmul_masked_threaded(self, other, mask, threads)
     }
 
     fn select(&self, row: Option<Canonical>, col: Option<Canonical>) -> Result<Self> {
@@ -796,24 +738,12 @@ impl<K: Semiring> MatrixStorage for MatrixRepr<K> {
         MatrixRepr::matmul(self, other)
     }
 
-    fn matmul_threaded(&self, other: &Self, threads: usize) -> Result<Self> {
-        MatrixRepr::matmul_threaded(self, other, threads)
-    }
-
     fn prefer_repr(self, sparse: bool) -> Self {
         MatrixRepr::prefer(self, sparse)
     }
 
     fn hadamard(&self, other: &Self) -> Result<Self> {
         MatrixRepr::hadamard(self, other)
-    }
-
-    fn add_threaded(&self, other: &Self, threads: usize) -> Result<Self> {
-        MatrixRepr::add_threaded(self, other, threads)
-    }
-
-    fn hadamard_threaded(&self, other: &Self, threads: usize) -> Result<Self> {
-        MatrixRepr::hadamard_threaded(self, other, threads)
     }
 
     fn set_entry(&mut self, row: usize, col: usize, value: K) -> Result<()> {
@@ -838,10 +768,6 @@ impl<K: Semiring> MatrixStorage for MatrixRepr<K> {
 
     fn matmul_masked(&self, other: &Self, mask: &Self) -> Result<Self> {
         MatrixRepr::matmul_masked(self, other, mask)
-    }
-
-    fn matmul_masked_threaded(&self, other: &Self, mask: &Self, threads: usize) -> Result<Self> {
-        MatrixRepr::matmul_masked_threaded(self, other, mask, threads)
     }
 
     fn select(&self, row: Option<Canonical>, col: Option<Canonical>) -> Result<Self> {

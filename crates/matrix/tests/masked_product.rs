@@ -1,9 +1,9 @@
 //! Parity of the fused masked product with the pair it replaces:
 //! `a.matmul_masked(b, m) == a.matmul(b)?.hadamard(m)` — entries, stored
-//! structure and errors — on every backend and every semiring, serial and
-//! threaded; and its value is `m.hadamard(&a.matmul(b)?)`'s too, since `⊗`
-//! commutes in each of them, which is what lets one kernel serve a mask on
-//! either side of the `∘`.
+//! structure and errors — on every backend and every semiring; and its
+//! value is `m.hadamard(&a.matmul(b)?)`'s too, since `⊗` commutes in each
+//! of them, which is what lets one kernel serve a mask on either side of
+//! the `∘`.
 //!
 //! CSR equality is structural (`indptr`/`indices`/`values`), so a stored
 //! zero or an entry the unfused pair would have dropped fails the
@@ -14,18 +14,13 @@ use matlang_matrix::{
 };
 use matlang_semiring::{Boolean, IntRing, MaxPlus, MinPlus, Nat, Real, Semiring};
 
-/// The fused kernel, serial and threaded, against the unfused pair — results
-/// and errors alike — and its value against the pair with the mask on the
-/// left.
+/// The fused kernel against the unfused pair — results and errors alike —
+/// and its value against the pair with the mask on the left.
 fn assert_parity<M: MatrixStorage>(a: &M, b: &M, m: &M, context: &str) {
     let product = a.matmul(b);
     let unfused = product.clone().and_then(|p| p.hadamard(m));
     let fused = a.matmul_masked(b, m);
     assert_eq!(fused, unfused, "(a·b)∘m, {context}");
-    for threads in [2, 3] {
-        let threaded = a.matmul_masked_threaded(b, m, threads);
-        assert_eq!(threaded, unfused, "{threads} threads, {context}");
-    }
     if let Ok(mirrored) = product.and_then(|p| m.hadamard(&p)) {
         assert_eq!(fused, Ok(mirrored), "m∘(a·b), {context}");
     }

@@ -34,6 +34,8 @@
 //! histograms and traces all short-circuit to a single relaxed load so the
 //! instrumented hot paths stay within the release-guard overhead budget.
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 

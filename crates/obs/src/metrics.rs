@@ -597,14 +597,7 @@ mod tests {
 
     #[test]
     fn concurrent_counter_and_histogram_updates_are_exact() {
-        // Satellite: concurrent updates under both MATLANG_THREADS settings.
-        // The env var steers the matrix kernels, not this crate, so here we
-        // spawn the equivalent worker counts directly: the CI matrix runs
-        // this test under both MATLANG_THREADS=1 and =4 process environments.
-        let threads: usize = match std::env::var("MATLANG_THREADS") {
-            Ok(v) => v.trim().parse().unwrap_or(4).max(1),
-            Err(_) => 4,
-        };
+        let threads: usize = 4;
         let per_thread: u64 = 100_000;
         let c = Arc::new(Counter::new());
         let h = Arc::new(Histogram::new());

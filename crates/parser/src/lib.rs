@@ -17,6 +17,8 @@
 //! dim ::= 1 | IDENT
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod lexer;
 pub mod parser;
 

@@ -17,6 +17,8 @@
 //! Corollary 6.5: sum-MATLANG and `RA⁺_K` over binary schemas are equally
 //! expressive.
 
+#![forbid(unsafe_code)]
+
 pub mod encode;
 pub mod expr;
 pub mod from_ra;

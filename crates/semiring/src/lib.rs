@@ -17,6 +17,8 @@
 //! * [`MinPlus`] / [`MaxPlus`] — tropical semirings used for shortest/longest
 //!   path style provenance.
 
+#![forbid(unsafe_code)]
+
 pub mod boolean;
 pub mod int;
 pub mod nat;

@@ -1,7 +1,7 @@
 //! A minimal blocking client for the wire protocol.
 //!
-//! Used by the integration tests, the `server_throughput` bench and the
-//! `server_demo` example; handy for embedding too.  Every method maps
+//! Used by the integration tests, matbench and the `server_demo`
+//! example; handy for embedding too.  Every method maps
 //! one-to-one onto a protocol command and returns a typed [`ClientError`]
 //! for `ERR` replies, so callers can branch on [`ErrorCode`] instead of
 //! string-matching messages.

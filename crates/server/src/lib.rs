@@ -14,10 +14,9 @@
 //! Built entirely on `std` (the environment is offline): a hand-rolled
 //! line-delimited text protocol over [`std::net::TcpListener`]
 //! ([`protocol`]), an accept loop feeding a bounded connection queue with
-//! backpressure ([`worker`]), and `MATLANG_THREADS`-aware worker threads
-//! each serving one session at a time ([`session`]).  Heavy kernels inside
-//! a query additionally fan out on the reusable
-//! [`matlang_matrix::WorkerPool`].
+//! backpressure ([`worker`]), and session worker threads each serving one
+//! session at a time ([`session`]).  A request runs on the worker that
+//! read it, kernels included: concurrency comes from the workers alone.
 //!
 //! Results over the wire are **bit-identical** to [`matlang_core::evaluate`]
 //! on both storage backends — values use shortest-round-trip `f64`
@@ -51,6 +50,8 @@
 //! assert_eq!(client.exec("g", qid).unwrap().entries.len(), 3);
 //! handle.shutdown();
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod config;
@@ -104,7 +105,10 @@ pub struct SessionSnapshot {
 /// shutdown can force-close them (a worker parked in a blocking `read`
 /// on an idle client would otherwise never observe the stop signal and
 /// the join would hang) and introspection can read per-session figures.
-/// The `connections_active` gauge tracks the registry's size.
+/// Registering and unregistering move the process-wide `connections_active`
+/// gauge by one (under the registry lock, so an empty registry has already
+/// taken its sessions off the gauge): it counts the sessions of every server
+/// in the process.
 #[derive(Default)]
 struct SessionRegistry {
     next_id: AtomicU64,
@@ -118,14 +122,14 @@ impl SessionRegistry {
         let stats = Arc::new(session::SessionStats::default());
         let mut streams = self.streams.lock().expect("registry poisoned");
         streams.insert(id, (clone, Arc::clone(&stats)));
-        matlang_obs::gauge!("connections_active").set(streams.len() as i64);
+        matlang_obs::gauge!("connections_active").add(1);
         Some((id, stats))
     }
 
     fn unregister(&self, id: u64) {
         let mut streams = self.streams.lock().expect("registry poisoned");
         streams.remove(&id);
-        matlang_obs::gauge!("connections_active").set(streams.len() as i64);
+        matlang_obs::gauge!("connections_active").add(-1);
     }
 
     fn shutdown_all(&self) {
@@ -157,9 +161,8 @@ impl SessionRegistry {
 pub struct ServerConfig {
     /// Bind address; the default requests an ephemeral localhost port.
     pub addr: String,
-    /// Session worker threads; `0` means [`matlang_matrix::configured_threads`]
-    /// (the `MATLANG_THREADS` environment variable or the machine's
-    /// available parallelism).
+    /// Session worker threads; `0` means one per unit of
+    /// [`std::thread::available_parallelism`].
     pub workers: usize,
     /// Capacity of the accepted-connection queue; a full queue blocks the
     /// accept loop (backpressure).
@@ -193,10 +196,9 @@ impl Server {
     pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let workers = if config.workers == 0 {
-            matlang_matrix::configured_threads()
-        } else {
-            config.workers
+        let workers = match config.workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
         };
         let store = Arc::new(Store::with_config(config.store.clone()));
         let queue = Arc::new(ConnQueue::new(config.queue_capacity));

@@ -165,8 +165,8 @@ pub enum Request {
     /// `EXECBATCH <instance> <qid>…` — run several prepared queries.
     ExecBatch { instance: String, qids: Vec<usize> },
     /// `QUERY <instance> <query text…>` — one-shot parse + plan + eval
-    /// (no prepared statement, no persistent cache); the baseline the
-    /// `server_throughput` bench compares `EXEC` against.
+    /// (no prepared statement, no persistent cache); the baseline a
+    /// prepared `EXEC` is measured against.
     Query { instance: String, text: String },
     /// `UPDATE <instance> <var> (<i> <j> <value>)+` — point updates routed
     /// through delta maintenance when exact, cache invalidation otherwise.
@@ -465,10 +465,6 @@ pub struct ExecStatsWire {
     pub cache_misses: u64,
     /// Cache entries dropped by invalidation (`invalidations=`).
     pub invalidations: u64,
-    /// Products that ran on the parallel kernel (`parallel=`).
-    pub parallel_products: u64,
-    /// Elementwise ops that ran on the parallel kernel (`elementwise=`).
-    pub parallel_elementwise: u64,
     /// Products that ran on a fused diagonal-scaling kernel (`fused=`).
     pub fused_products: u64,
     /// Cumulative cached nodes patched by delta propagation on this
@@ -485,8 +481,6 @@ impl From<ExecStats> for ExecStatsWire {
             cache_hits: stats.cache_hits,
             cache_misses: stats.cache_misses,
             invalidations: stats.invalidations,
-            parallel_products: stats.parallel_products,
-            parallel_elementwise: stats.parallel_elementwise,
             fused_products: stats.fused_products,
             delta_patches: stats.delta_patches,
             delta_fallbacks: 0,
@@ -546,8 +540,6 @@ impl ResponseHeader {
                 "hits" => out.stats.cache_hits = num("hits")?,
                 "misses" => out.stats.cache_misses = num("misses")?,
                 "invalidations" => out.stats.invalidations = num("invalidations")?,
-                "parallel" => out.stats.parallel_products = num("parallel")?,
-                "elementwise" => out.stats.parallel_elementwise = num("elementwise")?,
                 "fused" => out.stats.fused_products = num("fused")?,
                 "delta" => out.stats.delta_patches = num("delta")?,
                 "fallbacks" => out.stats.delta_fallbacks = num("fallbacks")?,
@@ -582,16 +574,14 @@ impl ResponseHeader {
     fn write(&self, out: &mut impl Write) -> std::io::Result<()> {
         writeln!(
             out,
-            "RESULT {} {} {} hits={} misses={} invalidations={} parallel={} elementwise={} \
-             fused={} delta={} fallbacks={} nodes={} fp={:016x} trace={:016x}",
+            "RESULT {} {} {} hits={} misses={} invalidations={} fused={} delta={} \
+             fallbacks={} nodes={} fp={:016x} trace={:016x}",
             self.rows,
             self.cols,
             self.nnz,
             self.stats.cache_hits,
             self.stats.cache_misses,
             self.stats.invalidations,
-            self.stats.parallel_products,
-            self.stats.parallel_elementwise,
             self.stats.fused_products,
             self.stats.delta_patches,
             self.stats.delta_fallbacks,
@@ -1410,8 +1400,6 @@ mod tests {
                 cache_hits: 7,
                 cache_misses: 2,
                 invalidations: 1,
-                parallel_products: 1,
-                parallel_elementwise: 0,
                 fused_products: 3,
                 delta_patches: 11,
                 delta_fallbacks: 4,
@@ -1878,8 +1866,9 @@ mod tests {
 
     #[test]
     fn header_parsing_tolerates_unknown_and_missing_keys() {
-        // A proto-1 header (no delta=, fallbacks= or fp=) still parses,
-        // with the unreported fields defaulting to zero …
+        // A proto-1 header (no delta=, fallbacks= or fp=, and the
+        // parallel= / elementwise= counters servers no longer send) still
+        // parses, with the unreported fields defaulting to zero …
         let legacy = "RESULT 4 4 2 hits=1 misses=2 invalidations=0 parallel=0 elementwise=0 \
                       fused=0 nodes=7";
         let parsed = ResponseHeader::parse(legacy).unwrap();

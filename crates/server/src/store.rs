@@ -83,6 +83,7 @@ use matlang_semiring::{Boolean, MinPlus, Nat, Real, Semiring};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// One prepared statement: the query text, its parsed form and its
@@ -200,10 +201,11 @@ fn labelled_gauge(name: &str) -> &'static matlang_obs::metrics::Gauge {
 /// Pushes one instance's account into the metrics registry: the labelled
 /// `instance_bytes{name="…"}` gauge plus delta adjustments to the
 /// process-wide `instance_bytes` / `memo_cache_*` / `overlay_bytes`
-/// aggregates.  No-op while observability is disabled — gauge writes are
-/// gated anyway, and skipping keeps `published` consistent with what the
-/// registry actually absorbed.
-fn publish_account(name: &str, account: &mut ResourceAccount) {
+/// aggregates and to the owning store's own total, `store_bytes`.  No-op
+/// while observability is disabled — gauge writes are gated anyway, and
+/// skipping keeps `published` consistent with what the registry actually
+/// absorbed.
+fn publish_account(name: &str, account: &mut ResourceAccount, store_bytes: &AtomicI64) {
     if !matlang_obs::enabled() {
         return;
     }
@@ -219,6 +221,7 @@ fn publish_account(name: &str, account: &mut ResourceAccount) {
         .set(now.total);
     let was = account.published;
     matlang_obs::gauge!("instance_bytes").add(now.total - was.total);
+    store_bytes.fetch_add(now.total - was.total, Ordering::Relaxed);
     matlang_obs::gauge!("memo_cache_entries").add(now.cache_entries - was.cache_entries);
     matlang_obs::gauge!("memo_cache_bytes").add(now.cache_bytes - was.cache_bytes);
     matlang_obs::gauge!("overlay_bytes").add(now.overlay_bytes - was.overlay_bytes);
@@ -226,8 +229,9 @@ fn publish_account(name: &str, account: &mut ResourceAccount) {
 }
 
 /// Retires a dropped instance's contribution: zeroes its labelled gauge
-/// and subtracts its published figures from the aggregates.
-fn unpublish_account(name: &str, account: &mut ResourceAccount) {
+/// and subtracts its published figures from the aggregates and from
+/// `store_bytes`.
+fn unpublish_account(name: &str, account: &mut ResourceAccount, store_bytes: &AtomicI64) {
     if !matlang_obs::enabled() {
         return;
     }
@@ -237,6 +241,7 @@ fn unpublish_account(name: &str, account: &mut ResourceAccount) {
         .set(0);
     let was = account.published;
     matlang_obs::gauge!("instance_bytes").add(-was.total);
+    store_bytes.fetch_sub(was.total, Ordering::Relaxed);
     matlang_obs::gauge!("memo_cache_entries").add(-was.cache_entries);
     matlang_obs::gauge!("memo_cache_bytes").add(-was.cache_bytes);
     matlang_obs::gauge!("overlay_bytes").add(-was.overlay_bytes);
@@ -457,13 +462,14 @@ impl<K: ServerSemiring, M: MatrixStorage<Elem = K>> BackendState<K, M> {
     /// publish — the write-side hook every mutating verb runs under the
     /// instance lock.  Skipped entirely while observability is disabled,
     /// so the accounted hot path stays within the overhead guard budget.
-    fn account_touch(&mut self, name: &str) {
+    /// `store_bytes` is the owning store's accounted total.
+    fn account_touch(&mut self, name: &str, store_bytes: &AtomicI64) {
         if !matlang_obs::enabled() {
             return;
         }
         self.account_refresh();
         self.account.last_active_us = matlang_obs::metrics::clock_us();
-        publish_account(name, &mut self.account);
+        publish_account(name, &mut self.account, store_bytes);
     }
 }
 
@@ -758,6 +764,11 @@ pub struct Store {
     plan_cache: Mutex<LruPlanCache>,
     engine: Engine,
     config: StoreConfig,
+    /// The accounted bytes this store's instances last published — the
+    /// same deltas the process-wide `instance_bytes` gauge receives, but
+    /// from this store's instances only, so shedding compares the budget
+    /// with what this store holds.
+    accounted_bytes: AtomicI64,
 }
 
 impl Default for Store {
@@ -793,6 +804,7 @@ impl Store {
             plan_cache: Mutex::new(LruPlanCache::new(config.plan_cache_capacity())),
             engine: Engine::new(),
             config,
+            accounted_bytes: AtomicI64::new(0),
         };
         store.recover_all();
         store
@@ -870,7 +882,7 @@ impl Store {
             p.wal.last_seq = p.wal.last_seq.max(snap.covered_seq);
             publish_wal_bytes(&mut p);
             state.persist = Some(p);
-            state.account_touch(name);
+            state.account_touch(name, &self.accounted_bytes);
             Ok::<(), ServerError>(())
         })?;
         self.instances
@@ -1091,17 +1103,18 @@ impl Store {
             }
         };
         let mut instance = ServerInstance::create(adaptive, semiring);
-        with_state!(&mut instance, |state| {
-            populate_from_snapshot(state, &snap)?;
-            state.account_touch(name);
-            Ok::<(), ServerError>(())
-        })?;
+        with_state!(&mut instance, |state| populate_from_snapshot(state, &snap))?;
         let mut instances = self.instances.write().expect("store poisoned");
         if instances.contains_key(name) {
             return Err(ServerError::InstanceExists {
                 name: name.to_string(),
             });
         }
+        // Published only once the name is known to be free: a refused
+        // restore must not add to the totals or move the existing
+        // instance's labelled gauge.
+        with_state!(&mut instance, |state| state
+            .account_touch(name, &self.accounted_bytes));
         instances.insert(name.to_string(), Arc::new(Mutex::new(instance)));
         matlang_obs::trace::event("persist:restore");
         Ok((snap.dims.len(), snap.vars.len()))
@@ -1177,7 +1190,7 @@ impl Store {
             }
             // Close the WAL handle before unlinking its file.
             state.persist = None;
-            unpublish_account(name, &mut state.account)
+            unpublish_account(name, &mut state.account, &self.accounted_bytes)
         });
         if let Some(dir) = self.data_dir() {
             if persist::filesystem_safe(name) {
@@ -1267,7 +1280,7 @@ impl Store {
             // WAL; a persisted instance checkpoints into a fresh snapshot
             // instead, keeping recovery exact.
             self.checkpoint_in(state, name, backend)?;
-            state.account_touch(name);
+            state.account_touch(name, &self.accounted_bytes);
             Ok(())
         })
     }
@@ -1343,7 +1356,7 @@ impl Store {
                 // a persisted instance checkpoints into a fresh snapshot.
                 self.checkpoint_in(state, name, backend)?;
             }
-            state.account_touch(name);
+            state.account_touch(name, &self.accounted_bytes);
             stored
         });
         drop(guard);
@@ -1363,7 +1376,7 @@ impl Store {
         let mut guard = instance.lock().expect("instance poisoned");
         with_state!(&mut *guard, |state| {
             let outcome = self.prepare_in(state, text, expr);
-            state.account_touch(name);
+            state.account_touch(name, &self.accounted_bytes);
             outcome
         })
     }
@@ -1618,7 +1631,7 @@ impl Store {
             if warm {
                 state.account.last_active_us = matlang_obs::metrics::clock_us();
             } else {
-                state.account_touch(name);
+                state.account_touch(name, &self.accounted_bytes);
             }
         }
         outcome.map(|_| results)
@@ -1699,7 +1712,7 @@ impl Store {
             if applied > 0 {
                 self.wal_append_in(state, name, backend, var, &entries[..applied]);
             }
-            state.account_touch(name);
+            state.account_touch(name, &self.accounted_bytes);
             outcome
         });
         if let Some(t) = timer {
@@ -2097,7 +2110,7 @@ impl Store {
             .collect()
     }
 
-    /// Sheds memory after a mutating request when the aggregate accounted
+    /// Sheds memory after a mutating request when this store's accounted
     /// bytes exceed the soft budget
     /// ([`mem_budget`](StoreConfig::mem_budget)): first the cold half
     /// of the plan cache (plans are pure derived state), then the memo
@@ -2114,7 +2127,7 @@ impl Store {
         let Some(budget) = self.config.mem_budget() else {
             return;
         };
-        let over = || matlang_obs::gauge!("instance_bytes").get() > budget as i64;
+        let over = || self.accounted_bytes.load(Ordering::Relaxed) > budget as i64;
         if !over() {
             return;
         }
@@ -2157,7 +2170,7 @@ impl Store {
             };
             with_state!(&mut *guard, |state| {
                 state.clear_cache();
-                state.account_touch(&name);
+                state.account_touch(&name, &self.accounted_bytes);
             });
             matlang_obs::counter!("pressure_evictions_total").inc();
             matlang_obs::trace::event("pressure:evict-cache");

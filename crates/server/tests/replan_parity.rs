@@ -7,7 +7,6 @@
 //! update → re-plan cycles and pins every result **bit-identical** to
 //! [`matlang_core::evaluate`] over a mirrored instance — the same
 //! contract the `server_integration` suite pins for the static path.
-//! The CI matrix repeats it under `MATLANG_THREADS=1` and `=4`.
 
 use matlang_core::{evaluate, FunctionRegistry, Instance};
 use matlang_matrix::Matrix;

@@ -9,6 +9,8 @@
 //!   plus both directions of Proposition 6.7:
 //!   `Φ : FO-MATLANG → WL` and `Ψ : WL → FO-MATLANG`.
 
+#![forbid(unsafe_code)]
+
 pub mod formula;
 pub mod structure;
 pub mod translate;

@@ -8,7 +8,6 @@
 //! how much work each query inherited from its predecessors.
 //!
 //! Run with `cargo run --release --example batched_analytics`.
-//! `MATLANG_THREADS` controls the worker count for heavy products.
 
 use matlang::engine::Engine;
 use matlang::prelude::*;
@@ -24,14 +23,10 @@ fn main() {
         .with_matrix("G", MatrixRepr::from_sparse_auto(graph));
     let g = instance.matrix("G").unwrap();
     println!(
-        "graph: n = {n}, nnz = {} (density {:.5}), built in {:?}",
+        "graph: n = {n}, nnz = {} (density {:.5}), built in {:?}\n",
         g.nnz(),
         g.density(),
         build.elapsed()
-    );
-    println!(
-        "threads: {} (MATLANG_THREADS overrides)\n",
-        configured_threads()
     );
 
     // The query mix.  `G²` and `G³` are shared across three queries; the

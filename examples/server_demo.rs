@@ -8,9 +8,8 @@
 //! query recomputes only its dirty subgraph — and queries over the
 //! untouched `W` matrix keep answering from cache with zero misses.
 //!
-//! Run with `cargo run --release --example server_demo`.
-//! `MATLANG_THREADS` controls both the session worker count and the
-//! kernel worker pool.
+//! Run with `cargo run --release --example server_demo`.  The server runs
+//! one session worker per core; each request runs on its session's worker.
 
 use matlang::prelude::*;
 use std::time::Instant;
@@ -21,7 +20,7 @@ fn main() {
     println!(
         "server listening on {} · {} session workers\n",
         handle.addr(),
-        configured_threads().max(1)
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     );
 
     let mut client = Client::connect(handle.addr()).expect("connect");

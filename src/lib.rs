@@ -15,9 +15,8 @@
 //! * [`core`] — the expression AST, schemas, typing, fragments and the
 //!   evaluator.
 //! * [`engine`] — the query planner (CSE, loop-invariant hoisting,
-//!   cost-based representation choice) and the parallel memoizing
-//!   executor, including batched evaluation of many queries over one
-//!   instance.
+//!   cost-based representation choice) and the memoizing executor,
+//!   including batched evaluation of many queries over one instance.
 //! * [`server`] — a concurrent query service over a line-delimited TCP
 //!   protocol: named instances, prepared queries with a persistent memo
 //!   cache, and incremental `UPDATE`s that invalidate exactly the
@@ -53,6 +52,8 @@
 //! assert_eq!(result.as_scalar().unwrap(), Real(3.0));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use matlang_algorithms as algorithms;
 pub use matlang_circuits as circuits;
 pub use matlang_core as core;
@@ -73,9 +74,8 @@ pub mod prelude {
     };
     pub use matlang_engine::{Engine, ExecStats, Plan, PlanReport, Planner};
     pub use matlang_matrix::{
-        configured_threads, random_adjacency, random_invertible, random_matrix, random_vector,
-        sparse_erdos_renyi, sparse_power_law, Matrix, MatrixRepr, MatrixStorage,
-        RandomMatrixConfig, SparseMatrix, WorkerPool,
+        random_adjacency, random_invertible, random_matrix, random_vector, sparse_erdos_renyi,
+        sparse_power_law, Matrix, MatrixRepr, MatrixStorage, RandomMatrixConfig, SparseMatrix,
     };
     pub use matlang_semiring::{
         ApproxEq, Boolean, Field, IntRing, MaxPlus, MinPlus, Nat, OrderedField, Real, Ring,

@@ -406,6 +406,65 @@ mod tests {
         }
     }
 
+    /// Every strict prefix and every single-bit flip of a dense and a CSR
+    /// payload, on all four semirings, through [`MatrixRepr`]'s decoder —
+    /// the one snapshots of either layout are read with.  A prefix must
+    /// report truncation; a flip may decode or be refused, but never
+    /// panics, and what it decodes into holds no more heap than the bytes
+    /// it consumed.  Each allocation is sized from a length field only
+    /// once the buffer is known to hold that many bytes, so a flipped high
+    /// bit (a 2⁶³-row header) errors instead of aborting the process.
+    #[test]
+    fn every_prefix_and_bit_flip_decodes_or_errors() {
+        fn sweep<K: Semiring>() -> usize {
+            let sparse = sample_sparse::<K>();
+            let mut accepted = 0;
+            for payload in [
+                MatrixRepr::Dense(sparse.to_dense()),
+                MatrixRepr::Sparse(sparse),
+            ]
+            .iter()
+            .map(|m| {
+                let mut bytes = Vec::new();
+                m.encode_matrix(&mut bytes);
+                bytes
+            }) {
+                for cut in 0..payload.len() {
+                    let err = MatrixRepr::<K>::decode_matrix(&mut &payload[..cut]).unwrap_err();
+                    assert!(
+                        matches!(err, CodecError::Truncated { .. }),
+                        "cut at {cut} gave {err:?}"
+                    );
+                }
+                for bit in 0..payload.len() * 8 {
+                    let mut flipped = payload.clone();
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    let mut cursor = flipped.as_slice();
+                    if let Ok(m) = MatrixRepr::<K>::decode_matrix(&mut cursor) {
+                        let consumed = flipped.len() - cursor.len();
+                        assert!(
+                            m.heap_bytes() <= consumed,
+                            "bit {bit}: {} heap bytes from {consumed} payload bytes",
+                            m.heap_bytes()
+                        );
+                        accepted += 1;
+                    }
+                }
+            }
+            accepted
+        }
+        // Flips in the value bytes decode (to another value); the count
+        // shows the sweep reached the decoders' success paths too.
+        for accepted in [
+            sweep::<Real>(),
+            sweep::<Boolean>(),
+            sweep::<Nat>(),
+            sweep::<MinPlus>(),
+        ] {
+            assert!(accepted > 100, "only {accepted} flipped payloads decoded");
+        }
+    }
+
     #[test]
     fn corrupt_structure_is_rejected_not_panicked() {
         let m = sample_sparse::<Real>();

@@ -155,7 +155,8 @@ pub struct UpdateReply {
 pub struct InstanceEntry {
     /// The instance name.
     pub name: String,
-    /// Storage backend (`dense` / `adaptive`).
+    /// Storage backend: `adaptive` from this server, also for an instance
+    /// created with the `dense` alias.
     pub backend: String,
     /// Semiring wire name (`real` / `bool` / `nat` / `minplus`).
     pub semiring: String,
@@ -258,7 +259,9 @@ impl Client {
         self.create_instance_with(name, adaptive, SemiringKind::Real)
     }
 
-    /// `INSTANCE <name> <backend> <semiring>`.
+    /// `INSTANCE <name> <backend> <semiring>`.  `adaptive = false` sends
+    /// the `dense` backend word, which the server accepts as an alias:
+    /// both create the same adaptive instance.
     pub fn create_instance_with(
         &mut self,
         name: &str,

@@ -18,8 +18,10 @@
 //! session at a time ([`session`]).  A request runs on the worker that
 //! read it, kernels included: concurrency comes from the workers alone.
 //!
+//! Every instance stores its matrices adaptively (dense or CSR per
+//! variable, by density; the wire's `dense` backend word is an alias).
 //! Results over the wire are **bit-identical** to [`matlang_core::evaluate`]
-//! on both storage backends — values use shortest-round-trip `f64`
+//! over dense storage — values use shortest-round-trip `f64`
 //! formatting, and the engine executing the plans is already pinned
 //! bit-identical to the tree evaluator.  The `server_integration` suite
 //! enforces this over the shared evaluator corpus.

@@ -176,7 +176,9 @@ fn read_str(buf: &mut &[u8], what: &str) -> Result<String, PersistError> {
 pub struct Snapshot {
     /// Semiring tag (`real`/`bool`/`nat`/`minplus`).
     pub semiring: String,
-    /// Backend tag (`dense`/`adaptive`).
+    /// Backend tag: `adaptive` in every snapshot this server writes;
+    /// `dense` in ones written by a dense instance before `dense` became an
+    /// alias, still accepted on load.
     pub backend: String,
     /// The WAL sequence number this snapshot covers: replay skips records
     /// with `seq <= covered_seq`.

@@ -126,12 +126,13 @@ impl SemiringKind {
 pub enum Request {
     /// `HELLO` — protocol version and capability discovery.
     Hello,
-    /// `INSTANCE <name> [dense|adaptive] [real|bool|nat|minplus]` —
-    /// create a named instance (backend defaults to `adaptive`, semiring
-    /// to `real`).
+    /// `INSTANCE <name> [adaptive|dense] [real|bool|nat|minplus]` —
+    /// create a named instance (semiring defaults to `real`).  Every
+    /// instance stores its matrices adaptively (dense or CSR per variable,
+    /// by density); `dense` is an accepted alias for `adaptive`, and the
+    /// reply names the backend the instance has: `adaptive`.
     Instance {
         name: String,
-        adaptive: bool,
         semiring: SemiringKind,
     },
     /// `DIM <instance> <sym> <n>` — assign a size symbol.
@@ -266,23 +267,19 @@ impl Request {
             "HELLO" => Ok(Request::Hello),
             "INSTANCE" => {
                 let name = parse_num::<String>(tokens.next(), "instance name")?;
-                let backend = tokens.next().unwrap_or("adaptive");
-                let adaptive = match backend {
-                    "dense" => false,
-                    "adaptive" => true,
-                    other => return Err(format!("expected backend dense|adaptive, got `{other}`")),
-                };
+                match tokens.next() {
+                    None | Some("adaptive" | "dense") => {}
+                    Some(other) => {
+                        return Err(format!("expected backend dense|adaptive, got `{other}`"))
+                    }
+                }
                 let semiring = match tokens.next() {
                     None => SemiringKind::default(),
                     Some(token) => SemiringKind::parse(token).ok_or_else(|| {
                         format!("expected semiring real|bool|nat|minplus, got `{token}`")
                     })?,
                 };
-                Ok(Request::Instance {
-                    name,
-                    adaptive,
-                    semiring,
-                })
+                Ok(Request::Instance { name, semiring })
             }
             "DIM" => Ok(Request::Dim {
                 instance: parse_num(tokens.next(), "instance name")?,
@@ -1140,7 +1137,6 @@ mod tests {
             Request::parse("INSTANCE g dense").unwrap(),
             Request::Instance {
                 name: "g".into(),
-                adaptive: false,
                 semiring: SemiringKind::Real,
             }
         );
@@ -1148,7 +1144,6 @@ mod tests {
             Request::parse("instance g").unwrap(),
             Request::Instance {
                 name: "g".into(),
-                adaptive: true,
                 semiring: SemiringKind::Real,
             }
         );
@@ -1156,7 +1151,6 @@ mod tests {
             Request::parse("INSTANCE g adaptive bool").unwrap(),
             Request::Instance {
                 name: "g".into(),
-                adaptive: true,
                 semiring: SemiringKind::Boolean,
             }
         );
@@ -1164,7 +1158,6 @@ mod tests {
             Request::parse("INSTANCE g dense minplus").unwrap(),
             Request::Instance {
                 name: "g".into(),
-                adaptive: false,
                 semiring: SemiringKind::MinPlus,
             }
         );

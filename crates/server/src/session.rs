@@ -10,7 +10,7 @@ use crate::protocol::{
     bounded_line, read_entry, write_err, write_lines_block, write_shared_result, LineRead, Request,
     CAPABILITIES, PROTOCOL_VERSION,
 };
-use crate::store::{DeltaDisposition, Store};
+use crate::store::{DeltaDisposition, Store, BACKEND};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -158,19 +158,12 @@ fn dispatch(
             "OK matlangd proto={PROTOCOL_VERSION} caps={}",
             CAPABILITIES.join(",")
         ),
-        Request::Instance {
-            name,
-            adaptive,
-            semiring,
-        } => match store.create_instance_with(&name, adaptive, semiring) {
-            Ok(()) => writeln!(
-                writer,
-                "OK instance {name} {} {}",
-                if adaptive { "adaptive" } else { "dense" },
-                semiring.name()
-            ),
-            Err(e) => write_err(writer, &e),
-        },
+        Request::Instance { name, semiring } => {
+            match store.create_instance_with(&name, true, semiring) {
+                Ok(()) => writeln!(writer, "OK instance {name} {BACKEND} {}", semiring.name()),
+                Err(e) => write_err(writer, &e),
+            }
+        }
         Request::Dim {
             instance,
             sym,

@@ -2,7 +2,7 @@
 //!
 //! A [`Store`] owns:
 //!
-//! * a `RwLock`-guarded map from instance name to [`ServerInstance`] — the
+//! * a `RwLock`-guarded map from instance name to its state — the
 //!   read lock is enough to *find* an instance, per-instance `Mutex`es
 //!   serialize work on one instance while different instances proceed in
 //!   parallel on different worker threads;
@@ -44,9 +44,12 @@
 //! changes how fast the next `EXEC` runs.
 //!
 //! Each instance computes over one of the wire-selectable semirings
-//! ([`SemiringKind`], see [`ServerSemiring`]) on either the dense or the
-//! adaptive sparse/dense storage backend, and carries its prepared
-//! statements plus **one shared [`matlang_engine::NodeCache`]** over a
+//! ([`SemiringKind`], see [`ServerSemiring`]) and stores every matrix as a
+//! [`MatrixRepr`] — dense or CSR per variable, picked by density (the
+//! `adaptive` backend; the wire's `dense` backend word is an accepted alias
+//! that creates the same instance).  The semiring decides what a query
+//! means, the layout only how fast it runs.  Each instance carries its
+//! prepared statements plus **one shared [`matlang_engine::NodeCache`]** over a
 //! single plan DAG covering *all* its prepared queries (they are planned
 //! as a batch, so common subterms are one node): an `EXEC` seeds an
 //! [`Executor`] with the cache, runs one root, and puts the cache back,
@@ -75,8 +78,7 @@ use matlang_core::{typecheck, Dim, Expr, FunctionRegistry, Instance, MatrixType,
 use matlang_engine::delta::{absorbs, join_is_idempotent, propagate, DeltaFallback, DeltaOverlay};
 use matlang_engine::{expr_fingerprint, Engine, Executor, InstanceStats, ObservedStats, Plan};
 use matlang_matrix::{
-    sparse_erdos_renyi, sparse_power_law, Matrix, MatrixCodec, MatrixRepr, MatrixStorage,
-    SparseMatrix,
+    sparse_erdos_renyi, sparse_power_law, MatrixCodec, MatrixRepr, MatrixStorage, SparseMatrix,
 };
 use matlang_parser::parse;
 use matlang_semiring::{Boolean, MinPlus, Nat, Real, Semiring};
@@ -287,11 +289,7 @@ fn retract_wal_bytes(p: &mut Persistence) {
 /// instance's deterministic name order — into a [`Snapshot`].  Runtime
 /// state (memo cache, overlays, plans, observed statistics) is deliberately
 /// absent: it rebuilds lazily after a restore.
-fn encode_snapshot<K: ServerSemiring, M: MatrixStorage<Elem = K> + MatrixCodec>(
-    state: &BackendState<K, M>,
-    backend: &'static str,
-    covered_seq: u64,
-) -> Snapshot {
+fn encode_snapshot<K: ServerSemiring>(state: &BackendState<K>, covered_seq: u64) -> Snapshot {
     let dims = state
         .instance
         .dims()
@@ -308,18 +306,17 @@ fn encode_snapshot<K: ServerSemiring, M: MatrixStorage<Elem = K> + MatrixCodec>(
         .collect();
     Snapshot {
         semiring: K::NAME.to_string(),
-        backend: backend.to_string(),
+        backend: BACKEND.to_string(),
         covered_seq,
         dims,
         vars,
     }
 }
 
-/// Rebuilds an instance's dims and matrices from a decoded [`Snapshot`].
-/// The memo cache stays empty and no plan exists yet — exactly the state
-/// of a freshly created instance that was `LOAD`ed.
-fn populate_from_snapshot<K: ServerSemiring, M: MatrixStorage<Elem = K> + MatrixCodec>(
-    state: &mut BackendState<K, M>,
+/// Rebuilds an instance's dims and matrices from a decoded [`Snapshot`],
+/// each matrix in the layout its payload was saved in.
+fn populate_from_snapshot<K: ServerSemiring>(
+    state: &mut BackendState<K>,
     snap: &Snapshot,
 ) -> Result<(), ServerError> {
     for (sym, value) in &snap.dims {
@@ -329,7 +326,7 @@ fn populate_from_snapshot<K: ServerSemiring, M: MatrixStorage<Elem = K> + Matrix
     }
     for (var, payload) in &snap.vars {
         let mut buf = payload.as_slice();
-        let matrix = M::decode_matrix(&mut buf)
+        let matrix = MatrixRepr::decode_matrix(&mut buf)
             .map_err(|e| ServerError::storage(format!("variable `{var}`: {e}")))?;
         if !buf.is_empty() {
             return Err(ServerError::storage(format!(
@@ -346,8 +343,8 @@ fn populate_from_snapshot<K: ServerSemiring, M: MatrixStorage<Elem = K> + Matrix
 /// record with `seq > covered_seq`, entry by entry through the same
 /// [`MatrixStorage::set_entry`] the original `UPDATE` used, so the result
 /// is bit-identical to the pre-crash state.  Returns the replayed count.
-fn replay_wal_records<K: ServerSemiring, M: MatrixStorage<Elem = K>>(
-    state: &mut BackendState<K, M>,
+fn replay_wal_records<K: ServerSemiring>(
+    state: &mut BackendState<K>,
     records: &[WalRecord],
     covered_seq: u64,
 ) -> Result<u64, ServerError> {
@@ -372,18 +369,19 @@ fn replay_wal_records<K: ServerSemiring, M: MatrixStorage<Elem = K>>(
     Ok(replayed)
 }
 
-/// Per-backend instance state: the MATLANG instance plus the prepared-query
-/// plan, its persistent memo cache and the delta-maintenance bookkeeping.
-pub struct BackendState<K: ServerSemiring, M: MatrixStorage<Elem = K>> {
+/// Per-semiring instance state: the MATLANG instance plus the
+/// prepared-query plan, its persistent memo cache and the
+/// delta-maintenance bookkeeping.
+pub(crate) struct BackendState<K: ServerSemiring> {
     /// The MATLANG instance (dims + matrices).
-    pub instance: Instance<K, M>,
+    pub instance: Instance<K, MatrixRepr<K>>,
     /// Prepared statements, indexed by query id.
     pub prepared: Vec<PreparedQuery>,
     /// One plan covering every prepared statement (root *i* ↔ query id
     /// *i*), shared through the store-wide plan cache.
     pub plan: Option<Arc<Plan>>,
     /// The persistent memo cache over `plan`'s nodes.
-    pub cache: matlang_engine::NodeCache<M>,
+    pub cache: matlang_engine::NodeCache<MatrixRepr<K>>,
     /// This semiring's pointwise-function registry.
     pub registry: FunctionRegistry<K>,
     /// Pending sparse delta overlays on top of `cache` (lazy patches from
@@ -413,7 +411,7 @@ pub struct BackendState<K: ServerSemiring, M: MatrixStorage<Elem = K>> {
     pub(crate) persist: Option<Persistence>,
 }
 
-impl<K: ServerSemiring, M: MatrixStorage<Elem = K>> Default for BackendState<K, M> {
+impl<K: ServerSemiring> Default for BackendState<K> {
     fn default() -> Self {
         BackendState {
             instance: Instance::new(),
@@ -434,7 +432,7 @@ impl<K: ServerSemiring, M: MatrixStorage<Elem = K>> Default for BackendState<K, 
     }
 }
 
-impl<K: ServerSemiring, M: MatrixStorage<Elem = K>> BackendState<K, M> {
+impl<K: ServerSemiring> BackendState<K> {
     /// Drops every cached node value and pending overlay (wholesale
     /// invalidation: rebinds, dimension changes).
     fn clear_cache(&mut self) {
@@ -473,83 +471,77 @@ impl<K: ServerSemiring, M: MatrixStorage<Elem = K>> BackendState<K, M> {
     }
 }
 
+/// The storage backend every instance has, as named on the wire (`LIST`,
+/// the `INSTANCE` reply, `EXPLAIN`/`PROFILE`/`STATS`/`TOP` headers) and in
+/// new snapshots.  `dense` is still accepted wherever a backend is read —
+/// the `INSTANCE` verb and old snapshot tags — as an alias for it.
+pub(crate) const BACKEND: &str = "adaptive";
+
 /// A named instance: the same state machine over every supported
-/// semiring × storage-backend combination.
-pub enum ServerInstance {
-    /// Dense row-major storage over ℝ.
-    DenseReal(BackendState<Real, Matrix<Real>>),
-    /// Adaptive (density-thresholded dense/CSR) storage over ℝ.
-    AdaptiveReal(BackendState<Real, MatrixRepr<Real>>),
-    /// Dense storage over the Boolean semiring.
-    DenseBool(BackendState<Boolean, Matrix<Boolean>>),
-    /// Adaptive storage over the Boolean semiring.
-    AdaptiveBool(BackendState<Boolean, MatrixRepr<Boolean>>),
-    /// Dense storage over ℕ.
-    DenseNat(BackendState<Nat, Matrix<Nat>>),
-    /// Adaptive storage over ℕ.
-    AdaptiveNat(BackendState<Nat, MatrixRepr<Nat>>),
-    /// Dense storage over the tropical min-plus semiring.
-    DenseMinPlus(BackendState<MinPlus, Matrix<MinPlus>>),
-    /// Adaptive storage over the tropical min-plus semiring.
-    AdaptiveMinPlus(BackendState<MinPlus, MatrixRepr<MinPlus>>),
+/// semiring, each storing its matrices as [`MatrixRepr`].
+pub(crate) enum ServerInstance {
+    /// ℝ, the field over `f64`.
+    Real(BackendState<Real>),
+    /// The Boolean semiring.
+    Bool(BackendState<Boolean>),
+    /// ℕ.
+    Nat(BackendState<Nat>),
+    /// The tropical min-plus semiring.
+    MinPlus(BackendState<MinPlus>),
 }
 
 impl ServerInstance {
-    fn create(adaptive: bool, semiring: SemiringKind) -> ServerInstance {
-        match (adaptive, semiring) {
-            (false, SemiringKind::Real) => ServerInstance::DenseReal(BackendState::default()),
-            (true, SemiringKind::Real) => ServerInstance::AdaptiveReal(BackendState::default()),
-            (false, SemiringKind::Boolean) => ServerInstance::DenseBool(BackendState::default()),
-            (true, SemiringKind::Boolean) => ServerInstance::AdaptiveBool(BackendState::default()),
-            (false, SemiringKind::Nat) => ServerInstance::DenseNat(BackendState::default()),
-            (true, SemiringKind::Nat) => ServerInstance::AdaptiveNat(BackendState::default()),
-            (false, SemiringKind::MinPlus) => ServerInstance::DenseMinPlus(BackendState::default()),
-            (true, SemiringKind::MinPlus) => {
-                ServerInstance::AdaptiveMinPlus(BackendState::default())
-            }
-        }
-    }
-
-    /// The backend name as used by the protocol.
-    pub fn backend_name(&self) -> &'static str {
-        match self {
-            ServerInstance::DenseReal(_)
-            | ServerInstance::DenseBool(_)
-            | ServerInstance::DenseNat(_)
-            | ServerInstance::DenseMinPlus(_) => "dense",
-            ServerInstance::AdaptiveReal(_)
-            | ServerInstance::AdaptiveBool(_)
-            | ServerInstance::AdaptiveNat(_)
-            | ServerInstance::AdaptiveMinPlus(_) => "adaptive",
+    fn create(semiring: SemiringKind) -> ServerInstance {
+        match semiring {
+            SemiringKind::Real => ServerInstance::Real(BackendState::default()),
+            SemiringKind::Boolean => ServerInstance::Bool(BackendState::default()),
+            SemiringKind::Nat => ServerInstance::Nat(BackendState::default()),
+            SemiringKind::MinPlus => ServerInstance::MinPlus(BackendState::default()),
         }
     }
 
     /// The semiring name as used by the protocol.
-    pub fn semiring_name(&self) -> &'static str {
+    fn semiring_name(&self) -> &'static str {
         match self {
-            ServerInstance::DenseReal(_) | ServerInstance::AdaptiveReal(_) => Real::NAME,
-            ServerInstance::DenseBool(_) | ServerInstance::AdaptiveBool(_) => Boolean::NAME,
-            ServerInstance::DenseNat(_) | ServerInstance::AdaptiveNat(_) => Nat::NAME,
-            ServerInstance::DenseMinPlus(_) | ServerInstance::AdaptiveMinPlus(_) => MinPlus::NAME,
+            ServerInstance::Real(_) => Real::NAME,
+            ServerInstance::Bool(_) => Boolean::NAME,
+            ServerInstance::Nat(_) => Nat::NAME,
+            ServerInstance::MinPlus(_) => MinPlus::NAME,
         }
     }
 }
 
-/// Runs a closure against the semiring- and backend-generic state of a
+/// Runs a closure against the semiring-generic state of a
 /// [`ServerInstance`].
 macro_rules! with_state {
     ($instance:expr, |$state:ident| $body:expr) => {
         match $instance {
-            ServerInstance::DenseReal($state) => $body,
-            ServerInstance::AdaptiveReal($state) => $body,
-            ServerInstance::DenseBool($state) => $body,
-            ServerInstance::AdaptiveBool($state) => $body,
-            ServerInstance::DenseNat($state) => $body,
-            ServerInstance::AdaptiveNat($state) => $body,
-            ServerInstance::DenseMinPlus($state) => $body,
-            ServerInstance::AdaptiveMinPlus($state) => $body,
+            ServerInstance::Real($state) => $body,
+            ServerInstance::Bool($state) => $body,
+            ServerInstance::Nat($state) => $body,
+            ServerInstance::MinPlus($state) => $body,
         }
     };
+}
+
+/// Builds the instance a decoded [`Snapshot`] describes — the one path
+/// shared by boot-time recovery and `RESTORE`.  The backend tag may be
+/// `adaptive` or `dense` (what a dense instance wrote before `dense`
+/// became an alias); either way the matrices decode into [`MatrixRepr`].
+/// The memo cache stays empty and no plan exists yet — exactly the state
+/// of a freshly created instance that was `LOAD`ed.
+fn instance_from_snapshot(snap: &Snapshot) -> Result<ServerInstance, ServerError> {
+    let semiring = SemiringKind::parse(&snap.semiring)
+        .ok_or_else(|| ServerError::storage(format!("unknown semiring tag `{}`", snap.semiring)))?;
+    if !matches!(snap.backend.as_str(), "adaptive" | "dense") {
+        return Err(ServerError::storage(format!(
+            "unknown backend tag `{}`",
+            snap.backend
+        )));
+    }
+    let mut instance = ServerInstance::create(semiring);
+    with_state!(&mut instance, |state| populate_from_snapshot(state, snap))?;
+    Ok(instance)
 }
 
 /// The outcome of a `PREPARE`.
@@ -606,7 +598,8 @@ pub struct UpdateOutcome {
 pub struct InstanceInfo {
     /// The instance name.
     pub name: String,
-    /// Storage backend (`dense` / `adaptive`).
+    /// Storage backend: always `adaptive`, also for an instance created
+    /// with the `dense` alias.
     pub backend: &'static str,
     /// Semiring wire name (`real` / `bool` / `nat` / `minplus`).
     pub semiring: &'static str,
@@ -852,24 +845,11 @@ impl Store {
     fn recover_one(&self, dir: &Path, name: &str) -> Result<(), ServerError> {
         let snap_path = persist::snapshot_path(dir, name);
         let snap = Snapshot::read(&snap_path).map_err(|e| ServerError::storage(e.to_string()))?;
-        let semiring = SemiringKind::parse(&snap.semiring).ok_or_else(|| {
-            ServerError::storage(format!("unknown semiring tag `{}`", snap.semiring))
-        })?;
-        let adaptive = match snap.backend.as_str() {
-            "adaptive" => true,
-            "dense" => false,
-            other => {
-                return Err(ServerError::storage(format!(
-                    "unknown backend tag `{other}`"
-                )))
-            }
-        };
+        let mut instance = instance_from_snapshot(&snap)?;
         let snapshot_bytes = std::fs::metadata(&snap_path).map(|m| m.len()).unwrap_or(0);
         let (wal, records) = Wal::open(&persist::wal_path(dir, name))
             .map_err(|e| ServerError::storage(e.to_string()))?;
-        let mut instance = ServerInstance::create(adaptive, semiring);
         with_state!(&mut instance, |state| {
-            populate_from_snapshot(state, &snap)?;
             replay_wal_records(state, &records, snap.covered_seq)?;
             let mut p = Persistence {
                 wal,
@@ -901,18 +881,17 @@ impl Store {
     /// empties the WAL — compaction, and the durability hook for
     /// non-`UPDATE` mutations (rebinds, dim changes).  A no-op unless the
     /// instance is persisted.
-    fn checkpoint_in<K: ServerSemiring, M: MatrixStorage<Elem = K> + MatrixCodec>(
+    fn checkpoint_in<K: ServerSemiring>(
         &self,
-        state: &mut BackendState<K, M>,
+        state: &mut BackendState<K>,
         name: &str,
-        backend: &'static str,
     ) -> Result<(), ServerError> {
         let covered_seq = match (&state.persist, self.data_dir()) {
             (Some(p), Some(_)) => p.wal.last_seq,
             _ => return Ok(()),
         };
         let dir = self.data_dir().expect("matched above");
-        let snap = encode_snapshot(state, backend, covered_seq);
+        let snap = encode_snapshot(state, covered_seq);
         let bytes = snap
             .write_atomic(&persist::snapshot_path(dir, name))
             .map_err(|e| ServerError::storage(e.to_string()))?;
@@ -932,11 +911,10 @@ impl Store {
     /// A WAL write failure degrades the instance to non-persisted — the
     /// on-disk artifacts stay a *consistent older* state rather than a
     /// silently diverging one — and leaves a `persist:error` trace event.
-    fn wal_append_in<K: ServerSemiring, M: MatrixStorage<Elem = K> + MatrixCodec>(
+    fn wal_append_in<K: ServerSemiring>(
         &self,
-        state: &mut BackendState<K, M>,
+        state: &mut BackendState<K>,
         name: &str,
-        backend: &'static str,
         var: &str,
         applied: &[(usize, usize, f64)],
     ) {
@@ -968,7 +946,7 @@ impl Store {
             matlang_obs::trace::event("persist:compact");
             // Best-effort: on failure the WAL still holds every record,
             // so durability is unharmed and the next append retries.
-            let _ = self.checkpoint_in(state, name, backend);
+            let _ = self.checkpoint_in(state, name);
         }
     }
 
@@ -981,7 +959,6 @@ impl Store {
     pub fn set_persist(&self, name: &str, on: bool) -> Result<bool, ServerError> {
         let instance = self.instance(name)?;
         let mut guard = instance.lock().expect("instance poisoned");
-        let backend = guard.backend_name();
         with_state!(&mut *guard, |state| {
             if on {
                 if state.persist.is_some() {
@@ -1012,7 +989,7 @@ impl Store {
                     .map_err(|e| ServerError::storage(e.to_string()))?;
                 p.wal.last_seq = 0;
                 state.persist = Some(p);
-                if let Err(e) = self.checkpoint_in(state, name, backend) {
+                if let Err(e) = self.checkpoint_in(state, name) {
                     state.persist = None;
                     return Err(e);
                 }
@@ -1041,12 +1018,11 @@ impl Store {
     pub fn save(&self, name: &str, path: Option<&Path>) -> Result<(u64, PathBuf), ServerError> {
         let instance = self.instance(name)?;
         let mut guard = instance.lock().expect("instance poisoned");
-        let backend = guard.backend_name();
         with_state!(&mut *guard, |state| {
             let covered_seq = state.persist.as_ref().map_or(0, |p| p.wal.last_seq);
             match path {
                 Some(path) => {
-                    let snap = encode_snapshot(state, backend, covered_seq);
+                    let snap = encode_snapshot(state, covered_seq);
                     let bytes = snap
                         .write_atomic(path)
                         .map_err(|e| ServerError::storage(e.to_string()))?;
@@ -1067,11 +1043,11 @@ impl Store {
                     }
                     let target = persist::snapshot_path(dir, name);
                     if state.persist.is_some() {
-                        self.checkpoint_in(state, name, backend)?;
+                        self.checkpoint_in(state, name)?;
                         let bytes = state.persist.as_ref().expect("persisted").snapshot_bytes;
                         Ok((bytes, target))
                     } else {
-                        let snap = encode_snapshot(state, backend, covered_seq);
+                        let snap = encode_snapshot(state, covered_seq);
                         let bytes = snap
                             .write_atomic(&target)
                             .map_err(|e| ServerError::storage(e.to_string()))?;
@@ -1090,20 +1066,7 @@ impl Store {
     /// variable counts.
     pub fn restore(&self, name: &str, path: &Path) -> Result<(usize, usize), ServerError> {
         let snap = Snapshot::read(path).map_err(|e| ServerError::storage(e.to_string()))?;
-        let semiring = SemiringKind::parse(&snap.semiring).ok_or_else(|| {
-            ServerError::storage(format!("unknown semiring tag `{}`", snap.semiring))
-        })?;
-        let adaptive = match snap.backend.as_str() {
-            "adaptive" => true,
-            "dense" => false,
-            other => {
-                return Err(ServerError::storage(format!(
-                    "unknown backend tag `{other}`"
-                )))
-            }
-        };
-        let mut instance = ServerInstance::create(adaptive, semiring);
-        with_state!(&mut instance, |state| populate_from_snapshot(state, &snap))?;
+        let mut instance = instance_from_snapshot(&snap)?;
         let mut instances = self.instances.write().expect("store poisoned");
         if instances.contains_key(name) {
             return Err(ServerError::InstanceExists {
@@ -1145,16 +1108,19 @@ impl Store {
     }
 
     /// Creates a named instance over ℝ.  Fails if the name is taken.
+    /// `adaptive` is kept for callers written against two backends: both
+    /// values create the same [`MatrixRepr`]-backed instance.
     pub fn create_instance(&self, name: &str, adaptive: bool) -> Result<(), ServerError> {
         self.create_instance_with(name, adaptive, SemiringKind::Real)
     }
 
     /// Creates a named instance over an explicit semiring.  Fails if the
-    /// name is taken.
+    /// name is taken.  `adaptive` is ignored: `true` and `false` (the
+    /// `dense` alias) create the same instance.
     pub fn create_instance_with(
         &self,
         name: &str,
-        adaptive: bool,
+        _adaptive: bool,
         semiring: SemiringKind,
     ) -> Result<(), ServerError> {
         let mut instances = self.instances.write().expect("store poisoned");
@@ -1165,7 +1131,7 @@ impl Store {
         }
         instances.insert(
             name.to_string(),
-            Arc::new(Mutex::new(ServerInstance::create(adaptive, semiring))),
+            Arc::new(Mutex::new(ServerInstance::create(semiring))),
         );
         Ok(())
     }
@@ -1232,7 +1198,7 @@ impl Store {
                 ));
                 InstanceInfo {
                     name,
-                    backend: guard.backend_name(),
+                    backend: BACKEND,
                     semiring: guard.semiring_name(),
                     delta_patches,
                     delta_fallbacks,
@@ -1254,21 +1220,10 @@ impl Store {
             })
     }
 
-    /// The `(backend, semiring)` names of a named instance.
-    pub fn describe_instance(
-        &self,
-        name: &str,
-    ) -> Result<(&'static str, &'static str), ServerError> {
-        let instance = self.instance(name)?;
-        let guard = instance.lock().expect("instance poisoned");
-        Ok((guard.backend_name(), guard.semiring_name()))
-    }
-
     /// Assigns a size symbol on an instance.
     pub fn set_dim(&self, name: &str, sym: &str, value: usize) -> Result<(), ServerError> {
         let instance = self.instance(name)?;
         let mut guard = instance.lock().expect("instance poisoned");
-        let backend = guard.backend_name();
         with_state!(&mut *guard, |state| {
             state.instance.set_dim(sym, value);
             // Dimension symbols are not matrix variables, so they are
@@ -1279,7 +1234,7 @@ impl Store {
             // A dim assignment is not an `UPDATE`, so it cannot ride the
             // WAL; a persisted instance checkpoints into a fresh snapshot
             // instead, keeping recovery exact.
-            self.checkpoint_in(state, name, backend)?;
+            self.checkpoint_in(state, name)?;
             state.account_touch(name, &self.accounted_bytes);
             Ok(())
         })
@@ -1336,10 +1291,10 @@ impl Store {
     }
 
     /// Stores `matrix` under `var`, converting to the instance's semiring
-    /// and backend.  Any (re)assignment resets the prepared plan's memo
-    /// cache — unlike a point `UPDATE`, a wholesale rebind invalidates
-    /// everything that mentions the variable, and conservatively clearing
-    /// is cheapest.
+    /// and picking its layout by density.  Any (re)assignment resets the
+    /// prepared plan's memo cache — unlike a point `UPDATE`, a wholesale
+    /// rebind invalidates everything that mentions the variable, and
+    /// conservatively clearing is cheapest.
     fn assign_matrix(
         &self,
         name: &str,
@@ -1348,13 +1303,12 @@ impl Store {
     ) -> Result<usize, ServerError> {
         let instance = self.instance(name)?;
         let mut guard = instance.lock().expect("instance poisoned");
-        let backend = guard.backend_name();
         let stored = with_state!(&mut *guard, |state| {
             let stored = assign_in(state, var, &sparse);
             if stored.is_ok() {
                 // A wholesale rebind cannot be expressed as WAL entries;
                 // a persisted instance checkpoints into a fresh snapshot.
-                self.checkpoint_in(state, name, backend)?;
+                self.checkpoint_in(state, name)?;
             }
             state.account_touch(name, &self.accounted_bytes);
             stored
@@ -1381,9 +1335,9 @@ impl Store {
         })
     }
 
-    fn prepare_in<K: ServerSemiring, M: MatrixStorage<Elem = K>>(
+    fn prepare_in<K: ServerSemiring>(
         &self,
-        state: &mut BackendState<K, M>,
+        state: &mut BackendState<K>,
         text: &str,
         expr: Expr,
     ) -> Result<PrepareOutcome, ServerError> {
@@ -1483,10 +1437,7 @@ impl Store {
     /// built from fresh statistics plus the harvested [`ObservedStats`],
     /// cached under the bumped stats generation, and starts with a cold
     /// memo cache (node ids changed).
-    fn maybe_replan<K: ServerSemiring, M: MatrixStorage<Elem = K>>(
-        &self,
-        state: &mut BackendState<K, M>,
-    ) {
+    fn maybe_replan<K: ServerSemiring>(&self, state: &mut BackendState<K>) {
         let (Some(plan), Some(planned)) = (state.plan.as_ref(), state.planned_stats.as_ref())
         else {
             return;
@@ -1530,9 +1481,9 @@ impl Store {
         state.planned_stats = Some(current);
     }
 
-    fn exec_in<K: ServerSemiring, M: MatrixStorage<Elem = K>>(
+    fn exec_in<K: ServerSemiring>(
         &self,
-        state: &mut BackendState<K, M>,
+        state: &mut BackendState<K>,
         name: &str,
         qids: &[usize],
     ) -> Result<Vec<SharedResult>, ServerError> {
@@ -1654,9 +1605,9 @@ impl Store {
         with_state!(&mut *guard, |state| self.query_in(state, &expr))
     }
 
-    fn query_in<K: ServerSemiring, M: MatrixStorage<Elem = K>>(
+    fn query_in<K: ServerSemiring>(
         &self,
-        state: &mut BackendState<K, M>,
+        state: &mut BackendState<K>,
         expr: &Expr,
     ) -> Result<SharedResult, ServerError> {
         let schema = derive_schema(&state.instance)?;
@@ -1702,7 +1653,6 @@ impl Store {
         let timer = matlang_obs::enabled().then(std::time::Instant::now);
         let instance = self.instance(name)?;
         let mut guard = instance.lock().expect("instance poisoned");
-        let backend = guard.backend_name();
         let outcome = with_state!(&mut *guard, |state| {
             let mut applied = 0usize;
             let outcome = self.update_in(state, var, entries, &mut applied);
@@ -1710,7 +1660,7 @@ impl Store {
             // entries before the failing one *did* mutate the matrix, and
             // recovery must replay them.
             if applied > 0 {
-                self.wal_append_in(state, name, backend, var, &entries[..applied]);
+                self.wal_append_in(state, name, var, &entries[..applied]);
             }
             state.account_touch(name, &self.accounted_bytes);
             outcome
@@ -1723,9 +1673,9 @@ impl Store {
         outcome
     }
 
-    fn update_in<K: ServerSemiring, M: MatrixStorage<Elem = K>>(
+    fn update_in<K: ServerSemiring>(
         &self,
-        state: &mut BackendState<K, M>,
+        state: &mut BackendState<K>,
         var: &str,
         entries: &[(usize, usize, f64)],
         applied_out: &mut usize,
@@ -1860,7 +1810,6 @@ impl Store {
         let expr = parse_traced(text)?;
         let instance = self.instance(name)?;
         let guard = instance.lock().expect("instance poisoned");
-        let backend = guard.backend_name();
         let semiring = guard.semiring_name();
         with_state!(&*guard, |state| {
             let schema = derive_schema(&state.instance)?;
@@ -1871,7 +1820,7 @@ impl Store {
                 .engine
                 .plan(std::slice::from_ref(&expr), &state.instance);
             let mut lines = vec![format!(
-                "instance {name} backend={backend} semiring={semiring}"
+                "instance {name} backend={BACKEND} semiring={semiring}"
             )];
             lines.extend(plan.explain());
             Ok(lines)
@@ -1886,7 +1835,6 @@ impl Store {
         let expr = parse_traced(text)?;
         let instance = self.instance(name)?;
         let mut guard = instance.lock().expect("instance poisoned");
-        let backend = guard.backend_name();
         let semiring = guard.semiring_name();
         with_state!(&mut *guard, |state| {
             let schema = derive_schema(&state.instance)?;
@@ -1911,7 +1859,7 @@ impl Store {
                 .to_vec();
             let stats = exec.stats();
             let mut lines = vec![format!(
-                "instance {name} backend={backend} semiring={semiring} total_us={total_us}"
+                "instance {name} backend={BACKEND} semiring={semiring} total_us={total_us}"
             )];
             for (id, sample) in samples.iter().enumerate() {
                 lines.push(format!(
@@ -1946,7 +1894,6 @@ impl Store {
     pub fn stats(&self, name: &str) -> Result<Vec<String>, ServerError> {
         let instance = self.instance(name)?;
         let guard = instance.lock().expect("instance poisoned");
-        let backend = guard.backend_name();
         let semiring = guard.semiring_name();
         with_state!(&*guard, |state| {
             let current = InstanceStats::from_instance(&state.instance);
@@ -1990,7 +1937,7 @@ impl Store {
                 ));
             }
             let mut lines = vec![format!(
-                "instance {name} backend={backend} semiring={semiring} generation={} replans={} executions={} drift={worst:.2} threshold={:.2}",
+                "instance {name} backend={BACKEND} semiring={semiring} generation={} replans={} executions={} drift={worst:.2} threshold={:.2}",
                 state.stats_generation,
                 state.replans,
                 state.observed.executions,
@@ -2054,7 +2001,6 @@ impl Store {
         let mut rows = Vec::with_capacity(handles.len());
         for (name, handle) in handles {
             let mut guard = handle.lock().expect("instance poisoned");
-            let backend = guard.backend_name();
             let semiring = guard.semiring_name();
             let (account, roots) = with_state!(&mut *guard, |state| {
                 state.account_refresh();
@@ -2077,21 +2023,21 @@ impl Store {
                 }
                 (state.account, roots)
             });
-            rows.push((name, backend, semiring, account, roots));
+            rows.push((name, semiring, account, roots));
         }
         rows.sort_by(|a, b| {
-            b.3.total_bytes()
-                .cmp(&a.3.total_bytes())
-                .then(b.3.exec_time_us.cmp(&a.3.exec_time_us))
+            b.2.total_bytes()
+                .cmp(&a.2.total_bytes())
+                .then(b.2.exec_time_us.cmp(&a.2.exec_time_us))
                 .then(a.0.cmp(&b.0))
         });
         if let Some(n) = n {
             rows.truncate(n);
         }
         rows.into_iter()
-            .map(|(name, backend, semiring, account, roots)| {
+            .map(|(name, semiring, account, roots)| {
                 format!(
-                    "instance={name} backend={backend} semiring={semiring} bytes={} data={} \
+                    "instance={name} backend={BACKEND} semiring={semiring} bytes={} data={} \
                      cache_bytes={} cache_entries={} overlay={} execs={} exec_us={} roots={}",
                     account.total_bytes(),
                     account.data_bytes,
@@ -2250,11 +2196,11 @@ fn parse_traced(text: &str) -> Result<Expr, ServerError> {
     })
 }
 
-/// Converts loaded/generated ℝ triplet data into the instance's semiring
-/// and backend and stores it, clearing the memo cache.  Returns the stored
-/// non-zero count.
-fn assign_in<K: ServerSemiring, M: MatrixStorage<Elem = K>>(
-    state: &mut BackendState<K, M>,
+/// Converts loaded/generated ℝ triplet data into the instance's semiring,
+/// stores it in the layout its density picks, and clears the memo cache.
+/// Returns the stored non-zero count.
+fn assign_in<K: ServerSemiring>(
+    state: &mut BackendState<K>,
     var: &str,
     sparse: &SparseMatrix<Real>,
 ) -> Result<usize, ServerError> {
@@ -2265,7 +2211,9 @@ fn assign_in<K: ServerSemiring, M: MatrixStorage<Elem = K>>(
     let converted = SparseMatrix::from_triplets(sparse.rows(), sparse.cols(), triplets)
         .map_err(|e| ServerError::storage(e.to_string()))?;
     let nnz = converted.nnz();
-    state.instance.set_matrix(var, M::from_sparse(converted));
+    state
+        .instance
+        .set_matrix(var, MatrixRepr::from_sparse(converted));
     state.clear_cache();
     Ok(nnz)
 }
@@ -2274,8 +2222,8 @@ fn assign_in<K: ServerSemiring, M: MatrixStorage<Elem = K>>(
 /// typed by matching its concrete shape against the instance's size-symbol
 /// assignments (dimension 1 is the distinguished symbol `1`; other values
 /// resolve to the first size symbol carrying them, in name order).
-fn derive_schema<K: Semiring, M: MatrixStorage<Elem = K>>(
-    instance: &Instance<K, M>,
+fn derive_schema<K: Semiring>(
+    instance: &Instance<K, MatrixRepr<K>>,
 ) -> Result<Schema, ServerError> {
     let dim_for = |value: usize| -> Result<Dim, ServerError> {
         if value == 1 {
@@ -2323,6 +2271,7 @@ fn shared_result<M: MatrixStorage>(
 mod tests {
     use super::*;
     use matlang_core::evaluate;
+    use matlang_matrix::Matrix;
 
     fn seeded_store() -> Store {
         let store = Store::new();
@@ -2350,7 +2299,11 @@ mod tests {
         ));
         store.create_instance("h", false).unwrap();
         assert_eq!(store.list_instances().len(), 2);
-        assert_eq!(store.describe_instance("h").unwrap(), ("dense", "real"));
+        let describe = |name: &str| {
+            let info = store.list_detailed().into_iter().find(|i| i.name == name);
+            info.map(|i| (i.backend, i.semiring)).unwrap()
+        };
+        assert_eq!(describe("h"), ("adaptive", "real"));
         store.drop_instance("h").unwrap();
         assert!(matches!(
             store.drop_instance("h"),
@@ -2363,10 +2316,7 @@ mod tests {
         store
             .create_instance_with("w", true, SemiringKind::MinPlus)
             .unwrap();
-        assert_eq!(
-            store.describe_instance("w").unwrap(),
-            ("adaptive", "minplus")
-        );
+        assert_eq!(describe("w"), ("adaptive", "minplus"));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! here are scoped to this file's own instance names and trace labels —
 //! sibling tests in the same binary run concurrently.
 
-use matlang_matrix::{Matrix, MatrixRepr, MatrixStorage, SparseMatrix};
+use matlang_matrix::{MatrixRepr, MatrixStorage, SparseMatrix};
 use matlang_semiring::Real;
 use matlang_server::{Client, Server, ServerConfig, ServerHandle, Store, StoreConfig};
 
@@ -56,37 +56,6 @@ fn instance_bytes(client: &mut Client, name: &str) -> f64 {
 fn instance_bytes_matches_ground_truth_across_backends() {
     let handle = spawn();
     let mut client = Client::connect(handle.addr()).unwrap();
-
-    // Dense backend: bytes depend on the shape alone.
-    let dense_entries = [
-        (0, 1, 1.0),
-        (2, 3, 2.0),
-        (4, 5, 3.0),
-        (6, 7, 4.0),
-        (7, 0, 5.0),
-    ];
-    client.create_instance("cap_dense", false).unwrap();
-    client.set_dim("cap_dense", "n", 8).unwrap();
-    client.load("cap_dense", "G", 8, 8, &dense_entries).unwrap();
-    let dense_truth = Matrix::<Real>::zeros(8, 8).heap_bytes();
-    assert_within_ten_percent(
-        instance_bytes(&mut client, "cap_dense"),
-        dense_truth,
-        "dense after LOAD",
-    );
-    // A point update changes values, not the dense footprint.
-    client.update("cap_dense", "G", &[(3, 3, 9.0)]).unwrap();
-    assert_within_ten_percent(
-        instance_bytes(&mut client, "cap_dense"),
-        dense_truth,
-        "dense after UPDATE",
-    );
-    client.set_dim("cap_dense", "n", 8).unwrap();
-    assert_within_ten_percent(
-        instance_bytes(&mut client, "cap_dense"),
-        dense_truth,
-        "dense after DIM",
-    );
 
     // Adaptive backend holding sparse data: the CSR accounting path.
     // Ground truth mirrors the server's own conversion on an identical

@@ -194,8 +194,21 @@ fn list_reports_backend_semiring_and_delta_counters() {
     );
     assert_eq!(entries[0].delta_fallbacks, 0);
     assert_eq!(entries[1].name, "plain");
-    assert_eq!(entries[1].backend, "dense");
+    assert_eq!(entries[1].backend, "adaptive");
     assert_eq!(entries[1].semiring, "real");
+    handle.shutdown();
+}
+
+#[test]
+fn instance_dense_is_an_alias_answered_with_the_real_backend() {
+    use std::io::{BufRead, BufReader, Write};
+    let handle = spawn();
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    stream.write_all(b"INSTANCE g dense bool\n").unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(reply.trim_end(), "OK instance g adaptive bool");
     handle.shutdown();
 }
 

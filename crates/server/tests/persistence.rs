@@ -6,11 +6,12 @@
 //! killed mid-rename.
 
 use matlang_core::{evaluate, FunctionRegistry, Instance};
-use matlang_matrix::Matrix;
+use matlang_matrix::{Matrix, MatrixCodec};
 use matlang_parser::parse;
 use matlang_semiring::Real;
+use matlang_server::persist::{self, Snapshot, Wal, WalRecord};
 use matlang_server::{
-    Client, SemiringKind, Server, ServerConfig, ServerHandle, Store, StoreConfig,
+    Client, SemiringKind, Server, ServerConfig, ServerError, ServerHandle, Store, StoreConfig,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -363,6 +364,76 @@ fn corrupt_snapshot_is_skipped_without_panicking() {
     fs::write(scratch.path().join("bad.snap"), b"not a snapshot at all").unwrap();
     let store = Store::open(scratch.path());
     assert_eq!(store.list_instances(), vec!["good".to_string()]);
+}
+
+/// The upgrade path for data directories written while `dense` was a
+/// backend of its own: a `dense`-tagged snapshot of dense-encoded payloads,
+/// plus one WAL record past it, loads through boot-time recovery and
+/// through `RESTORE`, and answers exactly what `core::evaluate` does.  Any
+/// other backend tag is refused with a storage error naming it.
+#[test]
+fn dense_tagged_snapshots_still_load() {
+    const N: usize = 4;
+    let scratch = ScratchDir::new("legacy-dense");
+    let dir = scratch.path();
+    let snapshot = |backend: &str| {
+        let base = mirror(N, &[(0, 1, 1.5), (1, 2, -2.0), (3, 3, 4.0)]);
+        let mut payload = Vec::new();
+        base.matrix("G").unwrap().encode_matrix(&mut payload);
+        Snapshot {
+            semiring: "real".into(),
+            backend: backend.into(),
+            covered_seq: 0,
+            dims: vec![("n".into(), N as u64)],
+            vars: vec![("G".into(), payload)],
+        }
+    };
+    let legacy = snapshot("dense");
+    legacy
+        .write_atomic(&persist::snapshot_path(dir, "old"))
+        .unwrap();
+    let (mut wal, _) = Wal::open(&persist::wal_path(dir, "old")).unwrap();
+    wal.append(&WalRecord {
+        seq: 1,
+        var: "G".into(),
+        entries: vec![(2, 0, 7.0)],
+    })
+    .unwrap();
+    drop(wal);
+    let export = dir.join("old.export");
+    legacy.write_atomic(&export).unwrap();
+
+    let registry = FunctionRegistry::standard_field();
+    let query = "(transpose(G) * (G + G))";
+    let expected = |entries: &[(usize, usize, f64)]| {
+        evaluate(&parse(query).unwrap(), &mirror(N, entries), &registry).unwrap()
+    };
+    let store = Store::open(dir);
+    assert_eq!(store.list_instances(), vec!["old".to_string()]);
+    assert_eq!(store.walstat("old").unwrap().seq, 1, "the record replayed");
+    let qid = store.prepare("old", query).unwrap().qid;
+    assert_eq!(
+        dense_of(&store.exec("old", &[qid]).unwrap()[0]),
+        expected(&[(0, 1, 1.5), (1, 2, -2.0), (3, 3, 4.0), (2, 0, 7.0)]),
+        "recovery of a dense-tagged snapshot diverged from core::evaluate"
+    );
+
+    assert_eq!(store.restore("copy", &export).unwrap(), (1, 1));
+    let qid = store.prepare("copy", query).unwrap().qid;
+    assert_eq!(
+        dense_of(&store.exec("copy", &[qid]).unwrap()[0]),
+        expected(&[(0, 1, 1.5), (1, 2, -2.0), (3, 3, 4.0)]),
+        "RESTORE of a dense-tagged snapshot diverged from core::evaluate"
+    );
+
+    let unknown = dir.join("unknown.export");
+    snapshot("columnar").write_atomic(&unknown).unwrap();
+    match store.restore("bad", &unknown) {
+        Err(e @ ServerError::Storage { .. }) => {
+            assert!(e.to_string().contains("`columnar`"), "{e}")
+        }
+        other => panic!("expected a storage error, got {other:?}"),
+    }
 }
 
 #[test]

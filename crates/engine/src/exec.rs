@@ -25,6 +25,32 @@
 //! executor, shared); under an active trace only nodes *outside* every
 //! loop open a span — an outermost loop is one span closed by one summary
 //! event; what happened per node inside it is in the [`NodeSample`]s.
+//!
+//! The paper's loops are mostly arithmetic on `1 × 1` values, and two
+//! rules keep an iteration at the cost of that arithmetic:
+//!
+//! * **Unboxed scalars.**  Inside the executor a value is either an `Arc<M>`
+//!   or a bare `k` standing for exactly `M::scalar(k)`.  An entry read
+//!   (`select-entry`), a product of two `1 × 1` values, a sum of two
+//!   (`Add`, and Σ's fold) and the scalar operand of a scalar
+//!   multiplication or point update run on `k`s through
+//!   [`MatrixStorage`]'s `select_entry`, `scalar_product` and `scalar_sum`.
+//!   A shared value is read as `k` only when the backend confirms, by
+//!   `unboxed_scalar`, that it *is* `M::scalar(k)`; a cached node, an
+//!   environment binding or a result is boxed, so an uncached `1 × 1` node
+//!   allocates nothing.
+//! * **In-place accumulators.**  A `for` loop hands its accumulator to
+//!   each iteration by ownership.  When the body's root is an uncached
+//!   `Add` or `PointUpdate` whose left operand is the uncached read of the
+//!   accumulator, the root drops that read and the accumulator's cached
+//!   dependents, moves the value out of its slot and writes the update
+//!   into it (`add_in_place`, `point_update_in_place`).  Σ folds its sum
+//!   into its running value the same way.  A value something else still
+//!   holds — a cache entry, a `let` binding — is left alone: the point
+//!   update lands in a copy (`Arc::make_mut`), the sum in a new value.
+//!
+//! Neither rule changes an operation's order, its error, or what
+//! [`ExecStats`] and [`NodeSample`] record.
 
 use crate::plan::{LoopIndex, NodeId, Plan, PlanOp, ReprChoice, VarSlot};
 use matlang_core::{EvalError, FunctionRegistry, Instance, MatrixType};
@@ -53,6 +79,62 @@ enum Binding<M> {
     Value(Arc<M>),
     /// A loop's iteration variable: the canonical vector, by index.
     Canonical(Canonical),
+}
+
+/// A node's value inside the executor.
+enum Value<M: MatrixStorage> {
+    /// Exactly `M::scalar(k)`, held unboxed: a loop's entry reads, their
+    /// products and sums allocate nothing.
+    Scalar(M::Elem),
+    /// Any value, and the only form the cache, the environment and the
+    /// public API hold.
+    Shared(Arc<M>),
+}
+
+impl<M: MatrixStorage> Value<M> {
+    fn new(value: M) -> Self {
+        Value::Shared(Arc::new(value))
+    }
+
+    /// The value as an `Arc<M>`: the one place a scalar is boxed.
+    fn shared(self) -> Arc<M> {
+        match self {
+            Value::Scalar(k) => Arc::new(M::scalar(k)),
+            Value::Shared(m) => m,
+        }
+    }
+
+    /// `k` when the value is `M::scalar(k)`: unboxed already, or shared
+    /// and confirmed so by the backend.
+    fn unboxed(&self) -> Option<M::Elem> {
+        match self {
+            Value::Scalar(k) => Some(k.clone()),
+            Value::Shared(m) => m.unboxed_scalar(),
+        }
+    }
+
+    /// The value of the `1 × 1` operand of a scalar multiplication or a
+    /// point update.
+    fn scalar(&self) -> Result<M::Elem, EvalError> {
+        match self {
+            Value::Scalar(k) => Ok(k.clone()),
+            Value::Shared(m) => scalar_of(m.as_ref()),
+        }
+    }
+
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            Value::Scalar(_) => (1, 1),
+            Value::Shared(m) => m.shape(),
+        }
+    }
+
+    fn nnz(&self) -> usize {
+        match self {
+            Value::Scalar(k) => usize::from(!k.is_zero()),
+            Value::Shared(m) => m.nnz(),
+        }
+    }
 }
 
 /// Executor configuration.
@@ -299,7 +381,7 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
     /// for callers that only read the result — e.g. serializing it to a
     /// wire format.
     pub fn run_shared(&mut self, root: NodeId) -> Result<Arc<M>, EvalError> {
-        self.eval_node(root)
+        self.eval_node(root).map(Value::shared)
     }
 
     /// Evaluates every root in query order, returning per-query results
@@ -317,11 +399,45 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
         (results, per_query)
     }
 
-    fn eval_node(&mut self, id: NodeId) -> Result<Arc<M>, EvalError> {
-        if let Some(cached) = &self.cache[id] {
-            self.stats.cache_hits += 1;
-            self.samples[id].hits += 1;
-            return Ok(Arc::clone(cached));
+    fn eval_node(&mut self, id: NodeId) -> Result<Value<M>, EvalError> {
+        self.eval(id, None)
+    }
+
+    /// [`eval_node`](Self::eval_node) for an operand used as a scalar where
+    /// it is one: a cached `M::scalar(k)` is answered as `k`, leaving its
+    /// reference count alone.
+    fn eval_unboxed(&mut self, id: NodeId) -> Result<Value<M>, EvalError> {
+        match self.hit(id) {
+            Some(cached) => Ok(match cached.unboxed_scalar() {
+                Some(k) => Value::Scalar(k),
+                None => Value::Shared(Arc::clone(cached)),
+            }),
+            None => self.eval_node(id),
+        }
+    }
+
+    /// `read` applied to node `id`'s value, borrowed from the cache on a
+    /// hit — a loop's entry read costs no reference-count traffic.
+    fn read_node<R>(&mut self, id: NodeId, read: impl FnOnce(&M) -> R) -> Result<R, EvalError> {
+        match self.hit(id) {
+            Some(cached) => Ok(read(cached)),
+            None => Ok(read(&self.eval_node(id)?.shared())),
+        }
+    }
+
+    /// Node `id`'s cached value, counted as a hit.
+    fn hit(&mut self, id: NodeId) -> Option<&Arc<M>> {
+        let cached = self.cache[id].as_ref()?;
+        self.stats.cache_hits += 1;
+        self.samples[id].hits += 1;
+        Some(cached)
+    }
+
+    /// [`eval_node`](Self::eval_node), for a `for` body that updates the
+    /// loop's accumulator, in slot `accumulator`, in place.
+    fn eval(&mut self, id: NodeId, accumulator: Option<VarSlot>) -> Result<Value<M>, EvalError> {
+        if let Some(cached) = self.hit(id) {
+            return Ok(Value::Shared(Arc::clone(cached)));
         }
         self.stats.cache_misses += 1;
         // On the warm path (cache hit above) neither branch below runs, so
@@ -333,7 +449,7 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
         let _span = (self.loop_depth == 0 && matlang_obs::trace::active())
             .then(|| matlang_obs::trace::span(self.plan.node(id).op.span_name()));
         let timer = self.options.profile.then(std::time::Instant::now);
-        let mut value = self.compute(id)?;
+        let value = self.compute(id, accumulator)?;
         {
             // Always-on observation: shape/nnz ride the miss path, where
             // the compute they describe dwarfs them; only the per-node
@@ -347,13 +463,13 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
                 sample.total_ns += start.elapsed().as_nanos() as u64;
             }
             if self.loop_depth == 0 || sample.computed == 1 {
-                sample.rows = value.rows();
-                sample.cols = value.cols();
+                (sample.rows, sample.cols) = value.shape();
                 sample.nnz = value.nnz() as u64;
             }
         }
         let node = self.plan.node(id);
         if node.cacheable {
+            let mut value = value.shared();
             // Apply the planner's representation choice (adaptive backend
             // only; other backends ignore the hint).
             if let Some(est) = node.est {
@@ -378,50 +494,57 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
                 };
             }
             self.cache[id] = Some(Arc::clone(&value));
+            return Ok(Value::Shared(value));
         }
         Ok(value)
     }
 
-    fn compute(&mut self, id: NodeId) -> Result<Arc<M>, EvalError> {
+    fn compute(&mut self, id: NodeId, accumulator: Option<VarSlot>) -> Result<Value<M>, EvalError> {
         let plan = self.plan;
         let op = &plan.node(id).op;
         match op {
-            PlanOp::Var(name, slot) => self.lookup(name, *slot),
-            PlanOp::Const(c) => Ok(Arc::new(M::scalar(K::from_f64(c.0)))),
-            PlanOp::Transpose(a) => Ok(Arc::new(self.eval_node(*a)?.transpose())),
+            PlanOp::Var(name, slot) => self.lookup(name, *slot).map(Value::Shared),
+            PlanOp::Const(c) => Ok(Value::new(M::scalar(K::from_f64(c.0)))),
+            PlanOp::Transpose(a) => Ok(Value::new(self.eval_node(*a)?.shared().transpose())),
             PlanOp::Ones(a) => {
-                let value = self.eval_node(*a)?;
-                Ok(Arc::new(M::ones_vector(value.rows())))
+                let (rows, _) = self.eval_node(*a)?.shape();
+                Ok(Value::new(M::ones_vector(rows)))
             }
-            PlanOp::Diag(a) => Ok(Arc::new(self.eval_node(*a)?.diag()?)),
+            PlanOp::Diag(a) => Ok(Value::new(self.eval_node(*a)?.shared().diag()?)),
             PlanOp::MatMul(a, b) => {
-                let left = self.eval_node(*a)?;
-                let right = self.eval_node(*b)?;
-                Ok(Arc::new(left.matmul(right.as_ref())?))
+                let left = self.eval_unboxed(*a)?;
+                let right = self.eval_unboxed(*b)?;
+                if let (Some(l), Some(r)) = (left.unboxed(), right.unboxed()) {
+                    return Ok(Value::Scalar(M::scalar_product(&l, &r)));
+                }
+                Ok(Value::new(left.shared().matmul(&right.shared())?))
             }
             PlanOp::Add(a, b) => {
-                let left = self.eval_node(*a)?;
-                let right = self.eval_node(*b)?;
-                Ok(Arc::new(left.add(right.as_ref())?))
+                let left = self.eval_unboxed(*a)?;
+                let right = self.eval_unboxed(*b)?;
+                let target = self.update_target(left, accumulator);
+                sum(target, right)
             }
             PlanOp::ScalarMul(a, b) => {
-                let scalar = scalar_of(self.eval_node(*a)?.as_ref())?;
-                let right = self.eval_node(*b)?;
-                Ok(Arc::new(right.scalar_mul(&scalar)))
+                let scalar = self.eval_unboxed(*a)?.scalar()?;
+                let right = self.eval_node(*b)?.shared();
+                Ok(Value::new(right.scalar_mul(&scalar)))
             }
             PlanOp::Select { mat, row, col } => {
-                let matrix = self.eval_node(*mat)?;
                 let (row, col) = (self.index_of(row), self.index_of(col));
-                Ok(Arc::new(matrix.select(row, col)?))
+                Ok(self.read_node(*mat, |m| match (row, col) {
+                    (Some(r), Some(c)) => m.select_entry(r, c).map(Value::Scalar),
+                    _ => m.select(row, col).map(Value::new),
+                })??)
             }
             PlanOp::Place { vec, row, col } => {
                 // The unit matrix places the semiring's one.
                 let operand = match vec {
-                    Some(vec) => self.eval_node(*vec)?,
+                    Some(vec) => self.eval_node(*vec)?.shared(),
                     None => Arc::new(M::scalar(K::one())),
                 };
                 let (row, col) = (self.index_of(row), self.index_of(col));
-                Ok(Arc::new(operand.place(row, col)?))
+                Ok(Value::new(operand.place(row, col)?))
             }
             PlanOp::PointUpdate {
                 mat,
@@ -430,21 +553,23 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
                 col,
             } => {
                 let matrix = self.eval_node(*mat)?;
-                let scalar = scalar_of(self.eval_node(*scalar)?.as_ref())?;
+                let scalar = self.eval_unboxed(*scalar)?.scalar()?;
                 let (row, col) = (self.loop_index(row), self.loop_index(col));
-                Ok(Arc::new(matrix.point_update(&scalar, row, col)?))
+                let mut target = self.update_target(matrix, accumulator).shared();
+                Arc::make_mut(&mut target).point_update_in_place(&scalar, row, col)?;
+                Ok(Value::Shared(target))
             }
             PlanOp::ScaleRows { vec, mat } => {
-                let scale = self.eval_node(*vec)?;
-                let matrix = self.eval_node(*mat)?;
+                let scale = self.eval_node(*vec)?.shared();
+                let matrix = self.eval_node(*mat)?.shared();
                 self.stats.fused_products += 1;
-                Ok(Arc::new(matrix.scale_rows(scale.as_ref())?))
+                Ok(Value::new(matrix.scale_rows(scale.as_ref())?))
             }
             PlanOp::ScaleCols { mat, vec } => {
-                let matrix = self.eval_node(*mat)?;
-                let scale = self.eval_node(*vec)?;
+                let matrix = self.eval_node(*mat)?.shared();
+                let scale = self.eval_node(*vec)?.shared();
                 self.stats.fused_products += 1;
-                Ok(Arc::new(matrix.scale_cols(scale.as_ref())?))
+                Ok(Value::new(matrix.scale_cols(scale.as_ref())?))
             }
             PlanOp::MaskedMatMul {
                 left,
@@ -462,12 +587,14 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
                     (l, r, self.eval_node(*mask)?)
                 };
                 self.stats.fused_products += 1;
-                Ok(Arc::new(l.matmul_masked(r.as_ref(), m.as_ref())?))
+                Ok(Value::new(
+                    l.shared().matmul_masked(&r.shared(), &m.shared())?,
+                ))
             }
             PlanOp::Hadamard(a, b) => {
-                let left = self.eval_node(*a)?;
-                let right = self.eval_node(*b)?;
-                Ok(Arc::new(left.hadamard(right.as_ref())?))
+                let left = self.eval_node(*a)?.shared();
+                let right = self.eval_node(*b)?.shared();
+                Ok(Value::new(left.hadamard(right.as_ref())?))
             }
             PlanOp::Apply(name, args) => {
                 let f = self
@@ -477,10 +604,10 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
                     .clone();
                 let values: Vec<Arc<M>> = args
                     .iter()
-                    .map(|a| self.eval_node(*a))
+                    .map(|a| self.eval_node(*a).map(Value::shared))
                     .collect::<Result<_, _>>()?;
                 let refs: Vec<&M> = values.iter().map(Arc::as_ref).collect();
-                Ok(Arc::new(M::zip_with(&refs, |entries| f(entries))?))
+                Ok(Value::new(M::zip_with(&refs, |entries| f(entries))?))
             }
             PlanOp::Let {
                 var_slot,
@@ -488,7 +615,7 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
                 body,
                 ..
             } => {
-                let bound = self.eval_node(*value)?;
+                let bound = self.eval_node(*value)?.shared();
                 let saved = self.bind(*var_slot, Binding::Value(bound));
                 let result = self.eval_node(*body);
                 self.unbind(*var_slot, saved);
@@ -509,19 +636,23 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
                 var_dim,
                 body,
                 ..
-            } => self.fold_loop(op.label(), *var_slot, var_dim, *body, M::add),
+            } => self.fold_loop(op.label(), *var_slot, var_dim, *body, sum),
             PlanOp::HProd {
                 var_slot,
                 var_dim,
                 body,
                 ..
-            } => self.fold_loop(op.label(), *var_slot, var_dim, *body, M::hadamard),
+            } => self.fold_loop(op.label(), *var_slot, var_dim, *body, |acc, value| {
+                Ok(Value::new(acc.shared().hadamard(&value.shared())?))
+            }),
             PlanOp::MProd {
                 var_slot,
                 var_dim,
                 body,
                 ..
-            } => self.fold_loop(op.label(), *var_slot, var_dim, *body, M::matmul),
+            } => self.fold_loop(op.label(), *var_slot, var_dim, *body, |acc, value| {
+                Ok(Value::new(acc.shared().matmul(&value.shared())?))
+            }),
         }
     }
 
@@ -535,7 +666,7 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
         acc_type: &MatrixType,
         init: Option<NodeId>,
         body: NodeId,
-    ) -> Result<Arc<M>, EvalError> {
+    ) -> Result<Value<M>, EvalError> {
         let n = self.dim_of(var_dim)?;
         let acc_shape =
             self.instance
@@ -548,28 +679,63 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
             expected: acc_shape,
             found,
         };
-        let mut accumulator = match init {
+        let initial = match init {
             Some(init) => {
                 let value = self.eval_node(init)?;
                 if value.shape() != acc_shape {
                     return Err(mismatch(value.shape()));
                 }
-                value
+                value.shared()
             }
             None => Arc::new(M::zeros(acc_shape.0, acc_shape.1)),
         };
+        // The accumulator is handed to each iteration by ownership: its
+        // slot holds the only reference, which an in-place body moves out.
+        let in_place = self.updates_in_place(body, acc).then_some(acc);
+        let mut accumulator = Some(initial);
         let saved_acc = self.env[acc].take();
         let outcome = self.iterate("for", var, n, |exec| {
-            exec.bind(acc, Binding::Value(Arc::clone(&accumulator)));
-            let value = exec.eval_node(body)?;
+            let current = accumulator.take().expect("each iteration returns it");
+            exec.bind(acc, Binding::Value(current));
+            let value = exec.eval(body, in_place)?.shared();
             if value.shape() != acc_shape {
                 return Err(mismatch(value.shape()));
             }
-            accumulator = value;
+            accumulator = Some(value);
             Ok(())
         });
         self.unbind(acc, saved_acc);
-        outcome.map(|_| accumulator)
+        outcome.map(|_| Value::Shared(accumulator.expect("the loop ran")))
+    }
+
+    /// Whether a `for` body may write the loop's result into the
+    /// accumulator in slot `acc`: the body's root is an uncached `Add` or
+    /// `PointUpdate` whose left operand is the uncached read of `acc`.  That
+    /// read is the one reference the body takes to the accumulator, and
+    /// nothing cached keeps the updated value.
+    fn updates_in_place(&self, body: NodeId, acc: VarSlot) -> bool {
+        let root = self.plan.node(body);
+        let (PlanOp::Add(left, _) | PlanOp::PointUpdate { mat: left, .. }) = root.op else {
+            return false;
+        };
+        let left = self.plan.node(left);
+        !root.cacheable && !left.cacheable && matches!(left.op, PlanOp::Var(_, slot) if slot == acc)
+    }
+
+    /// The value an `Add` or `PointUpdate` writes into: its left operand,
+    /// or, for an in-place `for` body, the accumulator moved out of its
+    /// slot — `left`, the body's read of it, is released and the slot's
+    /// dependents dropped first, so the accumulator is usually unshared.
+    fn update_target(&mut self, left: Value<M>, accumulator: Option<VarSlot>) -> Value<M> {
+        let Some(slot) = accumulator else {
+            return left;
+        };
+        drop(left);
+        self.invalidate(slot);
+        match self.env[slot].take() {
+            Some(Binding::Value(acc)) => Value::Shared(acc),
+            _ => unreachable!("a for loop binds its accumulator to a value"),
+        }
     }
 
     /// Shared Σ / Π∘ / Π iteration, mirroring `matlang_core::eval`'s
@@ -581,15 +747,15 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
         var: VarSlot,
         var_dim: &str,
         body: NodeId,
-        combine: impl Fn(&M, &M) -> matlang_matrix::Result<M>,
-    ) -> Result<Arc<M>, EvalError> {
+        combine: impl Fn(Value<M>, Value<M>) -> Result<Value<M>, EvalError>,
+    ) -> Result<Value<M>, EvalError> {
         let n = self.dim_of(var_dim)?;
-        let mut acc: Option<Arc<M>> = None;
+        let mut acc: Option<Value<M>> = None;
         self.iterate(label, var, n, |exec| {
             let value = exec.eval_node(body)?;
             acc = Some(match acc.take() {
                 None => value,
-                Some(prev) => Arc::new(combine(prev.as_ref(), value.as_ref())?),
+                Some(prev) => combine(prev, value)?,
             });
             Ok(())
         })?;
@@ -725,6 +891,22 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
             }
         }
     }
+}
+
+/// `target + value`: unboxed when both are `M::scalar`, written into
+/// `target` when nothing else holds it, and a new value otherwise.
+fn sum<M: MatrixStorage>(target: Value<M>, value: Value<M>) -> Result<Value<M>, EvalError> {
+    if let (Some(a), Some(b)) = (target.unboxed(), value.unboxed()) {
+        return Ok(Value::Scalar(M::scalar_sum(&a, &b)));
+    }
+    let (mut target, value) = (target.shared(), value.shared());
+    match Arc::get_mut(&mut target) {
+        Some(unshared) => unshared.add_in_place(&value)?,
+        // A copy would be overwritten by the sum: CSR's merge writes new
+        // arrays, and the dense kernel's output costs what a copy does.
+        None => target = Arc::new(target.add(&value)?),
+    }
+    Ok(Value::Shared(target))
 }
 
 /// The value of the `1 × 1` operand of a scalar multiplication.

@@ -235,6 +235,104 @@ fn single_loops_above_the_shared_basis_bound() {
     }
 }
 
+/// A `for` body that is a point update or a sum into the accumulator
+/// writes into it in place; wherever something else still holds that
+/// value — a cached node, a `let` binding, a second read — the update must
+/// land in a copy.  Likewise a Σ whose first value is a cached node.
+#[test]
+fn in_place_accumulators_leave_every_alias_unchanged() {
+    let (v, x) = (|| var("v"), || var("X"));
+    let sq = || MatrixType::square("a");
+    // (vᵀ·A·v) × (v·vᵀ): A's diagonal entry v, placed back at (v, v).
+    let diagonal_of = |a: Expr| v().t().mm(a).mm(v()).smul(v().mm(v().t()));
+    let gram = || var("G").mm(var("G"));
+    for a in [2, 12] {
+        let inst = instance::<Real>(a, a + 2, -1.0, 1.0);
+        let cases: Vec<(Expr, &[&str])> = vec![
+            // The scalar reads the accumulator after its read as the
+            // updated matrix; a second read follows the update.
+            (
+                Expr::for_init("v", "a", "X", sq(), var("G"), x().add(diagonal_of(x()))),
+                &["point-update"],
+            ),
+            (
+                Expr::for_init(
+                    "v",
+                    "a",
+                    "X",
+                    sq(),
+                    var("G"),
+                    x().add(diagonal_of(var("G"))).add(x()),
+                ),
+                &["point-update"],
+            ),
+            // The initial accumulator is a `let` binding, or a cached node,
+            // read again after the loop.
+            (
+                Expr::let_in(
+                    "Y",
+                    var("G"),
+                    Expr::for_init(
+                        "v",
+                        "a",
+                        "X",
+                        sq(),
+                        var("Y"),
+                        x().add(diagonal_of(var("G"))),
+                    )
+                    .add(var("Y")),
+                ),
+                &["point-update"],
+            ),
+            (
+                Expr::for_init("v", "a", "X", sq(), gram(), x().add(diagonal_of(var("G"))))
+                    .add(gram()),
+                &["point-update"],
+            ),
+            (
+                Expr::for_init("v", "a", "X", sq(), gram(), x().add(var("G"))).add(gram()),
+                &[],
+            ),
+            // The update's matrix is not the accumulator.
+            (
+                Expr::for_init(
+                    "v",
+                    "a",
+                    "X",
+                    sq(),
+                    var("G"),
+                    var("G").add(diagonal_of(x())),
+                ),
+                &["point-update"],
+            ),
+            // Σ's first value is the cached, loop-invariant G·G.
+            (Expr::sum("v", "a", gram()).add(gram()), &[]),
+        ];
+        for (expr, labels) in &cases {
+            assert_lowered(expr, &inst, labels);
+        }
+
+        // The cached G·G itself, after the Σ folded into a value it held.
+        let expr = Expr::sum("v", "a", gram()).add(gram());
+        let registry = FunctionRegistry::standard_field();
+        let plan = Engine::new().plan(std::slice::from_ref(&expr), &inst);
+        let mut exec = Executor::new(&plan, &inst, &registry, Engine::new().exec_options);
+        exec.run(plan.roots()[0]).unwrap();
+        let cache = exec.into_cache();
+        let product = plan
+            .nodes()
+            .iter()
+            .position(|n| matches!(n.op, PlanOp::MatMul(..)))
+            .expect("G·G is a product");
+        let g = inst.matrix("G").unwrap();
+        assert_eq!(
+            cache[product].as_deref(),
+            Some(&g.matmul(g).unwrap()),
+            "the Σ changed the cached G·G"
+        );
+    }
+}
+
 #[test]
 fn nothing_is_lowered_where_the_vector_is_not_a_loops() {
     let inst = instance::<Real>(5, 3, -1.0, 1.0);

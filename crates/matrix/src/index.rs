@@ -21,6 +21,15 @@
 //! products against [`MatrixStorage::canonical`], so any backend is correct
 //! by construction; [`Matrix`], [`SparseMatrix`] and [`MatrixRepr`]
 //! override them with the kernels below.
+//!
+//! Two of them also come in the forms a loop's executor wants.  An entry
+//! read, `select_entry`, returns the value of the `1 × 1` selection
+//! unboxed.  The point update is written in place, `point_update_in_place`:
+//! dense storage overwrites the one entry, CSR inserts, overwrites or
+//! removes it (`set_entry`), and the adaptive wrapper keeps its
+//! representation.  Each backend's `point_update` is that update applied to
+//! a copy, so a loop whose accumulator nothing else holds updates it
+//! without copying the matrix, and gets the same bits as the copy would.
 
 use crate::{Matrix, MatrixError, MatrixRepr, MatrixStorage, Result, SparseMatrix};
 use matlang_semiring::Semiring;
@@ -73,6 +82,16 @@ fn dense_term<K: Semiring>(x: &K) -> K {
 /// term: `1 ⊗ x`.
 fn sparse_term<K: Semiring>(x: &K) -> K {
     K::one().mul(x)
+}
+
+/// What a CSR `1 × 1` built from the value `x` reads back: `x`, or the
+/// semiring's zero when `x` is one the builder drops.
+pub(crate) fn stored_or_zero<K: Semiring>(x: K) -> K {
+    if x.is_zero() {
+        K::zero()
+    } else {
+        x
+    }
 }
 
 /// The shape of `bᵢᵀ·m·bⱼ` (either factor absent), or the error the unfused
@@ -175,18 +194,25 @@ impl<K: Semiring> Matrix<K> {
         Matrix::from_vec(rows, cols, data)
     }
 
-    /// The point update `self + scalar × (bᵢ·bⱼᵀ)`: a copy of `self` with
-    /// entry `(i, j)` replaced by `self[i, j] ⊕ (scalar ⊗ (0 ⊕ (1 ⊗ 1)))`.
-    pub fn point_update(&self, scalar: &K, row: Canonical, col: Canonical) -> Result<Matrix<K>> {
+    /// `bᵢᵀ·self·bⱼ` unboxed: the value of [`Matrix::select`]'s `1 × 1`
+    /// result, `0 ⊕ (1 ⊗ self[i, j])`.
+    pub fn select_entry(&self, row: Canonical, col: Canonical) -> Result<K> {
+        selected_shape(self.shape(), Some(row), Some(col))?;
+        Ok(dense_term(self.get(row.index, col.index)?))
+    }
+
+    /// The point update `self + scalar × (bᵢ·bⱼᵀ)`, written into `self`:
+    /// entry `(i, j)` becomes `self[i, j] ⊕ (scalar ⊗ (0 ⊕ (1 ⊗ 1)))`.
+    pub fn point_update_in_place(
+        &mut self,
+        scalar: &K,
+        row: Canonical,
+        col: Canonical,
+    ) -> Result<()> {
         check_update_shape(self.shape(), row, col)?;
-        let mut out = self.clone();
         let term = scalar.mul(&dense_term(&K::one()));
-        out.set(
-            row.index,
-            col.index,
-            self.get(row.index, col.index)?.add(&term),
-        )?;
-        Ok(out)
+        let entry = self.get(row.index, col.index)?.add(&term);
+        self.set(row.index, col.index, entry)
     }
 }
 
@@ -240,43 +266,37 @@ impl<K: Semiring> SparseMatrix<K> {
         Ok(out.build())
     }
 
-    /// [`Matrix::point_update`] on CSR, in one pass: the term
+    /// [`Matrix::select_entry`] on CSR: the value of [`SparseMatrix::select`]'s
+    /// `1 × 1` result — the stored entry's term, or zero.
+    pub fn select_entry(&self, row: Canonical, col: Canonical) -> Result<K> {
+        selected_shape(self.shape(), Some(row), Some(col))?;
+        let (cs, vs) = self.row_entries(row.index);
+        Ok(match cs.binary_search(&col.index) {
+            Ok(p) => stored_or_zero(sparse_term(&vs[p])),
+            Err(_) => K::zero(),
+        })
+    }
+
+    /// [`Matrix::point_update_in_place`] on CSR: the term
     /// `scalar ⊗ (1 ⊗ 1)` is merged into entry `(i, j)` as the CSR sum
     /// merges it — added to a stored entry, inserted otherwise, nothing when
     /// it is zero — and a zero sum is not stored.
-    pub fn point_update(
-        &self,
+    pub fn point_update_in_place(
+        &mut self,
         scalar: &K,
         row: Canonical,
         col: Canonical,
-    ) -> Result<SparseMatrix<K>> {
+    ) -> Result<()> {
         check_update_shape(self.shape(), row, col)?;
         let term = scalar.mul(&sparse_term(&K::one()));
-        let mut out = crate::CsrBuilder::new(self.rows(), self.cols(), self.nnz() + 1);
-        for i in 0..self.rows() {
-            let (cs, vs) = self.row_entries(i);
-            let copy = |out: &mut crate::CsrBuilder<K>, range: std::ops::Range<usize>| {
-                for p in range {
-                    out.push(cs[p], vs[p].clone());
-                }
-            };
-            if i != row.index {
-                copy(&mut out, 0..cs.len());
-            } else {
-                let split = cs.partition_point(|&c| c < col.index);
-                copy(&mut out, 0..split);
-                let stored = cs.get(split) == Some(&col.index);
-                let merged = match stored {
-                    true if term.is_zero() => vs[split].clone(),
-                    true => vs[split].add(&term),
-                    false => term.clone(),
-                };
-                out.push(col.index, merged);
-                copy(&mut out, split + usize::from(stored)..cs.len());
-            }
-            out.finish_row();
-        }
-        Ok(out.build())
+        // CSR stores no zeros, so a zero read is an absent entry.
+        let stored = self.get(row.index, col.index)?;
+        let merged = match (stored.is_zero(), term.is_zero()) {
+            (false, true) => return Ok(()),
+            (false, false) => stored.add(&term),
+            (true, _) => term,
+        };
+        self.set_entry(row.index, col.index, merged)
     }
 }
 
@@ -296,14 +316,27 @@ impl<K: Semiring> MatrixRepr<K> {
         Ok(MatrixRepr::Sparse(self.as_sparse().place(row, col)?).normalized())
     }
 
-    /// [`Matrix::point_update`], keeping the current representation: like
-    /// [`MatrixRepr::set_entry`], one changed entry must not cost a density
-    /// scan or a dense↔CSR conversion.
-    pub fn point_update(&self, scalar: &K, row: Canonical, col: Canonical) -> Result<Self> {
-        Ok(match self {
-            MatrixRepr::Dense(d) => MatrixRepr::Dense(d.point_update(scalar, row, col)?),
-            MatrixRepr::Sparse(s) => MatrixRepr::Sparse(s.point_update(scalar, row, col)?),
-        })
+    /// [`Matrix::select_entry`] in the current representation.
+    pub fn select_entry(&self, row: Canonical, col: Canonical) -> Result<K> {
+        match self {
+            MatrixRepr::Dense(d) => d.select_entry(row, col),
+            MatrixRepr::Sparse(s) => s.select_entry(row, col),
+        }
+    }
+
+    /// [`Matrix::point_update_in_place`], keeping the current
+    /// representation: like [`MatrixRepr::set_entry`], one changed entry
+    /// must not cost a density scan or a dense↔CSR conversion.
+    pub fn point_update_in_place(
+        &mut self,
+        scalar: &K,
+        row: Canonical,
+        col: Canonical,
+    ) -> Result<()> {
+        match self {
+            MatrixRepr::Dense(d) => d.point_update_in_place(scalar, row, col),
+            MatrixRepr::Sparse(s) => s.point_update_in_place(scalar, row, col),
+        }
     }
 }
 

@@ -181,6 +181,11 @@ impl<K: Semiring> Matrix<K> {
         &self.data
     }
 
+    /// Row-major access to the raw entries, for in-place kernels.
+    pub(crate) fn entries_mut(&mut self) -> &mut [K] {
+        &mut self.data
+    }
+
     /// Iterate over `(row, col, value)` triples in row-major order.
     pub fn iter_entries(&self) -> impl Iterator<Item = (usize, usize, &K)> + '_ {
         let cols = self.cols;

@@ -18,6 +18,13 @@ impl<K: Semiring> Matrix<K> {
 
     /// Matrix addition `e₁ + e₂` (entrywise `⊕`).
     pub fn add(&self, other: &Matrix<K>) -> Result<Matrix<K>> {
+        let mut out = self.clone();
+        out.add_in_place(other)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::add`] written into `self`.
+    pub fn add_in_place(&mut self, other: &Matrix<K>) -> Result<()> {
         if self.shape() != other.shape() {
             return Err(MatrixError::ShapeMismatch {
                 left: self.shape(),
@@ -25,13 +32,10 @@ impl<K: Semiring> Matrix<K> {
                 op: "add",
             });
         }
-        let data = self
-            .entries()
-            .iter()
-            .zip(other.entries())
-            .map(|(a, b)| a.add(b))
-            .collect();
-        Matrix::from_vec(self.rows(), self.cols(), data)
+        for (a, b) in self.entries_mut().iter_mut().zip(other.entries()) {
+            *a = a.add(b);
+        }
+        Ok(())
     }
 
     /// Matrix product `e₁ · e₂` (sum of products over the shared dimension).

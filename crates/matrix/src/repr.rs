@@ -230,6 +230,20 @@ impl<K: Semiring> MatrixRepr<K> {
         Ok(out.normalized())
     }
 
+    /// [`MatrixRepr::add`] written into `self`: a dense `self` takes the sum
+    /// in its own buffer, then is normalized; a CSR `self` is replaced by
+    /// the sum, whose merge needs new arrays anyway.
+    pub fn add_in_place(&mut self, other: &Self) -> Result<()> {
+        if let MatrixRepr::Dense(d) = self {
+            d.add_in_place(&other.as_dense())?;
+            let sum = std::mem::replace(self, MatrixRepr::Dense(Matrix::zeros(0, 0)));
+            *self = sum.normalized();
+        } else {
+            *self = self.add(other)?;
+        }
+        Ok(())
+    }
+
     /// Matrix product `e₁ · e₂`, dispatched by operand representation:
     /// Gustavson SpMM for sparse·sparse, the dense kernel for dense·dense,
     /// and the `O(nnz)`-aware mixed kernels (see [`crate::mixed`]) for

@@ -13,9 +13,11 @@
 //! The payload starts with a one-byte representation tag, so an adaptive
 //! [`MatrixRepr`] restores into the *same* variant it was saved from (no
 //! re-normalization on load — a restore must not change performance
-//! characteristics behind the caller's back).  Decoders accept either tag
-//! and convert when the requested storage type differs, which lets a dense
-//! instance restore a snapshot taken from an adaptive one and vice versa.
+//! characteristics behind the caller's back).  The single-layout decoders
+//! of [`Matrix`] and [`SparseMatrix`] accept only their own tag: a
+//! conversion would size its allocation from the other layout's header,
+//! which the payload's bytes do not bound (a 41-byte CSR header can
+//! declare a 2⁴⁰-entry dense matrix).
 //!
 //! Framing, checksums and file atomicity live a layer up in the server's
 //! persistence module; this module is only the `matrix bytes ⇄ matrix`
@@ -243,6 +245,10 @@ fn decode_sparse_body<K: Semiring>(buf: &mut &[u8]) -> Result<SparseMatrix<K>, C
     Ok(builder.build())
 }
 
+fn wrong_tag(tag: u8, expected: &str) -> CodecError {
+    CodecError::Corrupt(format!("repr tag {tag}, expected {expected}"))
+}
+
 impl<K: Semiring> MatrixCodec for Matrix<K> {
     fn encode_matrix(&self, out: &mut Vec<u8>) {
         encode_dense(self, out);
@@ -251,8 +257,7 @@ impl<K: Semiring> MatrixCodec for Matrix<K> {
     fn decode_matrix(buf: &mut &[u8]) -> Result<Self, CodecError> {
         match read_u8(buf)? {
             TAG_DENSE => decode_dense_body(buf),
-            TAG_SPARSE => Ok(decode_sparse_body::<K>(buf)?.to_dense()),
-            tag => Err(CodecError::Corrupt(format!("unknown repr tag {tag}"))),
+            tag => Err(wrong_tag(tag, "dense")),
         }
     }
 }
@@ -264,9 +269,8 @@ impl<K: Semiring> MatrixCodec for SparseMatrix<K> {
 
     fn decode_matrix(buf: &mut &[u8]) -> Result<Self, CodecError> {
         match read_u8(buf)? {
-            TAG_DENSE => Ok(SparseMatrix::from_dense(&decode_dense_body::<K>(buf)?)),
             TAG_SPARSE => decode_sparse_body(buf),
-            tag => Err(CodecError::Corrupt(format!("unknown repr tag {tag}"))),
+            tag => Err(wrong_tag(tag, "csr")),
         }
     }
 }
@@ -287,7 +291,7 @@ impl<K: Semiring> MatrixCodec for MatrixRepr<K> {
         match read_u8(buf)? {
             TAG_DENSE => Ok(MatrixRepr::Dense(decode_dense_body(buf)?)),
             TAG_SPARSE => Ok(MatrixRepr::Sparse(decode_sparse_body(buf)?)),
-            tag => Err(CodecError::Corrupt(format!("unknown repr tag {tag}"))),
+            tag => Err(wrong_tag(tag, "dense or csr")),
         }
     }
 }
@@ -367,18 +371,38 @@ mod tests {
         assert_eq!(roundtrip(&sparse), sparse);
     }
 
+    /// Each single-layout decoder refuses the other layout's tag instead
+    /// of converting — including the 41-byte CSR header (1 row, 2⁴⁰
+    /// columns, no entries) whose dense form would be an 8 TiB allocation.
     #[test]
-    fn decoders_convert_across_tags() {
+    fn decoders_reject_the_other_tag() {
         let sparse = sample_sparse::<Real>();
-        let mut bytes = Vec::new();
-        sparse.encode_matrix(&mut bytes);
-        let dense = Matrix::<Real>::decode_matrix(&mut bytes.as_slice()).unwrap();
-        assert_eq!(dense, sparse.to_dense());
-
+        let mut csr_bytes = Vec::new();
+        sparse.encode_matrix(&mut csr_bytes);
         let mut dense_bytes = Vec::new();
-        dense.encode_matrix(&mut dense_bytes);
-        let back = SparseMatrix::<Real>::decode_matrix(&mut dense_bytes.as_slice()).unwrap();
-        assert_eq!(back, sparse);
+        sparse.to_dense().encode_matrix(&mut dense_bytes);
+        let mut huge = vec![TAG_SPARSE];
+        for word in [1u64, 1 << 40, 0, 0, 0] {
+            huge.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(huge.len(), 41);
+        assert_eq!(
+            MatrixRepr::<Real>::decode_matrix(&mut huge.as_slice())
+                .unwrap()
+                .shape(),
+            (1, 1 << 40),
+            "a valid CSR payload"
+        );
+        for payload in [&csr_bytes, &huge] {
+            assert!(matches!(
+                Matrix::<Real>::decode_matrix(&mut payload.as_slice()),
+                Err(CodecError::Corrupt(_))
+            ));
+        }
+        assert!(matches!(
+            SparseMatrix::<Real>::decode_matrix(&mut dense_bytes.as_slice()),
+            Err(CodecError::Corrupt(_))
+        ));
     }
 
     #[test]

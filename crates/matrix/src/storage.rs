@@ -14,6 +14,7 @@
 //! * [`MatrixRepr`] — adaptive storage that picks a representation per
 //!   result using a density threshold.
 
+use crate::index::stored_or_zero;
 use crate::repr::MatrixRepr;
 use crate::sparse::SparseMatrix;
 use crate::{Canonical, Matrix, Result};
@@ -233,6 +234,63 @@ pub trait MatrixStorage: Clone + PartialEq + Debug + Send + Sync + Sized + 'stat
         self.add(&unit.scalar_mul(scalar))
     }
 
+    /// [`point_update`](MatrixStorage::point_update) written into `self`
+    /// — what lets a loop's accumulator take its point update without a
+    /// copy.  Default: the kernel, assigned.
+    fn point_update_in_place(
+        &mut self,
+        scalar: &Self::Elem,
+        row: Canonical,
+        col: Canonical,
+    ) -> Result<()> {
+        *self = self.point_update(scalar, row, col)?;
+        Ok(())
+    }
+
+    /// [`add`](MatrixStorage::add) written into `self`.  Default: the
+    /// kernel, assigned.
+    fn add_in_place(&mut self, other: &Self) -> Result<()> {
+        *self = self.add(other)?;
+        Ok(())
+    }
+
+    // `1 × 1` values unboxed.  A caller may hold `k` in place of
+    // `Self::scalar(k)`; the hooks below compute on such `k`s what the
+    // kernels compute on the boxed values — as the defaults literally do,
+    // reading the `1 × 1` result back with `as_scalar` — so a backend whose
+    // `1 × 1` results are `Self::scalar` of their value is correct without
+    // overriding any of them.  Overrides must agree with the defaults bit
+    // for bit, errors included.
+
+    /// `Some(k)` when `self` *is* `Self::scalar(k)`: same shape,
+    /// representation and entry.  Default: never.
+    fn unboxed_scalar(&self) -> Option<Self::Elem> {
+        None
+    }
+
+    /// `bᵢᵀ·self·bⱼ` unboxed: the value of
+    /// [`select`](MatrixStorage::select)'s `1 × 1` result.
+    fn select_entry(&self, row: Canonical, col: Canonical) -> Result<Self::Elem> {
+        self.select(Some(row), Some(col))?.as_scalar()
+    }
+
+    /// The product of `Self::scalar(left)` and `Self::scalar(right)`,
+    /// unboxed.
+    fn scalar_product(left: &Self::Elem, right: &Self::Elem) -> Self::Elem {
+        Self::scalar(left.clone())
+            .matmul(&Self::scalar(right.clone()))
+            .and_then(|product| product.as_scalar())
+            .expect("1 × 1 operands")
+    }
+
+    /// The sum of `Self::scalar(left)` and `Self::scalar(right)`, unboxed.
+    fn scalar_sum(left: &Self::Elem, right: &Self::Elem) -> Self::Elem {
+        Self::scalar(left.clone())
+            .add(&Self::scalar(right.clone()))
+            .and_then(|sum| sum.as_scalar())
+            .expect("1 × 1 operands")
+    }
+
     /// The trace of a square matrix.
     fn trace(&self) -> Result<Self::Elem>;
 
@@ -402,7 +460,38 @@ impl<K: Semiring> MatrixStorage for Matrix<K> {
     }
 
     fn point_update(&self, scalar: &K, row: Canonical, col: Canonical) -> Result<Self> {
-        Matrix::point_update(self, scalar, row, col)
+        let mut out = self.clone();
+        Matrix::point_update_in_place(&mut out, scalar, row, col)?;
+        Ok(out)
+    }
+
+    fn point_update_in_place(&mut self, scalar: &K, row: Canonical, col: Canonical) -> Result<()> {
+        Matrix::point_update_in_place(self, scalar, row, col)
+    }
+
+    fn add_in_place(&mut self, other: &Self) -> Result<()> {
+        Matrix::add_in_place(self, other)
+    }
+
+    fn unboxed_scalar(&self) -> Option<K> {
+        Matrix::as_scalar(self).ok()
+    }
+
+    fn select_entry(&self, row: Canonical, col: Canonical) -> Result<K> {
+        Matrix::select_entry(self, row, col)
+    }
+
+    fn scalar_product(left: &K, right: &K) -> K {
+        // The dense product's zero-skip, for one term.
+        if left.is_zero() {
+            K::zero()
+        } else {
+            K::zero().add(&left.mul(right))
+        }
+    }
+
+    fn scalar_sum(left: &K, right: &K) -> K {
+        left.add(right)
     }
 
     fn trace(&self) -> Result<K> {
@@ -599,7 +688,42 @@ impl<K: Semiring> MatrixStorage for SparseMatrix<K> {
     }
 
     fn point_update(&self, scalar: &K, row: Canonical, col: Canonical) -> Result<Self> {
-        SparseMatrix::point_update(self, scalar, row, col)
+        let mut out = self.clone();
+        SparseMatrix::point_update_in_place(&mut out, scalar, row, col)?;
+        Ok(out)
+    }
+
+    fn point_update_in_place(&mut self, scalar: &K, row: Canonical, col: Canonical) -> Result<()> {
+        SparseMatrix::point_update_in_place(self, scalar, row, col)
+    }
+
+    // `add_in_place` keeps the default: a CSR merge writes new arrays.
+
+    fn unboxed_scalar(&self) -> Option<K> {
+        SparseMatrix::as_scalar(self).ok()
+    }
+
+    fn select_entry(&self, row: Canonical, col: Canonical) -> Result<K> {
+        SparseMatrix::select_entry(self, row, col)
+    }
+
+    // A zero operand is an absent entry, and a zero result is dropped.
+
+    fn scalar_product(left: &K, right: &K) -> K {
+        if left.is_zero() || right.is_zero() {
+            K::zero()
+        } else {
+            stored_or_zero(left.mul(right))
+        }
+    }
+
+    fn scalar_sum(left: &K, right: &K) -> K {
+        match (left.is_zero(), right.is_zero()) {
+            (true, true) => K::zero(),
+            (false, true) => left.clone(),
+            (true, false) => right.clone(),
+            (false, false) => stored_or_zero(left.add(right)),
+        }
     }
 
     fn trace(&self) -> Result<K> {
@@ -779,7 +903,39 @@ impl<K: Semiring> MatrixStorage for MatrixRepr<K> {
     }
 
     fn point_update(&self, scalar: &K, row: Canonical, col: Canonical) -> Result<Self> {
-        MatrixRepr::point_update(self, scalar, row, col)
+        let mut out = self.clone();
+        MatrixRepr::point_update_in_place(&mut out, scalar, row, col)?;
+        Ok(out)
+    }
+
+    fn point_update_in_place(&mut self, scalar: &K, row: Canonical, col: Canonical) -> Result<()> {
+        MatrixRepr::point_update_in_place(self, scalar, row, col)
+    }
+
+    fn add_in_place(&mut self, other: &Self) -> Result<()> {
+        MatrixRepr::add_in_place(self, other)
+    }
+
+    // `scalar` is dense, and a `1 × 1` result normalizes to dense: the
+    // unboxed values are the dense backend's.
+
+    fn unboxed_scalar(&self) -> Option<K> {
+        match self {
+            MatrixRepr::Dense(d) => d.unboxed_scalar(),
+            MatrixRepr::Sparse(_) => None,
+        }
+    }
+
+    fn select_entry(&self, row: Canonical, col: Canonical) -> Result<K> {
+        MatrixRepr::select_entry(self, row, col)
+    }
+
+    fn scalar_product(left: &K, right: &K) -> K {
+        Matrix::scalar_product(left, right)
+    }
+
+    fn scalar_sum(left: &K, right: &K) -> K {
+        Matrix::scalar_sum(left, right)
     }
 
     fn trace(&self) -> Result<K> {

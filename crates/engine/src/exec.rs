@@ -144,15 +144,15 @@ pub struct ExecOptions {
     /// engine side of the server's `PROFILE` verb.  Off by default: the
     /// executor always records output shape/nnz and hit/computed counts on
     /// the cache-miss path (cheap — the compute it rides on dwarfs it, and
-    /// warm hits never reach it), but the per-node `Instant` reads stay
-    /// opt-in.
+    /// warm hits never reach it) for `SLOWLOG`'s per-node lines, but the
+    /// per-node `Instant` reads stay opt-in.
     pub profile: bool,
 }
 
-/// Per-node observation sample.  Shape, nnz and hit/computed counts are
-/// recorded on every execution ([`Executor::observed_samples`]) — they feed
-/// the server's observed-statistics planner feedback; `total_ns` is filled
-/// only under [`ExecOptions::profile`].
+/// Per-node execution sample ([`Executor::samples`]), the per-node lines of
+/// the server's `PROFILE` and `SLOWLOG` replies.  Shape, nnz and
+/// hit/computed counts are recorded on every execution; `total_ns` is
+/// filled only under [`ExecOptions::profile`].
 ///
 /// Shape and nnz describe the node's value as last computed — except for a
 /// node computed inside a loop, where they describe its **first**
@@ -348,21 +348,11 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
         self.stats
     }
 
-    /// The per-node profile samples, indexed by [`NodeId`].  `None` unless
-    /// the executor was created with [`ExecOptions::profile`] set (without
-    /// it the samples exist but their `total_ns` is always 0; use
-    /// [`Executor::observed_samples`] for those).
-    pub fn profile_samples(&self) -> Option<&[NodeSample]> {
-        self.options.profile.then_some(self.samples.as_slice())
-    }
-
-    /// The always-on per-node observation samples, indexed by [`NodeId`]:
-    /// output shape/nnz as last computed — for a node inside a loop, as
-    /// first computed (see [`NodeSample`]) — plus hit/computed counts.
-    /// Wall times are 0 unless [`ExecOptions::profile`] was set.  This is
-    /// what the server harvests into its per-instance observed statistics
-    /// after every execution.
-    pub fn observed_samples(&self) -> &[NodeSample] {
+    /// The per-node samples, indexed by [`NodeId`]: output shape/nnz as
+    /// last computed — for a node inside a loop, as first computed (see
+    /// [`NodeSample`]) — plus hit/computed counts.  Wall times are 0 unless
+    /// [`ExecOptions::profile`] was set.
+    pub fn samples(&self) -> &[NodeSample] {
         &self.samples
     }
 
@@ -451,7 +441,7 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
         let timer = self.options.profile.then(std::time::Instant::now);
         let value = self.compute(id, accumulator)?;
         {
-            // Always-on observation: shape/nnz ride the miss path, where
+            // Always-on sampling: shape/nnz ride the miss path, where
             // the compute they describe dwarfs them; only the per-node
             // clock reads stay behind the `profile` flag.  Inside a loop
             // only the first computation is described — a node computed
@@ -470,13 +460,14 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
         let node = self.plan.node(id);
         if node.cacheable {
             let mut value = value.shared();
-            // Apply the planner's representation choice (adaptive backend
-            // only; other backends ignore the hint).
-            if let Some(est) = node.est {
-                // Re-representing needs ownership; values still shared
-                // with the environment (plain variable loads) keep
-                // their current representation rather than pay a deep
-                // clone.
+            // Apply the planner's representation choice to computed values
+            // (adaptive backend only; other backends ignore the hint).  A
+            // variable load keeps the layout it is stored in: an instance
+            // load is a fresh clone, which the hint would re-lay out on
+            // every recompute.  Re-representing needs ownership; a value
+            // still shared keeps its layout rather than pay a deep clone.
+            let est = node.est.filter(|_| !matches!(node.op, PlanOp::Var(..)));
+            if let Some(est) = est {
                 value = match Arc::try_unwrap(value) {
                     Ok(owned) => {
                         let adjusted = match est.choice {
@@ -1248,11 +1239,7 @@ mod tests {
         let mut exec = Executor::new(&plan, &inst, &registry, ExecOptions::default());
         let root = plan.roots()[0];
         exec.run(root).unwrap();
-        assert!(
-            exec.profile_samples().is_none(),
-            "per-node timing stays opt-in"
-        );
-        let samples = exec.observed_samples();
+        let samples = exec.samples();
         assert_eq!(samples.len(), plan.nodes().len());
         let root_sample = samples[root];
         assert_eq!(root_sample.computed, 1);
@@ -1282,10 +1269,10 @@ mod tests {
             .iter()
             .position(|n| matches!(n.op, PlanOp::Select { .. }))
             .expect("G·v is a column read");
-        let sample = exec.observed_samples()[column];
+        let sample = exec.samples()[column];
         assert_eq!(sample.computed, 3);
         assert_eq!((sample.rows, sample.cols, sample.nnz), (3, 1, 2));
-        let total = exec.observed_samples()[root];
+        let total = exec.samples()[root];
         assert_eq!((total.computed, total.nnz), (1, 3));
     }
 
@@ -1300,7 +1287,7 @@ mod tests {
         let mut exec = Executor::new(&plan, &inst, &registry, options);
         let root = plan.roots()[0];
         exec.run(root).unwrap();
-        let samples = exec.profile_samples().expect("profiling was requested");
+        let samples = exec.samples();
         assert_eq!(samples.len(), plan.nodes().len());
         let root_sample = samples[root];
         assert_eq!(root_sample.computed, 1);

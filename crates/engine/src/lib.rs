@@ -76,7 +76,7 @@ pub use plan::{
     AppliedRewrite, LoopIndex, NodeEstimate, NodeId, Plan, PlanNode, PlanOp, PlanReport,
     ReprChoice, VarSlot,
 };
-pub use planner::{InstanceStats, ObservedStats, PlanOptions, Planner, VarStats};
+pub use planner::{InstanceStats, PlanOptions, Planner, VarStats};
 pub use rewrite::{rewrite_with_stats, RewriteOutcome};
 
 use matlang_core::{EvalError, Expr, FunctionRegistry, Instance};
@@ -194,27 +194,19 @@ impl Engine {
         queries: &[Expr],
         instance: &Instance<K, M>,
     ) -> Plan {
-        let mut options = self.plan_options.clone();
-        options.simplify = options.simplify && constants_fold_exactly::<K>();
-        Planner::with_options(options).plan(queries, &InstanceStats::from_instance(instance))
+        self.plan_with_stats::<K>(queries, &InstanceStats::from_instance(instance))
     }
 
-    /// Plans `queries` against **explicit** statistics — the adaptive
-    /// re-planning entry point.  Same per-semiring simplify gating as
-    /// [`Engine::plan`] (which is why `K` appears even though no instance
-    /// is passed), but the caller supplies the [`InstanceStats`] — e.g.
-    /// freshly re-collected after updates — and an [`ObservedStats`] store
-    /// of execution truth for the planner to consult over its estimates.
-    /// Pass `&ObservedStats::default()` to plan purely from the model.
-    pub fn plan_with_stats<K: Semiring>(
-        &self,
-        queries: &[Expr],
-        stats: &InstanceStats,
-        observed: &ObservedStats,
-    ) -> Plan {
+    /// Plans `queries` against **explicit** statistics — the re-planning
+    /// entry point.  Same per-semiring simplify gating as [`Engine::plan`]
+    /// (which is why `K` appears even though no instance is passed), but
+    /// the caller supplies the [`InstanceStats`]: the query server passes
+    /// the ones it collected from the instance, freshly when the input nnz
+    /// drifted, and remembers them as the baseline of its next drift check.
+    pub fn plan_with_stats<K: Semiring>(&self, queries: &[Expr], stats: &InstanceStats) -> Plan {
         let mut options = self.plan_options.clone();
         options.simplify = options.simplify && constants_fold_exactly::<K>();
-        Planner::with_options(options).plan_with_observed(queries, stats, observed)
+        Planner::with_options(options).plan(queries, stats)
     }
 
     /// Plans and evaluates a single expression.  Semantically identical to

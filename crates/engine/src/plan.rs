@@ -34,7 +34,7 @@ pub type NodeId = usize;
 /// one name — instance matrix, loop vector, accumulator or `let` binding,
 /// shadowed or not — shares one slot, mirroring the by-name scoping of the
 /// tree evaluator.  Operations carry the slot beside the name; the name
-/// stays the identity ([`Plan::explain`], [`Plan::node_fingerprints`]).
+/// stays the identity ([`Plan::explain`], [`Plan::structure_fingerprint`]).
 pub type VarSlot = usize;
 
 /// A literal scalar with **bitwise** equality and hashing, so that plan
@@ -674,24 +674,6 @@ impl Plan {
         hasher.finish()
     }
 
-    /// Per-node **structural** fingerprints, in node order: each node's
-    /// fingerprint hashes its operation kind, its salient payload
-    /// (variable/function names, constants, loop headers) and its
-    /// children's fingerprints — but *not* the raw [`NodeId`]s, which
-    /// depend on interning order.  The fingerprint of a node therefore
-    /// identifies the subexpression it computes independently of which
-    /// plan it sits in, so observed statistics harvested from one
-    /// executed plan ([`crate::ObservedStats`]) can be matched against
-    /// the nodes of a *re-planned* DAG for the same queries.
-    pub fn node_fingerprints(&self) -> Vec<u64> {
-        let mut fps = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let fp = op_fingerprint(&node.op, &fps);
-            fps.push(fp);
-        }
-        fps
-    }
-
     /// Renders the rewritten DAG as one line per node — operation, child
     /// references, the cost model's estimate (shape, nnz, work,
     /// representation), cache and delta eligibility —
@@ -780,73 +762,4 @@ impl Plan {
         }
         dropped
     }
-}
-
-/// The structural fingerprint of one operation, given the fingerprints of
-/// its (lower-id) children — the bottom-up step behind
-/// [`Plan::node_fingerprints`], shared with the planner so it can
-/// fingerprint nodes *while interning them* and consult observed
-/// statistics for the subtree being built.
-pub(crate) fn op_fingerprint(op: &PlanOp, fingerprints: &[u64]) -> u64 {
-    // A masked product computes the value of the Hadamard-of-product pair
-    // it replaces, so it takes that pair's fingerprint: what was observed
-    // for the subexpression keeps matching whichever way it is planned.
-    // (The two stand-in ops below only lend their labels.)
-    if let PlanOp::MaskedMatMul {
-        left,
-        right,
-        mask,
-        mask_on_left,
-    } = *op
-    {
-        let binary = |label: &str, a: u64, b: u64| {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            label.hash(&mut h);
-            a.hash(&mut h);
-            b.hash(&mut h);
-            h.finish()
-        };
-        let product = binary(
-            PlanOp::MatMul(left, right).label(),
-            fingerprints[left],
-            fingerprints[right],
-        );
-        let (a, b) = if mask_on_left {
-            (fingerprints[mask], product)
-        } else {
-            (product, fingerprints[mask])
-        };
-        return binary(PlanOp::Hadamard(left, right).label(), a, b);
-    }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    op.label().hash(&mut h);
-    match op {
-        PlanOp::Var(name, _) => name.hash(&mut h),
-        PlanOp::Const(c) => c.hash(&mut h),
-        PlanOp::Apply(name, _) => name.hash(&mut h),
-        PlanOp::Let { var, .. } => var.hash(&mut h),
-        PlanOp::For {
-            var,
-            var_dim,
-            acc,
-            acc_type,
-            ..
-        } => {
-            var.hash(&mut h);
-            var_dim.hash(&mut h);
-            acc.hash(&mut h);
-            acc_type.hash(&mut h);
-        }
-        PlanOp::Sum { var, var_dim, .. }
-        | PlanOp::HProd { var, var_dim, .. }
-        | PlanOp::MProd { var, var_dim, .. } => {
-            var.hash(&mut h);
-            var_dim.hash(&mut h);
-        }
-        _ => op.loop_indices().for_each(|index| index.var.hash(&mut h)),
-    }
-    for child in op.children() {
-        fingerprints[child].hash(&mut h);
-    }
-    h.finish()
 }

@@ -166,24 +166,6 @@ impl InstanceStats {
     pub(crate) fn shape_of(&self, ty: &MatrixType) -> Option<(usize, usize)> {
         Some((self.dim_value(&ty.rows)?, self.dim_value(&ty.cols)?))
     }
-
-    /// Overlays observed per-variable statistics: for every variable whose
-    /// observed shape still matches this schema, the observed non-zero
-    /// count replaces the estimate.  Observations whose shape disagrees
-    /// (the schema changed since they were harvested) are ignored — they
-    /// describe a matrix that no longer exists.  The
-    /// [`schema_fingerprint`](InstanceStats::schema_fingerprint) is
-    /// unaffected, since it deliberately excludes nnz.
-    pub fn with_observed(mut self, observed: &ObservedStats) -> Self {
-        for (var, obs) in &observed.vars {
-            if let Some(est) = self.vars.get_mut(var) {
-                if est.rows == obs.rows && est.cols == obs.cols {
-                    est.nnz = obs.nnz;
-                }
-            }
-        }
-        self
-    }
 }
 
 /// One binder in scope: the bound name, the advisory statistics of its
@@ -258,87 +240,6 @@ impl Scope {
     }
 }
 
-/// Interior-node observations are pruned back to the most recent plan's
-/// fingerprints once the store exceeds this many entries, bounding memory
-/// across arbitrarily many re-plans.
-const MAX_NODE_OBSERVATIONS: usize = 4096;
-
-/// Execution truth fed back into planning — the store behind adaptive
-/// re-planning (ROADMAP item 3c).
-///
-/// After a plan executes, [`ObservedStats::absorb`] harvests the
-/// executor's always-on per-node samples
-/// ([`crate::Executor::observed_samples`]): the *actual* output shape and
-/// non-zero count of every node that was computed.  Two views are kept:
-///
-/// * [`vars`](ObservedStats::vars) — per **variable** observations, for
-///   reporting observed-vs-estimated drift (the query server's `STATS`
-///   verb) and for overlaying onto an [`InstanceStats`] whose nnz may be
-///   stale ([`InstanceStats::with_observed`]).
-/// * [`nodes`](ObservedStats::nodes) — per **interior node**
-///   observations, keyed by the structural fingerprint of the subtree
-///   ([`crate::Plan::node_fingerprints`]).  The planner consults these
-///   while building a new plan ([`Planner::plan_with_observed`]): a node
-///   whose subtree was executed before gets its *observed* nnz instead of
-///   the cost model's estimate, so representation choices — and every
-///   parent estimate propagated from it — track reality.
-///
-/// Observations are advisory: they tune costs and representation hints,
-/// never semantics, so a stale or mismatched observation can cost speed
-/// but not correctness.  (A loop-bound variable shadowing an instance
-/// matrix of the same name and shape can alias an observation — same
-/// advisory-only caveat.)
-#[derive(Clone, Debug, Default)]
-pub struct ObservedStats {
-    /// Per instance-variable observed statistics, as last executed.
-    pub vars: BTreeMap<String, VarStats>,
-    /// Interior-node observations keyed by structural fingerprint.
-    pub nodes: BTreeMap<u64, VarStats>,
-    /// How many executions have been absorbed.
-    pub executions: u64,
-}
-
-impl ObservedStats {
-    /// A store with no observations.
-    pub fn new() -> Self {
-        ObservedStats::default()
-    }
-
-    /// Whether nothing has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.vars.is_empty() && self.nodes.is_empty()
-    }
-
-    /// Harvests one execution: for every plan node that was actually
-    /// computed (`sample.computed > 0`; cache hits carry no fresh truth),
-    /// records its observed shape/nnz under the node's structural
-    /// fingerprint, and additionally under the variable name for `Var`
-    /// nodes.  `samples` is [`crate::Executor::observed_samples`] and must
-    /// be parallel to `plan.nodes()`; extra or missing slots are ignored.
-    pub fn absorb(&mut self, plan: &crate::Plan, samples: &[crate::NodeSample]) {
-        let fps = plan.node_fingerprints();
-        for ((node, sample), fp) in plan.nodes().iter().zip(samples).zip(&fps) {
-            if sample.computed == 0 {
-                continue;
-            }
-            let stats = VarStats {
-                rows: sample.rows,
-                cols: sample.cols,
-                nnz: sample.nnz as usize,
-            };
-            if let PlanOp::Var(name, _) = &node.op {
-                self.vars.insert(name.clone(), stats);
-            }
-            self.nodes.insert(*fp, stats);
-        }
-        if self.nodes.len() > MAX_NODE_OBSERVATIONS {
-            let keep: std::collections::BTreeSet<u64> = fps.into_iter().collect();
-            self.nodes.retain(|fp, _| keep.contains(fp));
-        }
-        self.executions += 1;
-    }
-}
-
 /// Compiles type-checked expressions into DAG-shaped [`Plan`]s.
 #[derive(Clone, Debug, Default)]
 pub struct Planner {
@@ -361,24 +262,6 @@ impl Planner {
     /// returned plan has one root per query, in order; structurally
     /// identical subexpressions are shared across the whole batch.
     pub fn plan(&self, queries: &[Expr], stats: &InstanceStats) -> Plan {
-        self.plan_with_observed(queries, stats, &ObservedStats::default())
-    }
-
-    /// Plans like [`Planner::plan`], additionally consulting observed
-    /// execution statistics: any node whose structural fingerprint has an
-    /// observation with a matching shape takes the **observed** nnz in
-    /// place of the cost model's estimate, re-deriving its representation
-    /// choice from the observed density, and parent estimates propagate
-    /// from the corrected value.  This is the feedback half of adaptive
-    /// re-planning — chain association (via the caller refreshing
-    /// `stats`) and dense/CSR choices track executed reality instead of
-    /// the model.
-    pub fn plan_with_observed(
-        &self,
-        queries: &[Expr],
-        stats: &InstanceStats,
-        observed: &ObservedStats,
-    ) -> Plan {
         let _plan_span = matlang_obs::trace::span("plan");
         let plan_timer = matlang_obs::enabled().then(std::time::Instant::now);
         let mut report = PlanReport {
@@ -388,10 +271,8 @@ impl Planner {
         };
         let mut builder = Builder {
             stats,
-            observed,
             options: &self.options,
             nodes: Vec::new(),
-            fingerprints: Vec::new(),
             dedup: HashMap::new(),
             slots: HashMap::new(),
             scope: Scope::default(),
@@ -495,13 +376,8 @@ type LoopOperand = (LoopIndex, usize);
 
 struct Builder<'a> {
     stats: &'a InstanceStats,
-    observed: &'a ObservedStats,
     options: &'a PlanOptions,
     nodes: Vec<PlanNode>,
-    /// Structural fingerprint of every interned node, parallel to
-    /// `nodes` — children-first interning means a node's children are
-    /// always fingerprinted before the node itself.
-    fingerprints: Vec<u64>,
     dedup: HashMap<DedupKey, NodeId>,
     /// Every variable name seen so far → its dense slot, in first-seen
     /// order.
@@ -944,8 +820,7 @@ impl Builder<'_> {
             self.mark_hoistable(id);
             return id;
         }
-        let fingerprint = crate::plan::op_fingerprint(&key.0, &self.fingerprints);
-        let est = self.estimate_with_observed(&key.0, fingerprint);
+        let est = self.estimate(&key.0);
         let id = self.nodes.len();
         self.nodes.push(PlanNode {
             op: key.0.clone(),
@@ -955,29 +830,9 @@ impl Builder<'_> {
             cacheable: false,
             est,
         });
-        self.fingerprints.push(fingerprint);
         self.dedup.insert(key, id);
         self.mark_hoistable(id);
         id
-    }
-
-    /// The cost model's estimate for `op`, corrected by an observation of
-    /// the subtree with this `fingerprint`.  Observed truth beats the
-    /// model: when this exact subtree was executed before with the same
-    /// output shape, take its measured nnz and re-derive the representation
-    /// choice from the observed density.  Parent estimates then propagate
-    /// from the corrected value.  Shape mismatches mean the schema changed
-    /// since the observation — ignore those.
-    fn estimate_with_observed(&self, op: &PlanOp, fingerprint: u64) -> Option<NodeEstimate> {
-        match (self.estimate(op), self.observed.nodes.get(&fingerprint)) {
-            (Some(e), Some(obs)) if obs.rows == e.rows && obs.cols == e.cols => {
-                Some(finish(e.rows, e.cols, obs.nnz as f64, e.work))
-            }
-            // A node the model could not estimate at all (e.g. a variable
-            // absent from the statistics) still gets an observed one.
-            (None, Some(obs)) => Some(finish(obs.rows, obs.cols, obs.nnz as f64, obs.nnz as f64)),
-            (e, _) => e,
-        }
     }
 
     /// Masked-product fusion, a pass over the finished DAG: rewrites
@@ -1064,10 +919,8 @@ impl Builder<'_> {
             let Some((product, op)) = candidate else {
                 continue;
             };
-            // The Hadamard node keeps its fingerprint: a masked product is
-            // fingerprinted as the pair it replaces.
             let fused = self
-                .estimate_with_observed(&op, self.fingerprints[id])
+                .estimate(&op)
                 .expect("operand estimates were just certified");
             let unfused_work = self.nodes[id].est.map_or(fused.work, |e| e.work);
             self.fused.push(AppliedRewrite {
@@ -1093,9 +946,6 @@ impl Builder<'_> {
         let mut gone = dead.iter();
         self.nodes
             .retain(|_| !*gone.next().expect("one flag per node"));
-        let mut gone = dead.iter();
-        self.fingerprints
-            .retain(|_| !*gone.next().expect("one flag per node"));
         for root in roots {
             *root = new_id[*root];
         }
@@ -1105,8 +955,7 @@ impl Builder<'_> {
         for id in 0..self.nodes.len() {
             self.nodes[id].op.map_children(|child| new_id[child]);
             if !matches!(self.nodes[id].op, PlanOp::Var(..) | PlanOp::Place { .. }) {
-                self.nodes[id].est =
-                    self.estimate_with_observed(&self.nodes[id].op, self.fingerprints[id]);
+                self.nodes[id].est = self.estimate(&self.nodes[id].op);
             }
         }
     }
@@ -1652,109 +1501,5 @@ mod tests {
         assert_eq!(report.rewrite_savings().to_bits(), 0.0f64.to_bits());
         let text = report.to_string();
         assert!(text.contains("0 cost rewrites (≈0 ops saved)"), "{text}");
-    }
-
-    #[test]
-    fn node_fingerprints_are_stable_across_plannings() {
-        // Same query planned twice (even inside differently-shaped
-        // batches): per-node fingerprints of the shared structure agree,
-        // so observations harvested from one plan match the other.
-        let plan_a = Planner::new().plan_one(&gram(), &stats());
-        let plan_b = Planner::new().plan(&[Expr::var("G").t(), gram()], &stats());
-        let fps_a = plan_a.node_fingerprints();
-        let fps_b = plan_b.node_fingerprints();
-        let root_a = fps_a[plan_a.roots()[0]];
-        let root_b = fps_b[plan_b.roots()[1]];
-        assert_eq!(root_a, root_b, "identical subtrees must fingerprint equal");
-        // Distinct structures must (practically) not collide.
-        assert_ne!(fps_b[plan_b.roots()[0]], root_b);
-    }
-
-    #[test]
-    fn observed_nnz_overrides_the_estimate_and_the_repr_choice() {
-        // Model: a degree-8 graph makes G·G look sparse (6.4% < 25%).
-        let s = InstanceStats {
-            dims: BTreeMap::from([("n".to_string(), 1000)]),
-            vars: BTreeMap::from([(
-                "G".to_string(),
-                VarStats {
-                    rows: 1000,
-                    cols: 1000,
-                    nnz: 8000,
-                },
-            )]),
-        };
-        let q = Expr::var("G").mm(Expr::var("G"));
-        let planner = Planner::new();
-        let estimated = planner.plan_one(&q, &s);
-        let root = estimated.roots()[0];
-        assert_eq!(estimated.node(root).est.unwrap().choice, ReprChoice::Sparse);
-
-        // Observation: the executed product actually came out dense.
-        let mut observed = ObservedStats::new();
-        observed.nodes.insert(
-            estimated.node_fingerprints()[root],
-            VarStats {
-                rows: 1000,
-                cols: 1000,
-                nnz: 900_000,
-            },
-        );
-        let replanned = planner.plan_with_observed(std::slice::from_ref(&q), &s, &observed);
-        let est = replanned.node(replanned.roots()[0]).est.unwrap();
-        assert_eq!(est.nnz, 900_000.0, "observed nnz replaces the estimate");
-        assert_eq!(est.choice, ReprChoice::Dense, "repr choice tracks reality");
-
-        // A shape-mismatched (stale-schema) observation is ignored.
-        let mut stale = ObservedStats::new();
-        stale.nodes.insert(
-            estimated.node_fingerprints()[root],
-            VarStats {
-                rows: 5,
-                cols: 5,
-                nnz: 25,
-            },
-        );
-        let kept = planner.plan_with_observed(std::slice::from_ref(&q), &s, &stale);
-        assert_eq!(
-            kept.node(kept.roots()[0]).est.unwrap().choice,
-            ReprChoice::Sparse
-        );
-    }
-
-    #[test]
-    fn absorb_harvests_computed_nodes_from_an_execution() {
-        use matlang_core::{FunctionRegistry, Instance};
-        use matlang_matrix::Matrix;
-        use matlang_semiring::Real;
-
-        let inst: Instance<Real> = Instance::new().with_dim("n", 3).with_matrix(
-            "G",
-            Matrix::from_f64_rows(&[&[1.0, 0.0, 2.0], &[0.0, 3.0, 0.0], &[4.0, 0.0, 5.0]]).unwrap(),
-        );
-        let q = Expr::var("G").t().mm(Expr::var("G"));
-        let plan = Planner::new().plan_one(&q, &InstanceStats::from_instance(&inst));
-        let registry = FunctionRegistry::standard_field();
-        let mut exec = crate::Executor::new(&plan, &inst, &registry, crate::ExecOptions::default());
-        exec.run(plan.roots()[0]).unwrap();
-
-        let mut observed = ObservedStats::new();
-        observed.absorb(&plan, exec.observed_samples());
-        assert_eq!(observed.executions, 1);
-        assert!(!observed.is_empty());
-        // The leaf observation carries the real matrix statistics …
-        let g = observed.vars.get("G").expect("G observed");
-        assert_eq!((g.rows, g.cols, g.nnz), (3, 3, 5));
-        // … and the root's observation matches the actual product.
-        let root_fp = plan.node_fingerprints()[plan.roots()[0]];
-        let root_obs = observed.nodes.get(&root_fp).expect("root observed");
-        assert_eq!((root_obs.rows, root_obs.cols), (3, 3));
-        assert!(root_obs.nnz > 0);
-
-        // Overlaying onto matching-schema stats swaps in observed nnz.
-        let mut stale = InstanceStats::from_instance(&inst);
-        stale.vars.get_mut("G").unwrap().nnz = 9999;
-        let merged = stale.with_observed(&observed);
-        assert_eq!(merged.vars.get("G").unwrap().nnz, 5);
     }
 }

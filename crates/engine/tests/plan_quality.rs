@@ -5,9 +5,9 @@
 
 use matlang_algorithms::graphs;
 use matlang_core::{evaluate, rewrite, Expr, FunctionRegistry, Instance, SparseInstance};
-use matlang_engine::{Engine, InstanceStats, Planner};
-use matlang_matrix::{sparse_erdos_renyi, MatrixRepr};
-use matlang_semiring::Nat;
+use matlang_engine::{Engine, ExecOptions, Executor, InstanceStats, PlanOp, Planner};
+use matlang_matrix::{sparse_erdos_renyi, Matrix, MatrixRepr, SparseMatrix};
+use matlang_semiring::{Nat, Semiring};
 use std::time::Instant;
 
 /// The Figure 1 witness corpus: one query per language/fragment the figure
@@ -101,5 +101,42 @@ fn timing_guard_engine_beats_naive_evaluation_on_hoisting_heavy_query() {
     assert!(
         engine_elapsed * 3 < naive_elapsed,
         "engine ({engine_elapsed:?}) should beat naive evaluation ({naive_elapsed:?}) by ≥3×"
+    );
+}
+
+/// The planner's representation hint applies to computed values only: an
+/// instance matrix is read in the layout it is stored in.  Here `A` is full,
+/// so the cost model prefers dense for it, yet it is stored as CSR — and a
+/// cached read of it must stay CSR rather than be re-laid-out (a deep copy
+/// per recompute) on every execution.
+#[test]
+fn instance_loads_keep_their_stored_layout() {
+    let n = 64;
+    let full = Matrix::from_vec(n, n, vec![Nat::one(); n * n]).unwrap();
+    let inst: SparseInstance<Nat> = Instance::new()
+        .with_dim("n", n)
+        .with_matrix("A", MatrixRepr::Sparse(SparseMatrix::from_dense(&full)))
+        .with_matrix("v", MatrixRepr::Dense(Matrix::ones_vector(n)));
+    let query = Expr::var("A").mm(Expr::var("v"));
+    let mut plan = Engine::new().plan(std::slice::from_ref(&query), &inst);
+    plan.mark_all_cacheable();
+    let registry = FunctionRegistry::<Nat>::new();
+    let mut exec = Executor::new(&plan, &inst, &registry, ExecOptions::default());
+    let result = exec.run(plan.roots()[0]).unwrap();
+    assert_eq!(
+        result.to_dense(),
+        evaluate(&query, &inst, &registry).unwrap().to_dense()
+    );
+    let a = plan
+        .nodes()
+        .iter()
+        .position(|node| matches!(&node.op, PlanOp::Var(name, _) if name == "A"))
+        .expect("A is read");
+    let cache = exec.into_cache();
+    let cached = cache[a].as_ref().expect("every node is cacheable");
+    assert!(
+        cached.is_sparse(),
+        "A was re-laid-out as {}",
+        cached.backend_name()
     );
 }

@@ -481,9 +481,9 @@ impl Client {
             .map_err(ClientError::malformed)
     }
 
-    /// `STATS <instance>`; returns the per-instance observed-vs-estimated
-    /// report (per-variable planned/current/observed nnz, drift against
-    /// the plan-time snapshot, re-plan counter).
+    /// `STATS <instance>`; returns the per-instance planned-vs-current
+    /// report (per-variable planned/current nnz, drift against the
+    /// plan-time snapshot, re-plan counter).
     pub fn stats(&mut self, instance: &str) -> Result<Vec<String>, ClientError> {
         let header = self.send(&format!("STATS {instance}"))?;
         read_lines_block(&header, "STATS", &mut self.reader).map_err(ClientError::malformed)

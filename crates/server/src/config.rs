@@ -12,7 +12,7 @@
 use matlang_obs::trace::DEFAULT_SLOW_MS;
 use std::path::{Path, PathBuf};
 
-/// Default observed-density drift ratio past which the next `EXEC`
+/// Default input-nnz drift ratio past which the next `EXEC`
 /// re-plans (see [`StoreConfigBuilder::replan_drift`]).
 pub const DEFAULT_REPLAN_DRIFT: f64 = 4.0;
 
@@ -179,7 +179,7 @@ impl StoreConfigBuilder {
         self
     }
 
-    /// Sets the observed-density ratio (at least 1.0) past which an
+    /// Sets the input-nnz drift ratio (at least 1.0) past which an
     /// instance's next `EXEC` transparently re-plans.  A variable drifts
     /// when `(max(nnz)+1)/(min(nnz)+1)` between the planned-against
     /// snapshot and the current instance exceeds this ratio (the `+1`

@@ -171,7 +171,7 @@ fn read_str(buf: &mut &[u8], what: &str) -> Result<String, PersistError> {
 
 /// A decoded (or to-be-encoded) snapshot: everything needed to rebuild an
 /// instance except the lazily-rebuilt runtime state (memo caches, plans,
-/// overlays, observed statistics — deliberately never persisted).
+/// overlays — deliberately never persisted).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Semiring tag (`real`/`bool`/`nat`/`minplus`).

@@ -41,7 +41,7 @@
 //! →  METRICS WINDOW 60                ←  METRICS <n> … END   (windowed deltas/rates/quantiles)
 //! →  EXPLAIN g (G * G)                ←  EXPLAIN <n> … END   (rewritten DAG, estimates, eligibility)
 //! →  PROFILE g (G * G)                ←  PROFILE <n> … END   (executes once; per-node time/nnz/hits)
-//! →  STATS g                          ←  STATS <n> … END     (observed vs. estimated, drift, re-plans)
+//! →  STATS g                          ←  STATS <n> … END     (planned vs. current nnz, drift, re-plans)
 //! →  SLOWLOG 10                       ←  SLOWLOG <n> … END   (recent slow queries + captured forensics)
 //! →  HEALTH                           ←  OK health status=ok|pressure bytes=… budget=… conns=… …
 //! →  TOP 10                           ←  TOP <n> … END       (instances ranked by bytes/exec-time)
@@ -184,9 +184,9 @@ pub enum Request {
     /// counter deltas/rates and histogram quantiles over roughly the last
     /// `secs` seconds instead.
     Metrics { window: Option<u64> },
-    /// `STATS <instance>` — per-instance observed vs. estimated
-    /// statistics: per-variable planned/current/observed nnz, drift
-    /// against the plan-time snapshot, and the re-plan counter.
+    /// `STATS <instance>` — per-instance planned vs. current statistics:
+    /// per-variable planned/current nnz, drift against the plan-time
+    /// snapshot, and the re-plan counter.
     Stats { instance: String },
     /// `SLOWLOG [n]` — the most recent (up to `n`, default 16) queries
     /// that crossed the slow threshold (`MATLANG_SLOW_MS`), each with its

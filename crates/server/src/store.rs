@@ -24,24 +24,22 @@
 //!   is reported on every `PREPARE` (wire token `fp=`) so clients can
 //!   tell which variant they got.
 //!
-//! # Observed-statistics feedback and adaptive re-planning
+//! # Drift re-planning
 //!
-//! Every `EXEC` cheaply harvests the executor's always-on per-node
-//! observations (actual output shape/nnz of every computed node,
-//! [`matlang_engine::Executor::observed_samples`]) into the instance's
-//! [`ObservedStats`] store.  Before executing, the store compares the
-//! instance's **current** per-variable nnz against the snapshot the
-//! active plan was built from: when any plan-referenced variable has
-//! drifted past the store's configured ratio
+//! A plan is built from the instance's statistics ([`InstanceStats`]: the
+//! input shapes and nnz) and nothing else.  Before executing, the store
+//! compares the instance's **current** per-variable nnz against the
+//! snapshot the active plan was built from: when any plan-referenced
+//! variable has drifted past the store's configured ratio
 //! ([`StoreConfigBuilder::replan_drift`](crate::StoreConfigBuilder::replan_drift),
-//! default 4×), the plan is transparently rebuilt from fresh statistics
-//! *plus* the observed store — chain association and dense/CSR representation choices re-derive
-//! from executed reality instead of stale estimates.  Each re-plan bumps
-//! the instance's stats generation, which is part of the plan-cache key,
-//! so stale plan variants cannot be resurrected by a later `PREPARE`.
-//! Re-planning never changes results — plans differ only in cost hints
-//! and association, which the engine's parity gates cover — it only
-//! changes how fast the next `EXEC` runs.
+//! default 4×), the plan is transparently rebuilt from fresh statistics,
+//! so chain association and dense/CSR representation choices re-derive
+//! from the inputs as they are now.  Each re-plan bumps the instance's
+//! stats generation, which is part of the plan-cache key, so stale plan
+//! variants cannot be resurrected by a later `PREPARE`.  Re-planning never
+//! changes results — plans differ only in cost hints and association,
+//! which the engine's parity gates cover — it only changes how fast the
+//! next `EXEC` runs.
 //!
 //! Each instance computes over one of the wire-selectable semirings
 //! ([`SemiringKind`], see [`ServerSemiring`]) and stores every matrix as a
@@ -76,7 +74,7 @@ use crate::persist::{self, Snapshot, Wal, WalRecord};
 use crate::protocol::{ExecStatsWire, GenKind, SemiringKind, SharedResult, WireResult};
 use matlang_core::{typecheck, Dim, Expr, FunctionRegistry, Instance, MatrixType, Schema};
 use matlang_engine::delta::{absorbs, join_is_idempotent, propagate, DeltaFallback, DeltaOverlay};
-use matlang_engine::{expr_fingerprint, Engine, Executor, InstanceStats, ObservedStats, Plan};
+use matlang_engine::{expr_fingerprint, Engine, Executor, InstanceStats, Plan};
 use matlang_matrix::{
     sparse_erdos_renyi, sparse_power_law, MatrixCodec, MatrixRepr, MatrixStorage, SparseMatrix,
 };
@@ -287,8 +285,8 @@ fn retract_wal_bytes(p: &mut Persistence) {
 
 /// Serializes an instance's durable content — dims and matrices, in the
 /// instance's deterministic name order — into a [`Snapshot`].  Runtime
-/// state (memo cache, overlays, plans, observed statistics) is deliberately
-/// absent: it rebuilds lazily after a restore.
+/// state (memo cache, overlays, plans) is deliberately absent: it rebuilds
+/// lazily after a restore.
 fn encode_snapshot<K: ServerSemiring>(state: &BackendState<K>, covered_seq: u64) -> Snapshot {
     let dims = state
         .instance
@@ -391,10 +389,6 @@ pub(crate) struct BackendState<K: ServerSemiring> {
     pub delta_patches: u64,
     /// Cumulative `UPDATE`s that fell back to invalidation.
     pub delta_fallbacks: u64,
-    /// Execution truth harvested from every `EXEC` that computed
-    /// something: actual per-node output shapes/nnz, consulted over the
-    /// cost model's estimates at (re-)planning time.
-    pub observed: ObservedStats,
     /// The statistics the active plan was built against — the baseline
     /// the drift check compares the current instance to.
     pub planned_stats: Option<InstanceStats>,
@@ -422,7 +416,6 @@ impl<K: ServerSemiring> Default for BackendState<K> {
             overlay: DeltaOverlay::new(0),
             delta_patches: 0,
             delta_fallbacks: 0,
-            observed: ObservedStats::default(),
             planned_stats: None,
             stats_generation: 0,
             replans: 0,
@@ -657,6 +650,13 @@ fn plan_key(prepared: &[PreparedQuery], stats: &InstanceStats, generation: u64) 
         p.fingerprint.hash(&mut key_hasher);
     }
     (key_hasher.finish(), stats.schema_fingerprint(), generation)
+}
+
+/// How far a variable's nnz moved from `planned` to `current`, as the ratio
+/// `(max + 1) / (min + 1)` — the `+ 1` keeps it finite through the
+/// empty ↔ dense flip that matters most.
+fn drift(planned: usize, current: usize) -> f64 {
+    (planned.max(current) as f64 + 1.0) / (planned.min(current) as f64 + 1.0)
 }
 
 /// A minimal LRU map for shared plans: a `HashMap` plus a monotonically
@@ -1381,9 +1381,7 @@ impl Store {
                 reused_plan = false;
                 matlang_obs::counter!("plan_cache_misses_total").inc();
                 let queries: Vec<Expr> = state.prepared.iter().map(|p| p.expr.clone()).collect();
-                let mut plan = self
-                    .engine
-                    .plan_with_stats::<K>(&queries, &stats, &state.observed);
+                let mut plan = self.engine.plan_with_stats::<K>(&queries, &stats);
                 // Every node is memoized: a prepared query re-executed on
                 // an unchanged instance is answered by one root-cache hit.
                 plan.mark_all_cacheable();
@@ -1434,9 +1432,8 @@ impl Store {
     /// per-variable statistics have drifted past the configured
     /// [`replan_drift`](StoreConfig::replan_drift) from
     /// the snapshot the active plan was built against.  The new plan is
-    /// built from fresh statistics plus the harvested [`ObservedStats`],
-    /// cached under the bumped stats generation, and starts with a cold
-    /// memo cache (node ids changed).
+    /// built from fresh statistics, cached under the bumped stats
+    /// generation, and starts with a cold memo cache (node ids changed).
     fn maybe_replan<K: ServerSemiring>(&self, state: &mut BackendState<K>) {
         let (Some(plan), Some(planned)) = (state.plan.as_ref(), state.planned_stats.as_ref())
         else {
@@ -1450,12 +1447,7 @@ impl Store {
                 continue;
             }
             let old = planned.vars.get(var).map(|s| s.nnz).unwrap_or(0);
-            let (hi, lo) = if cur.nnz >= old {
-                (cur.nnz, old)
-            } else {
-                (old, cur.nnz)
-            };
-            worst = worst.max((hi as f64 + 1.0) / (lo as f64 + 1.0));
+            worst = worst.max(drift(old, cur.nnz));
         }
         if worst <= self.config.replan_drift() {
             return;
@@ -1465,9 +1457,7 @@ impl Store {
         state.stats_generation += 1;
         state.replans += 1;
         let queries: Vec<Expr> = state.prepared.iter().map(|p| p.expr.clone()).collect();
-        let mut plan = self
-            .engine
-            .plan_with_stats::<K>(&queries, &current, &state.observed);
+        let mut plan = self.engine.plan_with_stats::<K>(&queries, &current);
         plan.mark_all_cacheable();
         let plan = Arc::new(plan);
         let key = plan_key(&state.prepared, &current, state.stats_generation);
@@ -1495,9 +1485,9 @@ impl Store {
                 return Err(ServerError::UnknownQueryId { qid });
             }
         }
-        // Feedback loop, closing half: when accumulated updates have
-        // drifted the instance's density past the threshold, rebuild the
-        // plan from current + observed statistics before executing.
+        // When accumulated updates have drifted the instance's density
+        // past the threshold, rebuild the plan from current statistics
+        // before executing.
         self.maybe_replan(state);
         let plan = state.plan.as_ref().expect("checked above");
         // Fold pending delta overlays into the cached bases the executor
@@ -1540,13 +1530,7 @@ impl Store {
                 }
             }
         }
-        // Feedback loop, harvesting half: absorb what execution actually
-        // produced.  A fully warm request computed nothing, so the absorb
-        // (and its per-node fingerprinting) is skipped on the hot path.
         let misses = exec.stats().cache_misses;
-        if misses > 0 {
-            state.observed.absorb(plan, exec.observed_samples());
-        }
         // Slow-query forensics: when this request crossed the slow
         // threshold, park the rewritten-DAG explain plus the per-node
         // observations for the session's trace guard to fold into the
@@ -1555,7 +1539,7 @@ impl Store {
         if let Some(elapsed_us) = spent_us {
             if elapsed_us >= self.config.slow_ms().saturating_mul(1_000) {
                 let mut detail = plan.explain();
-                for (id, sample) in exec.observed_samples().iter().enumerate() {
+                for (id, sample) in exec.samples().iter().enumerate() {
                     if sample.computed == 0 && sample.hits == 0 {
                         continue;
                     }
@@ -1853,10 +1837,7 @@ impl Store {
                     message: e.to_string(),
                 })?;
             let total_us = timer.elapsed().as_micros() as u64;
-            let samples = exec
-                .profile_samples()
-                .expect("profiling was requested")
-                .to_vec();
+            let samples = exec.samples();
             let stats = exec.stats();
             let mut lines = vec![format!(
                 "instance {name} backend={BACKEND} semiring={semiring} total_us={total_us}"
@@ -1884,13 +1865,11 @@ impl Store {
         })
     }
 
-    /// Reports an instance's observed-vs-planned statistics — the `STATS`
+    /// Reports an instance's planned-vs-current statistics — the `STATS`
     /// wire block.  One header line with the re-plan counters and the
     /// worst current drift, then one line per instance variable comparing
-    /// the nnz the active plan was built against (`planned_nnz`), the
-    /// instance's current nnz, and the last *executed* observation
-    /// (`observed_nnz`, `-` before the variable is first computed), and a
-    /// final line counting interior-node observations.
+    /// the nnz the active plan was built against (`planned_nnz`, `-` before
+    /// anything is prepared) with the instance's current nnz.
     pub fn stats(&self, name: &str) -> Result<Vec<String>, ServerError> {
         let instance = self.instance(name)?;
         let guard = instance.lock().expect("instance poisoned");
@@ -1911,40 +1890,27 @@ impl Store {
                     .as_ref()
                     .and_then(|s| s.vars.get(var))
                     .map(|s| s.nnz);
-                let old = planned.unwrap_or(0);
-                let (hi, lo) = if cur.nnz >= old {
-                    (cur.nnz, old)
-                } else {
-                    (old, cur.nnz)
-                };
-                let drift = (hi as f64 + 1.0) / (lo as f64 + 1.0);
+                let drift = drift(planned.unwrap_or(0), cur.nnz);
                 let is_referenced = referenced(var);
                 if is_referenced {
                     worst = worst.max(drift);
                 }
                 var_lines.push(format!(
-                    "var {var} shape={}x{} planned_nnz={} current_nnz={} observed_nnz={} drift={drift:.2} referenced={}",
+                    "var {var} shape={}x{} planned_nnz={} current_nnz={} drift={drift:.2} referenced={}",
                     cur.rows,
                     cur.cols,
                     planned.map_or_else(|| "-".to_string(), |n| n.to_string()),
                     cur.nnz,
-                    state
-                        .observed
-                        .vars
-                        .get(var)
-                        .map_or_else(|| "-".to_string(), |s| s.nnz.to_string()),
                     if is_referenced { "yes" } else { "no" },
                 ));
             }
             let mut lines = vec![format!(
-                "instance {name} backend={BACKEND} semiring={semiring} generation={} replans={} executions={} drift={worst:.2} threshold={:.2}",
+                "instance {name} backend={BACKEND} semiring={semiring} generation={} replans={} drift={worst:.2} threshold={:.2}",
                 state.stats_generation,
                 state.replans,
-                state.observed.executions,
                 self.config.replan_drift(),
             )];
             lines.append(&mut var_lines);
-            lines.push(format!("observed nodes={}", state.observed.nodes.len()));
             Ok(lines)
         })
     }
@@ -2719,7 +2685,7 @@ mod tests {
         let lines = store.stats("g").unwrap();
         assert!(
             lines[0].starts_with(
-                "instance g backend=adaptive semiring=real generation=0 replans=0 executions=1"
+                "instance g backend=adaptive semiring=real generation=0 replans=0 drift="
             ),
             "header: {}",
             lines[0]
@@ -2733,16 +2699,15 @@ mod tests {
             g_line.contains("shape=4x4")
                 && g_line.contains("planned_nnz=4")
                 && g_line.contains("current_nnz=4")
-                && g_line.contains("observed_nnz=4")
+                && g_line.contains("drift=1.00")
                 && g_line.contains("referenced=yes"),
             "var line: {g_line}"
         );
-        let footer = lines.last().unwrap();
-        let nodes: usize = footer
-            .strip_prefix("observed nodes=")
-            .and_then(|n| n.parse().ok())
-            .unwrap_or_else(|| panic!("footer: {footer}"));
-        assert!(nodes > 0, "the executed DAG must leave node observations");
+        assert_eq!(
+            lines.len(),
+            2,
+            "a header and one line per variable: {lines:?}"
+        );
         assert!(matches!(
             store.stats("missing"),
             Err(ServerError::UnknownInstance { .. })

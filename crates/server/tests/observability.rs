@@ -286,13 +286,9 @@ fn stats_reports_the_feedback_state_over_the_wire() {
     );
     assert!(
         lines.iter().any(|l| l.starts_with("var G ")
-            && l.contains("observed_nnz=4")
+            && l.contains("current_nnz=4")
             && l.contains("referenced=yes")),
-        "missing observed var line in {lines:?}"
-    );
-    assert!(
-        lines.last().unwrap().starts_with("observed nodes="),
-        "missing footer in {lines:?}"
+        "missing var line in {lines:?}"
     );
     assert!(client.stats("missing").is_err());
     handle.shutdown();

@@ -65,8 +65,8 @@ fn timing_guard_drift_replanned_exec_beats_the_stale_plan_2x() {
     let text = "((A * B) * v)";
     let stale_qid = stale.prepare("s", text).unwrap().qid;
     let fresh_qid = fresh.prepare("f", text).unwrap().qid;
-    // Warm once while A is ~empty so observations are harvested against
-    // the sparse regime the plan was built for.
+    // Warm once while A is ~empty, the sparse regime both plans were
+    // built for.
     stale.exec("s", &[stale_qid]).unwrap();
     fresh.exec("f", &[fresh_qid]).unwrap();
 

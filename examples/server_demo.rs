@@ -175,8 +175,8 @@ fn main() {
          plan_cache_hits_total={plan_hits}"
     );
 
-    // STATS: the feedback loop's view of instance `g` — planned vs.
-    // current vs. observed nnz per variable, drift, re-plan counters.
+    // STATS: the drift check's view of instance `g` — planned vs.
+    // current nnz per variable, drift, re-plan counters.
     let stats = client.stats("g").unwrap();
     println!("\nSTATS g:");
     for line in stats.iter().take(6) {

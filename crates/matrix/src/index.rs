@@ -17,10 +17,10 @@
 //! here, so `1 ⊗ x` also stands for the product's `x ⊗ 1`.)  Each shape
 //! error is the one the unfused product raises first.
 //!
-//! [`MatrixStorage`]'s defaults for these methods *are* the unfused
-//! products against [`MatrixStorage::canonical`], so any backend is correct
-//! by construction; [`Matrix`], [`SparseMatrix`] and [`MatrixRepr`]
-//! override them with the kernels below.
+//! [`MatrixStorage`] requires each of them to equal the unfused product
+//! against [`MatrixStorage::canonical`] (the `index_kernels` suite computes
+//! both); [`Matrix`] and [`MatrixRepr`] implement them with the kernels
+//! below, the CSR ones running under `MatrixRepr::Sparse`.
 //!
 //! Two of them also come in the forms a loop's executor wants.  An entry
 //! read, `select_entry`, returns the value of the `1 × 1` selection

@@ -2,28 +2,31 @@
 //!
 //! MATLANG instances assign concrete matrices to matrix variables
 //! (`mat : M ↦ Mat[K]`, Section 2 and Section 6.1 of the paper).  This crate
-//! provides that `Mat[K]` in three interchangeable representations:
+//! provides that `Mat[K]` in two interchangeable storage backends:
 //!
 //! * [`Matrix`] — dense, row-major storage with every operation the MATLANG
 //!   evaluator and the paper's algorithms need (transpose, matrix product,
 //!   addition, Hadamard product, scalar multiplication, canonical vectors,
 //!   ones vectors, diagonalization, trace, permutation matrices, and the
-//!   order matrices `S≤`/`S<` of Section 3.2);
-//! * [`SparseMatrix`] — compressed sparse row (CSR) storage whose kernels
-//!   cost `O(nnz)` instead of `O(rows × cols)`, the natural fit for graph
-//!   adjacency matrices;
+//!   order matrices `S≤`/`S<` of Section 3.2) — the reference backend;
 //! * [`MatrixRepr`] — the adaptive representation that picks dense or CSR
-//!   per result via a density threshold, used by the backend-aware
-//!   evaluator in `matlang_core`; its matrix product dispatches mixed
+//!   per result via a density threshold, used by `SparseInstance`, the
+//!   engine and the query server; its matrix product dispatches mixed
 //!   sparse·dense / dense·sparse operand pairs to the `O(nnz)`-aware
 //!   kernels in [`mixed`] instead of promoting the sparse side.
+//!
+//! [`SparseMatrix`] is compressed sparse row (CSR) storage whose kernels
+//! cost `O(nnz)` instead of `O(rows × cols)`, the natural fit for graph
+//! adjacency matrices.  It is not a backend of its own: its kernels are
+//! inherent methods that `MatrixRepr::Sparse` runs, and it is the layout
+//! of instance loads, generated graphs and delta overlays.
 //!
 //! Every kernel runs on the calling thread: concurrency is the caller's
 //! business (the query server runs one request per session worker).
 //!
 //! The [`MatrixStorage`] trait is the common interface: anything generic
 //! over it (the evaluator, the graph algorithms, the RA⁺_K and WL
-//! translations) runs on any of the three backends unchanged.
+//! translations) runs on either backend unchanged.
 
 #![forbid(unsafe_code)]
 

@@ -13,11 +13,12 @@
 //! The payload starts with a one-byte representation tag, so an adaptive
 //! [`MatrixRepr`] restores into the *same* variant it was saved from (no
 //! re-normalization on load — a restore must not change performance
-//! characteristics behind the caller's back).  The single-layout decoders
-//! of [`Matrix`] and [`SparseMatrix`] accept only their own tag: a
-//! conversion would size its allocation from the other layout's header,
-//! which the payload's bytes do not bound (a 41-byte CSR header can
-//! declare a 2⁴⁰-entry dense matrix).
+//! characteristics behind the caller's back).  [`MatrixCodec`] has the
+//! same two implementers as [`MatrixStorage`]: [`MatrixRepr`] reads
+//! either tag, and the dense [`Matrix`] decoder accepts only its own — a
+//! conversion would size its allocation from the CSR header, which the
+//! payload's bytes do not bound (a 41-byte CSR header can declare a
+//! 2⁴⁰-entry dense matrix).
 //!
 //! Framing, checksums and file atomicity live a layer up in the server's
 //! persistence module; this module is only the `matrix bytes ⇄ matrix`
@@ -262,19 +263,6 @@ impl<K: Semiring> MatrixCodec for Matrix<K> {
     }
 }
 
-impl<K: Semiring> MatrixCodec for SparseMatrix<K> {
-    fn encode_matrix(&self, out: &mut Vec<u8>) {
-        encode_sparse(self, out);
-    }
-
-    fn decode_matrix(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        match read_u8(buf)? {
-            TAG_SPARSE => decode_sparse_body(buf),
-            tag => Err(wrong_tag(tag, "csr")),
-        }
-    }
-}
-
 impl<K: Semiring> MatrixCodec for MatrixRepr<K> {
     fn encode_matrix(&self, out: &mut Vec<u8>) {
         match self {
@@ -338,7 +326,9 @@ mod tests {
     #[test]
     fn csr_roundtrips_with_identical_raw_arrays() {
         let m = sample_sparse::<Real>();
-        let back = roundtrip(&m);
+        let MatrixRepr::Sparse(back) = roundtrip(&MatrixRepr::Sparse(m.clone())) else {
+            panic!("a CSR payload restores as CSR");
+        };
         assert_eq!(back.csr_indptr(), m.csr_indptr());
         assert_eq!(back.csr_indices(), m.csr_indices());
         assert_eq!(back, m);
@@ -358,6 +348,7 @@ mod tests {
             ],
         )
         .unwrap();
+        let m = MatrixRepr::Sparse(m);
         assert_eq!(roundtrip(&m), m);
         assert_eq!(roundtrip(&m.to_dense()), m.to_dense());
     }
@@ -371,16 +362,13 @@ mod tests {
         assert_eq!(roundtrip(&sparse), sparse);
     }
 
-    /// Each single-layout decoder refuses the other layout's tag instead
-    /// of converting — including the 41-byte CSR header (1 row, 2⁴⁰
-    /// columns, no entries) whose dense form would be an 8 TiB allocation.
+    /// The dense decoder refuses a CSR tag instead of converting —
+    /// including the 41-byte CSR header (1 row, 2⁴⁰ columns, no entries)
+    /// whose dense form would be an 8 TiB allocation.
     #[test]
     fn decoders_reject_the_other_tag() {
-        let sparse = sample_sparse::<Real>();
         let mut csr_bytes = Vec::new();
-        sparse.encode_matrix(&mut csr_bytes);
-        let mut dense_bytes = Vec::new();
-        sparse.to_dense().encode_matrix(&mut dense_bytes);
+        MatrixRepr::Sparse(sample_sparse::<Real>()).encode_matrix(&mut csr_bytes);
         let mut huge = vec![TAG_SPARSE];
         for word in [1u64, 1 << 40, 0, 0, 0] {
             huge.extend_from_slice(&word.to_le_bytes());
@@ -399,17 +387,13 @@ mod tests {
                 Err(CodecError::Corrupt(_))
             ));
         }
-        assert!(matches!(
-            SparseMatrix::<Real>::decode_matrix(&mut dense_bytes.as_slice()),
-            Err(CodecError::Corrupt(_))
-        ));
     }
 
     #[test]
     fn empty_and_degenerate_shapes_roundtrip() {
-        let empty = SparseMatrix::<Real>::zeros(0, 0);
+        let empty = MatrixRepr::Sparse(SparseMatrix::<Real>::zeros(0, 0));
         assert_eq!(roundtrip(&empty), empty);
-        let tall = SparseMatrix::<Real>::zeros(5, 0);
+        let tall = MatrixRepr::Sparse(SparseMatrix::<Real>::zeros(5, 0));
         assert_eq!(roundtrip(&tall), tall);
         let dense_empty = Matrix::<Real>::zeros(0, 3);
         assert_eq!(roundtrip(&dense_empty), dense_empty);
@@ -417,12 +401,12 @@ mod tests {
 
     #[test]
     fn truncated_payloads_report_truncation() {
-        let m = sample_sparse::<Real>();
+        let m = MatrixRepr::Sparse(sample_sparse::<Real>());
         let mut bytes = Vec::new();
         m.encode_matrix(&mut bytes);
         for cut in [0, 1, 9, bytes.len() / 2, bytes.len() - 1] {
             let mut cursor = &bytes[..cut];
-            let err = SparseMatrix::<Real>::decode_matrix(&mut cursor).unwrap_err();
+            let err = MatrixRepr::<Real>::decode_matrix(&mut cursor).unwrap_err();
             assert!(
                 matches!(err, CodecError::Truncated { .. }),
                 "cut at {cut} gave {err:?}"
@@ -493,13 +477,13 @@ mod tests {
     fn corrupt_structure_is_rejected_not_panicked() {
         let m = sample_sparse::<Real>();
         let mut bytes = Vec::new();
-        m.encode_matrix(&mut bytes);
+        MatrixRepr::Sparse(m.clone()).encode_matrix(&mut bytes);
 
         // Bad tag.
         let mut bad_tag = bytes.clone();
         bad_tag[0] = 9;
         assert!(matches!(
-            SparseMatrix::<Real>::decode_matrix(&mut bad_tag.as_slice()),
+            MatrixRepr::<Real>::decode_matrix(&mut bad_tag.as_slice()),
             Err(CodecError::Corrupt(_))
         ));
 
@@ -508,7 +492,7 @@ mod tests {
         let off = 1 + 24 + 8;
         bad_indptr[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            SparseMatrix::<Real>::decode_matrix(&mut bad_indptr.as_slice()),
+            MatrixRepr::<Real>::decode_matrix(&mut bad_indptr.as_slice()),
             Err(CodecError::Corrupt(_))
         ));
 

@@ -585,6 +585,41 @@ impl<K: Semiring> SparseMatrix<K> {
         Ok(out)
     }
 
+    /// `self · delta` for a small sparse `delta` — the delta rule
+    /// `Δ(A·B) = A·ΔB`.  Each row of `self` is binary-searched for the
+    /// delta's row indices, costing `O(rows · Δnnz · log degree)`:
+    /// independent of `self`'s total `nnz` per delta entry.
+    pub fn matmul_delta_post(&self, delta: &SparseMatrix<K>) -> Result<SparseMatrix<K>> {
+        if self.cols != delta.rows {
+            return Err(MatrixError::InnerDimensionMismatch {
+                left: self.shape(),
+                right: delta.shape(),
+            });
+        }
+        let entries: Vec<(usize, usize, &K)> = delta.iter_entries().collect();
+        let mut out = CsrBuilder::new(self.rows, delta.cols, entries.len().max(1));
+        let mut acc: Vec<(usize, K)> = Vec::new();
+        for i in 0..self.rows {
+            let (cols_i, vals_i) = self.row_slices(i);
+            acc.clear();
+            for &(k, j, dv) in &entries {
+                if let Ok(pos) = cols_i.binary_search(&k) {
+                    let term = vals_i[pos].mul(dv);
+                    match acc.iter_mut().find(|(jj, _)| *jj == j) {
+                        Some((_, a)) => *a = a.add(&term),
+                        None => acc.push((j, term)),
+                    }
+                }
+            }
+            acc.sort_by_key(|&(j, _)| j);
+            for (j, v) in acc.drain(..) {
+                out.push(j, v);
+            }
+            out.finish_row();
+        }
+        Ok(out.build())
+    }
+
     /// Sparse matrix–vector product against a dense vector: `A · x` with `x`
     /// given as a slice of length `cols`.  `O(nnz)` semiring operations.
     pub fn matvec(&self, x: &[K]) -> Result<Vec<K>> {

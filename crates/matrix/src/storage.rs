@@ -1,5 +1,5 @@
 //! The storage abstraction behind the evaluator: a common interface over
-//! dense, sparse and adaptive matrix representations.
+//! the dense and the adaptive matrix representation.
 //!
 //! The MATLANG semantics of Sections 2, 3 and 6 only ever manipulate
 //! matrices through a fixed operation set (transpose, product, addition,
@@ -7,14 +7,14 @@
 //! vectors and pointwise function application).  [`MatrixStorage`] captures
 //! exactly that set, so the evaluator in `matlang_core` — and everything
 //! built on it (graph algorithms, the RA⁺_K and WL translations) — is
-//! generic over the backing representation:
+//! generic over the backing representation.  It has two implementers:
 //!
-//! * [`Matrix`] — dense row-major storage, the seed implementation;
-//! * [`SparseMatrix`] — CSR storage, `O(nnz)` kernels;
-//! * [`MatrixRepr`] — adaptive storage that picks a representation per
-//!   result using a density threshold.
+//! * [`Matrix`] — dense row-major storage, the reference every parity
+//!   suite compares against;
+//! * [`MatrixRepr`] — adaptive storage that picks dense or CSR per result
+//!   using a density threshold; its `Sparse` arms call the inherent CSR
+//!   kernels of [`SparseMatrix`], which the suites test through them.
 
-use crate::index::stored_or_zero;
 use crate::repr::MatrixRepr;
 use crate::sparse::SparseMatrix;
 use crate::{Canonical, Matrix, Result};
@@ -23,8 +23,8 @@ use std::fmt::Debug;
 
 /// A matrix representation the MATLANG evaluator can run on.
 ///
-/// Implementations must agree exactly: for any two backends `A` and `B` and
-/// any operation below, converting the operands with
+/// Implemented by [`Matrix`] and [`MatrixRepr`].  The two must agree
+/// exactly: for any operation below, converting the operands with
 /// [`from_dense`](MatrixStorage::from_dense), applying the operation, and
 /// converting back with [`to_dense`](MatrixStorage::to_dense) must produce
 /// identical dense matrices (the property suites in `crates/matrix/tests`
@@ -105,14 +105,12 @@ pub trait MatrixStorage: Clone + PartialEq + Debug + Send + Sync + Sized + 'stat
         }
     }
 
-    /// Heap bytes held by this matrix's backing buffers — exact per
-    /// backend (`rows·cols·size_of::<K>()` dense; `indptr`/`indices`/
-    /// `values` for CSR; the active variant for the adaptive wrapper) and
-    /// O(1), so resource accounting can re-read it on every mutation.
-    /// The conservative default prices the dense layout.
-    fn heap_bytes(&self) -> usize {
-        self.rows() * self.cols() * std::mem::size_of::<Self::Elem>()
-    }
+    /// Heap bytes held by this matrix's backing buffers — exact
+    /// (`rows·cols·size_of::<K>()` dense; `indptr`/`indices`/`values` for
+    /// CSR; the active variant for the adaptive wrapper) and O(1), so
+    /// resource accounting can re-read it on every mutation
+    /// (`storage::tests::heap_bytes_exact_per_backend`).
+    fn heap_bytes(&self) -> usize;
 
     /// Visits every non-zero entry as `(row, col, &value)` in row-major
     /// order, without materialising them — what a consumer that streams
@@ -165,29 +163,27 @@ pub trait MatrixStorage: Clone + PartialEq + Debug + Send + Sync + Sized + 'stat
     /// Fused `diag(scale) · self` for an `n × 1` vector `scale` — the
     /// kernel behind the planner's diag-pushdown rewrite, which turns
     /// `diag(v) · A` into a row scaling instead of materializing the
-    /// `n × n` diagonal and multiplying.  Implementations must agree
-    /// exactly with the default (diagonalize, then multiply), including
-    /// the error cases and their order: a non-vector `scale` fails like
+    /// `n × n` diagonal and multiplying.  It must equal
+    /// `scale.diag()?.matmul(self)`, including the error cases and their
+    /// order: a non-vector `scale` fails like
     /// [`diag`](MatrixStorage::diag), a row-count mismatch fails like the
-    /// product would.
-    fn scale_rows(&self, scale: &Self) -> Result<Self> {
-        scale.diag()?.matmul(self)
-    }
+    /// product would (`storage::tests::backend_agreement`).
+    fn scale_rows(&self, scale: &Self) -> Result<Self>;
 
     /// Fused `self · diag(scale)` for an `m × 1` vector `scale`: the
-    /// column-scaling mirror of [`scale_rows`](MatrixStorage::scale_rows),
-    /// with the same agreement requirements.
-    fn scale_cols(&self, scale: &Self) -> Result<Self> {
-        self.matmul(&scale.diag()?)
-    }
+    /// column-scaling mirror of [`scale_rows`](MatrixStorage::scale_rows).
+    /// It must equal `self.matmul(&scale.diag()?)`, errors included
+    /// (`storage::tests::backend_agreement`).
+    fn scale_cols(&self, scale: &Self) -> Result<Self>;
 
     /// Fused `(self · other) ∘ mask` — the kernel behind the planner's
     /// masked-product rewrite of a Hadamard product whose operand is a
     /// matrix product nothing else reads.  Implementations must agree
     /// exactly with the default (multiply, then mask), including the two
-    /// shape errors and their order; CSR storage overrides it with a pass
-    /// that accumulates only at the mask's stored positions and never
-    /// builds the product.
+    /// shape errors and their order.  Dense storage keeps the default;
+    /// [`MatrixRepr`] overrides it for three CSR operands with a pass that
+    /// accumulates only at the mask's stored positions and never builds
+    /// the product.
     fn matmul_masked(&self, other: &Self, mask: &Self) -> Result<Self> {
         self.matmul(other)?.hadamard(mask)
     }
@@ -195,101 +191,56 @@ pub trait MatrixStorage: Clone + PartialEq + Debug + Send + Sync + Sized + 'stat
     /// `bᵢᵀ·self`, `self·bⱼ` or `bᵢᵀ·self·bⱼ` for canonical vectors `bᵢ`,
     /// `bⱼ` (either absent): a row, a column or one entry of `self` — the
     /// kernel behind the planner's loop-index lowering (see
-    /// [`crate::index`]).  The default is the unfused product, so every
-    /// backend is correct by construction; overrides must agree with it
-    /// entry for entry, error for error.
-    fn select(&self, row: Option<Canonical>, col: Option<Canonical>) -> Result<Self> {
-        let mut out = match row {
-            Some(r) => r.vector::<Self>().transpose().matmul(self)?,
-            None => self.clone(),
-        };
-        if let Some(c) = col {
-            out = out.matmul(&c.vector())?;
-        }
-        Ok(out)
-    }
+    /// [`crate::index`]).  It must equal the unfused product with
+    /// [`Canonical::vector`], entry for entry and error for error
+    /// (`index_kernels`).
+    fn select(&self, row: Option<Canonical>, col: Option<Canonical>) -> Result<Self>;
 
     /// `bᵢ·self` for a `1 × m` row, `self·bⱼᵀ` for an `n × 1` column (or
     /// `bᵢ·self·bⱼᵀ` for a scalar — the unit matrix when it is one): the
     /// operand placed as row `i`, column `j` or entry `(i, j)` of a zero
-    /// matrix.  Default: the unfused product, as for
-    /// [`select`](MatrixStorage::select).
-    fn place(&self, row: Option<Canonical>, col: Option<Canonical>) -> Result<Self> {
-        let mut out = match row {
-            Some(r) => r.vector::<Self>().matmul(self)?,
-            None => self.clone(),
-        };
-        if let Some(c) = col {
-            out = out.matmul(&c.vector::<Self>().transpose())?;
-        }
-        Ok(out)
-    }
+    /// matrix.  It must equal the unfused product (`index_kernels`).
+    fn place(&self, row: Option<Canonical>, col: Option<Canonical>) -> Result<Self>;
 
-    /// The point update `self + scalar × (bᵢ·bⱼᵀ)`.  Default: the unfused
-    /// expression.
-    fn point_update(&self, scalar: &Self::Elem, row: Canonical, col: Canonical) -> Result<Self> {
-        let unit = row
-            .vector::<Self>()
-            .matmul(&col.vector::<Self>().transpose())?;
-        self.add(&unit.scalar_mul(scalar))
-    }
+    /// The point update `self + scalar × (bᵢ·bⱼᵀ)`.  It must equal the
+    /// unfused expression (`index_kernels`).
+    fn point_update(&self, scalar: &Self::Elem, row: Canonical, col: Canonical) -> Result<Self>;
 
     /// [`point_update`](MatrixStorage::point_update) written into `self`
     /// — what lets a loop's accumulator take its point update without a
-    /// copy.  Default: the kernel, assigned.
+    /// copy.  It must equal `point_update`'s result, assigned
+    /// (`scalar_kernels`).
     fn point_update_in_place(
         &mut self,
         scalar: &Self::Elem,
         row: Canonical,
         col: Canonical,
-    ) -> Result<()> {
-        *self = self.point_update(scalar, row, col)?;
-        Ok(())
-    }
+    ) -> Result<()>;
 
-    /// [`add`](MatrixStorage::add) written into `self`.  Default: the
-    /// kernel, assigned.
-    fn add_in_place(&mut self, other: &Self) -> Result<()> {
-        *self = self.add(other)?;
-        Ok(())
-    }
+    /// [`add`](MatrixStorage::add) written into `self`.  It must equal
+    /// `add`'s result, assigned (`scalar_kernels`).
+    fn add_in_place(&mut self, other: &Self) -> Result<()>;
 
     // `1 × 1` values unboxed.  A caller may hold `k` in place of
-    // `Self::scalar(k)`; the hooks below compute on such `k`s what the
-    // kernels compute on the boxed values — as the defaults literally do,
-    // reading the `1 × 1` result back with `as_scalar` — so a backend whose
-    // `1 × 1` results are `Self::scalar` of their value is correct without
-    // overriding any of them.  Overrides must agree with the defaults bit
-    // for bit, errors included.
+    // `Self::scalar(k)`; the hooks below must compute on such `k`s what the
+    // kernels compute on the boxed values, reading the `1 × 1` result back
+    // with `as_scalar` — bit for bit, errors included (`scalar_kernels`).
 
-    /// `Some(k)` when `self` *is* `Self::scalar(k)`: same shape,
-    /// representation and entry.  Default: never.
-    fn unboxed_scalar(&self) -> Option<Self::Elem> {
-        None
-    }
+    /// `Some(k)` only when `self` *is* `Self::scalar(k)`: same shape,
+    /// representation and entry.
+    fn unboxed_scalar(&self) -> Option<Self::Elem>;
 
-    /// `bᵢᵀ·self·bⱼ` unboxed: the value of
+    /// `bᵢᵀ·self·bⱼ` unboxed: it must equal the value of
     /// [`select`](MatrixStorage::select)'s `1 × 1` result.
-    fn select_entry(&self, row: Canonical, col: Canonical) -> Result<Self::Elem> {
-        self.select(Some(row), Some(col))?.as_scalar()
-    }
+    fn select_entry(&self, row: Canonical, col: Canonical) -> Result<Self::Elem>;
 
     /// The product of `Self::scalar(left)` and `Self::scalar(right)`,
-    /// unboxed.
-    fn scalar_product(left: &Self::Elem, right: &Self::Elem) -> Self::Elem {
-        Self::scalar(left.clone())
-            .matmul(&Self::scalar(right.clone()))
-            .and_then(|product| product.as_scalar())
-            .expect("1 × 1 operands")
-    }
+    /// unboxed: it must equal that `matmul`'s `as_scalar`.
+    fn scalar_product(left: &Self::Elem, right: &Self::Elem) -> Self::Elem;
 
-    /// The sum of `Self::scalar(left)` and `Self::scalar(right)`, unboxed.
-    fn scalar_sum(left: &Self::Elem, right: &Self::Elem) -> Self::Elem {
-        Self::scalar(left.clone())
-            .add(&Self::scalar(right.clone()))
-            .and_then(|sum| sum.as_scalar())
-            .expect("1 × 1 operands")
-    }
+    /// The sum of `Self::scalar(left)` and `Self::scalar(right)`, unboxed:
+    /// it must equal that `add`'s `as_scalar`.
+    fn scalar_sum(left: &Self::Elem, right: &Self::Elem) -> Self::Elem;
 
     /// The trace of a square matrix.
     fn trace(&self) -> Result<Self::Elem>;
@@ -314,8 +265,8 @@ pub trait MatrixStorage: Clone + PartialEq + Debug + Send + Sync + Sized + 'stat
     /// value; under an idempotent `⊕` and an insert-only update it equals
     /// full recomputation.  The default goes entry by entry through
     /// [`get_entry`](MatrixStorage::get_entry)/[`set_entry`](MatrixStorage::set_entry)
-    /// (right for dense storage); CSR overrides with one `O(nnz + Δ)`
-    /// two-pointer merge.
+    /// (right for dense storage); [`MatrixRepr`]'s CSR arm is one
+    /// `O(nnz + Δ)` two-pointer merge.
     fn apply_delta(&self, delta: &SparseMatrix<Self::Elem>) -> Result<Self> {
         if self.shape() != delta.shape() {
             return Err(crate::MatrixError::ShapeMismatch {
@@ -335,27 +286,23 @@ pub trait MatrixStorage: Clone + PartialEq + Debug + Send + Sync + Sized + 'stat
     /// Sparse-delta × matrix product `delta · self`, returned sparse.
     /// For a point update this is the `Δ(A·B) = ΔA·B` rule: only the
     /// delta's few rows of the product are recomputed, costing
-    /// `O(Δnnz · row-degree)` instead of a full product.  Backends override
-    /// the (correct but densifying) default.
+    /// `O(Δnnz · row-degree)` instead of a full product.  It must equal
+    /// the full product against the densified delta, errors included
+    /// (`storage::tests::delta_kernel_agreement`).
     fn matmul_delta_pre(
         &self,
         delta: &SparseMatrix<Self::Elem>,
-    ) -> Result<SparseMatrix<Self::Elem>> {
-        delta.matmul(&SparseMatrix::from_dense(&self.to_dense()))
-    }
+    ) -> Result<SparseMatrix<Self::Elem>>;
 
     /// Matrix × sparse-delta product `self · delta`, returned sparse —
-    /// the mirror rule `Δ(A·B) = A·ΔB`.  The CSR override binary-searches
-    /// each stored row of `self` for the delta's row indices, costing
-    /// `O(rows · Δnnz · log degree)` — independent of `self`'s total `nnz`
-    /// per delta entry — which is what makes point-update propagation
-    /// through a big product cheap.
+    /// the mirror rule `Δ(A·B) = A·ΔB`, cheap through a big CSR product
+    /// ([`SparseMatrix::matmul_delta_post`]).  It must equal the full
+    /// product against the densified delta, errors included
+    /// (`storage::tests::delta_kernel_agreement`).
     fn matmul_delta_post(
         &self,
         delta: &SparseMatrix<Self::Elem>,
-    ) -> Result<SparseMatrix<Self::Elem>> {
-        SparseMatrix::from_dense(&self.to_dense()).matmul(delta)
-    }
+    ) -> Result<SparseMatrix<Self::Elem>>;
 }
 
 impl<K: Semiring> MatrixStorage for Matrix<K> {
@@ -580,214 +527,6 @@ impl<K: Semiring> MatrixStorage for Matrix<K> {
     }
 }
 
-impl<K: Semiring> MatrixStorage for SparseMatrix<K> {
-    type Elem = K;
-
-    fn zeros(rows: usize, cols: usize) -> Self {
-        SparseMatrix::zeros(rows, cols)
-    }
-
-    fn identity(n: usize) -> Self {
-        SparseMatrix::identity(n)
-    }
-
-    fn scalar(value: K) -> Self {
-        SparseMatrix::scalar(value)
-    }
-
-    fn ones_vector(n: usize) -> Self {
-        SparseMatrix::ones_vector(n)
-    }
-
-    fn canonical(n: usize, i: usize) -> Result<Self> {
-        SparseMatrix::canonical(n, i)
-    }
-
-    fn from_dense(dense: Matrix<K>) -> Self {
-        SparseMatrix::from_dense(&dense)
-    }
-
-    fn from_sparse(sparse: SparseMatrix<K>) -> Self {
-        sparse
-    }
-
-    fn to_dense(&self) -> Matrix<K> {
-        SparseMatrix::to_dense(self)
-    }
-
-    fn rows(&self) -> usize {
-        SparseMatrix::rows(self)
-    }
-
-    fn cols(&self) -> usize {
-        SparseMatrix::cols(self)
-    }
-
-    fn as_scalar(&self) -> Result<K> {
-        SparseMatrix::as_scalar(self)
-    }
-
-    fn nnz(&self) -> usize {
-        SparseMatrix::nnz(self)
-    }
-
-    fn heap_bytes(&self) -> usize {
-        SparseMatrix::heap_bytes(self)
-    }
-
-    fn for_each_nonzero(&self, mut f: impl FnMut(usize, usize, &K)) {
-        self.iter_entries().for_each(|(i, j, v)| f(i, j, v));
-    }
-
-    fn transpose(&self) -> Self {
-        SparseMatrix::transpose(self)
-    }
-
-    fn add(&self, other: &Self) -> Result<Self> {
-        SparseMatrix::add(self, other)
-    }
-
-    fn matmul(&self, other: &Self) -> Result<Self> {
-        SparseMatrix::matmul(self, other)
-    }
-
-    fn hadamard(&self, other: &Self) -> Result<Self> {
-        SparseMatrix::hadamard(self, other)
-    }
-
-    fn set_entry(&mut self, row: usize, col: usize, value: K) -> Result<()> {
-        SparseMatrix::set_entry(self, row, col, value)
-    }
-
-    fn scalar_mul(&self, scalar: &K) -> Self {
-        SparseMatrix::scalar_mul(self, scalar)
-    }
-
-    fn diag(&self) -> Result<Self> {
-        SparseMatrix::diag(self)
-    }
-
-    fn scale_rows(&self, scale: &Self) -> Result<Self> {
-        SparseMatrix::scale_rows(self, scale)
-    }
-
-    fn scale_cols(&self, scale: &Self) -> Result<Self> {
-        SparseMatrix::scale_cols(self, scale)
-    }
-
-    fn matmul_masked(&self, other: &Self, mask: &Self) -> Result<Self> {
-        SparseMatrix::matmul_masked(self, other, mask)
-    }
-
-    fn select(&self, row: Option<Canonical>, col: Option<Canonical>) -> Result<Self> {
-        SparseMatrix::select(self, row, col)
-    }
-
-    fn place(&self, row: Option<Canonical>, col: Option<Canonical>) -> Result<Self> {
-        SparseMatrix::place(self, row, col)
-    }
-
-    fn point_update(&self, scalar: &K, row: Canonical, col: Canonical) -> Result<Self> {
-        let mut out = self.clone();
-        SparseMatrix::point_update_in_place(&mut out, scalar, row, col)?;
-        Ok(out)
-    }
-
-    fn point_update_in_place(&mut self, scalar: &K, row: Canonical, col: Canonical) -> Result<()> {
-        SparseMatrix::point_update_in_place(self, scalar, row, col)
-    }
-
-    // `add_in_place` keeps the default: a CSR merge writes new arrays.
-
-    fn unboxed_scalar(&self) -> Option<K> {
-        SparseMatrix::as_scalar(self).ok()
-    }
-
-    fn select_entry(&self, row: Canonical, col: Canonical) -> Result<K> {
-        SparseMatrix::select_entry(self, row, col)
-    }
-
-    // A zero operand is an absent entry, and a zero result is dropped.
-
-    fn scalar_product(left: &K, right: &K) -> K {
-        if left.is_zero() || right.is_zero() {
-            K::zero()
-        } else {
-            stored_or_zero(left.mul(right))
-        }
-    }
-
-    fn scalar_sum(left: &K, right: &K) -> K {
-        match (left.is_zero(), right.is_zero()) {
-            (true, true) => K::zero(),
-            (false, true) => left.clone(),
-            (true, false) => right.clone(),
-            (false, false) => stored_or_zero(left.add(right)),
-        }
-    }
-
-    fn trace(&self) -> Result<K> {
-        SparseMatrix::trace(self)
-    }
-
-    fn pow(&self, k: usize) -> Result<Self> {
-        SparseMatrix::pow(self, k)
-    }
-
-    fn zip_with<F: Fn(&[K]) -> K>(matrices: &[&Self], f: F) -> Result<Self> {
-        // An arbitrary pointwise f need not preserve zeros, so evaluate
-        // densely and compress the result back to CSR.
-        let dense: Vec<Matrix<K>> = matrices.iter().map(|m| m.to_dense()).collect();
-        let refs: Vec<&Matrix<K>> = dense.iter().collect();
-        Ok(SparseMatrix::from_dense(&Matrix::zip_with(&refs, f)?))
-    }
-
-    fn get_entry(&self, row: usize, col: usize) -> Result<K> {
-        SparseMatrix::get(self, row, col)
-    }
-
-    fn apply_delta(&self, delta: &SparseMatrix<K>) -> Result<Self> {
-        // One two-pointer row merge; `CsrBuilder::push` drops zero sums, so
-        // the no-explicit-zeros CSR invariant is preserved.
-        SparseMatrix::add(self, delta)
-    }
-
-    fn matmul_delta_pre(&self, delta: &SparseMatrix<K>) -> Result<SparseMatrix<K>> {
-        delta.matmul(self)
-    }
-
-    fn matmul_delta_post(&self, delta: &SparseMatrix<K>) -> Result<SparseMatrix<K>> {
-        if self.cols() != delta.rows() {
-            return Err(crate::MatrixError::InnerDimensionMismatch {
-                left: self.shape(),
-                right: delta.shape(),
-            });
-        }
-        let entries: Vec<(usize, usize, &K)> = delta.iter_entries().collect();
-        let mut out = crate::CsrBuilder::new(self.rows(), delta.cols(), entries.len().max(1));
-        let mut acc: Vec<(usize, K)> = Vec::new();
-        for i in 0..self.rows() {
-            let (cols_i, vals_i) = self.row_entries(i);
-            acc.clear();
-            for &(k, j, dv) in &entries {
-                if let Ok(pos) = cols_i.binary_search(&k) {
-                    let term = vals_i[pos].mul(dv);
-                    match acc.iter_mut().find(|(jj, _)| *jj == j) {
-                        Some((_, a)) => *a = a.add(&term),
-                        None => acc.push((j, term)),
-                    }
-                }
-            }
-            acc.sort_by_key(|&(j, _)| j);
-            for (j, v) in acc.drain(..) {
-                out.push(j, v);
-            }
-            out.finish_row();
-        }
-        Ok(out.build())
-    }
-}
-
 impl<K: Semiring> MatrixStorage for MatrixRepr<K> {
     type Elem = K;
 
@@ -843,10 +582,10 @@ impl<K: Semiring> MatrixStorage for MatrixRepr<K> {
         MatrixRepr::heap_bytes(self)
     }
 
-    fn for_each_nonzero(&self, f: impl FnMut(usize, usize, &K)) {
+    fn for_each_nonzero(&self, mut f: impl FnMut(usize, usize, &K)) {
         match self {
             MatrixRepr::Dense(d) => d.for_each_nonzero(f),
-            MatrixRepr::Sparse(s) => s.for_each_nonzero(f),
+            MatrixRepr::Sparse(s) => s.iter_entries().for_each(|(i, j, v)| f(i, j, v)),
         }
     }
 
@@ -966,14 +705,14 @@ impl<K: Semiring> MatrixStorage for MatrixRepr<K> {
     fn matmul_delta_pre(&self, delta: &SparseMatrix<K>) -> Result<SparseMatrix<K>> {
         match self {
             MatrixRepr::Dense(d) => MatrixStorage::matmul_delta_pre(d, delta),
-            MatrixRepr::Sparse(s) => MatrixStorage::matmul_delta_pre(s, delta),
+            MatrixRepr::Sparse(s) => delta.matmul(s),
         }
     }
 
     fn matmul_delta_post(&self, delta: &SparseMatrix<K>) -> Result<SparseMatrix<K>> {
         match self {
             MatrixRepr::Dense(d) => MatrixStorage::matmul_delta_post(d, delta),
-            MatrixRepr::Sparse(s) => MatrixStorage::matmul_delta_post(s, delta),
+            MatrixRepr::Sparse(s) => s.matmul_delta_post(delta),
         }
     }
 }
@@ -983,11 +722,19 @@ mod tests {
     use super::*;
     use matlang_semiring::Real;
 
-    fn backend_agreement<M: MatrixStorage<Elem = Real>>() {
+    /// CSR operands: the adaptive backend's `Sparse` arms, which run the
+    /// [`SparseMatrix`] kernels.  (`from_dense` keeps these small shapes
+    /// dense.)
+    fn csr(m: Matrix<Real>) -> MatrixRepr<Real> {
+        MatrixRepr::Sparse(SparseMatrix::from_dense(&m))
+    }
+
+    /// Every operation on operands built by `lift`, against the dense one.
+    fn backend_agreement<M: MatrixStorage<Elem = Real>>(lift: fn(Matrix<Real>) -> M) {
         let a = Matrix::from_f64_rows(&[&[1.0, 0.0], &[2.0, 3.0]]).unwrap();
         let b = Matrix::from_f64_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        let ma = M::from_dense(a.clone());
-        let mb = M::from_dense(b.clone());
+        let ma = lift(a.clone());
+        let mb = lift(b.clone());
         assert_eq!(ma.to_dense(), a);
         assert_eq!(ma.shape(), (2, 2));
         assert!(ma.is_square() && !ma.is_vector() && !ma.is_scalar());
@@ -1025,14 +772,14 @@ mod tests {
         assert_eq!(ma.nonzero_entries(), visited);
         let doubled = M::zip_with(&[&ma], |vs| Real(vs[0].0 * 2.0)).unwrap();
         assert_eq!(doubled.to_dense(), a.scalar_mul(&Real(2.0)));
-        let vec = M::from_dense(Matrix::from_f64_rows(&[&[1.0], &[0.0]]).unwrap());
+        let vec = lift(Matrix::from_f64_rows(&[&[1.0], &[0.0]]).unwrap());
         assert_eq!(
             vec.diag().unwrap().to_dense(),
             Matrix::from_f64_rows(&[&[1.0, 0.0], &[0.0, 0.0]]).unwrap()
         );
         // The fused diagonal-product kernels must agree exactly with
         // materializing the diagonal and multiplying.
-        let scale = M::from_dense(Matrix::from_f64_rows(&[&[3.0], &[0.0]]).unwrap());
+        let scale = lift(Matrix::from_f64_rows(&[&[3.0], &[0.0]]).unwrap());
         assert_eq!(
             ma.scale_rows(&scale).unwrap().to_dense(),
             scale.diag().unwrap().matmul(&ma).unwrap().to_dense()
@@ -1044,7 +791,7 @@ mod tests {
         // Error cases mirror the unfused path: non-vector scale, mismatch.
         assert!(ma.scale_rows(&mb).is_err());
         assert!(ma.scale_cols(&mb).is_err());
-        let long = M::from_dense(Matrix::from_f64_rows(&[&[1.0], &[2.0], &[3.0]]).unwrap());
+        let long = lift(Matrix::from_f64_rows(&[&[1.0], &[2.0], &[3.0]]).unwrap());
         assert!(ma.scale_rows(&long).is_err());
         assert!(ma.scale_cols(&long).is_err());
     }
@@ -1052,10 +799,10 @@ mod tests {
     /// The delta kernels must agree exactly with the unfused reference:
     /// `apply_delta` with an entrywise `⊕` merge, and the one-sided delta
     /// products with full products against the densified delta.
-    fn delta_kernel_agreement<M: MatrixStorage<Elem = Real>>() {
+    fn delta_kernel_agreement<M: MatrixStorage<Elem = Real>>(lift: fn(Matrix<Real>) -> M) {
         let a =
             Matrix::from_f64_rows(&[&[1.0, 0.0, 2.0], &[0.0, 3.0, 0.0], &[4.0, 0.0, 5.0]]).unwrap();
-        let ma = M::from_dense(a.clone());
+        let ma = lift(a.clone());
         assert_eq!(ma.get_entry(0, 2).unwrap(), Real(2.0));
         assert_eq!(ma.get_entry(1, 0).unwrap(), Real(0.0));
         assert!(ma.get_entry(3, 0).is_err());
@@ -1086,7 +833,7 @@ mod tests {
         // A rectangular case exercises the shape plumbing: 3×2 delta·self
         // needs delta cols = self rows.
         let rect = Matrix::from_f64_rows(&[&[1.0, 2.0], &[0.0, 1.0], &[3.0, 0.0]]).unwrap();
-        let mrect = M::from_dense(rect.clone());
+        let mrect = lift(rect.clone());
         let dvec = SparseMatrix::from_triplets(1, 3, vec![(0, 1, Real(5.0))]).unwrap();
         assert_eq!(
             mrect.matmul_delta_pre(&dvec).unwrap().to_dense(),
@@ -1106,32 +853,24 @@ mod tests {
 
     #[test]
     fn dense_delta_kernels_agree() {
-        delta_kernel_agreement::<Matrix<Real>>();
-    }
-
-    #[test]
-    fn sparse_delta_kernels_agree() {
-        delta_kernel_agreement::<SparseMatrix<Real>>();
+        delta_kernel_agreement(Matrix::from_dense);
     }
 
     #[test]
     fn adaptive_delta_kernels_agree() {
-        delta_kernel_agreement::<MatrixRepr<Real>>();
+        delta_kernel_agreement(MatrixRepr::from_dense);
+        delta_kernel_agreement(csr);
     }
 
     #[test]
     fn dense_backend_agrees_with_itself() {
-        backend_agreement::<Matrix<Real>>();
-    }
-
-    #[test]
-    fn sparse_backend_agrees_with_dense() {
-        backend_agreement::<SparseMatrix<Real>>();
+        backend_agreement(Matrix::from_dense);
     }
 
     #[test]
     fn adaptive_backend_agrees_with_dense() {
-        backend_agreement::<MatrixRepr<Real>>();
+        backend_agreement(MatrixRepr::from_dense);
+        backend_agreement(csr);
     }
 
     /// `heap_bytes` is exact and reproducible from shape/nnz per backend:
@@ -1147,15 +886,12 @@ mod tests {
 
         let sparse = SparseMatrix::from_dense(&dense);
         assert_eq!(sparse.nnz(), 3);
-        assert_eq!(
-            MatrixStorage::heap_bytes(&sparse),
-            (2 + 1 + 3) * word + 3 * elem
-        );
+        assert_eq!(sparse.heap_bytes(), (2 + 1 + 3) * word + 3 * elem);
 
         let adaptive_sparse = MatrixRepr::Sparse(sparse.clone());
         assert_eq!(
             MatrixStorage::heap_bytes(&adaptive_sparse),
-            MatrixStorage::heap_bytes(&sparse)
+            sparse.heap_bytes()
         );
         let adaptive_dense = MatrixRepr::Dense(dense.clone());
         assert_eq!(
@@ -1165,9 +901,6 @@ mod tests {
 
         // Empty shapes account only for the CSR row-pointer array.
         assert_eq!(MatrixStorage::heap_bytes(&Matrix::<Real>::zeros(0, 0)), 0);
-        assert_eq!(
-            MatrixStorage::heap_bytes(&SparseMatrix::<Real>::zeros(4, 4)),
-            5 * word
-        );
+        assert_eq!(SparseMatrix::<Real>::zeros(4, 4).heap_bytes(), 5 * word);
     }
 }

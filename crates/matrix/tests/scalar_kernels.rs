@@ -1,9 +1,10 @@
-//! Parity of the unboxed-scalar and in-place hooks with their defaults:
-//! `select_entry`, `scalar_product`, `scalar_sum`, `point_update_in_place`
-//! and `add_in_place` against the kernels the defaults run (`select`,
-//! `matmul` and `add` on `scalar` operands, `point_update` and `add`
-//! assigned), on every backend and semiring, with 0, 1, a generic value
-//! and ±∞ — and, over ℝ, −0.0 and NaN.
+//! Parity of the unboxed-scalar and in-place hooks with the kernels they
+//! stand for: `select_entry`, `scalar_product`, `scalar_sum`,
+//! `point_update_in_place` and `add_in_place` against `select`, `matmul`
+//! and `add` on `scalar` operands, and `point_update` and `add` assigned,
+//! on both backends (the adaptive one in both representations, so its
+//! `MatrixRepr::Sparse` operands test the CSR kernels) and every semiring,
+//! with 0, 1, a generic value and ±∞ — and, over ℝ, −0.0 and NaN.
 //!
 //! Results are compared whole: values by the bits of `to_f64`, matrices by
 //! their codec bytes (representation tag, shape, CSR structure and entry
@@ -69,7 +70,7 @@ fn canonicals(dim: usize) -> Vec<Canonical> {
     out
 }
 
-/// Every hook of backend `M` on `mats`, against its default.
+/// Every hook of backend `M` on `mats`, against the kernels it stands for.
 fn assert_hooks<M: MatrixStorage + MatrixCodec>(mats: &[M], values: &[M::Elem], context: &str) {
     for (a, b) in values
         .iter()
@@ -150,11 +151,13 @@ fn assert_unboxed_contract<M: MatrixStorage + MatrixCodec>(m: &M, context: &str)
 
 fn assert_every_backend<K: Semiring>(values: &[K]) {
     let dense = operands(values);
-    let csr: Vec<SparseMatrix<K>> = dense.iter().map(SparseMatrix::from_dense).collect();
     let mut adaptive: Vec<MatrixRepr<K>> = dense.iter().cloned().map(MatrixRepr::Dense).collect();
-    adaptive.extend(csr.iter().cloned().map(MatrixRepr::Sparse));
+    adaptive.extend(
+        dense
+            .iter()
+            .map(|d| MatrixRepr::Sparse(SparseMatrix::from_dense(d))),
+    );
     assert_hooks(&dense, values, "dense");
-    assert_hooks(&csr, values, "csr");
     assert_hooks(&adaptive, values, "adaptive");
     // Every scalar unboxes on the dense and adaptive backends; an adaptive
     // CSR 1 × 1 does not, though it holds the same entry.

@@ -79,7 +79,7 @@ pub use protocol::{
 pub use session::SessionStats;
 pub use store::{
     DeltaDisposition, HealthReport, InstanceInfo, PrepareOutcome, ResourceAccount, ServerSemiring,
-    Store, UpdateOutcome, WalStat,
+    Store, UpdateOutcome, WalStat, MAX_DIMENSION,
 };
 pub use worker::ConnQueue;
 

@@ -1304,6 +1304,70 @@ mod tests {
         assert!(Request::parse("WALSTAT").is_err());
     }
 
+    /// Every prefix and every single-bit flip of the lines the two tests
+    /// above parse (plus the verbs they leave out) that is still UTF-8
+    /// parses or is refused; none panics.  The sweep is exhaustive, so it
+    /// is the same on every run.
+    #[test]
+    fn truncated_and_bit_flipped_lines_never_panic() {
+        let corpus = [
+            "HELLO",
+            "INSTANCE g dense",
+            "instance g",
+            "INSTANCE g adaptive bool",
+            "INSTANCE g dense minplus",
+            "DIM g n 10",
+            "LOAD g G 3 3 2",
+            "GEN g G n er 8 1",
+            "GEN g G n pl 4 2.1 7",
+            "PREPARE g (G * G)",
+            "QUERY g (G * G)",
+            "EXEC g 0",
+            "EXECBATCH g 0 1 2",
+            "UPDATE g G 0 1 2.5 3 4 0",
+            "UPDATE g G",
+            "LIST",
+            "PING",
+            "METRICS",
+            "METRICS WINDOW 60",
+            "STATS g",
+            "SLOWLOG 5",
+            "HEALTH",
+            "TOP 3",
+            "TRACE EXPORT",
+            "trace export 8",
+            "EXPLAIN g (G * G)",
+            "PROFILE g (G * G)",
+            "DROP g",
+            "SAVE g /tmp/g.snap",
+            "RESTORE h /tmp/g.snap",
+            "PERSIST g on",
+            "persist g OFF",
+            "WALSTAT g",
+            "QUIT",
+        ];
+        let mut parsed = 0;
+        let mut parse = |bytes: &[u8]| {
+            if let Ok(line) = std::str::from_utf8(bytes) {
+                let outcome = std::panic::catch_unwind(|| Request::parse(line));
+                assert!(outcome.is_ok(), "`{}` panicked", line.escape_debug());
+                parsed += 1;
+            }
+        };
+        for line in corpus {
+            let bytes = line.as_bytes();
+            for cut in 0..=bytes.len() {
+                parse(&bytes[..cut]);
+            }
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                parse(&flipped);
+            }
+        }
+        assert!(parsed > 3_000, "only {parsed} variants were UTF-8");
+    }
+
     #[test]
     fn eproto_messages_use_expected_got_phrasing() {
         for (line, needle) in [

@@ -86,6 +86,22 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
+/// The largest `LOAD` shape, `DIM` value and `GEN` size (its `n` and its
+/// expected entry count `n · avg_degree`) a request may ask for.  It is
+/// checked before anything is sized from those numbers, so one request
+/// line cannot abort the process on an impossible allocation.
+pub const MAX_DIMENSION: usize = 1 << 20;
+
+/// `ESTORE` unless `value` is at most [`MAX_DIMENSION`].
+fn check_dimension(what: &str, value: usize) -> Result<(), ServerError> {
+    if value > MAX_DIMENSION {
+        return Err(ServerError::storage(format!(
+            "{what} {value} exceeds the limit {MAX_DIMENSION}"
+        )));
+    }
+    Ok(())
+}
+
 /// One prepared statement: the query text, its parsed form and its
 /// fingerprint (the dedup key — re-preparing the same text returns the
 /// existing id without disturbing the warm cache).
@@ -1222,6 +1238,7 @@ impl Store {
 
     /// Assigns a size symbol on an instance.
     pub fn set_dim(&self, name: &str, sym: &str, value: usize) -> Result<(), ServerError> {
+        check_dimension("dimension", value)?;
         let instance = self.instance(name)?;
         let mut guard = instance.lock().expect("instance poisoned");
         with_state!(&mut *guard, |state| {
@@ -1251,6 +1268,8 @@ impl Store {
         cols: usize,
         entries: Vec<(usize, usize, f64)>,
     ) -> Result<usize, ServerError> {
+        check_dimension("rows", rows)?;
+        check_dimension("cols", cols)?;
         let triplets: Vec<(usize, usize, Real)> = entries
             .into_iter()
             .map(|(i, j, v)| (i, j, Real(v)))
@@ -1279,6 +1298,14 @@ impl Store {
         .ok_or_else(|| {
             ServerError::storage(format!("size symbol `{sym}` has no assigned dimension"))
         })?;
+        check_dimension("dimension", n)?;
+        let (GenKind::ErdosRenyi { avg_degree, .. } | GenKind::PowerLaw { avg_degree, .. }) = kind;
+        if !(avg_degree.is_finite() && avg_degree >= 0.0) {
+            return Err(ServerError::storage(format!(
+                "average degree {avg_degree} is not a finite non-negative number"
+            )));
+        }
+        check_dimension("expected entry count", (n as f64 * avg_degree) as usize)?;
         let sparse: SparseMatrix<Real> = match kind {
             GenKind::ErdosRenyi { avg_degree, seed } => sparse_erdos_renyi(n, avg_degree, seed),
             GenKind::PowerLaw {
@@ -2621,6 +2648,29 @@ mod tests {
                 }
             )
             .is_err());
+    }
+
+    #[test]
+    fn dimensions_past_the_cap_are_refused_before_allocating() {
+        let store = Store::new();
+        store.create_instance("g", true).unwrap();
+        fn storage_error<T: std::fmt::Debug>(r: Result<T, ServerError>) {
+            assert!(matches!(r, Err(ServerError::Storage { .. })), "{r:?}");
+        }
+        // 2⁴⁰ rows would reserve 8 TiB of CSR row pointers.
+        storage_error(store.load_matrix("g", "A", 1 << 40, 1, vec![]));
+        storage_error(store.load_matrix("g", "A", 1, MAX_DIMENSION + 1, vec![]));
+        assert_eq!(store.load_matrix("g", "A", MAX_DIMENSION, 1, vec![]), Ok(0));
+        storage_error(store.set_dim("g", "n", 1 << 40));
+        store.set_dim("g", "n", 64).unwrap();
+        let er = |avg_degree| GenKind::ErdosRenyi {
+            avg_degree,
+            seed: 1,
+        };
+        for degree in [f64::NAN, f64::INFINITY, -1.0, MAX_DIMENSION as f64] {
+            storage_error(store.generate_matrix("g", "G", "n", er(degree)));
+        }
+        assert!(store.generate_matrix("g", "G", "n", er(2.0)).unwrap() > 0);
     }
 
     #[test]

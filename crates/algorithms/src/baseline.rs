@@ -1,12 +1,8 @@
 //! Direct Rust implementations of the operations that the paper expresses in
-//! for-MATLANG.  These serve two purposes:
-//!
-//! 1. ground truth in the test suites (the for-MATLANG expressions must agree
-//!    with them), and
-//! 2. the "native" side of the benchmark comparisons in EXPERIMENTS.md — the
-//!    interpreter overhead of the query language is measured against these.
+//! for-MATLANG: the ground truth that the test suites and examples compare
+//! the for-MATLANG expressions against.
 
-use matlang_matrix::{CsrBuilder, Matrix, MatrixError, SparseMatrix};
+use matlang_matrix::{Matrix, MatrixError, SparseMatrix};
 use matlang_semiring::{Field, Semiring};
 use std::collections::VecDeque;
 
@@ -56,24 +52,6 @@ pub fn transitive_closure<K: Semiring>(adjacency: &Matrix<K>, reflexive: bool) -
     out
 }
 
-/// Marks everything reachable from the already-`seen` vertices in `queue`
-/// by breadth-first search straight over the CSR rows (which *are* the
-/// out-neighbour lists — no adjacency-list copy is needed).
-fn bfs_drain<K: Semiring>(
-    adjacency: &SparseMatrix<K>,
-    seen: &mut [bool],
-    queue: &mut VecDeque<usize>,
-) {
-    while let Some(u) = queue.pop_front() {
-        for &v in adjacency.row_entries(u).0 {
-            if !seen[v] {
-                seen[v] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-}
-
 /// The set of vertices reachable from `source` by a possibly-empty path,
 /// computed by breadth-first search directly on the CSR adjacency structure:
 /// `O(nnz + n)` time, independent of the dense `n²` bound.  Any non-zero
@@ -85,50 +63,16 @@ pub fn sparse_reachable_from<K: Semiring>(adjacency: &SparseMatrix<K>, source: u
         return seen;
     }
     seen[source] = true;
-    bfs_drain(adjacency, &mut seen, &mut VecDeque::from([source]));
-    seen
-}
-
-/// The transitive closure of a sparse adjacency matrix, one BFS per source
-/// vertex: `O(n · (nnz + n))` traversal work, versus the dense Warshall
-/// `O(n³)`.  Entry `(i, j)` of the result is `1` iff `j` is reachable from
-/// `i` by a non-empty path (or a possibly-empty one when `reflexive` is
-/// true).  Agrees exactly with [`transitive_closure`] on the dense form.
-///
-/// The result is built row by row with [`CsrBuilder`], so no triplet buffer
-/// or sort is needed; note that on a strongly connected graph the closure
-/// itself has `n²` entries — the output, not the algorithm, is the bound
-/// then.
-pub fn sparse_transitive_closure<K: Semiring>(
-    adjacency: &SparseMatrix<K>,
-    reflexive: bool,
-) -> SparseMatrix<K> {
-    let n = adjacency.rows();
-    let mut out = CsrBuilder::new(n, n, adjacency.nnz());
-    let mut seen = vec![false; n];
-    let mut queue = VecDeque::new();
-    for source in 0..n {
-        seen.iter_mut().for_each(|s| *s = false);
-        // Seed with the out-neighbours so the diagonal is only reached via a
-        // genuine cycle (the non-reflexive convention of the paper).
-        for &v in adjacency.row_entries(source).0 {
+    let mut queue = VecDeque::from([source]);
+    while let Some(u) = queue.pop_front() {
+        for &v in adjacency.row_entries(u).0 {
             if !seen[v] {
                 seen[v] = true;
                 queue.push_back(v);
             }
         }
-        bfs_drain(adjacency, &mut seen, &mut queue);
-        if reflexive {
-            seen[source] = true;
-        }
-        for (j, &reached) in seen.iter().enumerate() {
-            if reached {
-                out.push(j, K::one());
-            }
-        }
-        out.finish_row();
     }
-    out.build()
+    seen
 }
 
 /// Whether the (symmetric, loop-free) graph has a 4-clique: four pairwise
@@ -164,9 +108,6 @@ pub fn triangle_trace<K: Semiring>(adjacency: &Matrix<K>) -> K {
         .unwrap_or_else(|_| K::zero())
 }
 
-/// The `(P, L, U)` factors returned by [`plu_decompose`].
-pub type PluFactors<K> = (Matrix<K>, Matrix<K>, Matrix<K>);
-
 /// LU decomposition *without* pivoting by plain Gaussian elimination
 /// (Section 4.1's textbook procedure).  Returns `(L, U)` with `A = L·U`,
 /// `L` unit lower triangular and `U` upper triangular; fails when a pivot is
@@ -196,56 +137,6 @@ pub fn lu_decompose<K: Field>(a: &Matrix<K>) -> Result<(Matrix<K>, Matrix<K>), M
         }
     }
     Ok((l, u))
-}
-
-/// LU decomposition *with* partial (row) pivoting: returns `(P, L, U)` with
-/// `P·A = L·U`, `P` a permutation matrix, `L` unit lower triangular and `U`
-/// upper triangular.  Always succeeds on square input.
-pub fn plu_decompose<K: Field>(a: &Matrix<K>) -> Result<PluFactors<K>, MatrixError> {
-    if !a.is_square() {
-        return Err(MatrixError::NotSquare { shape: a.shape() });
-    }
-    let n = a.rows();
-    let mut u = a.clone();
-    let mut l: Matrix<K> = Matrix::identity(n);
-    let mut perm: Vec<usize> = (0..n).collect();
-    for k in 0..n {
-        // Pick the first row at or below k with a non-zero entry in column k
-        // (the paper's pivoting rule); skip the column if there is none.
-        let pivot_row = (k..n).find(|&r| !u.get(r, k).expect("in bounds").is_zero());
-        let pivot_row = match pivot_row {
-            Some(r) => r,
-            None => continue,
-        };
-        if pivot_row != k {
-            u.swap_rows(pivot_row, k);
-            perm.swap(pivot_row, k);
-            // Swap the already-computed multipliers (columns < k) of L.
-            for j in 0..k {
-                let a_val = l.get(k, j)?.clone();
-                let b_val = l.get(pivot_row, j)?.clone();
-                l.set(k, j, b_val)?;
-                l.set(pivot_row, j, a_val)?;
-            }
-        }
-        let pivot = u.get(k, k)?.clone();
-        let pivot_inv = match pivot.inv() {
-            Some(p) => p,
-            None => continue,
-        };
-        for i in (k + 1)..n {
-            let factor = u.get(i, k)?.mul(&pivot_inv);
-            l.set(i, k, factor.clone())?;
-            for j in (k + 1)..n {
-                let value = u.get(i, j)?.sub(&factor.mul(u.get(k, j)?));
-                u.set(i, j, value)?;
-            }
-            u.set(i, k, K::zero())?;
-        }
-    }
-    // P moves original row perm[i] into row i.
-    let p = Matrix::permutation(&perm)?;
-    Ok((p, l, u))
 }
 
 /// The coefficients `c₁, …, cₙ` of the characteristic polynomial
@@ -341,26 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_closure_agrees_with_dense_warshall() {
-        use matlang_matrix::{random_adjacency, sparse_erdos_renyi};
-        for seed in 0..4 {
-            let dense: Matrix<Boolean> = random_adjacency(12, 0.2, seed);
-            let sparse = SparseMatrix::from_dense(&dense);
-            for reflexive in [false, true] {
-                let expected = transitive_closure(&dense, reflexive);
-                let got = sparse_transitive_closure(&sparse, reflexive);
-                assert_eq!(got.to_dense(), expected, "seed {seed}");
-            }
-            let generated: SparseMatrix<Boolean> = sparse_erdos_renyi(20, 3.0, seed);
-            let expected = transitive_closure(&generated.to_dense(), false);
-            assert_eq!(
-                sparse_transitive_closure(&generated, false).to_dense(),
-                expected
-            );
-        }
-    }
-
-    #[test]
     fn sparse_reachability_matches_closure_row() {
         let adj: SparseMatrix<Boolean> = SparseMatrix::from_dense(
             &Matrix::from_f64_rows(&[
@@ -428,35 +299,6 @@ mod tests {
         let a = m(&[&[0.0, 1.0], &[1.0, 0.0]]);
         assert!(lu_decompose(&a).is_err());
         assert!(lu_decompose(&m(&[&[1.0, 2.0]])).is_err());
-    }
-
-    #[test]
-    fn plu_decomposition_handles_zero_pivots() {
-        let a = m(&[&[0.0, 1.0, 2.0], &[1.0, 0.0, 3.0], &[4.0, 5.0, 0.0]]);
-        let (p, l, u) = plu_decompose(&a).unwrap();
-        assert!(p.is_permutation());
-        assert!(l.is_lower_triangular());
-        assert!(u.is_upper_triangular());
-        let pa = p.matmul(&a).unwrap();
-        assert!(l.matmul(&u).unwrap().approx_eq(&pa, 1e-9));
-    }
-
-    #[test]
-    fn plu_decomposition_handles_singular_matrices() {
-        let a = m(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        let (p, l, u) = plu_decompose(&a).unwrap();
-        let pa = p.matmul(&a).unwrap();
-        assert!(l.matmul(&u).unwrap().approx_eq(&pa, 1e-9));
-    }
-
-    #[test]
-    fn plu_on_random_invertible_matrices() {
-        for seed in 20..26 {
-            let a: Matrix<Real> = random_invertible(5, seed);
-            let (p, l, u) = plu_decompose(&a).unwrap();
-            let pa = p.matmul(&a).unwrap();
-            assert!(l.matmul(&u).unwrap().approx_eq(&pa, 1e-9));
-        }
     }
 
     #[test]

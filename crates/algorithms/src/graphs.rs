@@ -135,7 +135,7 @@ pub fn diagonal_product(matrix: &str, dim: &str) -> Expr {
 
 /// The number of (directed) triangles times 6... more precisely
 /// `Σu Σv Σw A[u,v]·A[v,w]·A[w,u]` = `tr(A³)`, a sum-MATLANG expression used
-/// as an extra workload in the benchmarks.
+/// as an extra workload in the tests and matbench's `paper_loops`.
 pub fn triangle_count(graph: &str, dim: &str) -> Expr {
     let edge = |a: &str, b: &str| Expr::var(a).t().mm(Expr::var(graph)).mm(Expr::var(b));
     Expr::sum(

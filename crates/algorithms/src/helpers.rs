@@ -1,5 +1,4 @@
-//! Schema, instance and registry helpers shared by examples, tests and
-//! benchmarks.
+//! Schema, instance and registry helpers shared by examples and tests.
 
 use matlang_core::{FunctionRegistry, Instance, MatrixType, Schema};
 use matlang_matrix::Matrix;

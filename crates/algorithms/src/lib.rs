@@ -11,10 +11,8 @@
 //! * [`csanky`] — triangular inversion (Lemma C.1) and Csanky's algorithm for
 //!   the determinant and the inverse (Section 4.2, Proposition 4.3).
 //! * [`baseline`] — straightforward Rust implementations of the same
-//!   operations, used as ground truth in tests and as the comparison point in
-//!   the benchmark harness.
-//! * [`helpers`] — schema/instance builders shared by examples, tests and
-//!   benches.
+//!   operations, used as ground truth in tests and examples.
+//! * [`helpers`] — schema/instance builders shared by examples and tests.
 
 #![forbid(unsafe_code)]
 

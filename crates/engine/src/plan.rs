@@ -519,9 +519,8 @@ pub struct PlanNode {
 }
 
 /// One application of a cost-based rewrite rule, recorded in the
-/// [`PlanReport`] so that tests, the query server and the
-/// `rewrite_speedup` benchmark can see exactly what the planner changed
-/// and what it expects to gain.
+/// [`PlanReport`] so that tests and the query server can see exactly what
+/// the planner changed and what it expects to gain.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AppliedRewrite {
     /// The rule identifier: `"matrix-chain-reorder"`,
@@ -535,8 +534,7 @@ pub struct AppliedRewrite {
     pub saving: f64,
 }
 
-/// What the planner did, in numbers — exposed for reports, tests and the
-/// `planner_speedup` benchmark.
+/// What the planner did, in numbers — exposed for reports and tests.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PlanReport {
     /// Number of planned queries (roots).

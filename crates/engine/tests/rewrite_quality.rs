@@ -1,9 +1,8 @@
 //! Acceptance tests for the cost-based rewrite layer: the rewrites must be
 //! *visible* in the `PlanReport`, *correct* (identical results with and
 //! without them), and *fast* — hard ≥2× wall-clock guards on the ISSUE's
-//! two workloads (skewed matrix chain, diag pushdown), mirroring the
-//! `rewrite_speedup` benchmark so CI pins the speedup, not just the
-//! numbers' existence.
+//! two workloads (skewed matrix chain, diag pushdown), so CI pins the
+//! speedup, not just the numbers' existence.
 
 use matlang_core::{Expr, FunctionRegistry, Instance, SparseInstance};
 use matlang_engine::Engine;

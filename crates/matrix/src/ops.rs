@@ -5,6 +5,20 @@
 use crate::{Matrix, MatrixError, Result};
 use matlang_semiring::{Field, Ring, Semiring};
 
+/// The zero-filled `rows × cols` buffer of a kernel's result, or an error
+/// when it cannot be allocated: a product sized by a request must fail that
+/// request, not abort the process.
+fn zeroed<K: Semiring>(rows: usize, cols: usize) -> Result<Vec<K>> {
+    let too_large = || MatrixError::BadConstruction {
+        message: format!("cannot allocate a {rows}x{cols} result"),
+    };
+    let len = rows.checked_mul(cols).ok_or_else(too_large)?;
+    let mut out = Vec::new();
+    out.try_reserve_exact(len).map_err(|_| too_large())?;
+    out.resize(len, K::zero());
+    Ok(out)
+}
+
 impl<K: Semiring> Matrix<K> {
     /// Matrix transpose `eᵀ`.
     pub fn transpose(&self) -> Matrix<K> {
@@ -56,7 +70,7 @@ impl<K: Semiring> Matrix<K> {
         let (n, m) = (self.rows(), other.cols());
         let work = n.saturating_mul(self.cols()).saturating_mul(m);
         let timer = crate::kernel_timer(work);
-        let mut out = vec![K::zero(); n * m];
+        let mut out = zeroed::<K>(n, m)?;
         let inner = self.cols();
         let (lhs, rhs) = (self.entries(), other.entries());
         for (i, out_row) in out.chunks_mut(m.max(1)).enumerate() {
@@ -100,7 +114,7 @@ impl<K: Semiring> Matrix<K> {
         }
         let (n, m) = self.shape();
         let lhs = self.entries();
-        let mut out = vec![K::zero(); n * m];
+        let mut out = zeroed::<K>(n, m)?;
         for i in 0..n {
             let s = scale.get(i, 0)?;
             if s.is_zero() {
@@ -133,7 +147,7 @@ impl<K: Semiring> Matrix<K> {
         }
         let (n, m) = self.shape();
         let lhs = self.entries();
-        let mut out = vec![K::zero(); n * m];
+        let mut out = zeroed::<K>(n, m)?;
         for i in 0..n {
             for j in 0..m {
                 let a = &lhs[i * m + j];
@@ -421,6 +435,14 @@ mod tests {
         let i: Matrix<Real> = Matrix::identity(2);
         assert_eq!(a.matmul(&i).unwrap(), a);
         assert_eq!(i.matmul(&a).unwrap(), a);
+    }
+
+    #[test]
+    fn matmul_refuses_a_result_it_cannot_allocate() {
+        // 2²⁰ × 1 · 1 × 2²⁰: an 8 TiB result must be an error, not an abort.
+        let v: Matrix<Real> = Matrix::all_ones(1 << 20, 1);
+        let err = v.matmul(&v.transpose()).unwrap_err();
+        assert!(matches!(err, MatrixError::BadConstruction { .. }), "{err}");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Random matrix generation for workloads, tests and benchmarks.
 //!
-//! The paper's experiments (re-created in EXPERIMENTS.md) run over random
-//! graphs, random LU-factorizable matrices and random invertible matrices;
-//! these generators produce them deterministically from a seed so that every
-//! benchmark run is reproducible.
+//! The tests, examples and matbench run over random graphs, random
+//! LU-factorizable matrices and random invertible matrices; these
+//! generators produce them deterministically from a seed so that every run
+//! is reproducible.
 
 use crate::{Matrix, SparseMatrix};
 use matlang_semiring::Semiring;

@@ -49,7 +49,6 @@ pub use eval::{evaluate, evaluate_with_env, EvalError};
 pub use expr::Expr;
 pub use fragment::{fragment_of, Fragment};
 pub use functions::{FunctionRegistry, PointwiseFn};
-pub use rewrite::simplify;
 pub use schema::{Dim, Instance, MatrixType, Schema};
 pub use typecheck::{typecheck, TypeError};
 

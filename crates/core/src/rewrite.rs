@@ -17,22 +17,102 @@
 //!   untouched),
 //! * `(const c) × (const d) → const (c·d)` and `(const c) + (const d) → const (c+d)`,
 //! * `(const c)·(const d) → const (c·d)` for `1×1` products,
-//! * `let X = e in X → e`, and inlining of `let`-bound *variables* and
-//!   *constants* (cheap values whose duplication costs nothing),
+//! * `let X = e in X → e`, dead `let`s, and inlining of `let`-bound
+//!   *variables* and *constants* (cheap values whose duplication costs
+//!   nothing) — unless a use sits under a binder of the inlined variable,
+//!   which would capture it,
 //! * transpose of a constant is the constant.
+//!
+//! [`simplify`] applies the rules in one bottom-up pass: a node is rewritten
+//! after its children, and a `let`-bound cheap value is substituted as each
+//! use is built, so every redex a rewrite exposes is met on the way up and
+//! no fixpoint is needed.  The local rules are [`simplify_step`], written
+//! over a [`Node`] view so that the engine's planner applies the very same
+//! rules to its hash-consed DAG while it builds it.
 
 use crate::expr::Expr;
 
-/// Applies the simplification rules bottom-up until a fixpoint is reached.
-pub fn simplify(expr: &Expr) -> Expr {
-    let mut current = expr.clone();
-    loop {
-        let next = pass(&current);
-        if next == current {
-            return next;
+/// One node as the local rules see it, with children as handles `T`: an
+/// `&Expr` here, a DAG node id in the planner.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Node<T> {
+    /// A literal.
+    Const(f64),
+    /// `eᵀ`.
+    Transpose(T),
+    /// `e₁ × e₂`.
+    ScalarMul(T, T),
+    /// `e₁ + e₂`.
+    Add(T, T),
+    /// `e₁ · e₂`.
+    MatMul(T, T),
+    /// `e₁ ∘ e₂`.
+    Hadamard(T, T),
+    /// Any node no local rule matches.
+    Other,
+}
+
+/// What a local rule replaces a node with.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Simplified<T> {
+    /// A descendant of the node, unchanged.
+    Keep(T),
+    /// A literal.
+    Const(f64),
+    /// `(const c) × e`, which may itself be a redex (`c = 1`).
+    Scale(f64, T),
+}
+
+/// One application of a local rule: its result and the number of AST
+/// nodes it removes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Step<T> {
+    /// The replacement.
+    pub to: Simplified<T>,
+    /// AST nodes removed (what [`savings`] sums).
+    pub saves: usize,
+}
+
+/// The local rules at one node whose children are already simplified;
+/// `view` shows a child.  `None` when no rule applies.
+// The `c == 1.0` guard stays a guard: clippy's suggested float-literal
+// pattern is itself linted (illegal_floating_point_literal_pattern).
+#[allow(clippy::redundant_guards)]
+pub fn simplify_step<T: Copy>(node: Node<T>, view: impl Fn(T) -> Node<T>) -> Option<Step<T>> {
+    let step = |to, saves| Some(Step { to, saves });
+    let consts = |a, b| match (view(a), view(b)) {
+        (Node::Const(c), Node::Const(d)) => Some((c, d)),
+        _ => None,
+    };
+    match node {
+        // (eᵀ)ᵀ → e ; (const c)ᵀ → const c.
+        Node::Transpose(e) => match view(e) {
+            Node::Transpose(inner) => step(Simplified::Keep(inner), 2),
+            Node::Const(_) => step(Simplified::Keep(e), 1),
+            _ => None,
+        },
+        // Scalar-multiplication identities; c × (d × e) → (c·d) × e.
+        Node::ScalarMul(a, b) => match (view(a), view(b)) {
+            (Node::Const(c), _) if c == 1.0 => step(Simplified::Keep(b), 2),
+            (Node::Const(c), Node::Const(d)) => step(Simplified::Const(c * d), 2),
+            (Node::Const(c), Node::ScalarMul(s, e)) => match view(s) {
+                Node::Const(d) => step(Simplified::Scale(c * d, e), 2),
+                _ => None,
+            },
+            _ => None,
+        },
+        // Constant folding for 1×1 sums and products.
+        Node::Add(a, b) => consts(a, b).and_then(|(c, d)| step(Simplified::Const(c + d), 2)),
+        Node::MatMul(a, b) | Node::Hadamard(a, b) => {
+            consts(a, b).and_then(|(c, d)| step(Simplified::Const(c * d), 2))
         }
-        current = next;
+        Node::Const(_) | Node::Other => None,
     }
+}
+
+/// Applies the simplification rules in one bottom-up pass.
+pub fn simplify(expr: &Expr) -> Expr {
+    Simplifier::default().expr(expr)
 }
 
 /// The number of AST nodes saved by simplification (for reporting/tests).
@@ -40,120 +120,150 @@ pub fn savings(expr: &Expr) -> usize {
     expr.size().saturating_sub(simplify(expr).size())
 }
 
-fn pass(expr: &Expr) -> Expr {
-    let rebuilt = map_children(expr);
-    rewrite_node(rebuilt)
-}
-
-fn map_children(expr: &Expr) -> Expr {
-    match expr {
-        Expr::Var(_) | Expr::Const(_) => expr.clone(),
-        Expr::Transpose(e) => Expr::Transpose(Box::new(pass(e))),
-        Expr::Ones(e) => Expr::Ones(Box::new(pass(e))),
-        Expr::Diag(e) => Expr::Diag(Box::new(pass(e))),
-        Expr::MatMul(a, b) => Expr::MatMul(Box::new(pass(a)), Box::new(pass(b))),
-        Expr::Add(a, b) => Expr::Add(Box::new(pass(a)), Box::new(pass(b))),
-        Expr::ScalarMul(a, b) => Expr::ScalarMul(Box::new(pass(a)), Box::new(pass(b))),
-        Expr::Hadamard(a, b) => Expr::Hadamard(Box::new(pass(a)), Box::new(pass(b))),
-        Expr::Apply(f, args) => Expr::Apply(f.clone(), args.iter().map(pass).collect()),
-        Expr::Let { var, value, body } => Expr::Let {
-            var: var.clone(),
-            value: Box::new(pass(value)),
-            body: Box::new(pass(body)),
-        },
-        Expr::For {
-            var,
-            var_dim,
-            acc,
-            acc_type,
-            init,
-            body,
-        } => Expr::For {
-            var: var.clone(),
-            var_dim: var_dim.clone(),
-            acc: acc.clone(),
-            acc_type: acc_type.clone(),
-            init: init.as_ref().map(|e| Box::new(pass(e))),
-            body: Box::new(pass(body)),
-        },
-        Expr::Sum { var, var_dim, body } => Expr::Sum {
-            var: var.clone(),
-            var_dim: var_dim.clone(),
-            body: Box::new(pass(body)),
-        },
-        Expr::HProd { var, var_dim, body } => Expr::HProd {
-            var: var.clone(),
-            var_dim: var_dim.clone(),
-            body: Box::new(pass(body)),
-        },
-        Expr::MProd { var, var_dim, body } => Expr::MProd {
-            var: var.clone(),
-            var_dim: var_dim.clone(),
-            body: Box::new(pass(body)),
-        },
+fn view(e: &Expr) -> Node<&Expr> {
+    match e {
+        Expr::Const(c) => Node::Const(*c),
+        Expr::Transpose(a) => Node::Transpose(a),
+        Expr::ScalarMul(a, b) => Node::ScalarMul(a, b),
+        Expr::Add(a, b) => Node::Add(a, b),
+        Expr::MatMul(a, b) => Node::MatMul(a, b),
+        Expr::Hadamard(a, b) => Node::Hadamard(a, b),
+        _ => Node::Other,
     }
 }
 
-// The `c == 1.0` guard below stays a guard: clippy's suggested float-literal
-// pattern is itself linted (illegal_floating_point_literal_pattern).
-#[allow(clippy::redundant_guards)]
-fn rewrite_node(expr: Expr) -> Expr {
-    match expr {
-        // (eᵀ)ᵀ → e ; (const c)ᵀ → const c.
-        Expr::Transpose(inner) => match *inner {
-            Expr::Transpose(e) => *e,
-            Expr::Const(c) => Expr::Const(c),
-            other => Expr::Transpose(Box::new(other)),
-        },
-        // Scalar-multiplication identities.
-        Expr::ScalarMul(a, b) => match (*a, *b) {
-            (Expr::Const(c), e) if c == 1.0 => e,
-            (Expr::Const(c), Expr::Const(d)) => Expr::Const(c * d),
-            (Expr::Const(c), Expr::ScalarMul(inner_scalar, inner)) => {
-                // c × (d × e) → (c·d) × e when the inner scalar is a constant.
-                match *inner_scalar {
-                    Expr::Const(d) => Expr::ScalarMul(Box::new(Expr::Const(c * d)), inner),
-                    other => Expr::ScalarMul(
-                        Box::new(Expr::Const(c)),
-                        Box::new(Expr::ScalarMul(Box::new(other), inner)),
-                    ),
+/// Applies the local rules at the root of `e`, whose children are
+/// simplified.
+fn local(e: Expr) -> Expr {
+    match simplify_step(view(&e), view).map(|s| s.to) {
+        None => e,
+        Some(Simplified::Keep(kept)) => kept.clone(),
+        Some(Simplified::Const(c)) => Expr::Const(c),
+        Some(Simplified::Scale(c, kept)) => local(Expr::lit(c).smul(kept.clone())),
+    }
+}
+
+/// A name in scope while the pass walks a binder's body.
+enum Binding {
+    /// A loop variable, an accumulator or a `let` that stays.
+    Bound,
+    /// A `let` whose cheap value is substituted at every use; `captured`
+    /// once a use turns out to sit under a binder of the value's variable.
+    Inlined { value: Expr, captured: bool },
+}
+
+#[derive(Default)]
+struct Simplifier {
+    scope: Vec<(String, Binding)>,
+}
+
+impl Simplifier {
+    fn expr(&mut self, e: &Expr) -> Expr {
+        let boxed = |s: &mut Self, e: &Expr| Box::new(s.expr(e));
+        match e {
+            Expr::Var(name) => self.resolve(name).unwrap_or_else(|| e.clone()),
+            Expr::Const(_) => e.clone(),
+            Expr::Transpose(a) => local(Expr::Transpose(boxed(self, a))),
+            Expr::Ones(a) => Expr::Ones(boxed(self, a)),
+            Expr::Diag(a) => Expr::Diag(boxed(self, a)),
+            Expr::MatMul(a, b) => local(Expr::MatMul(boxed(self, a), boxed(self, b))),
+            Expr::Add(a, b) => local(Expr::Add(boxed(self, a), boxed(self, b))),
+            Expr::ScalarMul(a, b) => local(Expr::ScalarMul(boxed(self, a), boxed(self, b))),
+            Expr::Hadamard(a, b) => local(Expr::Hadamard(boxed(self, a), boxed(self, b))),
+            Expr::Apply(f, args) => {
+                Expr::Apply(f.clone(), args.iter().map(|a| self.expr(a)).collect())
+            }
+            Expr::Let { var, value, body } => {
+                let value = self.expr(value);
+                if matches!(value, Expr::Var(_) | Expr::Const(_)) {
+                    let binding = Binding::Inlined {
+                        value: value.clone(),
+                        captured: false,
+                    };
+                    let inlined = self.within(var, binding, body);
+                    if let (
+                        Binding::Inlined {
+                            captured: false, ..
+                        },
+                        body,
+                    ) = inlined
+                    {
+                        return body;
+                    }
+                }
+                let (_, body) = self.within(var, Binding::Bound, body);
+                if body == Expr::Var(var.clone()) {
+                    return value;
+                }
+                if !body.free_vars().contains(var) {
+                    // The binding is dead; keep only the body.  (The bound
+                    // value is pure — the language has no effects — so this
+                    // is sound.)
+                    return body;
+                }
+                Expr::let_in(var.clone(), value, body)
+            }
+            Expr::For {
+                var,
+                var_dim,
+                acc,
+                acc_type,
+                init,
+                body,
+            } => {
+                let init = init.as_ref().map(|e| boxed(self, e));
+                self.scope.push((var.clone(), Binding::Bound));
+                let (_, body) = self.within(acc, Binding::Bound, body);
+                self.scope.pop();
+                Expr::For {
+                    var: var.clone(),
+                    var_dim: var_dim.clone(),
+                    acc: acc.clone(),
+                    acc_type: acc_type.clone(),
+                    init,
+                    body: Box::new(body),
                 }
             }
-            (a, b) => Expr::ScalarMul(Box::new(a), Box::new(b)),
-        },
-        // Constant folding for 1×1 sums and products.
-        Expr::Add(a, b) => match (*a, *b) {
-            (Expr::Const(c), Expr::Const(d)) => Expr::Const(c + d),
-            (a, b) => Expr::Add(Box::new(a), Box::new(b)),
-        },
-        Expr::MatMul(a, b) => match (*a, *b) {
-            (Expr::Const(c), Expr::Const(d)) => Expr::Const(c * d),
-            (a, b) => Expr::MatMul(Box::new(a), Box::new(b)),
-        },
-        Expr::Hadamard(a, b) => match (*a, *b) {
-            (Expr::Const(c), Expr::Const(d)) => Expr::Const(c * d),
-            (a, b) => Expr::Hadamard(Box::new(a), Box::new(b)),
-        },
-        // `let` simplifications: trivial bodies and cheap bound values.
-        Expr::Let { var, value, body } => {
-            if let Expr::Var(name) = body.as_ref() {
-                if name == &var {
-                    return *value;
-                }
+            Expr::Sum { var, var_dim, body } => {
+                let (_, body) = self.within(var, Binding::Bound, body);
+                Expr::sum(var.clone(), var_dim.clone(), body)
             }
-            let cheap = matches!(value.as_ref(), Expr::Var(_) | Expr::Const(_));
-            let used = body.free_vars().contains(&var);
-            if !used {
-                // The binding is dead; keep only the body.  (The bound value
-                // is pure — the language has no effects — so this is sound.)
-                return *body;
+            Expr::HProd { var, var_dim, body } => {
+                let (_, body) = self.within(var, Binding::Bound, body);
+                Expr::hprod(var.clone(), var_dim.clone(), body)
             }
-            if cheap {
-                return body.substitute(&var, &value);
+            Expr::MProd { var, var_dim, body } => {
+                let (_, body) = self.within(var, Binding::Bound, body);
+                Expr::mprod(var.clone(), var_dim.clone(), body)
             }
-            Expr::Let { var, value, body }
         }
-        other => other,
+    }
+
+    /// Simplifies `body` with `name` bound as given, returning the binding
+    /// as the walk left it.
+    fn within(&mut self, name: &str, binding: Binding, body: &Expr) -> (Binding, Expr) {
+        self.scope.push((name.to_string(), binding));
+        let body = self.expr(body);
+        let (_, binding) = self.scope.pop().expect("pushed above");
+        (binding, body)
+    }
+
+    /// The value inlined for a use of `name`, when its innermost binding is
+    /// an inlined `let`.  A variable value under a binder of its own name
+    /// would be captured: the `let` is then marked to stay.
+    fn resolve(&mut self, name: &str) -> Option<Expr> {
+        let at = self.scope.iter().rposition(|(n, _)| n == name)?;
+        let (above, inner) = (&self.scope[at + 1..], &self.scope[at]);
+        let Binding::Inlined { value, .. } = &inner.1 else {
+            return None;
+        };
+        let captured = matches!(value, Expr::Var(target)
+            if above.iter().any(|(n, b)| n == target && matches!(b, Binding::Bound)));
+        let value = value.clone();
+        if let Binding::Inlined { captured: mark, .. } = &mut self.scope[at].1 {
+            *mark |= captured;
+        }
+        Some(value)
     }
 }
 
@@ -275,6 +385,35 @@ mod tests {
         let e = Expr::lit(1.0).smul(Expr::var("A").t().t());
         assert_eq!(savings(&e), e.size() - 1);
         assert_eq!(savings(&Expr::var("A")), 0);
+    }
+
+    #[test]
+    fn inlining_never_captures_a_rebound_variable() {
+        // `let Y = w in Σw. (wᵀ·Y) × A`: inlining `w` for `Y` would put the
+        // outer `w` under the inner loop's binder, so the `let` stays.
+        let sum = Expr::sum(
+            "w",
+            "n",
+            Expr::var("w").t().mm(Expr::var("Y")).smul(Expr::var("A")),
+        );
+        let captured = Expr::let_in("Y", Expr::var("w"), sum);
+        assert_eq!(simplify(&captured), captured);
+        // A dead `let` under the binder still goes, and the outer one then
+        // inlines: `let Y = w in (let w = A·A in Y)` is `w`.
+        let shadowed = Expr::let_in(
+            "Y",
+            Expr::var("w"),
+            Expr::let_in("w", Expr::var("A").mm(Expr::var("A")), Expr::var("Y")),
+        );
+        assert_eq!(simplify(&shadowed), Expr::var("w"));
+        let w = Matrix::from_f64_rows(&[&[1.0], &[0.0], &[5.0]]).unwrap();
+        let inst = instance().with_matrix("w", w);
+        let registry = FunctionRegistry::standard_field();
+        for e in [captured, shadowed] {
+            let lhs = evaluate(&e, &inst, &registry).unwrap();
+            let rhs = evaluate(&simplify(&e), &inst, &registry).unwrap();
+            assert_eq!(lhs, rhs, "simplification changed the value of {e}");
+        }
     }
 
     #[test]

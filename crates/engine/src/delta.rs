@@ -304,12 +304,13 @@ where
     }
     let _span = matlang_obs::trace::span("delta-propagate");
     let mut deltas: Vec<NodeDelta<K>> = Vec::with_capacity(n);
+    let slot = plan.slots.get(var).copied();
     // Topological (children-first) node order: every rule sees its
     // children already patched, so "current value" below always means the
     // post-update value base ⊕ overlay.
     for id in 0..n {
         let node = plan.node(id);
-        if !node.free_vars.contains(var) {
+        if !slot.is_some_and(|slot| node.free_vars.binary_search(&slot).is_ok()) {
             deltas.push(NodeDelta::Clean);
             continue;
         }

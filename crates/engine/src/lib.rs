@@ -7,20 +7,20 @@
 //! paper leaves as future work — *efficient* evaluation:
 //!
 //! * [`Planner`] compiles a type-checked [`matlang_core::Expr`] into a
-//!   DAG-shaped physical [`Plan`]: the algebraic rewriter
-//!   (`matlang_core::rewrite`) runs first, then the **cost-based rewrite
-//!   layer** ([`rewrite`]) reorders matrix chains by the classic DP,
-//!   pushes transposes into products and `1(e)` onto its row source,
-//!   products against a diagonalized vector are fused into scaling
-//!   kernels, a Hadamard product with a matrix product nothing else
-//!   reads becomes one masked product, and a product with a loop's
-//!   canonical vector becomes a row/column/entry selection, a placement or
-//!   a point update at the loop's index; structurally identical
-//!   subexpressions are hash-consed to a single node (CSE),
-//!   loop-invariant nodes are identified, and a simple nnz/density cost
-//!   model built from [`InstanceStats`] chooses a storage representation
-//!   per node.  Every cost-based rewrite is recorded in the
-//!   [`PlanReport`].
+//!   DAG-shaped physical [`Plan`] in one bottom-up pass: every node it
+//!   builds goes through one rule table — `matlang_core::rewrite`'s
+//!   algebraic simplifications, then the **cost-based rules**
+//!   ([`rewrite`]): matrix chains reordered by the classic DP, transposes
+//!   pushed into products and `1(e)` onto its row source — and is
+//!   hash-consed into the DAG, so structurally identical subexpressions
+//!   share one node (CSE).  Products against a diagonalized vector are
+//!   fused into scaling kernels, a Hadamard product with a matrix product
+//!   nothing else reads becomes one masked product, and a product with a
+//!   loop's canonical vector becomes a row/column/entry selection, a
+//!   placement or a point update at the loop's index; loop-invariant
+//!   nodes are identified, and a simple nnz/density cost model built from
+//!   [`InstanceStats`] chooses a storage representation per node.  Every
+//!   cost-based rewrite is recorded in the [`PlanReport`].
 //! * [`Executor`] evaluates the DAG with one memoized result per shared or
 //!   loop-invariant node, dropping cache entries precisely when a loop
 //!   rebinds a variable they depend on — so hoisting falls out of cache
@@ -30,8 +30,8 @@
 //!   ([`Engine::evaluate_batch`]).
 //!
 //! Results agree with [`matlang_core::evaluate`] on every storage backend
-//! — same values, same error cases (the `rewrite::simplify` pre-pass
-//! is gated by [`constants_fold_exactly`] so its ℝ-based constant folding
+//! — same values, same error cases (the `rewrite::simplify` rules are
+//! gated by [`constants_fold_exactly`] so their ℝ-based constant folding
 //! never runs over a semiring where it would change results; the
 //! cost-based rules are semiring identities whose reordering/dropping is
 //! additionally gated on provable totality, so error discriminants and
@@ -183,11 +183,11 @@ impl Engine {
 
     /// Plans `queries` against `instance`'s statistics without executing.
     ///
-    /// The `rewrite::simplify` pre-pass runs only when it is enabled in
+    /// The `rewrite::simplify` rules apply only when they are enabled in
     /// [`PlanOptions`] **and** [`constants_fold_exactly`] holds for `K` —
     /// over semirings whose constants do not embed ℝ-compatibly (the
-    /// tropical family, 𝔹/ℕ/ℤ with negative or fractional literals) the
-    /// pass is skipped automatically, so planned evaluation always agrees
+    /// tropical family, 𝔹/ℕ/ℤ with negative or fractional literals) they
+    /// are skipped automatically, so planned evaluation always agrees
     /// with the tree evaluator.
     pub fn plan<K: Semiring, M: MatrixStorage<Elem = K>>(
         &self,
@@ -260,7 +260,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables/disables the `rewrite::simplify` pre-pass
+    /// Enables/disables the `rewrite::simplify` rules
     /// ([`PlanOptions::simplify`], default `true`).
     pub fn simplify(mut self, enabled: bool) -> Self {
         self.engine.plan_options.simplify = enabled;

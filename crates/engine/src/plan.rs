@@ -21,8 +21,8 @@
 //! (CSE sharing, hoistable nodes, `rewrite::simplify` savings, per-node
 //! representation choices).
 
+use crate::planner::FxMap;
 use matlang_core::MatrixType;
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -240,49 +240,67 @@ pub enum PlanOp {
 impl PlanOp {
     /// The child node ids of this operation, in evaluation order.
     pub fn children(&self) -> Vec<NodeId> {
-        match self {
-            PlanOp::Var(..) | PlanOp::Const(_) => Vec::new(),
-            PlanOp::Transpose(a) | PlanOp::Ones(a) | PlanOp::Diag(a) => vec![*a],
+        self.child_ids().collect()
+    }
+
+    /// [`children`](PlanOp::children) without allocating.
+    pub(crate) fn child_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let none: &[NodeId] = &[];
+        let (fixed, n, args) = match self {
+            PlanOp::Var(..) | PlanOp::Const(_) | PlanOp::Place { vec: None, .. } => {
+                ([0; 3], 0, none)
+            }
+            PlanOp::Transpose(a)
+            | PlanOp::Ones(a)
+            | PlanOp::Diag(a)
+            | PlanOp::Select { mat: a, .. }
+            | PlanOp::Place { vec: Some(a), .. }
+            | PlanOp::Sum { body: a, .. }
+            | PlanOp::HProd { body: a, .. }
+            | PlanOp::MProd { body: a, .. }
+            | PlanOp::For {
+                init: None,
+                body: a,
+                ..
+            } => ([*a, 0, 0], 1, none),
             PlanOp::MatMul(a, b)
             | PlanOp::Add(a, b)
             | PlanOp::ScalarMul(a, b)
-            | PlanOp::Hadamard(a, b) => vec![*a, *b],
-            PlanOp::ScaleRows { vec, mat } => vec![*vec, *mat],
-            PlanOp::ScaleCols { mat, vec } => vec![*mat, *vec],
+            | PlanOp::Hadamard(a, b)
+            | PlanOp::ScaleRows { vec: a, mat: b }
+            | PlanOp::ScaleCols { mat: a, vec: b }
+            | PlanOp::PointUpdate {
+                mat: a, scalar: b, ..
+            }
+            | PlanOp::Let {
+                value: a, body: b, ..
+            }
+            | PlanOp::For {
+                init: Some(a),
+                body: b,
+                ..
+            } => ([*a, *b, 0], 2, none),
             PlanOp::MaskedMatMul {
                 left,
                 right,
                 mask,
                 mask_on_left,
             } => {
-                if *mask_on_left {
-                    vec![*mask, *left, *right]
+                let ids = if *mask_on_left {
+                    [*mask, *left, *right]
                 } else {
-                    vec![*left, *right, *mask]
-                }
+                    [*left, *right, *mask]
+                };
+                (ids, 3, none)
             }
-            PlanOp::Select { mat, .. } => vec![*mat],
-            PlanOp::Place { vec, .. } => vec.iter().copied().collect(),
-            PlanOp::PointUpdate { mat, scalar, .. } => vec![*mat, *scalar],
-            PlanOp::Apply(_, args) => args.clone(),
-            PlanOp::Let { value, body, .. } => vec![*value, *body],
-            PlanOp::For { init, body, .. } => {
-                let mut out = Vec::new();
-                if let Some(init) = init {
-                    out.push(*init);
-                }
-                out.push(*body);
-                out
-            }
-            PlanOp::Sum { body, .. } | PlanOp::HProd { body, .. } | PlanOp::MProd { body, .. } => {
-                vec![*body]
-            }
-        }
+            PlanOp::Apply(_, args) => ([0; 3], 0, args.as_slice()),
+        };
+        fixed.into_iter().take(n).chain(args.iter().copied())
     }
 
     /// Rewrites every child id through `f` — the renumbering step after the
     /// planner drops a node from the DAG.
-    pub(crate) fn map_children(&mut self, f: impl Fn(NodeId) -> NodeId) {
+    pub(crate) fn map_children(&mut self, mut f: impl FnMut(NodeId) -> NodeId) {
         match self {
             PlanOp::Var(..) | PlanOp::Const(_) | PlanOp::Place { vec: None, .. } => {}
             PlanOp::Transpose(a) | PlanOp::Ones(a) | PlanOp::Diag(a) => *a = f(*a),
@@ -497,11 +515,11 @@ impl NodeEstimate {
 pub struct PlanNode {
     /// The operation.
     pub op: PlanOp,
-    /// The matrix variables this node's *value* depends on: free variables
-    /// of the subexpression the node represents.  Binders subtract their
-    /// bound names, so a loop node does not depend on its own iteration
-    /// vector.
-    pub free_vars: BTreeSet<String>,
+    /// The slots of the matrix variables this node's *value* depends on,
+    /// sorted: free variables of the subexpression the node represents.
+    /// Binders subtract their bound names, so a loop node does not depend
+    /// on its own iteration vector.
+    pub free_vars: Vec<VarSlot>,
     /// How many parents reference this node (> 1 means CSE found sharing).
     pub refs: usize,
     /// Whether some occurrence of this node sits inside a loop body whose
@@ -539,14 +557,14 @@ pub struct AppliedRewrite {
 pub struct PlanReport {
     /// Number of planned queries (roots).
     pub queries: usize,
-    /// Total AST nodes of the (simplified) query trees — what the naive
+    /// Total AST nodes of the rewritten query trees — what the naive
     /// evaluator would traverse.
     pub tree_nodes: usize,
     /// Distinct DAG nodes after hash-consing.
     pub dag_nodes: usize,
     /// Nodes referenced more than once (CSE hits).
     pub shared_nodes: usize,
-    /// Total AST nodes removed by folding `rewrite::simplify` into
+    /// Total AST nodes the `rewrite::simplify` rules removed while
     /// planning, summed over the queries (`rewrite::savings`).
     pub simplify_savings: usize,
     /// Nodes marked loop-invariant with respect to an enclosing loop.
@@ -613,7 +631,7 @@ pub struct Plan {
     pub(crate) nodes: Vec<PlanNode>,
     pub(crate) roots: Vec<NodeId>,
     /// Variable name → slot, for every name the plan mentions.
-    pub(crate) slots: HashMap<String, VarSlot>,
+    pub(crate) slots: FxMap<String, VarSlot>,
     /// Per slot, the nodes whose value depends on that variable.
     pub(crate) dependents: Vec<Vec<NodeId>>,
     /// The planner's summary of this plan.

@@ -1,47 +1,57 @@
-//! The query planner: expression → hash-consed DAG plan.
+//! The query planner: expression → hash-consed DAG plan, in one pass.
 //!
-//! Planning is four deterministic steps:
+//! Each query is walked once, bottom-up.  Every node the walk builds goes
+//! through one rule table (`rewrite::RULES`) and what comes out is
+//! hash-consed into the DAG; nothing is rewritten as a tree first, and no
+//! step repeats to a fixpoint:
 //!
-//! 1. **Simplify** — fold the algebraic rewriter
-//!    ([`matlang_core::rewrite::simplify`]) into planning, recording the
-//!    saved AST nodes ([`matlang_core::rewrite::savings`]) in the
-//!    [`PlanReport`].
-//! 2. **Hash-cons (CSE)** — intern every structurally distinct
-//!    subexpression once; repeated subtrees (within a query *and across
-//!    the queries of a batch*) share a [`NodeId`], so the executor computes
-//!    them once.  Under the cost rewrites, a product with a loop's
-//!    canonical vector is interned as a loop-index op instead
-//!    ([`PlanOp::Select`], [`PlanOp::Place`], [`PlanOp::PointUpdate`]): the
-//!    builder's scope knows which names a `for`/Σ/Π∘/Π binds until a `let`
-//!    or an accumulator shadows them.
-//! 3. **Hoisting analysis** — mark the nodes that sit inside a loop body
-//!    but do not depend on the loop's bound variables; the executor's
-//!    scoped memo keeps exactly those nodes alive across iterations.
-//! 4. **Cost model** — propagate shape / non-zero-count estimates from
-//!    [`InstanceStats`] bottom-up, choose a storage representation per node
-//!    (density against the thresholds of [`matlang_matrix::repr`]).
-//! 5. **Masked-product fusion** — once every query is in the DAG and each
-//!    node's consumers are known, a Hadamard product with a matrix product
-//!    nothing else reads becomes one [`PlanOp::MaskedMatMul`] when the cost
-//!    model chose the sparse representation for both factors and the mask.
+//! * **Rules** — `matlang_core::rewrite`'s simplification rules (their
+//!   savings are counted into [`PlanReport::simplify_savings`]; its `let`
+//!   rules act where the walk binds names), then the cost rules: transpose
+//!   and ones pushdown and matrix-chain reordering, priced against the
+//!   nodes' [`NodeEstimate`]s.
+//! * **Hash-consing (CSE)** — every structurally distinct subexpression is
+//!   interned once; repeated subtrees (within a query *and across the
+//!   queries of a batch*) share a [`NodeId`], so the executor computes
+//!   them once.  Names are interned to slots when first seen, and a node's
+//!   key carries ids only: its operation and its environment — each free
+//!   variable with the binder it resolves to, one interned id.
+//! * **Lowering** — a product whose consumer is not itself a product is
+//!   lowered: with a loop's canonical vector to a loop-index op
+//!   ([`PlanOp::Select`], [`PlanOp::Place`], [`PlanOp::PointUpdate`]),
+//!   with a diagonalized vector to a scaling kernel.
+//! * **Cost model** — each node's shape / non-zero-count estimate comes from
+//!   [`InstanceStats`] and its operands' as it is interned, and picks its
+//!   storage representation (density against the thresholds of
+//!   [`matlang_matrix::repr`]).
+//!
+//! Rewriting leaves nodes behind.  Once every query is built, the plan
+//! keeps what the roots reach, numbered children first; one walk over the
+//! reached occurrences counts references and marks the nodes that sit
+//! inside a loop body without depending on its bound variables (the
+//! executor's scoped memo keeps exactly those alive across iterations);
+//! and a Hadamard product with a matrix product nothing else reads becomes
+//! one [`PlanOp::MaskedMatMul`] when the cost model chose the sparse
+//! representation for both factors and the mask.
 
 use crate::plan::{
     AppliedRewrite, ConstVal, LoopIndex, NodeEstimate, NodeId, Plan, PlanNode, PlanOp, PlanReport,
     ReprChoice, VarSlot,
 };
-use matlang_core::{rewrite, Dim, Expr, Instance, MatrixType};
+use matlang_core::{Dim, Expr, Instance, MatrixType};
 use matlang_matrix::repr::{MIN_ADAPTIVE_ENTRIES, SPARSIFY_THRESHOLD};
 use matlang_matrix::MatrixStorage;
 use matlang_semiring::Semiring;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Planner configuration.
 #[derive(Clone, Debug)]
 pub struct PlanOptions {
-    /// Run [`matlang_core::rewrite::simplify`] on every query before
-    /// planning (default `true`).
+    /// Apply [`matlang_core::rewrite::simplify`]'s rules while planning
+    /// (default `true`).
     ///
-    /// The rewriter's constant-handling rules interpret literals through
+    /// Its constant-handling rules interpret literals through
     /// `f64` arithmetic, which is exact only over semirings that embed ℝ
     /// faithfully.  [`Planner`] itself is semiring-agnostic and applies
     /// this flag as given; the typed [`crate::Engine`] front door
@@ -50,10 +60,10 @@ pub struct PlanOptions {
     /// would change results (tropical min/max-plus, 𝔹/ℕ/ℤ with negative
     /// or fractional literals).
     pub simplify: bool,
-    /// Run the cost-based rewrite layer ([`crate::rewrite`]) on every
-    /// query before building the DAG, fuse `diag(v) · A` / `A · diag(v)`
-    /// products into the scaling kernels and `(A · B) ∘ M` into the masked
-    /// product (default `true`).
+    /// Apply the cost-based rules ([`crate::rewrite`]) while planning,
+    /// lower products with a loop's canonical vector to index operations,
+    /// fuse `diag(v) · A` / `A · diag(v)` products into the scaling kernels
+    /// and `(A · B) ∘ M` into the masked product (default `true`).
     ///
     /// Unlike [`simplify`](PlanOptions::simplify), these rules are
     /// identities in every commutative semiring (no constants are
@@ -168,77 +178,105 @@ impl InstanceStats {
     }
 }
 
-/// One binder in scope: the bound name, the advisory statistics of its
-/// value (`None` when unknown — which also correctly shadows any instance
-/// matrix of the same name), and whether it is a `for`/Σ/Π∘/Π iteration
-/// variable, bound to a canonical vector until something shadows it.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct Binder {
-    name: String,
-    stats: Option<VarStats>,
-    iterates: bool,
+/// FxHash, the hasher of `rustc`: one rotate-xor-multiply per word.  The
+/// planner's keys are small ids and short names, which SipHash's
+/// flooding resistance only slows down.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
 }
 
-/// The binders in scope while an expression is walked, innermost last —
-/// the planner's DAG builder and the cost-based rewriter each keep one.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Scope(Vec<Binder>);
-
-impl Scope {
-    /// Binds `name` to a value: a `let` or a loop's accumulator.
-    pub(crate) fn push(&mut self, name: &str, stats: Option<VarStats>) {
-        self.0.push(Binder {
-            name: name.to_string(),
-            stats,
-            iterates: false,
-        });
-    }
-
-    /// Binds a loop's iteration variable: a canonical vector of dimension
-    /// `dim`, when the dimension is known.
-    pub(crate) fn push_loop(&mut self, name: &str, dim: Option<usize>) {
-        self.0.push(Binder {
-            name: name.to_string(),
-            stats: dim.map(|rows| VarStats {
-                rows,
-                cols: 1,
-                nnz: 1,
-            }),
-            iterates: true,
-        });
-    }
-
-    /// Unbinds the innermost binder.
-    pub(crate) fn pop(&mut self) {
-        self.0.pop();
-    }
-
-    /// The innermost binder of `name`.
-    pub(crate) fn binder(&self, name: &str) -> Option<&Binder> {
-        self.0.iter().rev().find(|b| b.name == name)
-    }
-
-    /// The statistics of `name`: its innermost binder's, else the instance
-    /// matrix's.
-    pub(crate) fn stats(&self, name: &str, instance: &InstanceStats) -> Option<VarStats> {
-        match self.binder(name) {
-            Some(b) => b.stats,
-            None => instance.vars.get(name).copied(),
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
         }
     }
 
-    /// Whether `name` is a loop's iteration variable here.
-    pub(crate) fn iterates(&self, name: &str) -> bool {
-        self.binder(name).is_some_and(|b| b.iterates)
+    fn write_u8(&mut self, n: u8) {
+        self.add(n.into());
     }
 
-    /// The dimension of the canonical vector `name` is bound to, when its
-    /// innermost binder is a loop over a known dimension.
-    pub(crate) fn loop_dim(&self, name: &str) -> Option<usize> {
-        let b = self.binder(name).filter(|b| b.iterates)?;
-        b.stats.map(|s| s.rows)
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
+
+/// The [`FxHasher`] hash of `value`.
+fn hash_of(value: &(impl Hash + ?Sized)) -> u64 {
+    let mut hasher = FxHasher::default();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// The interned environments, in one arena and found by hash.
+#[derive(Debug)]
+struct Envs {
+    data: Vec<(VarSlot, BinderId)>,
+    /// Per environment, its `data` range.
+    ranges: Vec<(usize, usize)>,
+    /// Hash → the newest environment with it; `next` chains older ones.
+    heads: FxMap<u64, EnvId>,
+    next: Vec<Option<EnvId>>,
+}
+
+impl Default for Envs {
+    /// Holds the empty environment, id 0.
+    fn default() -> Self {
+        Envs {
+            data: Vec::new(),
+            ranges: vec![(0, 0)],
+            heads: FxMap::from_iter([(hash_of(&[] as &[(VarSlot, BinderId)]), 0)]),
+            next: vec![None],
+        }
+    }
+}
+
+impl Envs {
+    fn get(&self, id: EnvId) -> &[(VarSlot, BinderId)] {
+        let (from, to) = self.ranges[id as usize];
+        &self.data[from..to]
+    }
+
+    /// Interns the environment the caller just pushed as `data[start..]`:
+    /// kept when new, popped again when it exists.
+    fn intern_tail(&mut self, start: usize) -> EnvId {
+        let hash = hash_of(&self.data[start..]);
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(id) = at {
+            if self.get(id) == &self.data[start..] {
+                self.data.truncate(start);
+                return id;
+            }
+            at = self.next[id as usize];
+        }
+        let id = self.ranges.len() as EnvId;
+        self.ranges.push((start, self.data.len()));
+        self.next.push(self.heads.insert(hash, id));
+        id
+    }
+}
+
+/// A hash map keyed through [`FxHasher`].
+pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Compiles type-checked expressions into DAG-shaped [`Plan`]s.
 #[derive(Clone, Debug, Default)]
@@ -264,50 +302,848 @@ impl Planner {
     pub fn plan(&self, queries: &[Expr], stats: &InstanceStats) -> Plan {
         let _plan_span = matlang_obs::trace::span("plan");
         let plan_timer = matlang_obs::enabled().then(std::time::Instant::now);
+        let (simplify, cost) = (self.options.simplify, self.options.cost_rewrites);
+        let size = queries.iter().map(Expr::size).sum();
+        let mut builder = Builder::new(stats, size, (simplify, cost, cost));
         let mut report = PlanReport {
             queries: queries.len(),
             trace_id: matlang_obs::trace::current_id(),
             ..PlanReport::default()
         };
-        let mut builder = Builder {
-            stats,
-            options: &self.options,
-            nodes: Vec::new(),
-            dedup: HashMap::new(),
-            slots: HashMap::new(),
-            scope: Scope::default(),
-            loops: Vec::new(),
-            fused: Vec::new(),
-        };
         let mut roots = Vec::with_capacity(queries.len());
         for query in queries {
-            let mut planned = if self.options.simplify {
-                // `rewrite::savings`, without simplifying a second time.
-                let simplified = rewrite::simplify(query);
-                report.simplify_savings += query.size().saturating_sub(simplified.size());
-                simplified
-            } else {
-                query.clone()
-            };
-            if self.options.cost_rewrites {
-                let rewrite_span = matlang_obs::trace::span("rewrite");
-                let outcome = crate::rewrite::rewrite_with_stats(&planned, stats);
-                for applied in &outcome.applied {
-                    matlang_obs::trace::event(format!("rewrite:{}", applied.rule));
-                }
-                drop(rewrite_span);
-                report.rewrites.extend(outcome.applied);
-                planned = outcome.expr;
+            let applied = builder.applied.len();
+            let root = builder.build(query);
+            let root = builder.lower(root);
+            report.tree_nodes += builder.facts[root].size;
+            for rewrite in &builder.applied[applied..] {
+                matlang_obs::trace::event(format!("rewrite:{}", rewrite.rule));
             }
-            report.tree_nodes += planned.size();
-            roots.push(builder.build(&planned));
+            roots.push(root);
         }
-        if self.options.cost_rewrites {
-            builder.fuse_masked_products(&mut roots);
+        let plan = builder.finish(roots, report);
+        if let Some(t) = plan_timer {
+            matlang_obs::counter!("plan_total").inc();
+            matlang_obs::histogram!("plan_latency_us").observe(t.elapsed().as_micros() as u64);
         }
-        report.rewrites.append(&mut builder.fused);
-        let mut nodes = builder.nodes;
-        let slots = builder.slots;
+        plan
+    }
+
+    /// Plans a single query; see [`Planner::plan`].
+    pub fn plan_one(&self, query: &Expr, stats: &InstanceStats) -> Plan {
+        self.plan(std::slice::from_ref(query), stats)
+    }
+}
+
+/// Index of an interned [`Binder`].
+type BinderId = u32;
+
+/// The binder id of a name no binder in scope binds: an instance matrix.
+const UNBOUND: BinderId = BinderId::MAX;
+
+/// What a binder tells the cost model about its name: the advisory
+/// statistics of its value (`None` when unknown — which also correctly
+/// shadows any instance matrix of the same name), and whether it is a
+/// `for`/Σ/Π∘/Π iteration variable, bound to a canonical vector.  Interned
+/// by value, so two loops over the same dimension bind alike.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct Binder {
+    pub(crate) stats: Option<VarStats>,
+    pub(crate) iterates: bool,
+}
+
+/// A node's free variables, each with the binder its occurrences resolve
+/// to, sorted — interned, so the dedup key carries one id.  The binder
+/// part keeps structurally identical subexpressions *distinct* when
+/// shadowing gives one name different shapes in different scopes —
+/// otherwise the first-interned occurrence's estimate would misdrive
+/// representation choices for the others — and lets them share when the
+/// scopes agree (the same loop variable over the same dimension), which is
+/// exactly what CSE wants.
+type EnvId = u32;
+
+/// What a name is bound to while the builder walks a binder's body.
+#[derive(Clone, Copy, Debug)]
+enum Binding {
+    /// A loop variable, an accumulator, or a `let` that stays.
+    Bound(BinderId),
+    /// A `let` of a variable or constant, inlined at every use: every use
+    /// is the value's node.  `captured` once a variable value turns out to
+    /// be used under a binder of its own name; the `let` then stays.
+    Inlined { node: NodeId, captured: bool },
+}
+
+/// What the builder knows of a node beyond its [`PlanNode`].
+#[derive(Clone, Debug)]
+pub(crate) struct Facts {
+    pub(crate) env: EnvId,
+    /// Whether evaluation provably cannot fail: every variable is known
+    /// and every operator's shape precondition is certified by the
+    /// estimates.  Conservative — `Apply` and the loop forms are never
+    /// certified.  The rewrites that drop or reorder operands need it.
+    pub(crate) total: bool,
+    /// AST nodes of the expression the node stands for (lowered
+    /// operations count the products they replace).
+    pub(crate) size: usize,
+    /// The loop-index or diag-pushdown lowering that made the node: the
+    /// dimensions its record names and the estimated saving.
+    fusion: Option<((usize, usize), f64)>,
+    /// The previous node whose key hashed alike.
+    next: Option<NodeId>,
+}
+
+/// The slots a loop binds in its body: one or two.
+type Bound = ([VarSlot; 2], usize);
+
+/// A loop's iteration variable as a product operand: its `Var` node, the
+/// dimension of its canonical vector, and the operand's own node.
+type LoopOperand = (NodeId, usize, NodeId);
+
+/// The single planning pass.  It walks each query once, bottom-up; at each
+/// node it runs the rule table ([`crate::rewrite::RULES`]: `simplify`'s
+/// local rules, then the cost rules) and hash-conses what comes out.
+/// Products are lowered — loop-index operations, diag fusion — when their
+/// consumer is not itself a product, so the chain rule always sees whole
+/// chains.  Rewritten-away nodes stay in the arena until
+/// [`Builder::finish`] keeps what the roots reach.
+pub(crate) struct Builder<'a> {
+    pub(crate) stats: &'a InstanceStats,
+    pub(crate) simplify: bool,
+    pub(crate) cost: bool,
+    lowering: bool,
+    pub(crate) nodes: Vec<PlanNode>,
+    pub(crate) facts: Vec<Facts>,
+    /// Hash of `(operation, environment)` → the newest node with it;
+    /// [`Facts::next`] chains the older ones.
+    dedup: FxMap<u64, NodeId>,
+    /// The `Var` node of each (slot, binder) pair, so a repeated use
+    /// neither clones its name nor hashes an operation.
+    var_nodes: FxMap<(VarSlot, BinderId), NodeId>,
+    /// Every variable name seen so far → its dense slot, in first-seen
+    /// order.
+    slots: FxMap<String, VarSlot>,
+    pub(crate) binders: Vec<Binder>,
+    binder_ids: FxMap<Binder, BinderId>,
+    envs: Envs,
+    unions: FxMap<(EnvId, EnvId), EnvId>,
+    scope: Vec<(VarSlot, Binding)>,
+    /// The enclosing loops, innermost last: bound slots and the iteration
+    /// count when the governing dimension is known.
+    pub(crate) loops: Vec<(Vec<VarSlot>, Option<usize>)>,
+    /// Raw product → its lowered node.
+    lowered: FxMap<NodeId, NodeId>,
+    /// Cost rewrites (chain reordering, transpose and ones pushdown), in
+    /// application order.
+    pub(crate) applied: Vec<AppliedRewrite>,
+    /// AST nodes the `simplify` rules removed.
+    pub(crate) simplify_savings: usize,
+}
+
+impl<'a> Builder<'a> {
+    /// A builder for queries of about `size` AST nodes in all.
+    pub(crate) fn new(
+        stats: &'a InstanceStats,
+        size: usize,
+        (simplify, cost, lowering): (bool, bool, bool),
+    ) -> Self {
+        Builder {
+            stats,
+            simplify,
+            cost,
+            lowering,
+            nodes: Vec::with_capacity(size),
+            facts: Vec::with_capacity(size),
+            dedup: FxMap::with_capacity_and_hasher(size, Default::default()),
+            var_nodes: FxMap::default(),
+            slots: FxMap::default(),
+            binders: Vec::new(),
+            binder_ids: FxMap::default(),
+            envs: Envs::default(),
+            unions: FxMap::default(),
+            scope: Vec::new(),
+            loops: Vec::new(),
+            lowered: FxMap::default(),
+            applied: Vec::new(),
+            simplify_savings: 0,
+        }
+    }
+
+    /// The slot of `name`, interning it on first sight.
+    fn slot(&mut self, name: &str) -> VarSlot {
+        if let Some(&slot) = self.slots.get(name) {
+            return slot;
+        }
+        let slot = self.slots.len();
+        self.slots.insert(name.to_string(), slot);
+        slot
+    }
+
+    fn binder(&mut self, binder: Binder) -> BinderId {
+        let next = self.binders.len() as BinderId;
+        let id = *self.binder_ids.entry(binder).or_insert(next);
+        if id == next {
+            self.binders.push(binder);
+        }
+        id
+    }
+
+    /// The free variables of node `id` with their binders, sorted.
+    pub(crate) fn env(&self, id: NodeId) -> &[(VarSlot, BinderId)] {
+        self.envs.get(self.facts[id].env)
+    }
+
+    /// The binder a use of `slot` in node `id` resolves to.
+    pub(crate) fn binder_of(&self, id: NodeId, slot: VarSlot) -> Option<Binder> {
+        let env = self.env(id);
+        let at = env.binary_search_by_key(&slot, |&(s, _)| s).ok()?;
+        self.binders.get(env[at].1 as usize).copied()
+    }
+
+    pub(crate) fn build(&mut self, expr: &Expr) -> NodeId {
+        match expr {
+            Expr::Var(name) => self.var(name),
+            Expr::Const(c) => self.make(PlanOp::Const(ConstVal(*c))),
+            Expr::Transpose(e) | Expr::Ones(e) | Expr::Diag(e) => {
+                let a = self.build(e);
+                self.make(match expr {
+                    Expr::Transpose(_) => PlanOp::Transpose(a),
+                    Expr::Ones(_) => PlanOp::Ones(a),
+                    _ => PlanOp::Diag(a),
+                })
+            }
+            Expr::MatMul(a, b) | Expr::Add(a, b) | Expr::ScalarMul(a, b) | Expr::Hadamard(a, b) => {
+                let (a, b) = (self.build(a), self.build(b));
+                self.make(match expr {
+                    Expr::MatMul(..) => PlanOp::MatMul(a, b),
+                    Expr::Add(..) => PlanOp::Add(a, b),
+                    Expr::ScalarMul(..) => PlanOp::ScalarMul(a, b),
+                    _ => PlanOp::Hadamard(a, b),
+                })
+            }
+            Expr::Apply(name, args) => {
+                let args: Vec<NodeId> = args.iter().map(|a| self.build(a)).collect();
+                self.make(PlanOp::Apply(name.clone(), args))
+            }
+            Expr::Let { var, value, body } => self.build_let(var, value, body),
+            Expr::For {
+                var,
+                var_dim,
+                acc,
+                acc_type,
+                init,
+                body,
+            } => {
+                let init = init.as_ref().map(|e| self.build(e));
+                let n = self.stats.dim(var_dim);
+                let acc_stats = self.stats.shape_of(acc_type).map(|(rows, cols)| VarStats {
+                    rows,
+                    cols,
+                    nnz: rows * cols,
+                });
+                let (var_slot, acc_slot) = (self.slot(var), self.slot(acc));
+                let iterates = self.loop_binder(n);
+                let accumulates = self.binder(Binder {
+                    stats: acc_stats,
+                    iterates: false,
+                });
+                self.scope.push((var_slot, Binding::Bound(iterates)));
+                self.loops.push((vec![var_slot, acc_slot], n));
+                let (_, body) = self.within(acc_slot, Binding::Bound(accumulates), body);
+                self.loops.pop();
+                self.scope.pop();
+                self.make(PlanOp::For {
+                    var: var.clone(),
+                    var_slot,
+                    var_dim: var_dim.clone(),
+                    acc: acc.clone(),
+                    acc_slot,
+                    acc_type: acc_type.clone(),
+                    init,
+                    body,
+                })
+            }
+            Expr::Sum { var, var_dim, body }
+            | Expr::HProd { var, var_dim, body }
+            | Expr::MProd { var, var_dim, body } => {
+                let n = self.stats.dim(var_dim);
+                let var_slot = self.slot(var);
+                let iterates = self.loop_binder(n);
+                self.loops.push((vec![var_slot], n));
+                let (_, body) = self.within(var_slot, Binding::Bound(iterates), body);
+                self.loops.pop();
+                let (var, var_dim) = (var.clone(), var_dim.clone());
+                self.make(match expr {
+                    Expr::Sum { .. } => PlanOp::Sum {
+                        var,
+                        var_slot,
+                        var_dim,
+                        body,
+                    },
+                    Expr::HProd { .. } => PlanOp::HProd {
+                        var,
+                        var_slot,
+                        var_dim,
+                        body,
+                    },
+                    _ => PlanOp::MProd {
+                        var,
+                        var_slot,
+                        var_dim,
+                        body,
+                    },
+                })
+            }
+        }
+    }
+
+    /// A use of `name`: the inlined value's node, or the `Var` node of the
+    /// binder in scope.  An inlined variable used under a binder of its own
+    /// name marks its `let` captured.
+    fn var(&mut self, name: &str) -> NodeId {
+        let slot = self.slot(name);
+        let at = self.scope.iter().rposition(|&(s, _)| s == slot);
+        let binder = match at.map(|at| self.scope[at].1) {
+            Some(Binding::Inlined { node, .. }) => {
+                let at = at.expect("found above");
+                if let PlanOp::Var(_, target) = self.nodes[node].op {
+                    let captured = self.scope[at + 1..]
+                        .iter()
+                        .any(|&(s, b)| s == target && matches!(b, Binding::Bound(_)));
+                    if let Binding::Inlined { captured: mark, .. } = &mut self.scope[at].1 {
+                        *mark |= captured;
+                    }
+                }
+                return node;
+            }
+            Some(Binding::Bound(binder)) => binder,
+            None => UNBOUND,
+        };
+        if let Some(&id) = self.var_nodes.get(&(slot, binder)) {
+            return id;
+        }
+        self.envs.data.push((slot, binder));
+        let env = self.envs.intern_tail(self.envs.data.len() - 1);
+        let id = self.insert(PlanOp::Var(name.to_string(), slot), env, None);
+        self.var_nodes.insert((slot, binder), id);
+        id
+    }
+
+    fn loop_binder(&mut self, n: Option<usize>) -> BinderId {
+        self.binder(Binder {
+            stats: n.map(|rows| VarStats {
+                rows,
+                cols: 1,
+                nnz: 1,
+            }),
+            iterates: true,
+        })
+    }
+
+    /// Builds `body` with `slot` bound as given, returning the binding as
+    /// the walk left it.
+    fn within(&mut self, slot: VarSlot, binding: Binding, body: &Expr) -> (Binding, NodeId) {
+        self.scope.push((slot, binding));
+        let body = self.build(body);
+        let (_, binding) = self.scope.pop().expect("pushed above");
+        (binding, body)
+    }
+
+    /// `let var = value in body`, with `simplify`'s `let` rules: a variable
+    /// or constant value is inlined at every use (unless that would capture
+    /// it), `let X = e in X` is `e`, and a dead binding is dropped.
+    fn build_let(&mut self, var: &str, value_expr: &Expr, body: &Expr) -> NodeId {
+        let before = (self.applied.len(), self.simplify_savings);
+        let value = self.build(value_expr);
+        let after = (self.applied.len(), self.simplify_savings);
+        let slot = self.slot(var);
+        if self.simplify && matches!(self.nodes[value].op, PlanOp::Var(..) | PlanOp::Const(_)) {
+            let inlined = Binding::Inlined {
+                node: value,
+                captured: false,
+            };
+            if let (Binding::Inlined { captured, .. }, inlined) = self.within(slot, inlined, body) {
+                if !captured {
+                    self.simplify_savings += 2;
+                    return inlined;
+                }
+            }
+            // Captured: build the body again with the `let` in place.
+            self.applied.truncate(after.0);
+            self.simplify_savings = after.1;
+        }
+        let stats = self.nodes[value].est.map(|e| VarStats {
+            rows: e.rows,
+            cols: e.cols,
+            nnz: e.nnz.round() as usize,
+        });
+        let binder = self.binder(Binder {
+            stats,
+            iterates: false,
+        });
+        let (_, body) = self.within(slot, Binding::Bound(binder), body);
+        if self.simplify {
+            if matches!(self.nodes[body].op, PlanOp::Var(_, s) if s == slot) {
+                self.simplify_savings += 2;
+                return value;
+            }
+            if !self.env(body).iter().any(|&(s, _)| s == slot) {
+                // The binding is dead; keep only the body.  (The bound
+                // value is pure — the language has no effects.)  Nothing
+                // the value's rewrites did counts: it all goes.
+                self.applied.drain(before.0..after.0);
+                self.simplify_savings -= after.1 - before.1;
+                self.simplify_savings += 1 + value_expr.size();
+                return body;
+            }
+        }
+        self.make(PlanOp::Let {
+            var: var.to_string(),
+            var_slot: slot,
+            value,
+            body,
+        })
+    }
+
+    /// Runs the rule table on `op`, whose children are built, and
+    /// hash-conses what comes out.
+    pub(crate) fn make(&mut self, op: PlanOp) -> NodeId {
+        self.apply_rules(op, false)
+    }
+
+    /// [`make`](Builder::make) with the cost rules only — for the nodes a
+    /// cost rule builds.
+    pub(crate) fn make_cost(&mut self, op: PlanOp) -> NodeId {
+        self.apply_rules(op, true)
+    }
+
+    fn apply_rules(&mut self, op: PlanOp, cost_only: bool) -> NodeId {
+        for rule in crate::rewrite::RULES {
+            if (rule.cost || !cost_only) && (rule.matches)(self, &op) {
+                if let Some(id) = (rule.apply)(self, &op, rule.name) {
+                    return id;
+                }
+            }
+        }
+        self.intern(op)
+    }
+
+    /// Hash-conses `op` without rewriting it.  Every operation but a
+    /// product consumes lowered children, and a sum of a matrix and a
+    /// scaled unit matrix becomes a point update.
+    pub(crate) fn intern(&mut self, mut op: PlanOp) -> NodeId {
+        if self.lowering && !matches!(op, PlanOp::MatMul(..)) {
+            op.map_children(|child| self.lower(child));
+        }
+        let env = self.env_from_children(&op);
+        if self.lowering {
+            if let PlanOp::Add(mat, update) = op {
+                if let Some(id) = self.lower_point_update(mat, update, env) {
+                    return id;
+                }
+            }
+        }
+        self.insert(op, env, None)
+    }
+
+    /// The node for `op` under `env`, interning it on first sight.
+    fn insert(&mut self, op: PlanOp, env: EnvId, fusion: Option<((usize, usize), f64)>) -> NodeId {
+        let hash = hash_of(&(&op, env));
+        let mut at = self.dedup.get(&hash).copied();
+        while let Some(id) = at {
+            if self.facts[id].env == env && self.nodes[id].op == op {
+                return id;
+            }
+            at = self.facts[id].next;
+        }
+        let est = self.estimate(&op, env);
+        let id = self.nodes.len();
+        let facts = Facts {
+            env,
+            total: est.is_some() && self.total(&op),
+            size: self.size(&op),
+            fusion,
+            next: self.dedup.insert(hash, id),
+        };
+        self.nodes.push(PlanNode {
+            op,
+            free_vars: Vec::new(),
+            refs: 0,
+            hoistable: false,
+            cacheable: false,
+            est,
+        });
+        self.facts.push(facts);
+        id
+    }
+
+    /// The environment of `op` from its children's: their union, less the
+    /// names a binder binds.
+    fn env_from_children(&mut self, op: &PlanOp) -> EnvId {
+        let bound: &[VarSlot] = match op {
+            PlanOp::Let { var_slot, .. }
+            | PlanOp::Sum { var_slot, .. }
+            | PlanOp::HProd { var_slot, .. }
+            | PlanOp::MProd { var_slot, .. } => std::slice::from_ref(var_slot),
+            PlanOp::For {
+                var_slot, acc_slot, ..
+            } => &[*var_slot, *acc_slot],
+            _ => &[],
+        };
+        let mut children = op.child_ids();
+        let Some(first) = children.next() else {
+            return 0;
+        };
+        let mut env = self.facts[first].env;
+        // A binder's body is its last child, and the only one its bound
+        // names are subtracted from: a `let` value or a `for` initializer
+        // sits outside.
+        if bound.is_empty() {
+            for child in children {
+                env = self.union(env, self.facts[child].env);
+            }
+            return env;
+        }
+        let body = children.last().map(|body| self.facts[body].env);
+        let inner = body.unwrap_or(env);
+        let start = self.envs.data.len();
+        let (from, to) = self.envs.ranges[inner as usize];
+        for at in from..to {
+            let entry = self.envs.data[at];
+            if !bound.contains(&entry.0) {
+                self.envs.data.push(entry);
+            }
+        }
+        let kept = self.envs.intern_tail(start);
+        match body {
+            Some(_) => self.union(env, kept),
+            None => kept,
+        }
+    }
+
+    /// The union of two environments, memoized: most pairs recur.
+    fn union(&mut self, a: EnvId, b: EnvId) -> EnvId {
+        if a == b || b == 0 {
+            return a;
+        }
+        if a == 0 {
+            return b;
+        }
+        if let Some(&env) = self.unions.get(&(a, b)) {
+            return env;
+        }
+        let start = self.envs.data.len();
+        for id in [a, b] {
+            let (from, to) = self.envs.ranges[id as usize];
+            self.envs.data.extend_from_within(from..to);
+        }
+        self.envs.data[start..].sort_unstable();
+        let mut kept = start;
+        for at in start..self.envs.data.len() {
+            if kept == start || self.envs.data[at] != self.envs.data[kept - 1] {
+                self.envs.data[kept] = self.envs.data[at];
+                kept += 1;
+            }
+        }
+        self.envs.data.truncate(kept);
+        let env = self.envs.intern_tail(start);
+        self.unions.insert((a, b), env);
+        env
+    }
+
+    /// The lowered form of node `id`: a product becomes a loop-index
+    /// operation or a fused scaling when its operands allow, and its
+    /// factors are lowered in turn.  Every other node is already lowered.
+    pub(crate) fn lower(&mut self, id: NodeId) -> NodeId {
+        let PlanOp::MatMul(a, b) = self.nodes[id].op else {
+            return id;
+        };
+        if !self.lowering {
+            return id;
+        }
+        if let Some(&done) = self.lowered.get(&id) {
+            return done;
+        }
+        let out = self.lower_product(id, a, b);
+        self.lowered.insert(id, out);
+        self.lowered.insert(out, out);
+        out
+    }
+
+    /// Loop-index lowering, then diag pushdown: fuse `diag(v) · B` /
+    /// `A · diag(v)` into the scaling kernels when the statistics certify
+    /// the shapes (so the fused kernel cannot hit an error case the
+    /// unfused product would not).  Operands are lowered in the unfused
+    /// product's evaluation order.
+    fn lower_product(&mut self, raw: NodeId, a: NodeId, b: NodeId) -> NodeId {
+        if let Some(id) = self.lower_loop_product(raw, a, b) {
+            return id;
+        }
+        if let PlanOp::Diag(vec) = self.nodes[a].op {
+            let mat = self.lower(b);
+            return self
+                .fuse_diag(raw, vec, mat, true)
+                .unwrap_or_else(|| self.product(a, mat));
+        }
+        if let PlanOp::Diag(vec) = self.nodes[b].op {
+            let mat = self.lower(a);
+            return self
+                .fuse_diag(raw, vec, mat, false)
+                .unwrap_or_else(|| self.product(mat, b));
+        }
+        let (a, b) = (self.lower(a), self.lower(b));
+        self.product(a, b)
+    }
+
+    /// The plain product of two lowered nodes.
+    fn product(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        let op = PlanOp::MatMul(a, b);
+        let env = self.env_from_children(&op);
+        self.insert(op, env, None)
+    }
+
+    /// Node `id` as a loop operand — `v`, or `vᵀ` when `transposed` — when
+    /// `v` is a loop's iteration variable over a known dimension there.
+    fn loop_operand(&self, id: NodeId, transposed: bool) -> Option<LoopOperand> {
+        let var = match (&self.nodes[id].op, transposed) {
+            (PlanOp::Transpose(inner), true) => *inner,
+            (PlanOp::Var(..), false) => id,
+            _ => return None,
+        };
+        let PlanOp::Var(_, slot) = self.nodes[var].op else {
+            return None;
+        };
+        let binder = self.binder_of(var, slot).filter(|b| b.iterates)?;
+        Some((var, binder.stats?.rows, id))
+    }
+
+    /// The index a loop operand's `Var` node reads.
+    fn loop_index(&self, var: NodeId) -> LoopIndex {
+        let PlanOp::Var(name, slot) = &self.nodes[var].op else {
+            unreachable!("a loop operand is a variable");
+        };
+        LoopIndex {
+            var: name.clone(),
+            slot: *slot,
+        }
+    }
+
+    /// Loop-index lowering of the product `raw = a · b` when an operand is
+    /// a loop's canonical vector `v`/`w` (see [`PlanOp::Select`] and
+    /// [`PlanOp::Place`]):
+    ///
+    /// * `vᵀ·M·w`, either association → one entry of `M`;
+    /// * `v·wᵀ` → the unit matrix;
+    /// * `vᵀ·M` → row `v` of `M`; `M·w` → column `w` of `M`;
+    /// * `v·y` → the row `y` placed as row `v`; `x·wᵀ` → the column `x`
+    ///   placed as column `w`.
+    ///
+    /// `None` when neither operand is one, so the product lowers as usual.
+    fn lower_loop_product(&mut self, raw: NodeId, a: NodeId, b: NodeId) -> Option<NodeId> {
+        let (row, col) = (self.loop_operand(a, true), self.loop_operand(b, false));
+        if let (PlanOp::MatMul(l, m), Some(w)) = (&self.nodes[a].op, &col) {
+            if let Some(v) = self.loop_operand(*l, true) {
+                let m = *m;
+                return Some(self.lower_index(raw, m, Some(v), Some(*w), false));
+            }
+        }
+        if let (Some(v), PlanOp::MatMul(m, r)) = (&row, &self.nodes[b].op) {
+            if let Some(w) = self.loop_operand(*r, false) {
+                let m = *m;
+                return Some(self.lower_index(raw, m, Some(*v), Some(w), false));
+            }
+        }
+        let (placed_row, placed_col) = (self.loop_operand(a, false), self.loop_operand(b, true));
+        Some(match (row, col, placed_row, placed_col) {
+            (_, _, Some(v), Some(w)) => self.unit(raw, v, w),
+            (Some(v), ..) => self.lower_index(raw, b, Some(v), None, false),
+            (_, Some(w), ..) => self.lower_index(raw, a, None, Some(w), false),
+            (_, _, Some(v), _) => self.lower_index(raw, b, Some(v), None, true),
+            (_, _, _, Some(w)) => self.lower_index(raw, a, None, Some(w), true),
+            _ => return None,
+        })
+    }
+
+    /// `vᵀ·x·w` as a [`PlanOp::Select`] — or, with `place`, `v·x·wᵀ` as a
+    /// [`PlanOp::Place`] — either factor absent, when `x`'s estimate
+    /// certifies the shapes, so the index op cannot fail where the products
+    /// would not.  Otherwise the unfused products around the lowered `x`.
+    fn lower_index(
+        &mut self,
+        raw: NodeId,
+        x: NodeId,
+        row: Option<LoopOperand>,
+        col: Option<LoopOperand>,
+        place: bool,
+    ) -> NodeId {
+        let x = self.lower(x);
+        // Selecting needs `x` to span the vectors' dimensions; placing
+        // needs it to be a row (for `v·x`) or a column (for `x·wᵀ`).
+        let fits = |factor: &Option<LoopOperand>, have: usize| {
+            factor
+                .as_ref()
+                .map_or(true, |(_, dim, _)| have == if place { 1 } else { *dim })
+        };
+        let Some(e) = self.nodes[x]
+            .est
+            .filter(|e| fits(&row, e.rows) && fits(&col, e.cols))
+        else {
+            let mut id = x;
+            if let Some((_, _, v)) = row {
+                id = self.product(v, id);
+            }
+            if let Some((_, _, w)) = col {
+                id = self.product(id, w);
+            }
+            return id;
+        };
+        // The saving: the own work of the first unfused product, `x` with a
+        // one-entry canonical vector, in the planner's cost model.
+        let x_est = (e.rows, e.cols, e.nnz);
+        let (_, saving) = match (&row, &col) {
+            (Some((_, n, _)), _) => {
+                product_cost(if place { (*n, 1, 1.0) } else { (1, *n, 1.0) }, x_est)
+            }
+            (None, Some((_, n, _))) => {
+                product_cost(x_est, if place { (1, *n, 1.0) } else { (*n, 1, 1.0) })
+            }
+            (None, None) => unreachable!("a lowered product has a canonical factor"),
+        };
+        let row = row.map(|(v, ..)| self.loop_index(v));
+        let col = col.map(|(w, ..)| self.loop_index(w));
+        let op = if place {
+            PlanOp::Place {
+                vec: Some(x),
+                row,
+                col,
+            }
+        } else {
+            PlanOp::Select { mat: x, row, col }
+        };
+        let env = self.facts[raw].env;
+        self.insert(op, env, Some(((e.rows, e.cols), saving)))
+    }
+
+    /// The unit matrix `v·wᵀ` as a [`PlanOp::Place`] without an operand —
+    /// the product of an `n × 1` and a `1 × m` vector is always defined.
+    fn unit(&mut self, raw: NodeId, v: LoopOperand, w: LoopOperand) -> NodeId {
+        let op = PlanOp::Place {
+            vec: None,
+            row: Some(self.loop_index(v.0)),
+            col: Some(self.loop_index(w.0)),
+        };
+        let (_, saving) = product_cost((v.1, 1, 1.0), (1, w.1, 1.0));
+        let env = self.facts[raw].env;
+        self.insert(op, env, Some(((v.1, w.1), saving)))
+    }
+
+    /// Loop-index lowering of `mat + s × (v·wᵀ)`, whose scaled unit matrix
+    /// is already a placement: a [`PlanOp::PointUpdate`] of `mat` when the
+    /// estimates certify `mat` is `n × m` and `s` a scalar.
+    fn lower_point_update(&mut self, mat: NodeId, update: NodeId, env: EnvId) -> Option<NodeId> {
+        let PlanOp::ScalarMul(scalar, unit) = self.nodes[update].op else {
+            return None;
+        };
+        let PlanOp::Place {
+            vec: None,
+            row: Some(row),
+            col: Some(col),
+        } = &self.nodes[unit].op
+        else {
+            return None;
+        };
+        let dims = self.nodes[unit].est.map(|e| (e.rows, e.cols));
+        let certified = matches!(
+            (self.nodes[mat].est, self.nodes[scalar].est, dims),
+            (Some(m), Some(s), Some(dims)) if (m.rows, m.cols) == dims && (s.rows, s.cols) == (1, 1)
+        );
+        if !certified {
+            return None;
+        }
+        let op = PlanOp::PointUpdate {
+            mat,
+            scalar,
+            row: row.clone(),
+            col: col.clone(),
+        };
+        let (n, m) = dims.expect("certified");
+        let (_, saving) = product_cost((n, 1, 1.0), (1, m, 1.0));
+        Some(self.insert(op, env, Some(((n, m), saving))))
+    }
+
+    /// The fused scaling node for `diag(vec) · mat` (`row_side`) or
+    /// `mat · diag(vec)` when the estimates certify that `vec` is a vector
+    /// of the matching dimension — the condition under which the fused
+    /// kernel is value- and error-equivalent to the unfused product.
+    /// `None` (the caller keeps `Diag` + `MatMul`) when the statistics
+    /// cannot certify the shapes.
+    fn fuse_diag(
+        &mut self,
+        raw: NodeId,
+        vec: NodeId,
+        mat: NodeId,
+        row_side: bool,
+    ) -> Option<NodeId> {
+        let (ve, me) = (self.nodes[vec].est?, self.nodes[mat].est?);
+        if ve.cols != 1 {
+            return None;
+        }
+        let matched = if row_side {
+            ve.rows == me.rows
+        } else {
+            me.cols == ve.rows
+        };
+        if !matched {
+            return None;
+        }
+        // Unfused: the cheaper product kernel against the materialized
+        // diagonal; fused: one pass over the matrix's stored entries.
+        let diag = (ve.rows, ve.rows, ve.nnz);
+        let matrix = (me.rows, me.cols, me.nnz);
+        let (l, r) = if row_side {
+            (diag, matrix)
+        } else {
+            (matrix, diag)
+        };
+        let (_, own_work) = product_cost(l, r);
+        let unfused = own_work + ve.nnz;
+        let saving = (unfused - me.nnz).max(0.0);
+        let op = if row_side {
+            PlanOp::ScaleRows { vec, mat }
+        } else {
+            PlanOp::ScaleCols { mat, vec }
+        };
+        let env = self.facts[raw].env;
+        Some(self.insert(op, env, Some(((me.rows, me.cols), saving))))
+    }
+
+    /// Keeps what the roots reach, in creation order (children first),
+    /// counts each node's occurrences and loop invariance in one walk, fuses
+    /// masked products and assembles the [`Plan`].
+    fn finish(mut self, mut roots: Vec<NodeId>, mut report: PlanReport) -> Plan {
+        report.simplify_savings = self.simplify_savings;
+        report.rewrites = std::mem::take(&mut self.applied);
+        // Number the reached nodes in the order their first occurrences
+        // complete: children first, in evaluation order.
+        let mut new_id = vec![usize::MAX; self.nodes.len()];
+        let mut count = 0;
+        for &root in &roots {
+            self.number(root, &mut new_id, &mut count);
+        }
+        self.renumber(&new_id, count, &mut roots);
+        for id in 0..self.nodes.len() {
+            let env = self.envs.get(self.facts[id].env);
+            let mut vars: Vec<VarSlot> = env.iter().map(|&(s, _)| s).collect();
+            vars.dedup();
+            self.nodes[id].free_vars = vars;
+        }
+        for &root in &roots {
+            self.occurrence(root, None, &mut report.rewrites);
+        }
+        if self.lowering {
+            self.fuse_masked_products(&mut roots, &mut report.rewrites);
+        }
+        let slots = self.slots;
+        let mut nodes = self.nodes;
         let mut dependents: Vec<Vec<NodeId>> = vec![Vec::new(); slots.len()];
         for (id, node) in nodes.iter_mut().enumerate() {
             node.cacheable = node.refs > 1 || node.hoistable;
@@ -331,17 +1167,11 @@ impl Planner {
             if node.op.supports_delta() {
                 report.delta_supported_nodes += 1;
             }
-            for var in &node.free_vars {
-                // Free variables stem from `Var` operations, whose names
-                // were interned when they were built.
-                dependents[slots[var]].push(id);
+            for &var in &node.free_vars {
+                dependents[var].push(id);
             }
         }
         report.dag_nodes = nodes.len();
-        if let Some(t) = plan_timer {
-            matlang_obs::counter!("plan_total").inc();
-            matlang_obs::histogram!("plan_latency_us").observe(t.elapsed().as_micros() as u64);
-        }
         Plan {
             nodes,
             roots,
@@ -351,491 +1181,89 @@ impl Planner {
         }
     }
 
-    /// Plans a single query; see [`Planner::plan`].
-    pub fn plan_one(&self, query: &Expr, stats: &InstanceStats) -> Plan {
-        self.plan(std::slice::from_ref(query), stats)
-    }
-}
-
-/// The dedup key for hash-consing: the operation plus the advisory
-/// statistics of its scope-bound free variables.  The statistics part
-/// keeps structurally identical subexpressions *distinct* when variable
-/// shadowing gives the same name different shapes in different scopes —
-/// otherwise the first-interned occurrence's cost estimate would silently
-/// misdrive representation choices for the others.  When
-/// the scopes agree (the overwhelmingly common case, e.g. the same loop
-/// variable name over the same dimension) the keys collide and the nodes
-/// share, which is exactly what CSE wants.  The binder kind is part of the
-/// key too: a loop's canonical vector and a `let`-bound vector of the same
-/// name and shape are different values to the loop-index ops.
-type DedupKey = (PlanOp, Vec<Binder>);
-
-/// A loop's iteration variable as a product operand, with the dimension of
-/// the canonical vector it is bound to.
-type LoopOperand = (LoopIndex, usize);
-
-struct Builder<'a> {
-    stats: &'a InstanceStats,
-    options: &'a PlanOptions,
-    nodes: Vec<PlanNode>,
-    dedup: HashMap<DedupKey, NodeId>,
-    /// Every variable name seen so far → its dense slot, in first-seen
-    /// order.
-    slots: HashMap<String, VarSlot>,
-    /// Bound loop/let variables in scope.
-    scope: Scope,
-    /// The enclosing loops' bound-variable names, innermost last.
-    loops: Vec<Vec<String>>,
-    /// Diag-pushdown, loop-index and masked-product fusions performed while
-    /// building, merged into [`PlanReport::rewrites`] afterwards.
-    fused: Vec<AppliedRewrite>,
-}
-
-impl Builder<'_> {
-    /// The slot of `name`, interning it on first sight.
-    fn slot(&mut self, name: &str) -> VarSlot {
-        if let Some(&slot) = self.slots.get(name) {
-            return slot;
+    /// Numbers node `id` and what it reaches in post-order.
+    fn number(&self, id: NodeId, new_id: &mut [usize], count: &mut usize) {
+        if new_id[id] != usize::MAX {
+            return;
         }
-        let slot = self.slots.len();
-        self.slots.insert(name.to_string(), slot);
-        slot
+        for child in self.nodes[id].op.child_ids() {
+            self.number(child, new_id, count);
+        }
+        new_id[id] = *count;
+        *count += 1;
     }
 
-    fn build(&mut self, expr: &Expr) -> NodeId {
-        match expr {
-            Expr::Var(name) => {
-                let slot = self.slot(name);
-                self.intern(PlanOp::Var(name.clone(), slot))
+    /// Moves node `id` to `new_id[id]`, dropping the `usize::MAX` ones, and
+    /// renumbers children and `roots` to match; `count` nodes remain.
+    fn renumber(&mut self, new_id: &[usize], count: usize, roots: &mut [NodeId]) {
+        let mut nodes: Vec<Option<(PlanNode, Facts)>> = (0..count).map(|_| None).collect();
+        let old = self.nodes.drain(..).zip(self.facts.drain(..));
+        for (id, node) in old.enumerate() {
+            if let Some(slot) = nodes.get_mut(new_id[id]) {
+                *slot = Some(node);
             }
-            Expr::Const(c) => self.intern(PlanOp::Const(ConstVal(*c))),
-            Expr::Transpose(e) => {
-                let a = self.build(e);
-                self.intern(PlanOp::Transpose(a))
-            }
-            Expr::Ones(e) => {
-                let a = self.build(e);
-                self.intern(PlanOp::Ones(a))
-            }
-            Expr::Diag(e) => {
-                let a = self.build(e);
-                self.intern(PlanOp::Diag(a))
-            }
-            Expr::MatMul(a, b) => {
-                // Loop-index lowering, then diag pushdown: fuse
-                // `diag(v) · B` / `A · diag(v)` into the scaling kernels
-                // when the statistics certify the shapes (so the fused
-                // kernel cannot hit an error case the unfused product would
-                // not).  Child build order matches the unfused product's
-                // evaluation order exactly.
-                if self.options.cost_rewrites {
-                    if let Some(id) = self.lower_loop_product(a, b) {
-                        return id;
-                    }
-                    if let Expr::Diag(v) = a.as_ref() {
-                        let vec = self.build(v);
-                        let mat = self.build(b);
-                        if let Some(op) = self.try_fuse_diag(vec, mat, true) {
-                            return op;
-                        }
-                        let diag = self.intern(PlanOp::Diag(vec));
-                        return self.intern(PlanOp::MatMul(diag, mat));
-                    }
-                    if let Expr::Diag(v) = b.as_ref() {
-                        let mat = self.build(a);
-                        let vec = self.build(v);
-                        if let Some(op) = self.try_fuse_diag(vec, mat, false) {
-                            return op;
-                        }
-                        let diag = self.intern(PlanOp::Diag(vec));
-                        return self.intern(PlanOp::MatMul(mat, diag));
-                    }
-                }
-                let (a, b) = (self.build(a), self.build(b));
-                self.intern(PlanOp::MatMul(a, b))
-            }
-            Expr::Add(a, b) => {
-                if self.options.cost_rewrites {
-                    if let Some(id) = self.lower_point_update(a, b) {
-                        return id;
-                    }
-                }
-                let (a, b) = (self.build(a), self.build(b));
-                self.intern(PlanOp::Add(a, b))
-            }
-            Expr::ScalarMul(a, b) => {
-                let (a, b) = (self.build(a), self.build(b));
-                self.intern(PlanOp::ScalarMul(a, b))
-            }
-            Expr::Hadamard(a, b) => {
-                let (a, b) = (self.build(a), self.build(b));
-                self.intern(PlanOp::Hadamard(a, b))
-            }
-            Expr::Apply(name, args) => {
-                let args: Vec<NodeId> = args.iter().map(|a| self.build(a)).collect();
-                self.intern(PlanOp::Apply(name.clone(), args))
-            }
-            Expr::Let { var, value, body } => {
-                let value_id = self.build(value);
-                let value_stats = self.nodes[value_id].est.map(|e| VarStats {
-                    rows: e.rows,
-                    cols: e.cols,
-                    nnz: e.nnz.round() as usize,
-                });
-                self.scope.push(var, value_stats);
-                let body_id = self.build(body);
-                self.scope.pop();
-                let var_slot = self.slot(var);
-                self.intern(PlanOp::Let {
-                    var: var.clone(),
-                    var_slot,
-                    value: value_id,
-                    body: body_id,
-                })
-            }
-            Expr::For {
-                var,
-                var_dim,
-                acc,
-                acc_type,
-                init,
-                body,
-            } => {
-                let init_id = init.as_ref().map(|e| self.build(e));
-                let acc_stats = self.stats.shape_of(acc_type).map(|(rows, cols)| VarStats {
-                    rows,
-                    cols,
-                    nnz: rows * cols,
-                });
-                self.scope.push_loop(var, self.stats.dim(var_dim));
-                self.scope.push(acc, acc_stats);
-                self.loops.push(vec![var.clone(), acc.clone()]);
-                let body_id = self.build(body);
-                self.loops.pop();
-                self.scope.pop();
-                self.scope.pop();
-                let (var_slot, acc_slot) = (self.slot(var), self.slot(acc));
-                self.intern(PlanOp::For {
-                    var: var.clone(),
-                    var_slot,
-                    var_dim: var_dim.clone(),
-                    acc: acc.clone(),
-                    acc_slot,
-                    acc_type: acc_type.clone(),
-                    init: init_id,
-                    body: body_id,
-                })
-            }
-            Expr::Sum { var, var_dim, body } => {
-                let (var_slot, body) = self.build_loop_body(var, var_dim, body);
-                self.intern(PlanOp::Sum {
-                    var: var.clone(),
-                    var_slot,
-                    var_dim: var_dim.clone(),
-                    body,
-                })
-            }
-            Expr::HProd { var, var_dim, body } => {
-                let (var_slot, body) = self.build_loop_body(var, var_dim, body);
-                self.intern(PlanOp::HProd {
-                    var: var.clone(),
-                    var_slot,
-                    var_dim: var_dim.clone(),
-                    body,
-                })
-            }
-            Expr::MProd { var, var_dim, body } => {
-                let (var_slot, body) = self.build_loop_body(var, var_dim, body);
-                self.intern(PlanOp::MProd {
-                    var: var.clone(),
-                    var_slot,
-                    var_dim: var_dim.clone(),
-                    body,
-                })
-            }
+        }
+        for (mut node, facts) in nodes
+            .into_iter()
+            .map(|n| n.expect("every kept node numbered"))
+        {
+            node.op.map_children(|child| new_id[child]);
+            self.nodes.push(node);
+            self.facts.push(facts);
+        }
+        for root in roots {
+            *root = new_id[*root];
         }
     }
 
-    /// Builds a Σ/Π body under its loop variable's scope, returning the
-    /// variable's slot and the body node.
-    fn build_loop_body(&mut self, var: &str, var_dim: &str, body: &Expr) -> (VarSlot, NodeId) {
-        self.scope.push_loop(var, self.stats.dim(var_dim));
-        self.loops.push(vec![var.to_string()]);
-        let body_id = self.build(body);
-        self.loops.pop();
-        self.scope.pop();
-        (self.slot(var), body_id)
-    }
-
-    /// `e` as a loop operand — `v`, or `vᵀ` when `transposed` — when `v` is
-    /// a loop's iteration variable over a known dimension here.
-    fn loop_operand(&mut self, e: &Expr, transposed: bool) -> Option<LoopOperand> {
-        let e = match (e, transposed) {
-            (Expr::Transpose(inner), true) => inner.as_ref(),
-            (e, false) => e,
-            _ => return None,
-        };
-        let Expr::Var(name) = e else {
-            return None;
-        };
-        let dim = self.scope.loop_dim(name)?;
-        let slot = self.slot(name);
-        Some((
-            LoopIndex {
-                var: name.clone(),
-                slot,
-            },
-            dim,
-        ))
-    }
-
-    /// Loop-index lowering of the product `a · b` when an operand is a
-    /// loop's canonical vector `v`/`w` (see [`PlanOp::Select`] and
-    /// [`PlanOp::Place`]):
-    ///
-    /// * `vᵀ·M·w`, either association → one entry of `M`;
-    /// * `v·wᵀ` → the unit matrix;
-    /// * `vᵀ·M` → row `v` of `M`; `M·w` → column `w` of `M`;
-    /// * `v·y` → the row `y` placed as row `v`; `x·wᵀ` → the column `x`
-    ///   placed as column `w`.
-    ///
-    /// `None` when neither operand is one, so the product builds as usual.
-    fn lower_loop_product(&mut self, a: &Expr, b: &Expr) -> Option<NodeId> {
-        let (row, col) = (self.loop_operand(a, true), self.loop_operand(b, false));
-        if let (Expr::MatMul(l, m), Some(w)) = (a, &col) {
-            if let Some(v) = self.loop_operand(l, true) {
-                return Some(self.lower_index(m, Some(v), Some(w.clone()), false));
-            }
-        }
-        if let (Some(v), Expr::MatMul(m, r)) = (&row, b) {
-            if let Some(w) = self.loop_operand(r, false) {
-                return Some(self.lower_index(m, Some(v.clone()), Some(w), false));
-            }
-        }
-        let (placed_row, placed_col) = (self.loop_operand(a, false), self.loop_operand(b, true));
-        Some(match (row, col, placed_row, placed_col) {
-            (_, _, Some(v), Some(w)) => self.unit(v, w),
-            (Some(v), ..) => self.lower_index(b, Some(v), None, false),
-            (_, Some(w), ..) => self.lower_index(a, None, Some(w), false),
-            (_, _, Some(v), _) => self.lower_index(b, Some(v), None, true),
-            (_, _, _, Some(w)) => self.lower_index(a, None, Some(w), true),
-            _ => return None,
-        })
-    }
-
-    /// Interns `vᵀ·x·w` as a [`PlanOp::Select`] — or, with `place`, `v·x·wᵀ`
-    /// as a [`PlanOp::Place`] — either factor absent, when `x`'s estimate
-    /// certifies the shapes, so the index op cannot fail where the products
-    /// would not.  Otherwise interns the unfused products around the built
-    /// `x`.
-    fn lower_index(
+    /// One occurrence of node `id` in the planned tree, inside a loop that
+    /// binds `innermost` (if any): counts the reference, marks the node
+    /// loop-invariant when it does not mention the innermost loop's bound
+    /// variables, and records the lowering that made the node after those
+    /// of its operands.
+    fn occurrence(
         &mut self,
-        x: &Expr,
-        row: Option<LoopOperand>,
-        col: Option<LoopOperand>,
-        place: bool,
-    ) -> NodeId {
-        let x = self.build(x);
-        // Selecting needs `x` to span the vectors' dimensions; placing
-        // needs it to be a row (for `v·x`) or a column (for `x·wᵀ`).
-        let fits = |factor: &Option<LoopOperand>, have: usize| {
-            factor
-                .as_ref()
-                .map_or(true, |(_, dim)| have == if place { 1 } else { *dim })
-        };
-        let Some(e) = self.nodes[x]
-            .est
-            .filter(|e| fits(&row, e.rows) && fits(&col, e.cols))
-        else {
-            let mut id = x;
-            if let Some((v, _)) = row {
-                let v = self.canonical_operand(v, !place);
-                id = self.intern(PlanOp::MatMul(v, id));
+        id: NodeId,
+        innermost: Option<Bound>,
+        fused: &mut Vec<AppliedRewrite>,
+    ) {
+        let node = &mut self.nodes[id];
+        node.refs += 1;
+        if let Some((slots, n)) = innermost {
+            if slots[..n]
+                .iter()
+                .all(|s| node.free_vars.binary_search(s).is_err())
+            {
+                node.hoistable = true;
             }
-            if let Some((w, _)) = col {
-                let w = self.canonical_operand(w, place);
-                id = self.intern(PlanOp::MatMul(id, w));
-            }
-            return id;
-        };
-        // The saving: the own work of the first unfused product, `x` with a
-        // one-entry canonical vector, in the planner's cost model.
-        let x_est = (e.rows, e.cols, e.nnz);
-        let (_, saving) = match (&row, &col) {
-            (Some((_, n)), _) => {
-                product_cost(if place { (*n, 1, 1.0) } else { (1, *n, 1.0) }, x_est)
-            }
-            (None, Some((_, n))) => {
-                product_cost(x_est, if place { (1, *n, 1.0) } else { (*n, 1, 1.0) })
-            }
-            (None, None) => unreachable!("a lowered product has a canonical factor"),
-        };
-        let (row, col) = (row.map(|(v, _)| v), col.map(|(w, _)| w));
-        let op = if place {
-            PlanOp::Place {
-                vec: Some(x),
-                row,
-                col,
-            }
-        } else {
-            PlanOp::Select { mat: x, row, col }
-        };
-        self.record_loop_index(&op, (e.rows, e.cols), saving);
-        self.intern(op)
-    }
-
-    /// The unit matrix `v·wᵀ` as a [`PlanOp::Place`] without an operand —
-    /// the product of an `n × 1` and a `1 × m` vector is always defined.
-    fn unit(&mut self, v: LoopOperand, w: LoopOperand) -> NodeId {
-        let op = PlanOp::Place {
-            vec: None,
-            row: Some(v.0),
-            col: Some(w.0),
-        };
-        let (_, saving) = product_cost((v.1, 1, 1.0), (1, w.1, 1.0));
-        self.record_loop_index(&op, (v.1, w.1), saving);
-        self.intern(op)
-    }
-
-    /// Loop-index lowering of `x + s × (v·wᵀ)`: a [`PlanOp::PointUpdate`] of
-    /// `x` when the estimates certify `x` is `n × m` and `s` a scalar,
-    /// otherwise `x` plus the scaled unit matrix.  `None` when `update` is
-    /// not such a product, so the sum builds as usual.
-    fn lower_point_update(&mut self, x: &Expr, update: &Expr) -> Option<NodeId> {
-        let Expr::ScalarMul(s, unit) = update else {
-            return None;
-        };
-        let Expr::MatMul(v, wt) = unit.as_ref() else {
-            return None;
-        };
-        let (v, w) = (self.loop_operand(v, false)?, self.loop_operand(wt, true)?);
-        let (mat, scalar) = (self.build(x), self.build(s));
-        let certified = matches!(
-            (self.nodes[mat].est, self.nodes[scalar].est),
-            (Some(m), Some(s)) if (m.rows, m.cols) == (v.1, w.1) && (s.rows, s.cols) == (1, 1)
-        );
-        if !certified {
-            let unit = self.unit(v, w);
-            let scaled = self.intern(PlanOp::ScalarMul(scalar, unit));
-            return Some(self.intern(PlanOp::Add(mat, scaled)));
         }
-        let op = PlanOp::PointUpdate {
-            mat,
-            scalar,
-            row: v.0,
-            col: w.0,
+        let bound = match node.op {
+            PlanOp::For {
+                var_slot, acc_slot, ..
+            } => Some(([var_slot, acc_slot], 2)),
+            PlanOp::Sum { var_slot, .. }
+            | PlanOp::HProd { var_slot, .. }
+            | PlanOp::MProd { var_slot, .. } => Some(([var_slot, 0], 1)),
+            _ => None,
         };
-        let (_, saving) = product_cost((v.1, 1, 1.0), (1, w.1, 1.0));
-        self.record_loop_index(&op, (v.1, w.1), saving);
-        Some(self.intern(op))
-    }
-
-    /// The `Var` node of a loop operand, transposed when asked — the
-    /// unfused product's operand where a lowering is not certified.
-    fn canonical_operand(&mut self, index: LoopIndex, transposed: bool) -> NodeId {
-        let var = self.intern(PlanOp::Var(index.var, index.slot));
-        if transposed {
-            self.intern(PlanOp::Transpose(var))
-        } else {
-            var
-        }
-    }
-
-    /// Records one loop-index lowering in the plan report; `saving` is the
-    /// own work of the first unfused product it replaces.
-    fn record_loop_index(&mut self, op: &PlanOp, (rows, cols): (usize, usize), saving: f64) {
-        self.fused.push(AppliedRewrite {
-            rule: "loop-index",
-            detail: format!(
-                "[{rows}×{cols}] product with a loop's canonical vector → {}",
-                op.label()
-            ),
-            saving,
-        });
-    }
-
-    /// Interns the fused scaling node for `diag(vec) · mat` (`row_side`)
-    /// or `mat · diag(vec)` when the estimates certify that `vec` is a
-    /// vector of the matching dimension — the condition under which the
-    /// fused kernel is value- and error-equivalent to the unfused
-    /// product.  Returns `None` (caller falls back to `Diag` + `MatMul`)
-    /// when the statistics cannot certify the shapes.
-    fn try_fuse_diag(&mut self, vec: NodeId, mat: NodeId, row_side: bool) -> Option<NodeId> {
-        let (ve, me) = (self.nodes[vec].est?, self.nodes[mat].est?);
-        if ve.cols != 1 {
-            return None;
-        }
-        let matched = if row_side {
-            ve.rows == me.rows
-        } else {
-            me.cols == ve.rows
-        };
-        if !matched {
-            return None;
-        }
-        // Unfused: the cheaper product kernel against the materialized
-        // diagonal; fused: one pass over the matrix's stored entries.
-        let diag_est = NodeEstimate {
-            rows: ve.rows,
-            cols: ve.rows,
-            ..ve
-        };
-        let (l, r) = if row_side {
-            (diag_est, me)
-        } else {
-            (me, diag_est)
-        };
-        let (_, own_work) = product_cost((l.rows, l.cols, l.nnz), (r.rows, r.cols, r.nnz));
-        let unfused = own_work + ve.nnz;
-        let saving = (unfused - me.nnz).max(0.0);
-        self.fused.push(AppliedRewrite {
-            rule: "diag-pushdown",
-            detail: if row_side {
-                format!("diag(v) · [{}×{}] fused into row scaling", me.rows, me.cols)
+        let count = node.op.child_ids().count();
+        for i in 0..count {
+            let child = self.nodes[id].op.child_ids().nth(i).expect("counted above");
+            // A loop's body is its last child; a `for`'s initializer sits
+            // outside the loop.
+            let scope = if i + 1 == count && bound.is_some() {
+                bound
             } else {
-                format!(
-                    "[{}×{}] · diag(v) fused into column scaling",
-                    me.rows, me.cols
-                )
-            },
-            saving,
-        });
-        let op = if row_side {
-            PlanOp::ScaleRows { vec, mat }
-        } else {
-            PlanOp::ScaleCols { mat, vec }
-        };
-        Some(self.intern(op))
-    }
-
-    fn intern(&mut self, op: PlanOp) -> NodeId {
-        let free_vars = self.free_vars_of(&op);
-        let scope_sig: Vec<Binder> = free_vars
-            .iter()
-            .filter_map(|name| self.scope.binder(name).cloned())
-            .collect();
-        let key = (op, scope_sig);
-        if let Some(&id) = self.dedup.get(&key) {
-            self.nodes[id].refs += 1;
-            self.mark_hoistable(id);
-            return id;
+                innermost
+            };
+            self.occurrence(child, scope, fused);
         }
-        let est = self.estimate(&key.0);
-        let id = self.nodes.len();
-        self.nodes.push(PlanNode {
-            op: key.0.clone(),
-            free_vars,
-            refs: 1,
-            hoistable: false,
-            cacheable: false,
-            est,
-        });
-        self.dedup.insert(key, id);
-        self.mark_hoistable(id);
-        id
+        if let Some((dims, saving)) = self.facts[id].fusion {
+            fused.push(fusion_record(&self.nodes[id].op, dims, saving));
+        }
     }
 
-    /// Masked-product fusion, a pass over the finished DAG: rewrites
+    /// Masked-product fusion over the finished DAG: rewrites
     /// `Hadamard(MatMul(a, b), m)` / `Hadamard(m, MatMul(a, b))` into one
     /// [`PlanOp::MaskedMatMul`] when
     ///
@@ -852,8 +1280,8 @@ impl Builder<'_> {
     ///   across iterations, and fusing would redo it in each.
     ///
     /// The orphaned product nodes are dropped and the DAG renumbered,
-    /// `roots` included; nothing may be interned afterwards.
-    fn fuse_masked_products(&mut self, roots: &mut [NodeId]) {
+    /// `roots` included.
+    fn fuse_masked_products(&mut self, roots: &mut [NodeId], records: &mut Vec<AppliedRewrite>) {
         let is_product = |id: NodeId| matches!(self.nodes[id].op, PlanOp::MatMul(..));
         let any_candidate = self.nodes.iter().any(|node| match node.op {
             PlanOp::Hadamard(l, r) => is_product(l) || is_product(r),
@@ -865,24 +1293,26 @@ impl Builder<'_> {
         }
         let n = self.nodes.len();
         let mut consumers = vec![0usize; n];
-        let children = self.nodes.iter().flat_map(|node| node.op.children());
+        let children = self.nodes.iter().flat_map(|node| node.op.child_ids());
         for child in children.chain(roots.iter().copied()) {
             consumers[child] += 1;
         }
-        // Every name some loop or `let` of the plan rebinds.
-        let rebound: BTreeSet<String> = self
+        // Every slot some loop or `let` of the plan rebinds.
+        let rebound: Vec<VarSlot> = self
             .nodes
             .iter()
-            .flat_map(|node| match &node.op {
-                PlanOp::For { var, acc, .. } => vec![var.clone(), acc.clone()],
-                PlanOp::Let { var, .. }
-                | PlanOp::Sum { var, .. }
-                | PlanOp::HProd { var, .. }
-                | PlanOp::MProd { var, .. } => vec![var.clone()],
+            .flat_map(|node| match node.op {
+                PlanOp::For {
+                    var_slot, acc_slot, ..
+                } => vec![var_slot, acc_slot],
+                PlanOp::Let { var_slot, .. }
+                | PlanOp::Sum { var_slot, .. }
+                | PlanOp::HProd { var_slot, .. }
+                | PlanOp::MProd { var_slot, .. } => vec![var_slot],
                 _ => Vec::new(),
             })
             .collect();
-        let mut dead = vec![false; n];
+        let mut keep = vec![true; n];
         for id in 0..n {
             let PlanOp::Hadamard(l, r) = self.nodes[id].op else {
                 continue;
@@ -896,9 +1326,10 @@ impl Builder<'_> {
                     let (le, re, me) = (est(left)?, est(right)?, est(mask)?);
                     let shapes_certified =
                         le.cols == re.rows && (le.rows, re.cols) == (me.rows, me.cols);
+                    let product_vars = &self.nodes[product].free_vars;
                     let kept_across_iterations = self.nodes[product].hoistable
                         && self.nodes[mask].free_vars.iter().any(|var| {
-                            rebound.contains(var) && !self.nodes[product].free_vars.contains(var)
+                            rebound.contains(var) && product_vars.binary_search(var).is_err()
                         });
                     let all_sparse = [le, re, me].iter().all(|e| e.choice == ReprChoice::Sparse);
                     let fusable = consumers[product] == 1
@@ -920,10 +1351,10 @@ impl Builder<'_> {
                 continue;
             };
             let fused = self
-                .estimate(&op)
+                .estimate(&op, self.facts[id].env)
                 .expect("operand estimates were just certified");
             let unfused_work = self.nodes[id].est.map_or(fused.work, |e| e.work);
-            self.fused.push(AppliedRewrite {
+            records.push(AppliedRewrite {
                 rule: "masked-product",
                 detail: format!(
                     "([{}×{}] product) ∘ mask fused into a masked product",
@@ -932,121 +1363,42 @@ impl Builder<'_> {
                 saving: (unfused_work - fused.work).max(0.0),
             });
             self.nodes[id].op = op;
-            dead[product] = true;
+            keep[product] = false;
         }
-        if !dead.contains(&true) {
+        if !keep.contains(&false) {
             return;
         }
         let mut new_id = Vec::with_capacity(n);
-        let mut next = 0;
-        for &gone in &dead {
-            new_id.push(next);
-            next += usize::from(!gone);
+        let mut count = 0;
+        for &kept in &keep {
+            new_id.push(if kept { count } else { usize::MAX });
+            count += usize::from(kept);
         }
-        let mut gone = dead.iter();
-        self.nodes
-            .retain(|_| !*gone.next().expect("one flag per node"));
-        for root in roots {
-            *root = new_id[*root];
-        }
-        // Renumber, and re-derive every estimate above a masked product
-        // from its new one.  A variable's or a placement's estimate came
-        // from the scope it was interned under.
+        self.renumber(&new_id, count, roots);
+        // Re-derive every estimate above a masked product from its new one.
+        // A variable's or a placement's estimate came from its scope.
         for id in 0..self.nodes.len() {
-            self.nodes[id].op.map_children(|child| new_id[child]);
             if !matches!(self.nodes[id].op, PlanOp::Var(..) | PlanOp::Place { .. }) {
-                self.nodes[id].est = self.estimate(&self.nodes[id].op);
+                self.nodes[id].est = self.estimate(&self.nodes[id].op, self.facts[id].env);
             }
         }
     }
 
-    /// Marks `id` loop-invariant when it occurs inside a loop body and is
-    /// independent of the innermost loop's bound variables.
-    fn mark_hoistable(&mut self, id: NodeId) {
-        if let Some(innermost) = self.loops.last() {
-            let invariant = innermost
-                .iter()
-                .all(|bound| !self.nodes[id].free_vars.contains(bound));
-            if invariant {
-                self.nodes[id].hoistable = true;
-            }
+    /// The statistics of a use of `slot` under `env`: its binder's, else
+    /// the instance matrix's.
+    fn var_stats(&self, env: EnvId, slot: VarSlot, name: &str) -> Option<VarStats> {
+        let env = self.envs.get(env);
+        match env.iter().find(|&&(s, _)| s == slot) {
+            Some(&(_, b)) if b != UNBOUND => self.binders[b as usize].stats,
+            _ => self.stats.vars.get(name).copied(),
         }
     }
 
-    fn free_vars_of(&self, op: &PlanOp) -> BTreeSet<String> {
-        let of = |id: &NodeId| self.nodes[*id].free_vars.clone();
-        match op {
-            PlanOp::Var(name, _) => BTreeSet::from([name.clone()]),
-            PlanOp::Const(_) => BTreeSet::new(),
-            PlanOp::Transpose(a) | PlanOp::Ones(a) | PlanOp::Diag(a) => of(a),
-            PlanOp::MatMul(a, b)
-            | PlanOp::Add(a, b)
-            | PlanOp::ScalarMul(a, b)
-            | PlanOp::Hadamard(a, b)
-            | PlanOp::ScaleRows { vec: a, mat: b }
-            | PlanOp::ScaleCols { mat: a, vec: b } => {
-                let mut out = of(a);
-                out.extend(of(b));
-                out
-            }
-            PlanOp::MaskedMatMul {
-                left, right, mask, ..
-            } => {
-                let mut out = of(left);
-                out.extend(of(right));
-                out.extend(of(mask));
-                out
-            }
-            PlanOp::Select { .. } | PlanOp::Place { .. } | PlanOp::PointUpdate { .. } => {
-                let mut out: BTreeSet<String> = op.children().iter().flat_map(of).collect();
-                out.extend(op.loop_indices().map(|index| index.var.clone()));
-                out
-            }
-            PlanOp::Apply(_, args) => {
-                let mut out = BTreeSet::new();
-                for a in args {
-                    out.extend(of(a));
-                }
-                out
-            }
-            PlanOp::Let {
-                var, value, body, ..
-            } => {
-                let mut out = of(body);
-                out.remove(var);
-                out.extend(of(value));
-                out
-            }
-            PlanOp::For {
-                var,
-                acc,
-                init,
-                body,
-                ..
-            } => {
-                let mut out = of(body);
-                out.remove(var);
-                out.remove(acc);
-                if let Some(init) = init {
-                    out.extend(of(init));
-                }
-                out
-            }
-            PlanOp::Sum { var, body, .. }
-            | PlanOp::HProd { var, body, .. }
-            | PlanOp::MProd { var, body, .. } => {
-                let mut out = of(body);
-                out.remove(var);
-                out
-            }
-        }
-    }
-
-    fn estimate(&self, op: &PlanOp) -> Option<NodeEstimate> {
+    fn estimate(&self, op: &PlanOp, env: EnvId) -> Option<NodeEstimate> {
         let est = |id: &NodeId| self.nodes[*id].est;
         match op {
-            PlanOp::Var(name, _) => {
-                let s = self.scope.stats(name, self.stats)?;
+            PlanOp::Var(name, slot) => {
+                let s = self.var_stats(env, *slot, name)?;
                 Some(finish(s.rows, s.cols, s.nnz as f64, 0.0))
             }
             PlanOp::Const(_) => Some(finish(1, 1, 1.0, 0.0)),
@@ -1059,8 +1411,10 @@ impl Builder<'_> {
                 Some(finish(a.rows, 1, a.rows as f64, a.work))
             }
             PlanOp::Diag(a) => {
+                // Materializing the diagonal writes its entries — what the
+                // ones pushdown saves when it skips a `diag`.
                 let a = est(a)?;
-                Some(finish(a.rows, a.rows, a.nnz, a.work))
+                Some(finish(a.rows, a.rows, a.nnz, a.work + a.nnz))
             }
             PlanOp::MatMul(l, r) => {
                 let (l, r) = (est(l)?, est(r)?);
@@ -1135,7 +1489,7 @@ impl Builder<'_> {
                     Some(v) => est(v)?,
                     None => finish(1, 1, 1.0, 0.0),
                 };
-                let dim = |index: &LoopIndex| self.scope.stats(&index.var, self.stats);
+                let dim = |index: &LoopIndex| self.var_stats(env, index.slot, &index.var);
                 let rows = match row {
                     Some(index) => dim(index)?.rows,
                     None => v.rows,
@@ -1218,6 +1572,91 @@ impl Builder<'_> {
                 ))
             }
         }
+    }
+
+    /// Whether `op` provably evaluates without error, given its operands
+    /// (the caller has an estimate for it).
+    fn total(&self, op: &PlanOp) -> bool {
+        let total = |id: &NodeId| self.facts[*id].total;
+        let shape = |id: &NodeId| self.nodes[*id].est.map(|e| (e.rows, e.cols));
+        match op {
+            PlanOp::Var(..) | PlanOp::Const(_) => true,
+            PlanOp::Transpose(a) | PlanOp::Ones(a) => total(a),
+            PlanOp::Diag(a) => total(a) && shape(a).is_some_and(|(_, cols)| cols == 1),
+            PlanOp::MatMul(a, b)
+            | PlanOp::ScaleRows { vec: a, mat: b }
+            | PlanOp::ScaleCols { mat: a, vec: b }
+            | PlanOp::PointUpdate {
+                mat: a, scalar: b, ..
+            }
+            | PlanOp::Let {
+                value: a, body: b, ..
+            } => total(a) && total(b),
+            PlanOp::Add(a, b) | PlanOp::Hadamard(a, b) => {
+                total(a) && total(b) && shape(a) == shape(b)
+            }
+            PlanOp::ScalarMul(a, b) => total(a) && total(b) && shape(a) == Some((1, 1)),
+            PlanOp::Select { mat, .. } => total(mat),
+            PlanOp::Place { vec, .. } => vec.as_ref().map_or(true, total),
+            // An unknown function name or a shape mismatch among the
+            // arguments only surfaces at runtime.
+            PlanOp::MaskedMatMul { .. }
+            | PlanOp::Apply(..)
+            | PlanOp::For { .. }
+            | PlanOp::Sum { .. }
+            | PlanOp::HProd { .. }
+            | PlanOp::MProd { .. } => false,
+        }
+    }
+
+    /// AST nodes of the expression `op` stands for: a lowered operation
+    /// counts the canonical-vector products it replaces.
+    fn size(&self, op: &PlanOp) -> usize {
+        let size = |id: &NodeId| self.facts[*id].size;
+        let with =
+            |index: &Option<LoopIndex>, nodes: usize| if index.is_some() { nodes } else { 0 };
+        match op {
+            PlanOp::Select { mat, row, col } => size(mat) + with(row, 3) + with(col, 2),
+            PlanOp::Place {
+                vec: Some(vec),
+                row,
+                col,
+            } => size(vec) + with(row, 2) + with(col, 3),
+            PlanOp::Place { vec: None, .. } => 4,
+            PlanOp::PointUpdate { mat, scalar, .. } => size(mat) + size(scalar) + 6,
+            PlanOp::ScaleRows { .. } | PlanOp::ScaleCols { .. } | PlanOp::MaskedMatMul { .. } => {
+                2 + op.child_ids().map(|c| size(&c)).sum::<usize>()
+            }
+            _ => 1 + op.child_ids().map(|c| size(&c)).sum::<usize>(),
+        }
+    }
+}
+
+/// The record of the lowering that made `op`: a diag pushdown into a
+/// scaling kernel, or a loop-index lowering, whose `saving` is the own work
+/// of the first unfused product it replaces.
+fn fusion_record(op: &PlanOp, (rows, cols): (usize, usize), saving: f64) -> AppliedRewrite {
+    let (rule, detail) = match op {
+        PlanOp::ScaleRows { .. } => (
+            "diag-pushdown",
+            format!("diag(v) · [{rows}×{cols}] fused into row scaling"),
+        ),
+        PlanOp::ScaleCols { .. } => (
+            "diag-pushdown",
+            format!("[{rows}×{cols}] · diag(v) fused into column scaling"),
+        ),
+        other => (
+            "loop-index",
+            format!(
+                "[{rows}×{cols}] product with a loop's canonical vector → {}",
+                other.label()
+            ),
+        ),
+    };
+    AppliedRewrite {
+        rule,
+        detail,
+        saving,
     }
 }
 
@@ -1322,10 +1761,11 @@ mod tests {
             ..PlanOptions::default()
         })
         .plan_one(&e, &stats());
+        let v = plan.slots["v"];
         let gram_node = plan
             .nodes()
             .iter()
-            .find(|n| matches!(n.op, PlanOp::MatMul(_, _)) && !n.free_vars.contains("v"))
+            .find(|n| matches!(n.op, PlanOp::MatMul(_, _)) && !n.free_vars.contains(&v))
             .expect("gram node present");
         assert!(gram_node.hoistable);
         assert!(gram_node.cacheable);
@@ -1333,7 +1773,7 @@ mod tests {
         let dependent = plan
             .nodes()
             .iter()
-            .find(|n| matches!(n.op, PlanOp::MatMul(_, _)) && n.free_vars.contains("v"))
+            .find(|n| matches!(n.op, PlanOp::MatMul(_, _)) && n.free_vars.contains(&v))
             .expect("v-dependent node present");
         assert!(!dependent.hoistable);
         assert!(plan.report.hoistable_nodes >= 1);
@@ -1344,8 +1784,7 @@ mod tests {
         let e = Expr::sum("v", "n", Expr::var("v").t().mm(Expr::var("G")));
         let plan = Planner::new().plan_one(&e, &stats());
         let root = plan.node(plan.roots()[0]);
-        assert!(root.free_vars.contains("G"));
-        assert!(!root.free_vars.contains("v"));
+        assert_eq!(root.free_vars, [plan.slots["G"]]);
         // vᵀ·G is lowered to one row selection, which depends on v; the Σ
         // node itself does not.
         let dependents = plan.dependents_of("v");
@@ -1356,7 +1795,7 @@ mod tests {
     #[test]
     fn simplify_savings_are_reported() {
         let e = Expr::lit(1.0).smul(Expr::var("G").t().t());
-        let expected = rewrite::savings(&e);
+        let expected = matlang_core::rewrite::savings(&e);
         assert!(expected > 0);
         let plan = Planner::new().plan_one(&e, &stats());
         assert_eq!(plan.report.simplify_savings, expected);
@@ -1501,5 +1940,33 @@ mod tests {
         assert_eq!(report.rewrite_savings().to_bits(), 0.0f64.to_bits());
         let text = report.to_string();
         assert!(text.contains("0 cost rewrites (≈0 ops saved)"), "{text}");
+    }
+
+    #[test]
+    fn inlined_lets_never_capture_a_rebound_variable() {
+        use matlang_core::{evaluate, FunctionRegistry, Instance};
+        use matlang_matrix::Matrix;
+        use matlang_semiring::Real;
+        // Σw. let Y = w in Σw. (wᵀ·Y) × G is n·G: `Y` is the outer loop's
+        // vector.  Inlined, the inner loop's `w` would capture it: n²·G.
+        let inner = Expr::var("w").t().mm(Expr::var("Y")).smul(Expr::var("G"));
+        let e = Expr::sum(
+            "w",
+            "n",
+            Expr::let_in("Y", Expr::var("w"), Expr::sum("w", "n", inner)),
+        );
+        let inst: Instance<Real> = Instance::new().with_dim("n", 3).with_matrix(
+            "G",
+            Matrix::from_f64_rows(&[&[1.0, 2.0, 0.0], &[0.0, 3.0, 1.0], &[4.0, 0.0, 5.0]]).unwrap(),
+        );
+        let registry = FunctionRegistry::standard_field();
+        let planned = crate::Engine::new().evaluate(&e, &inst, &registry).unwrap();
+        assert_eq!(planned, evaluate(&e, &inst, &registry).unwrap());
+        let plan = Planner::new().plan_one(&e, &InstanceStats::from_instance(&inst));
+        assert!(plan
+            .nodes()
+            .iter()
+            .any(|n| matches!(n.op, PlanOp::Let { .. })));
+        assert_eq!(plan.report.simplify_savings, 0);
     }
 }

@@ -1,20 +1,14 @@
-//! Cost-based algebraic rewriting: the layer between a type-checked
-//! [`Expr`] and the DAG plan.
+//! The planner's rewrite rules, and the cost-based ones among them.
 //!
-//! Where [`matlang_core::rewrite::simplify`] removes *syntactic* noise
-//! (double transposes, `1 ×`, dead `let`s) with rules that are always
-//! wins, the rules here change the **evaluation strategy** and are only
-//! applied when the planner's nnz/density cost model — the same
-//! [`InstanceStats`]-driven model that picks storage representations —
-//! estimates a saving:
+//! Planning is one pass ([`crate::planner`]): each query is walked once,
+//! bottom-up, and every node the walk builds goes through `RULES` before
+//! it is hash-consed into the DAG.  The table is a registry — a name, a
+//! cheap structural test, and the rewrite, which may still decline when the
+//! cost model finds no saving — and its entries are:
 //!
-//! * **Matrix-chain reordering** — a product chain `e₁ · e₂ · ⋯ · e_k`
-//!   (`k ≥ 3`) is re-parenthesized by the classic interval DP over the
-//!   cost model.  Inside Σ/Π/for loops the DP amortizes the cost of
-//!   loop-invariant sub-products by the iteration count, because the
-//!   executor's scoped memo computes those once per loop, not per
-//!   iteration.  A chain with a loop's canonical vector among its factors
-//!   is left as written, for the planner's loop-index lowering.
+//! * **simplify** — `matlang_core::rewrite`'s local rules (`eᵀᵀ → e`,
+//!   `1 × e → e`, constant folding), which remove *syntactic* noise and
+//!   always win.  Its `let` rules act where the builder binds names.
 //! * **Transpose pushdown** — `(e₁ · e₂)ᵀ → e₂ᵀ · e₁ᵀ` when transposing
 //!   the (cheap, CSR-friendly) operands beats materializing the product
 //!   and transposing it; `eᵀᵀ` introduced in the process is cancelled on
@@ -23,31 +17,46 @@
 //! * **Ones pushdown** — `1(e)` only depends on `e`'s *row count*, so the
 //!   operand is replaced by its cheapest row source: `1(e₁ · e₂) → 1(e₁)`,
 //!   `1(e₁ + e₂) → 1(e₁)`, `1(c × e) → 1(e)`, `1(diag(v)) → 1(v)`,
-//!   `1(1(e)) → 1(e)` — the `1(e)`-contraction part of the ISSUE's diag /
-//!   ones pushdown (the `diag(v) · A` half is fused by the planner into
-//!   the [`crate::plan::PlanOp::ScaleRows`] / `ScaleCols` kernels).
+//!   `1(1(e)) → 1(e)`.
+//! * **Matrix-chain reordering** — a product chain `e₁ · e₂ · ⋯ · e_k`
+//!   (`k ≥ 3`) is re-parenthesized by the classic interval DP over the
+//!   cost model.  Inside Σ/Π/for loops the DP amortizes the cost of
+//!   loop-invariant sub-products by the iteration count, because the
+//!   executor's scoped memo computes those once per loop, not per
+//!   iteration.  A chain with a loop's canonical vector among its factors
+//!   is left as written, for the planner's loop-index lowering.
+//!
+//! The last three are the cost rules: they price against the planner's
+//! [`NodeEstimate`](crate::plan::NodeEstimate)s, built from
+//! [`InstanceStats`] — the same model that picks storage representations —
+//! and apply only when it estimates a saving.  The nodes a cost rule builds
+//! go through the cost rules again, so one pass reaches what repeated
+//! passes would.  The planner then lowers products with a loop's canonical
+//! vector to index operations, fuses `diag(v) · A` into the scaling
+//! kernels and `(A · B) ∘ M` into the masked product.
 //!
 //! Every rule is an algebraic identity in every commutative semiring, so
 //! rewritten plans evaluate to the same values as [`matlang_core::evaluate`]
-//! on every backend; the `rewrite_semantics` property suite pins this over
-//! random well-typed expressions on 𝔹/ℕ/min-plus, dense and adaptive.
-//! Rules that drop a subterm (ones pushdown) or reverse operand order
-//! (transpose pushdown) additionally require the affected operands to be
-//! **provably total** — evaluable without error, which the estimator
-//! certifies only when every variable is known and every operator's shape
-//! precondition is met — so error behavior is preserved exactly, down to
-//! the discriminant and the order in which errors surface.  Chain
-//! reordering preserves the left-to-right factor order, so it never needs
-//! that gate.
+//! on every backend (`simplify`'s constant folding interprets literals in
+//! `f64`, hence the per-semiring gate [`crate::constants_fold_exactly`]);
+//! the `rewrite_semantics` property suite pins this over random well-typed
+//! expressions on 𝔹/ℕ/min-plus, dense and adaptive.  Rules that drop a
+//! subterm (ones pushdown) or reverse operand order (transpose pushdown)
+//! additionally require the affected operands to be **provably total** —
+//! evaluable without error, which the builder certifies only when every
+//! variable is known and every operator's shape precondition is met — so
+//! error behavior is preserved exactly, down to the discriminant and the
+//! order in which errors surface.  Chain reordering preserves the
+//! left-to-right factor order, so it never needs that gate.
 //!
-//! Every application is recorded as an [`AppliedRewrite`] (rule name,
-//! site, estimated saving) and surfaced through
+//! Every cost-rule application is recorded as an [`AppliedRewrite`] (rule
+//! name, site, estimated saving) and surfaced through
 //! [`PlanReport::rewrites`](crate::plan::PlanReport::rewrites).
 
-use crate::plan::AppliedRewrite;
-use crate::planner::{InstanceStats, Scope, VarStats};
+use crate::plan::{AppliedRewrite, ConstVal, NodeId, PlanOp, VarSlot};
+use crate::planner::{product_cost, Builder, InstanceStats};
+use matlang_core::rewrite::{simplify_step, Node, Simplified};
 use matlang_core::Expr;
-use std::collections::BTreeSet;
 
 /// The rewriter's result: the (possibly) rewritten expression and a record
 /// of every rule application.
@@ -59,72 +68,50 @@ pub struct RewriteOutcome {
     pub applied: Vec<AppliedRewrite>,
 }
 
-/// The expression-level estimate the rewrite rules compare costs with —
-/// the [`Expr`] counterpart of [`crate::plan::NodeEstimate`], extended
-/// with the totality certificate the reordering rules need.
-#[derive(Clone, Copy, Debug)]
-struct ExprEstimate {
-    rows: usize,
-    cols: usize,
-    /// Expected non-zero output entries.
-    nnz: f64,
-    /// Estimated semiring operations to evaluate the subexpression once.
-    work: f64,
-    /// Whether evaluation provably cannot fail: every variable is known
-    /// and every operator's shape precondition is certified by the
-    /// estimates.  Conservative — `Apply` and the loop forms are never
-    /// certified.
-    total: bool,
+/// One entry of the rule table.
+pub(crate) struct Rule {
+    /// The rule's name, as recorded in [`AppliedRewrite::rule`].
+    pub(crate) name: &'static str,
+    /// Whether it is a cost rule — run again on the nodes cost rules build.
+    pub(crate) cost: bool,
+    /// Whether the rule is enabled and `op` has its shape.
+    pub(crate) matches: fn(&Builder, &PlanOp) -> bool,
+    /// The node `op` rewrites to; `None` when the rule declines.
+    pub(crate) apply: fn(&mut Builder, &PlanOp, &'static str) -> Option<NodeId>,
 }
 
-/// Estimated `(result nnz, own work)` of one product — delegates to the
-/// single shared formula in [`crate::planner::product_cost`], so the
-/// chain DP prices products against exactly the model the planner's node
-/// estimates use.
-fn product_cost(l: &ExprEstimate, r: &ExprEstimate) -> (f64, f64) {
-    crate::planner::product_cost((l.rows, l.cols, l.nnz), (r.rows, r.cols, r.nnz))
-}
-
-/// `eᵀ` without stacking transposes: unwraps an existing outer transpose
-/// instead of double-wrapping, so transpose pushdown cancels `eᵀᵀ` on the
-/// spot.
-fn transpose_of(e: &Expr) -> Expr {
-    match e {
-        Expr::Transpose(inner) => (**inner).clone(),
-        other => other.clone().t(),
-    }
-}
-
-/// The cheapest subexpression with the same row count as `e` — what
-/// `1(e)` actually depends on.
-fn row_source(e: &Expr) -> Expr {
-    match e {
-        Expr::MatMul(a, _) | Expr::Add(a, _) | Expr::Hadamard(a, _) => row_source(a),
-        Expr::ScalarMul(_, b) => row_source(b),
-        Expr::Diag(v) => row_source(v),
-        Expr::Ones(x) => row_source(x),
-        other => other.clone(),
-    }
-}
-
-/// Flattens the maximal product spine of `e` into its factors, in
-/// left-to-right evaluation order.
-fn flatten_chain(e: &Expr, out: &mut Vec<Expr>) {
-    if let Expr::MatMul(a, b) = e {
-        flatten_chain(a, out);
-        flatten_chain(b, out);
-    } else {
-        out.push(e.clone());
-    }
-}
-
-/// The number of factors of `e`'s maximal product spine.
-fn chain_len(e: &Expr) -> usize {
-    match e {
-        Expr::MatMul(a, b) => chain_len(a) + chain_len(b),
-        _ => 1,
-    }
-}
+/// The rules, in the order they are tried at each node.
+pub(crate) const RULES: &[Rule] = &[
+    Rule {
+        name: "simplify",
+        cost: false,
+        matches: |b, op| b.simplify && !matches!(view(op), Node::Const(_) | Node::Other),
+        apply: |b, op, rule| b.simplify_local(op, rule),
+    },
+    Rule {
+        name: "transpose-pushdown",
+        cost: true,
+        matches: |b, op| {
+            b.cost
+                && matches!(op, PlanOp::Transpose(a) if matches!(b.nodes[*a].op, PlanOp::MatMul(..)))
+        },
+        apply: |b, op, rule| b.push_transpose(op, rule),
+    },
+    Rule {
+        name: "ones-pushdown",
+        cost: true,
+        matches: |b, op| b.cost && matches!(op, PlanOp::Ones(_)),
+        apply: |b, op, rule| b.push_ones(op, rule),
+    },
+    Rule {
+        name: "matrix-chain-reorder",
+        cost: true,
+        matches: |b, op| {
+            b.cost && matches!(op, PlanOp::MatMul(l, r) if b.chain_len(*l) + b.chain_len(*r) >= 3)
+        },
+        apply: |b, op, rule| b.reorder_chain(op, rule),
+    },
+];
 
 /// Relative improvement below which a rewrite is not worth the churn (and
 /// floating-point cost ties must not flip the tree).
@@ -142,36 +129,166 @@ const MIN_IMPROVEMENT: f64 = 0.999;
 /// 30 000 micro-products and run slower).
 const PRODUCT_OVERHEAD: f64 = 1000.0;
 
-/// One interval of the chain DP: the segment's product estimate, its
+/// `(rows, cols, nnz)` of a chain segment, as [`product_cost`] takes it.
+type Shape = (usize, usize, f64);
+
+/// One interval of the chain DP: the segment's product shape, its
 /// amortized own cost (factor works excluded — they are identical across
 /// associations) and the best split point.
-type ChainSeg = (ExprEstimate, f64, usize);
+type ChainSeg = (Shape, f64, usize);
 
-struct Rewriter<'a> {
-    stats: &'a InstanceStats,
-    /// Bound loop/let variables in scope (as in the planner's `Builder`).
-    scope: Scope,
-    /// Enclosing loops, innermost last: bound-variable names plus the
-    /// iteration count when the governing dimension is known.
-    loops: Vec<(Vec<String>, Option<usize>)>,
-    applied: Vec<AppliedRewrite>,
+/// `op` as `simplify`'s local rules see it.
+fn view(op: &PlanOp) -> Node<NodeId> {
+    match *op {
+        PlanOp::Const(c) => Node::Const(c.0),
+        PlanOp::Transpose(a) => Node::Transpose(a),
+        PlanOp::ScalarMul(a, b) => Node::ScalarMul(a, b),
+        PlanOp::Add(a, b) => Node::Add(a, b),
+        PlanOp::MatMul(a, b) => Node::MatMul(a, b),
+        PlanOp::Hadamard(a, b) => Node::Hadamard(a, b),
+        _ => Node::Other,
+    }
 }
 
-impl Rewriter<'_> {
-    fn lookup(&self, name: &str) -> Option<VarStats> {
-        self.scope.stats(name, self.stats)
+/// Applies the cost rules to `expr` in one pass, without lowering or
+/// simplifying — the rewrite layer of [`crate::Planner`] alone.
+pub fn rewrite_with_stats(expr: &Expr, stats: &InstanceStats) -> RewriteOutcome {
+    let mut builder = Builder::new(stats, expr.size(), (false, true, false));
+    let root = builder.build(expr);
+    RewriteOutcome {
+        expr: builder.expr_of(root),
+        applied: std::mem::take(&mut builder.applied),
+    }
+}
+
+impl Builder<'_> {
+    /// `simplify`'s local rules at `op`.
+    fn simplify_local(&mut self, op: &PlanOp, _: &'static str) -> Option<NodeId> {
+        let step = simplify_step(view(op), |id| view(&self.nodes[id].op))?;
+        self.simplify_savings += step.saves;
+        Some(match step.to {
+            Simplified::Keep(id) => id,
+            Simplified::Const(c) => self.make(PlanOp::Const(ConstVal(c))),
+            Simplified::Scale(c, e) => {
+                let c = self.make(PlanOp::Const(ConstVal(c)));
+                self.make(PlanOp::ScalarMul(c, e))
+            }
+        })
     }
 
-    /// Whether `e` is `v` or `vᵀ` for a loop's iteration variable `v` — a
-    /// factor the planner lowers to an index operation.
-    fn is_canonical_factor(&self, e: &Expr) -> bool {
-        match e {
-            Expr::Var(name) => self.scope.iterates(name),
-            Expr::Transpose(inner) => {
-                matches!(inner.as_ref(), Expr::Var(name) if self.scope.iterates(name))
-            }
-            _ => false,
+    /// `(e₁ · e₂)ᵀ → e₂ᵀ · e₁ᵀ` when the cost model prefers transposing
+    /// the operands (and both operands are provably total — the rewrite
+    /// reverses their evaluation order).
+    fn push_transpose(&mut self, op: &PlanOp, rule: &'static str) -> Option<NodeId> {
+        let PlanOp::Transpose(product) = *op else {
+            return None;
+        };
+        let PlanOp::MatMul(a, b) = self.nodes[product].op else {
+            return None;
+        };
+        let (l, r) = (self.nodes[a].est?, self.nodes[b].est?);
+        if !(self.facts[a].total && self.facts[b].total && l.cols == r.rows) {
+            return None;
         }
+        // Unfused: compute the product, transpose the result.
+        let (prod_nnz, prod_own) = product_cost((l.rows, l.cols, l.nnz), (r.rows, r.cols, r.nnz));
+        let lhs_cost = prod_own + prod_nnz;
+        // Pushed down: transpose both operands, multiply.
+        let (_, rev_own) = product_cost((r.cols, r.rows, r.nnz), (l.cols, l.rows, l.nnz));
+        let rhs_cost = l.nnz + r.nnz + rev_own;
+        if rhs_cost >= lhs_cost * MIN_IMPROVEMENT {
+            return None;
+        }
+        self.applied.push(AppliedRewrite {
+            rule,
+            detail: format!(
+                "([{}×{}] · [{}×{}])ᵀ → operand transposes",
+                l.rows, l.cols, r.rows, r.cols
+            ),
+            saving: lhs_cost - rhs_cost,
+        });
+        let (bt, at) = (self.transpose_of(b), self.transpose_of(a));
+        // The new product may itself be a reorderable chain.
+        Some(self.make_cost(PlanOp::MatMul(bt, at)))
+    }
+
+    /// `eᵀ` without stacking transposes: unwraps an existing transpose
+    /// instead of double-wrapping, so transpose pushdown cancels `eᵀᵀ` on
+    /// the spot.
+    fn transpose_of(&mut self, id: NodeId) -> NodeId {
+        match self.nodes[id].op {
+            PlanOp::Transpose(inner) => inner,
+            _ => self.make_cost(PlanOp::Transpose(id)),
+        }
+    }
+
+    /// `1(e) → 1(row source of e)` when the source is strictly cheaper and
+    /// the dropped computation is provably total.
+    fn push_ones(&mut self, op: &PlanOp, rule: &'static str) -> Option<NodeId> {
+        let PlanOp::Ones(inner) = *op else {
+            return None;
+        };
+        let ie = self.nodes[inner].est?;
+        let source = self.row_source(inner);
+        if !self.facts[inner].total || source == inner {
+            return None;
+        }
+        let se = self.nodes[source].est?;
+        if se.rows != ie.rows || se.work >= ie.work * MIN_IMPROVEMENT {
+            return None;
+        }
+        self.applied.push(AppliedRewrite {
+            rule,
+            detail: format!(
+                "1({}) → 1({}) over {} rows",
+                self.nodes[inner].op.label(),
+                self.nodes[source].op.label(),
+                ie.rows
+            ),
+            saving: ie.work - se.work,
+        });
+        Some(self.make_cost(PlanOp::Ones(source)))
+    }
+
+    /// The cheapest node with the same row count as `id` — what `1(e)`
+    /// actually depends on.
+    fn row_source(&self, id: NodeId) -> NodeId {
+        match self.nodes[id].op {
+            PlanOp::MatMul(a, _) | PlanOp::Add(a, _) | PlanOp::Hadamard(a, _) => self.row_source(a),
+            PlanOp::ScalarMul(_, b) => self.row_source(b),
+            PlanOp::Diag(v) | PlanOp::Ones(v) => self.row_source(v),
+            _ => id,
+        }
+    }
+
+    /// The number of factors of the maximal product spine at `id`.
+    fn chain_len(&self, id: NodeId) -> usize {
+        match self.nodes[id].op {
+            PlanOp::MatMul(a, b) => self.chain_len(a) + self.chain_len(b),
+            _ => 1,
+        }
+    }
+
+    /// Appends the factors of the product spine at `id`, left to right.
+    fn flatten_chain(&self, id: NodeId, out: &mut Vec<NodeId>) {
+        match self.nodes[id].op {
+            PlanOp::MatMul(a, b) => {
+                self.flatten_chain(a, out);
+                self.flatten_chain(b, out);
+            }
+            _ => out.push(id),
+        }
+    }
+
+    /// Whether node `id` is `v` or `vᵀ` for a loop's iteration variable `v`
+    /// — a factor the planner lowers to an index operation.
+    fn is_canonical_factor(&self, id: NodeId) -> bool {
+        let var = match self.nodes[id].op {
+            PlanOp::Transpose(inner) => inner,
+            _ => id,
+        };
+        matches!(self.nodes[var].op, PlanOp::Var(_, slot)
+            if self.binder_of(var, slot).is_some_and(|b| b.iterates))
     }
 
     /// How many evaluations one computation of a subterm with free
@@ -179,7 +296,7 @@ impl Rewriter<'_> {
     /// counts of the enclosing loops (innermost first) whose binders the
     /// subterm does not mention — exactly the loops across which the
     /// executor's scoped memo keeps its value alive.
-    fn amortization(&self, vars: &BTreeSet<String>) -> f64 {
+    fn amortization(&self, vars: &[VarSlot]) -> f64 {
         let mut factor = 1.0;
         for (binders, n) in self.loops.iter().rev() {
             if binders.iter().any(|b| vars.contains(b)) {
@@ -193,448 +310,68 @@ impl Rewriter<'_> {
         factor
     }
 
-    /// Best-effort shape/cost/totality estimate; `None` when a variable or
-    /// dimension is unknown or an inner product cannot be shaped.
-    fn est(&mut self, e: &Expr) -> Option<ExprEstimate> {
-        match e {
-            Expr::Var(name) => {
-                let s = self.lookup(name)?;
-                Some(ExprEstimate {
-                    rows: s.rows,
-                    cols: s.cols,
-                    nnz: s.nnz as f64,
-                    work: 0.0,
-                    total: true,
-                })
-            }
-            Expr::Const(_) => Some(ExprEstimate {
-                rows: 1,
-                cols: 1,
-                nnz: 1.0,
-                work: 0.0,
-                total: true,
-            }),
-            Expr::Transpose(a) => {
-                let a = self.est(a)?;
-                Some(ExprEstimate {
-                    rows: a.cols,
-                    cols: a.rows,
-                    nnz: a.nnz,
-                    work: a.work + a.nnz,
-                    total: a.total,
-                })
-            }
-            Expr::Ones(a) => {
-                let a = self.est(a)?;
-                Some(ExprEstimate {
-                    rows: a.rows,
-                    cols: 1,
-                    nnz: a.rows as f64,
-                    work: a.work,
-                    total: a.total,
-                })
-            }
-            Expr::Diag(a) => {
-                let a = self.est(a)?;
-                Some(ExprEstimate {
-                    rows: a.rows,
-                    cols: a.rows,
-                    nnz: a.nnz,
-                    // Unlike the planner's node estimate, charge the
-                    // materialization of the diagonal — the ones-pushdown
-                    // rule needs to see that skipping it saves work.
-                    work: a.work + a.nnz,
-                    total: a.total && a.cols == 1,
-                })
-            }
-            Expr::MatMul(a, b) => {
-                let (l, r) = (self.est(a)?, self.est(b)?);
-                if l.cols != r.rows {
-                    return None;
-                }
-                let (nnz, own) = product_cost(&l, &r);
-                Some(ExprEstimate {
-                    rows: l.rows,
-                    cols: r.cols,
-                    nnz,
-                    work: l.work + r.work + own,
-                    total: l.total && r.total,
-                })
-            }
-            Expr::Add(a, b) => {
-                let (l, r) = (self.est(a)?, self.est(b)?);
-                let nnz = (l.nnz + r.nnz).min((l.rows * l.cols) as f64);
-                Some(ExprEstimate {
-                    rows: l.rows,
-                    cols: l.cols,
-                    nnz,
-                    work: l.work + r.work + nnz,
-                    total: l.total && r.total && (l.rows, l.cols) == (r.rows, r.cols),
-                })
-            }
-            Expr::Hadamard(a, b) => {
-                let (l, r) = (self.est(a)?, self.est(b)?);
-                let nnz = l.nnz.min(r.nnz);
-                Some(ExprEstimate {
-                    rows: l.rows,
-                    cols: l.cols,
-                    nnz,
-                    work: l.work + r.work + nnz,
-                    total: l.total && r.total && (l.rows, l.cols) == (r.rows, r.cols),
-                })
-            }
-            Expr::ScalarMul(a, b) => {
-                let (l, r) = (self.est(a)?, self.est(b)?);
-                Some(ExprEstimate {
-                    rows: r.rows,
-                    cols: r.cols,
-                    nnz: r.nnz,
-                    work: l.work + r.work + r.nnz,
-                    total: l.total && r.total && (l.rows, l.cols) == (1, 1),
-                })
-            }
-            Expr::Apply(_, args) => {
-                let first = self.est(args.first()?)?;
-                let dense = (first.rows * first.cols) as f64;
-                let mut work = dense;
-                for a in args {
-                    work += self.est(a)?.work;
-                }
-                Some(ExprEstimate {
-                    rows: first.rows,
-                    cols: first.cols,
-                    nnz: dense,
-                    work,
-                    // An unknown function name or a shape mismatch among
-                    // the arguments only surfaces at runtime.
-                    total: false,
-                })
-            }
-            Expr::Let { var, value, body } => {
-                let v = self.est(value)?;
-                self.scope.push(
-                    var,
-                    Some(VarStats {
-                        rows: v.rows,
-                        cols: v.cols,
-                        nnz: v.nnz.round() as usize,
-                    }),
-                );
-                let b = self.est(body);
-                self.scope.pop();
-                let b = b?;
-                Some(ExprEstimate {
-                    rows: b.rows,
-                    cols: b.cols,
-                    nnz: b.nnz,
-                    work: v.work + b.work,
-                    total: v.total && b.total,
-                })
-            }
-            Expr::For {
-                var,
-                var_dim,
-                acc,
-                acc_type,
-                init,
-                body,
-            } => {
-                let n = self.stats.dim(var_dim)?;
-                let (rows, cols) = self.stats.shape_of(acc_type)?;
-                let init_work = match init {
-                    Some(init) => self.est(init)?.work,
-                    None => 0.0,
-                };
-                self.scope.push_loop(var, Some(n));
-                self.scope.push(
-                    acc,
-                    Some(VarStats {
-                        rows,
-                        cols,
-                        nnz: rows * cols,
-                    }),
-                );
-                let b = self.est(body);
-                self.scope.pop();
-                self.scope.pop();
-                let b = b?;
-                Some(ExprEstimate {
-                    rows,
-                    cols,
-                    nnz: (rows * cols) as f64,
-                    work: init_work + n as f64 * b.work,
-                    total: false,
-                })
-            }
-            Expr::Sum { var, var_dim, body }
-            | Expr::HProd { var, var_dim, body }
-            | Expr::MProd { var, var_dim, body } => {
-                let n = self.stats.dim(var_dim)?;
-                self.scope.push_loop(var, Some(n));
-                let b = self.est(body);
-                self.scope.pop();
-                let b = b?;
-                let (nnz, step) = match e {
-                    Expr::Sum { .. } => (n as f64 * b.nnz, b.nnz),
-                    Expr::HProd { .. } => (b.nnz, b.nnz),
-                    _ => {
-                        let per_row = if b.rows > 0 {
-                            b.nnz / b.rows as f64
-                        } else {
-                            0.0
-                        };
-                        ((b.rows * b.cols) as f64, b.nnz * per_row)
-                    }
-                };
-                Some(ExprEstimate {
-                    rows: b.rows,
-                    cols: b.cols,
-                    nnz: nnz.min((b.rows * b.cols) as f64),
-                    work: n as f64 * (b.work + step),
-                    total: false,
-                })
-            }
-        }
+    /// The free variables of the factors `factors`.
+    fn vars_of(&self, factors: &[NodeId]) -> Vec<VarSlot> {
+        let mut vars: Vec<VarSlot> = factors
+            .iter()
+            .flat_map(|&f| self.env(f).iter().map(|&(slot, _)| slot))
+            .collect();
+        vars.sort_unstable();
+        vars.dedup();
+        vars
     }
 
-    /// Structural recursion: rewrite children first, then apply the local
-    /// rules at product, transpose and ones nodes.
-    fn rewrite(&mut self, e: &Expr) -> Expr {
-        match e {
-            Expr::Var(_) | Expr::Const(_) => e.clone(),
-            Expr::Transpose(inner) => {
-                let inner = self.rewrite(inner);
-                self.rewrite_transpose(inner)
-            }
-            Expr::Ones(inner) => {
-                let inner = self.rewrite(inner);
-                self.rewrite_ones(inner)
-            }
-            Expr::Diag(inner) => Expr::Diag(Box::new(self.rewrite(inner))),
-            Expr::MatMul(a, b) => {
-                let tree = Expr::MatMul(Box::new(self.rewrite(a)), Box::new(self.rewrite(b)));
-                self.reorder_chain(tree)
-            }
-            Expr::Add(a, b) => Expr::Add(Box::new(self.rewrite(a)), Box::new(self.rewrite(b))),
-            Expr::ScalarMul(a, b) => {
-                Expr::ScalarMul(Box::new(self.rewrite(a)), Box::new(self.rewrite(b)))
-            }
-            Expr::Hadamard(a, b) => {
-                Expr::Hadamard(Box::new(self.rewrite(a)), Box::new(self.rewrite(b)))
-            }
-            Expr::Apply(name, args) => {
-                Expr::Apply(name.clone(), args.iter().map(|a| self.rewrite(a)).collect())
-            }
-            Expr::Let { var, value, body } => {
-                let value = self.rewrite(value);
-                let value_stats = self.est(&value).map(|e| VarStats {
-                    rows: e.rows,
-                    cols: e.cols,
-                    nnz: e.nnz.round() as usize,
-                });
-                self.scope.push(var, value_stats);
-                let body = self.rewrite(body);
-                self.scope.pop();
-                Expr::Let {
-                    var: var.clone(),
-                    value: Box::new(value),
-                    body: Box::new(body),
-                }
-            }
-            Expr::For {
-                var,
-                var_dim,
-                acc,
-                acc_type,
-                init,
-                body,
-            } => {
-                let init = init.as_ref().map(|e| Box::new(self.rewrite(e)));
-                let n = self.stats.dim(var_dim);
-                let acc_stats = self.stats.shape_of(acc_type).map(|(rows, cols)| VarStats {
-                    rows,
-                    cols,
-                    nnz: rows * cols,
-                });
-                self.scope.push_loop(var, n);
-                self.scope.push(acc, acc_stats);
-                self.loops.push((vec![var.clone(), acc.clone()], n));
-                let body = self.rewrite(body);
-                self.loops.pop();
-                self.scope.pop();
-                self.scope.pop();
-                Expr::For {
-                    var: var.clone(),
-                    var_dim: var_dim.clone(),
-                    acc: acc.clone(),
-                    acc_type: acc_type.clone(),
-                    init,
-                    body: Box::new(body),
-                }
-            }
-            Expr::Sum { var, var_dim, body } => {
-                let body = self.rewrite_loop_body(var, var_dim, body);
-                Expr::Sum {
-                    var: var.clone(),
-                    var_dim: var_dim.clone(),
-                    body: Box::new(body),
-                }
-            }
-            Expr::HProd { var, var_dim, body } => {
-                let body = self.rewrite_loop_body(var, var_dim, body);
-                Expr::HProd {
-                    var: var.clone(),
-                    var_dim: var_dim.clone(),
-                    body: Box::new(body),
-                }
-            }
-            Expr::MProd { var, var_dim, body } => {
-                let body = self.rewrite_loop_body(var, var_dim, body);
-                Expr::MProd {
-                    var: var.clone(),
-                    var_dim: var_dim.clone(),
-                    body: Box::new(body),
-                }
-            }
-        }
+    /// One product in the DP's cost model: the shape and the own cost of
+    /// multiplying two segments, amortized by `amortize`.
+    fn product_step(l: Shape, r: Shape, amortize: f64) -> (Shape, f64) {
+        let (nnz, own) = product_cost(l, r);
+        ((l.0, r.1, nnz), (own + PRODUCT_OVERHEAD) / amortize)
     }
 
-    fn rewrite_loop_body(&mut self, var: &str, var_dim: &str, body: &Expr) -> Expr {
-        let n = self.stats.dim(var_dim);
-        self.scope.push_loop(var, n);
-        self.loops.push((vec![var.to_string()], n));
-        let body = self.rewrite(body);
-        self.loops.pop();
-        self.scope.pop();
-        body
-    }
-
-    /// `(e₁ · e₂)ᵀ → e₂ᵀ · e₁ᵀ` when the cost model prefers transposing
-    /// the operands (and both operands are provably total — the rewrite
-    /// reverses their evaluation order).
-    fn rewrite_transpose(&mut self, inner: Expr) -> Expr {
-        if let Expr::MatMul(a, b) = &inner {
-            if let (Some(l), Some(r)) = (self.est(a), self.est(b)) {
-                if l.total && r.total && l.cols == r.rows {
-                    let (prod_nnz, prod_own) = product_cost(&l, &r);
-                    // Unfused: compute the product, transpose the result.
-                    let lhs_cost = prod_own + prod_nnz;
-                    let lt = ExprEstimate {
-                        rows: l.cols,
-                        cols: l.rows,
-                        ..l
-                    };
-                    let rt = ExprEstimate {
-                        rows: r.cols,
-                        cols: r.rows,
-                        ..r
-                    };
-                    // Pushed down: transpose both operands, multiply.
-                    let (_, rev_own) = product_cost(&rt, &lt);
-                    let rhs_cost = l.nnz + r.nnz + rev_own;
-                    if rhs_cost < lhs_cost * MIN_IMPROVEMENT {
-                        self.applied.push(AppliedRewrite {
-                            rule: "transpose-pushdown",
-                            detail: format!("({a} · {b})ᵀ → operand transposes"),
-                            saving: lhs_cost - rhs_cost,
-                        });
-                        let pushed =
-                            Expr::MatMul(Box::new(transpose_of(b)), Box::new(transpose_of(a)));
-                        // The new product may extend an enclosing chain or
-                        // itself be a reorderable chain.
-                        return self.reorder_chain(pushed);
-                    }
-                }
-            }
-        }
-        Expr::Transpose(Box::new(inner))
-    }
-
-    /// `1(e) → 1(row source of e)` when the source is strictly cheaper and
-    /// the dropped computation is provably total.
-    fn rewrite_ones(&mut self, inner: Expr) -> Expr {
-        if let Some(ie) = self.est(&inner) {
-            if ie.total {
-                let source = row_source(&inner);
-                if source != inner {
-                    if let Some(se) = self.est(&source) {
-                        if se.rows == ie.rows && se.work < ie.work * MIN_IMPROVEMENT {
-                            self.applied.push(AppliedRewrite {
-                                rule: "ones-pushdown",
-                                detail: format!("1({inner}) → 1({source})"),
-                                saving: ie.work - se.work,
-                            });
-                            return Expr::Ones(Box::new(source));
-                        }
-                    }
-                }
-            }
-        }
-        Expr::Ones(Box::new(inner))
-    }
-
-    /// Re-parenthesizes a maximal product chain by the interval DP when
-    /// the cost model finds a strictly cheaper association.  Factor order
-    /// is preserved, so evaluation order (and therefore error behavior)
-    /// is unchanged; only the association differs.  A chain with a loop's
-    /// canonical vector among its factors keeps the association it was
-    /// written with: the planner lowers `vᵀ·A·w` and its kin to index
+    /// Re-parenthesizes the maximal product chain `op` by the interval DP
+    /// when the cost model finds a strictly cheaper association.  Factor
+    /// order is preserved, so evaluation order (and therefore error
+    /// behavior) is unchanged; only the association differs.  A chain with
+    /// a loop's canonical vector among its factors keeps the association it
+    /// was written with: the planner lowers `vᵀ·A·w` and its kin to index
     /// operations, which a reassociation into `vᵀ·(A·(w·…))` would turn
     /// back into full products.
-    fn reorder_chain(&mut self, tree: Expr) -> Expr {
-        // Counted before the factors are cloned: most products have two.
-        if chain_len(&tree) < 3 {
-            return tree;
-        }
-        let mut factors = Vec::new();
-        flatten_chain(&tree, &mut factors);
-        let k = factors.len();
-        if factors.iter().any(|f| self.is_canonical_factor(f)) {
-            return tree;
-        }
-        let Some(ests) = factors
-            .iter()
-            .map(|f| self.est(f))
-            .collect::<Option<Vec<_>>>()
-        else {
-            return tree;
+    fn reorder_chain(&mut self, op: &PlanOp, rule: &'static str) -> Option<NodeId> {
+        let PlanOp::MatMul(a, b) = *op else {
+            return None;
         };
-        if ests.windows(2).any(|w| w[0].cols != w[1].rows) {
-            return tree;
+        let mut factors = Vec::new();
+        self.flatten_chain(a, &mut factors);
+        self.flatten_chain(b, &mut factors);
+        let k = factors.len();
+        if factors.iter().any(|&f| self.is_canonical_factor(f)) {
+            return None;
         }
-        let free: Vec<BTreeSet<String>> = factors.iter().map(|f| f.free_vars()).collect();
+        let shapes = factors
+            .iter()
+            .map(|&f| self.nodes[f].est.map(|e| (e.rows, e.cols, e.nnz)))
+            .collect::<Option<Vec<Shape>>>()?;
+        if shapes.windows(2).any(|w| w[0].1 != w[1].0) {
+            return None;
+        }
 
         // seg[i][j] covers the product of factors i..=j.
         let mut seg: Vec<Vec<Option<ChainSeg>>> = vec![vec![None; k]; k];
-        for (i, est) in ests.iter().enumerate() {
-            seg[i][i] = Some((ExprEstimate { work: 0.0, ..*est }, 0.0, i));
+        for (i, &shape) in shapes.iter().enumerate() {
+            seg[i][i] = Some((shape, 0.0, i));
         }
         for len in 2..=k {
             for i in 0..=(k - len) {
                 let j = i + len - 1;
-                let mut vars = BTreeSet::new();
-                for f in &free[i..=j] {
-                    vars.extend(f.iter().cloned());
-                }
-                let amortize = self.amortization(&vars);
+                let amortize = self.amortization(&self.vars_of(&factors[i..=j]));
                 let mut best: Option<ChainSeg> = None;
                 for s in i..j {
-                    let (le, lc, _) = seg[i][s].expect("shorter interval filled");
-                    let (re, rc, _) = seg[s + 1][j].expect("shorter interval filled");
-                    let (nnz, own) = product_cost(&le, &re);
-                    let cost = lc + rc + (own + PRODUCT_OVERHEAD) / amortize;
+                    let (ls, lc, _) = seg[i][s].expect("shorter interval filled");
+                    let (rs, rc, _) = seg[s + 1][j].expect("shorter interval filled");
+                    let (shape, own) = Self::product_step(ls, rs, amortize);
+                    let cost = lc + rc + own;
                     if best.map_or(true, |(_, c, _)| cost < c) {
-                        best = Some((
-                            ExprEstimate {
-                                rows: le.rows,
-                                cols: re.cols,
-                                nnz,
-                                work: 0.0,
-                                total: le.total && re.total,
-                            },
-                            cost,
-                            s,
-                        ));
+                        best = Some((shape, cost, s));
                     }
                 }
                 seg[i][j] = best;
@@ -643,102 +380,131 @@ impl Rewriter<'_> {
         let (_, best_cost, _) = seg[0][k - 1].expect("full interval filled");
 
         // Cost of the association as it stands, with the same amortization.
-        let mut idx = 0;
-        let (_, current_cost, _) = self.assoc_cost(&tree, &ests, &free, &mut idx);
+        let mut at = 0;
+        let (ls, lc) = self.assoc_cost(a, &factors, &shapes, &mut at);
+        let (rs, rc) = self.assoc_cost(b, &factors, &shapes, &mut at);
+        let amortize = self.amortization(&self.vars_of(&factors));
+        let current_cost = lc + rc + Self::product_step(ls, rs, amortize).1;
         if best_cost >= current_cost * MIN_IMPROVEMENT {
-            return tree;
+            return None;
         }
         self.applied.push(AppliedRewrite {
-            rule: "matrix-chain-reorder",
+            rule,
             detail: format!("{k}-factor chain: ≈{current_cost:.0} → ≈{best_cost:.0} ops"),
             saving: current_cost - best_cost,
         });
-        build_tree(&factors, &seg, 0, k - 1)
+        Some(self.build_chain(&factors, &seg, 0, k - 1))
     }
 
-    /// The amortized own-cost of an existing association, computed with
-    /// the same combinators as the DP so the comparison is exact.
-    /// Returns `(estimate, cost, free variables)` and advances `idx`
-    /// through the factor list.
+    /// The amortized own cost of the association at `id`, computed with
+    /// the same combinators as the DP so the comparison is exact; `at`
+    /// advances through the factor list.
     fn assoc_cost(
         &self,
-        e: &Expr,
-        ests: &[ExprEstimate],
-        free: &[BTreeSet<String>],
-        idx: &mut usize,
-    ) -> (ExprEstimate, f64, BTreeSet<String>) {
-        if let Expr::MatMul(a, b) = e {
-            let (le, lc, lv) = self.assoc_cost(a, ests, free, idx);
-            let (re, rc, rv) = self.assoc_cost(b, ests, free, idx);
-            let (nnz, own) = product_cost(&le, &re);
-            let mut vars = lv;
-            vars.extend(rv);
-            let cost = lc + rc + (own + PRODUCT_OVERHEAD) / self.amortization(&vars);
-            (
-                ExprEstimate {
-                    rows: le.rows,
-                    cols: re.cols,
-                    nnz,
-                    work: 0.0,
-                    total: le.total && re.total,
-                },
-                cost,
-                vars,
-            )
-        } else {
-            let est = ExprEstimate {
-                work: 0.0,
-                ..ests[*idx]
-            };
-            let vars = free[*idx].clone();
-            *idx += 1;
-            (est, 0.0, vars)
-        }
-    }
-}
-
-/// Rebuilds the DP's optimal association over `factors[i..=j]`.
-fn build_tree(factors: &[Expr], seg: &[Vec<Option<ChainSeg>>], i: usize, j: usize) -> Expr {
-    if i == j {
-        return factors[i].clone();
-    }
-    let (_, _, s) = seg[i][j].expect("interval filled");
-    Expr::MatMul(
-        Box::new(build_tree(factors, seg, i, s)),
-        Box::new(build_tree(factors, seg, s + 1, j)),
-    )
-}
-
-/// Applies the cost-based rules to `expr` until a fixpoint (each pass
-/// strictly reduces the estimated cost, so this terminates; a small pass
-/// cap guards against pathological interactions).
-pub fn rewrite_with_stats(expr: &Expr, stats: &InstanceStats) -> RewriteOutcome {
-    let mut current = expr.clone();
-    let mut applied = Vec::new();
-    for _ in 0..4 {
-        let mut rewriter = Rewriter {
-            stats,
-            scope: Scope::default(),
-            loops: Vec::new(),
-            applied: Vec::new(),
+        id: NodeId,
+        factors: &[NodeId],
+        shapes: &[Shape],
+        at: &mut usize,
+    ) -> (Shape, f64) {
+        let PlanOp::MatMul(a, b) = self.nodes[id].op else {
+            *at += 1;
+            return (shapes[*at - 1], 0.0);
         };
-        let next = rewriter.rewrite(&current);
-        if next == current {
-            break;
-        }
-        applied.extend(rewriter.applied);
-        current = next;
+        let first = *at;
+        let (ls, lc) = self.assoc_cost(a, factors, shapes, at);
+        let (rs, rc) = self.assoc_cost(b, factors, shapes, at);
+        let amortize = self.amortization(&self.vars_of(&factors[first..*at]));
+        let (shape, own) = Self::product_step(ls, rs, amortize);
+        (shape, lc + rc + own)
     }
-    RewriteOutcome {
-        expr: current,
-        applied,
+
+    /// Builds the DP's optimal association over `factors[i..=j]`.
+    fn build_chain(
+        &mut self,
+        factors: &[NodeId],
+        seg: &[Vec<Option<ChainSeg>>],
+        i: usize,
+        j: usize,
+    ) -> NodeId {
+        if i == j {
+            return factors[i];
+        }
+        let (_, _, s) = seg[i][j].expect("interval filled");
+        let l = self.build_chain(factors, seg, i, s);
+        let r = self.build_chain(factors, seg, s + 1, j);
+        self.intern(PlanOp::MatMul(l, r))
+    }
+
+    /// The expression node `id` stands for — the output of
+    /// [`rewrite_with_stats`], whose builder lowers nothing.
+    fn expr_of(&self, id: NodeId) -> Expr {
+        let sub = |id: &NodeId| Box::new(self.expr_of(*id));
+        match &self.nodes[id].op {
+            PlanOp::Var(name, _) => Expr::Var(name.clone()),
+            PlanOp::Const(c) => Expr::Const(c.0),
+            PlanOp::Transpose(a) => Expr::Transpose(sub(a)),
+            PlanOp::Ones(a) => Expr::Ones(sub(a)),
+            PlanOp::Diag(a) => Expr::Diag(sub(a)),
+            PlanOp::MatMul(a, b) => Expr::MatMul(sub(a), sub(b)),
+            PlanOp::Add(a, b) => Expr::Add(sub(a), sub(b)),
+            PlanOp::ScalarMul(a, b) => Expr::ScalarMul(sub(a), sub(b)),
+            PlanOp::Hadamard(a, b) => Expr::Hadamard(sub(a), sub(b)),
+            PlanOp::Apply(name, args) => Expr::Apply(
+                name.clone(),
+                args.iter().map(|a| self.expr_of(*a)).collect(),
+            ),
+            PlanOp::Let {
+                var, value, body, ..
+            } => Expr::Let {
+                var: var.clone(),
+                value: sub(value),
+                body: sub(body),
+            },
+            PlanOp::For {
+                var,
+                var_dim,
+                acc,
+                acc_type,
+                init,
+                body,
+                ..
+            } => Expr::For {
+                var: var.clone(),
+                var_dim: var_dim.clone(),
+                acc: acc.clone(),
+                acc_type: acc_type.clone(),
+                init: init.as_ref().map(sub),
+                body: sub(body),
+            },
+            PlanOp::Sum {
+                var, var_dim, body, ..
+            } => Expr::sum(var.clone(), var_dim.clone(), self.expr_of(*body)),
+            PlanOp::HProd {
+                var, var_dim, body, ..
+            } => Expr::hprod(var.clone(), var_dim.clone(), self.expr_of(*body)),
+            PlanOp::MProd {
+                var, var_dim, body, ..
+            } => Expr::mprod(var.clone(), var_dim.clone(), self.expr_of(*body)),
+            lowered => unreachable!("a {} node without lowering", lowered.label()),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::VarStats;
     use std::collections::BTreeMap;
+
+    /// The factors of `e`'s maximal product spine, left to right.
+    fn flatten_chain(e: &Expr, out: &mut Vec<Expr>) {
+        if let Expr::MatMul(a, b) = e {
+            flatten_chain(a, out);
+            flatten_chain(b, out);
+        } else {
+            out.push(e.clone());
+        }
+    }
 
     /// n = 1000, G sparse (degree 8), D dense, A skinny (10 × 1000),
     /// u/w vectors.

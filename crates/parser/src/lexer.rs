@@ -94,105 +94,63 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Tokenizes an input string.
+fn number(text: &str) -> Result<Token, LexError> {
+    text.parse::<f64>()
+        .map(Token::Number)
+        .map_err(|_| LexError::BadNumber {
+            text: text.to_string(),
+        })
+}
+
+/// Tokenizes an input string.  Lexing walks the input's bytes; only an
+/// identifier may hold non-ASCII characters, so positions are byte
+/// offsets throughout.
 pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
+    let bytes = input.as_bytes();
+    let digit_at = |at: usize| bytes.get(at).is_some_and(u8::is_ascii_digit);
     let mut tokens = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
     let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            c if c.is_whitespace() => i += 1,
-            '(' => {
-                tokens.push(Token::LParen);
-                i += 1;
+    while let Some(c) = input[i..].chars().next() {
+        let (token, end) = match c {
+            c if c.is_whitespace() => {
+                i += c.len_utf8();
+                continue;
             }
-            ')' => {
-                tokens.push(Token::RParen);
-                i += 1;
-            }
-            '[' => {
-                tokens.push(Token::LBracket);
-                i += 1;
-            }
-            ']' => {
-                tokens.push(Token::RBracket);
-                i += 1;
-            }
-            ',' => {
-                tokens.push(Token::Comma);
-                i += 1;
-            }
-            ':' => {
-                tokens.push(Token::Colon);
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token::Equals);
-                i += 1;
-            }
-            '+' => {
-                tokens.push(Token::Plus);
-                i += 1;
-            }
-            '*' => {
-                if chars.get(i + 1) == Some(&'*') {
-                    tokens.push(Token::StarStar);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Star);
-                    i += 1;
-                }
-            }
-            '.' => {
-                if chars.get(i + 1) == Some(&'*') {
-                    tokens.push(Token::DotStar);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Dot);
-                    i += 1;
-                }
-            }
+            '(' => (Token::LParen, i + 1),
+            ')' => (Token::RParen, i + 1),
+            '[' => (Token::LBracket, i + 1),
+            ']' => (Token::RBracket, i + 1),
+            ',' => (Token::Comma, i + 1),
+            ':' => (Token::Colon, i + 1),
+            '=' => (Token::Equals, i + 1),
+            '+' => (Token::Plus, i + 1),
+            '*' if bytes.get(i + 1) == Some(&b'*') => (Token::StarStar, i + 2),
+            '*' => (Token::Star, i + 1),
+            '.' if bytes.get(i + 1) == Some(&b'*') => (Token::DotStar, i + 2),
+            '.' => (Token::Dot, i + 1),
             '-' => {
                 // Negative numeric literal (only appears after `const`).
-                let start = i;
-                i += 1;
-                while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '.') {
-                    i += 1;
+                let mut end = i + 1;
+                while digit_at(end) || bytes.get(end) == Some(&b'.') {
+                    end += 1;
                 }
-                let text: String = chars[start..i].iter().collect();
-                let value = text
-                    .parse::<f64>()
-                    .map_err(|_| LexError::BadNumber { text })?;
-                tokens.push(Token::Number(value));
+                (number(&input[i..end])?, end)
             }
             c if c.is_ascii_digit() => {
-                let start = i;
-                while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '.') {
-                    // Don't swallow the loop-body dot: a trailing `.` followed
-                    // by whitespace or a non-digit is a separator.
-                    if chars[i] == '.'
-                        && !chars
-                            .get(i + 1)
-                            .map(|c| c.is_ascii_digit())
-                            .unwrap_or(false)
-                    {
-                        break;
-                    }
-                    i += 1;
+                // Don't swallow the loop-body dot: a `.` that no digit
+                // follows is a separator.
+                let mut end = i;
+                while digit_at(end) || (bytes.get(end) == Some(&b'.') && digit_at(end + 1)) {
+                    end += 1;
                 }
-                let text: String = chars[start..i].iter().collect();
-                let value = text
-                    .parse::<f64>()
-                    .map_err(|_| LexError::BadNumber { text })?;
-                tokens.push(Token::Number(value));
+                (number(&input[i..end])?, end)
             }
             c if is_ident_start(c) => {
-                let start = i;
-                while i < chars.len() && is_ident_continue(chars[i]) {
-                    i += 1;
-                }
-                tokens.push(Token::Ident(chars[start..i].iter().collect()));
+                let len = input[i..]
+                    .char_indices()
+                    .find(|&(_, c)| !is_ident_continue(c))
+                    .map_or(input.len() - i, |(at, _)| at);
+                (Token::Ident(input[i..i + len].to_string()), i + len)
             }
             other => {
                 return Err(LexError::UnexpectedChar {
@@ -200,7 +158,9 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                     position: i,
                 })
             }
-        }
+        };
+        tokens.push(token);
+        i = end;
     }
     Ok(tokens)
 }
@@ -296,6 +256,21 @@ mod tests {
         }
         .to_string()
         .is_empty());
+    }
+
+    #[test]
+    fn unexpected_characters_are_reported_at_their_byte_offset() {
+        // `é` is two bytes, so the `?` sits at byte 3 (character 2).
+        let err = tokenize("é ?").unwrap_err();
+        assert_eq!(
+            err,
+            LexError::UnexpectedChar {
+                found: '?',
+                position: 3
+            }
+        );
+        assert_eq!(err.to_string(), "unexpected character `?` at byte 3");
+        assert_eq!(tokenize("é").unwrap(), vec![Token::Ident("é".into())]);
     }
 
     #[test]

@@ -50,38 +50,40 @@ impl From<LexError> for ParseError {
 
 /// Parses a complete for-MATLANG expression.
 pub fn parse(input: &str) -> Result<Expr, ParseError> {
-    let tokens = tokenize(input)?;
-    let mut parser = Parser {
-        tokens,
-        position: 0,
-    };
+    let mut tokens = tokenize(input)?;
+    tokens.reverse();
+    let mut parser = Parser { rest: tokens };
     let expr = parser.expression()?;
-    if parser.position < parser.tokens.len() {
+    if let Some(token) = parser.peek() {
         return Err(ParseError::TrailingInput {
-            found: parser.tokens[parser.position].to_string(),
+            found: token.to_string(),
         });
     }
     Ok(expr)
 }
 
+/// The forms a parenthesised expression can take, told apart by its first
+/// token.
+enum Form {
+    Const,
+    Let,
+    For,
+    Loop,
+    Binary,
+}
+
 struct Parser {
-    tokens: Vec<Token>,
-    position: usize,
+    /// The tokens not yet consumed, last first: each is moved out once.
+    rest: Vec<Token>,
 }
 
 impl Parser {
     fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.position)
+        self.rest.last()
     }
 
     fn next(&mut self) -> Result<Token, ParseError> {
-        let token = self
-            .tokens
-            .get(self.position)
-            .cloned()
-            .ok_or(ParseError::UnexpectedEnd)?;
-        self.position += 1;
-        Ok(token)
+        self.rest.pop().ok_or(ParseError::UnexpectedEnd)
     }
 
     fn expect(&mut self, token: Token, expected: &'static str) -> Result<(), ParseError> {
@@ -159,8 +161,18 @@ impl Parser {
     }
 
     fn parenthesised(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().cloned() {
-            Some(Token::Ident(keyword)) if keyword == "const" => {
+        let form = match self.peek() {
+            Some(Token::Ident(keyword)) => match keyword.as_str() {
+                "const" => Form::Const,
+                "let" => Form::Let,
+                "for" => Form::For,
+                "sum" | "hprod" | "mprod" => Form::Loop,
+                _ => Form::Binary,
+            },
+            _ => Form::Binary,
+        };
+        match form {
+            Form::Const => {
                 self.next()?;
                 let value = match self.next()? {
                     Token::Number(v) => v,
@@ -174,7 +186,7 @@ impl Parser {
                 self.expect(Token::RParen, "`)`")?;
                 Ok(Expr::lit(value))
             }
-            Some(Token::Ident(keyword)) if keyword == "let" => {
+            Form::Let => {
                 self.next()?;
                 let var = self.ident("a variable name")?;
                 self.expect(Token::Equals, "`=`")?;
@@ -192,7 +204,7 @@ impl Parser {
                 self.expect(Token::RParen, "`)`")?;
                 Ok(Expr::let_in(var, value, body))
             }
-            Some(Token::Ident(keyword)) if keyword == "for" => {
+            Form::For => {
                 self.next()?;
                 let var = self.ident("the loop vector variable")?;
                 self.expect(Token::Colon, "`:`")?;
@@ -220,10 +232,8 @@ impl Parser {
                     None => Expr::for_loop(var, var_dim, acc, acc_type, body),
                 })
             }
-            Some(Token::Ident(keyword))
-                if keyword == "sum" || keyword == "hprod" || keyword == "mprod" =>
-            {
-                self.next()?;
+            Form::Loop => {
+                let keyword = self.ident("a loop keyword")?;
                 let var = self.ident("the loop vector variable")?;
                 self.expect(Token::Colon, "`:`")?;
                 let var_dim = self.ident("the loop dimension symbol")?;
@@ -236,7 +246,7 @@ impl Parser {
                     _ => Expr::mprod(var, var_dim, body),
                 })
             }
-            _ => {
+            Form::Binary => {
                 // A parenthesised binary operation.
                 let left = self.expression()?;
                 let op = self.next()?;

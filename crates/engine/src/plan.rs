@@ -21,8 +21,8 @@
 //! (CSE sharing, hoistable nodes, `rewrite::simplify` savings, per-node
 //! representation choices).
 
-use crate::planner::FxMap;
 use matlang_core::MatrixType;
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -631,7 +631,7 @@ pub struct Plan {
     pub(crate) nodes: Vec<PlanNode>,
     pub(crate) roots: Vec<NodeId>,
     /// Variable name → slot, for every name the plan mentions.
-    pub(crate) slots: FxMap<String, VarSlot>,
+    pub(crate) slots: HashMap<String, VarSlot>,
     /// Per slot, the nodes whose value depends on that variable.
     pub(crate) dependents: Vec<Vec<NodeId>>,
     /// The planner's summary of this plan.

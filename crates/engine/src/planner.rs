@@ -42,8 +42,9 @@ use matlang_core::{Dim, Expr, Instance, MatrixType};
 use matlang_matrix::repr::{MIN_ADAPTIVE_ENTRIES, SPARSIFY_THRESHOLD};
 use matlang_matrix::MatrixStorage;
 use matlang_semiring::Semiring;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// Planner configuration.
 #[derive(Clone, Debug)]
@@ -178,9 +179,10 @@ impl InstanceStats {
     }
 }
 
-/// FxHash, the hasher of `rustc`: one rotate-xor-multiply per word.  The
-/// planner's keys are small ids and short names, which SipHash's
-/// flooding resistance only slows down.
+/// FxHash, the hasher of `rustc`: one rotate-xor-multiply per word — for
+/// the ids the planner assigns itself, which no query can choose to
+/// collide.  Names and the operations that carry them are keyed through
+/// the standard hasher.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct FxHasher(u64);
 
@@ -416,14 +418,15 @@ pub(crate) struct Builder<'a> {
     /// Hash of `(operation, environment)` → the newest node with it;
     /// [`Facts::next`] chains the older ones.
     dedup: FxMap<u64, NodeId>,
+    keys: RandomState,
     /// The `Var` node of each (slot, binder) pair, so a repeated use
     /// neither clones its name nor hashes an operation.
     var_nodes: FxMap<(VarSlot, BinderId), NodeId>,
     /// Every variable name seen so far → its dense slot, in first-seen
     /// order.
-    slots: FxMap<String, VarSlot>,
+    slots: HashMap<String, VarSlot>,
     pub(crate) binders: Vec<Binder>,
-    binder_ids: FxMap<Binder, BinderId>,
+    binder_ids: HashMap<Binder, BinderId>,
     envs: Envs,
     unions: FxMap<(EnvId, EnvId), EnvId>,
     scope: Vec<(VarSlot, Binding)>,
@@ -454,10 +457,11 @@ impl<'a> Builder<'a> {
             nodes: Vec::with_capacity(size),
             facts: Vec::with_capacity(size),
             dedup: FxMap::with_capacity_and_hasher(size, Default::default()),
+            keys: RandomState::new(),
             var_nodes: FxMap::default(),
-            slots: FxMap::default(),
+            slots: HashMap::new(),
             binders: Vec::new(),
-            binder_ids: FxMap::default(),
+            binder_ids: HashMap::new(),
             envs: Envs::default(),
             unions: FxMap::default(),
             scope: Vec::new(),
@@ -747,7 +751,7 @@ impl<'a> Builder<'a> {
 
     /// The node for `op` under `env`, interning it on first sight.
     fn insert(&mut self, op: PlanOp, env: EnvId, fusion: Option<((usize, usize), f64)>) -> NodeId {
-        let hash = hash_of(&(&op, env));
+        let hash = self.keys.hash_one((&op, env));
         let mut at = self.dedup.get(&hash).copied();
         while let Some(id) = at {
             if self.facts[id].env == env && self.nodes[id].op == op {

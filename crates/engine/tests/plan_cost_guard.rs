@@ -30,9 +30,8 @@ fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
 /// Release: planning the determinant takes at most a quarter of the time
 /// executing its plan on the dense backend takes, as the median of 9
 /// alternated pairs (each side the median of 5 runs).  Measured on a
-/// shared 2-vCPU host: ≈ 0.11–0.17 (≈ 0.9–1.7 when planning ran
-/// `simplify`'s fixpoint, the 4-pass cost rewriter and a builder over
-/// owned names).  A debug build runs 3 pairs against a bound of 1.
+/// shared 2-vCPU host: ≈ 0.16–0.19.  A debug build runs 3 pairs against a
+/// bound of 1 (≈ 0.08 measured).
 #[test]
 fn plan_cost_guard() {
     let n = 12;

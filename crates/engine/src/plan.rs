@@ -298,8 +298,8 @@ impl PlanOp {
         fixed.into_iter().take(n).chain(args.iter().copied())
     }
 
-    /// Rewrites every child id through `f` — the renumbering step after the
-    /// planner drops a node from the DAG.
+    /// Rewrites every child id through `f` — how the planner lowers an
+    /// operation's operands and renumbers the DAG.
     pub(crate) fn map_children(&mut self, mut f: impl FnMut(NodeId) -> NodeId) {
         match self {
             PlanOp::Var(..) | PlanOp::Const(_) | PlanOp::Place { vec: None, .. } => {}

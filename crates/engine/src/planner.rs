@@ -2,8 +2,7 @@
 //!
 //! Each query is walked once, bottom-up.  Every node the walk builds goes
 //! through one rule table (`rewrite::RULES`) and what comes out is
-//! hash-consed into the DAG; nothing is rewritten as a tree first, and no
-//! step repeats to a fixpoint:
+//! hash-consed into the DAG:
 //!
 //! * **Rules** — `matlang_core::rewrite`'s simplification rules (their
 //!   savings are counted into [`PlanReport::simplify_savings`]; its `let`
@@ -378,7 +377,7 @@ enum Binding {
 /// What the builder knows of a node beyond its [`PlanNode`].
 #[derive(Clone, Debug)]
 pub(crate) struct Facts {
-    pub(crate) env: EnvId,
+    env: EnvId,
     /// Whether evaluation provably cannot fail: every variable is known
     /// and every operator's shape precondition is certified by the
     /// estimates.  Conservative — `Apply` and the loop forms are never
@@ -386,7 +385,7 @@ pub(crate) struct Facts {
     pub(crate) total: bool,
     /// AST nodes of the expression the node stands for (lowered
     /// operations count the products they replace).
-    pub(crate) size: usize,
+    size: usize,
     /// The loop-index or diag-pushdown lowering that made the node: the
     /// dimensions its record names and the estimated saving.
     fusion: Option<((usize, usize), f64)>,

@@ -2,7 +2,7 @@
 //!
 //! Every failing request is answered with one `ERR <CODE> <message>` line.
 //! The code is a **stable contract**: clients branch on it (see
-//! [`crate::client::ErrorCode`]), while the human-readable message may be
+//! [`ErrorCode`]), while the human-readable message may be
 //! reworded freely.  Like every error type in the workspace, the `Display`
 //! form is guaranteed newline-free (pinned by `tests/single_line_errors.rs`)
 //! so messages ship verbatim as one protocol line.
@@ -69,22 +69,93 @@ pub enum ServerError {
     LineTooLong,
 }
 
+/// The stable error category of a failed request, as a client sees it:
+/// one per wire code of [`ServerError::code`], plus the client-local
+/// failure modes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ErrorCode {
+    /// `EEXISTS` — the instance name is already taken.
+    InstanceExists,
+    /// `ENOINST` — no such instance.
+    UnknownInstance,
+    /// `ENOVAR` — no such matrix variable.
+    UnknownVariable,
+    /// `ENOQUERY` — no such prepared query id.
+    UnknownQueryId,
+    /// `ENOPREP` — `EXEC` before any `PREPARE`.
+    NoPreparedQueries,
+    /// `EPARSE` — the query text failed to parse.
+    Parse,
+    /// `ETYPE` — the query text failed to type-check.
+    Type,
+    /// `EEVAL` — evaluation failed at runtime.
+    Eval,
+    /// `ESTORE` — a storage-layer operation failed.
+    Storage,
+    /// `EPROTO` — the request was malformed or out of protocol.
+    Protocol,
+    /// `ETOOBIG` — a line was longer than the server buffers.
+    TooBig,
+    /// A local I/O failure — the socket, not the server, failed.
+    Io,
+    /// The server's reply did not match the protocol grammar.
+    Malformed,
+    /// An `ERR` code this client version does not know (a newer server).
+    Unknown,
+}
+
+/// Every wire error code and its category: the one table both
+/// [`ServerError::code`] and [`ErrorCode::from_wire`] read.
+const WIRE_CODES: [(ErrorCode, &str); 11] = [
+    (ErrorCode::InstanceExists, "EEXISTS"),
+    (ErrorCode::UnknownInstance, "ENOINST"),
+    (ErrorCode::UnknownVariable, "ENOVAR"),
+    (ErrorCode::UnknownQueryId, "ENOQUERY"),
+    (ErrorCode::NoPreparedQueries, "ENOPREP"),
+    (ErrorCode::Parse, "EPARSE"),
+    (ErrorCode::Type, "ETYPE"),
+    (ErrorCode::Eval, "EEVAL"),
+    (ErrorCode::Storage, "ESTORE"),
+    (ErrorCode::Protocol, "EPROTO"),
+    (ErrorCode::TooBig, "ETOOBIG"),
+];
+
+impl ErrorCode {
+    /// Maps a wire code token to its category, if this client knows it.
+    pub fn from_wire(code: &str) -> Option<ErrorCode> {
+        WIRE_CODES
+            .iter()
+            .find(|(_, wire)| *wire == code)
+            .map(|&(category, _)| category)
+    }
+}
+
 impl ServerError {
+    /// The category a client reads this error as.
+    pub fn category(&self) -> ErrorCode {
+        match self {
+            ServerError::InstanceExists { .. } => ErrorCode::InstanceExists,
+            ServerError::UnknownInstance { .. } => ErrorCode::UnknownInstance,
+            ServerError::UnknownVariable { .. } => ErrorCode::UnknownVariable,
+            ServerError::UnknownQueryId { .. } => ErrorCode::UnknownQueryId,
+            ServerError::NoPreparedQueries => ErrorCode::NoPreparedQueries,
+            ServerError::Parse { .. } => ErrorCode::Parse,
+            ServerError::Type { .. } => ErrorCode::Type,
+            ServerError::Eval { .. } => ErrorCode::Eval,
+            ServerError::Storage { .. } => ErrorCode::Storage,
+            ServerError::Protocol { .. } => ErrorCode::Protocol,
+            ServerError::LineTooLong => ErrorCode::TooBig,
+        }
+    }
+
     /// The stable, whitespace-free wire code for this error category.
     pub fn code(&self) -> &'static str {
-        match self {
-            ServerError::InstanceExists { .. } => "EEXISTS",
-            ServerError::UnknownInstance { .. } => "ENOINST",
-            ServerError::UnknownVariable { .. } => "ENOVAR",
-            ServerError::UnknownQueryId { .. } => "ENOQUERY",
-            ServerError::NoPreparedQueries => "ENOPREP",
-            ServerError::Parse { .. } => "EPARSE",
-            ServerError::Type { .. } => "ETYPE",
-            ServerError::Eval { .. } => "EEVAL",
-            ServerError::Storage { .. } => "ESTORE",
-            ServerError::Protocol { .. } => "EPROTO",
-            ServerError::LineTooLong => "ETOOBIG",
-        }
+        let category = self.category();
+        WIRE_CODES
+            .iter()
+            .find(|(code, _)| *code == category)
+            .map(|&(_, wire)| wire)
+            .expect("every server error category has a wire code")
     }
 
     /// Shorthand for a protocol-level error.

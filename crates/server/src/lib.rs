@@ -64,23 +64,18 @@ pub mod session;
 pub mod store;
 pub mod worker;
 
-pub use client::{
-    parse_metrics_map, Client, ClientError, DeltaWire, ErrorCode, InstanceEntry, ServerHello,
-    SlowlogEntry, UpdateReply,
-};
+pub use client::{Client, ClientError};
 pub use config::{
     StoreConfig, StoreConfigBuilder, DEFAULT_REPLAN_DRIFT, DEFAULT_WAL_COMPACT, PLAN_CACHE_CAPACITY,
 };
-pub use error::ServerError;
+pub use error::{ErrorCode, ServerError};
 pub use protocol::{
-    ExecStatsWire, GenKind, Request, ResponseHeader, SemiringKind, SharedResult, WireResult,
-    CAPABILITIES, MAX_LINE_BYTES, PROTOCOL_VERSION,
+    parse_metrics_map, DeltaWire, ExecStatsWire, GenKind, HealthReport, InstanceEntry,
+    PrepareOutcome, Reply, Request, ResponseHeader, SemiringKind, ServerHello, SharedResult,
+    SlowlogEntry, UpdateReply, WalStat, WireResult, CAPABILITIES, MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
 pub use session::SessionStats;
-pub use store::{
-    DeltaDisposition, HealthReport, InstanceInfo, PrepareOutcome, ResourceAccount, ServerSemiring,
-    Store, UpdateOutcome, WalStat, MAX_DIMENSION,
-};
+pub use store::{ResourceAccount, ServerSemiring, Store, MAX_DIMENSION};
 pub use worker::ConnQueue;
 
 use std::collections::HashMap;

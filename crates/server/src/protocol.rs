@@ -6,7 +6,7 @@
 //! from `netcat`:
 //!
 //! ```text
-//! →  HELLO                           ←  OK matlangd proto=2 caps=delta,errcodes,semirings,execbatch,obs,capacity
+//! →  HELLO                           ←  OK matlangd proto=2 caps=delta,errcodes,semirings,execbatch,obs,capacity,persist
 //! →  INSTANCE g adaptive bool        ←  OK instance g adaptive bool
 //! →  DIM g n 4                       ←  OK dim n 4
 //! →  LOAD g G 4 4 3                  ←  (reads 3 entry lines) OK load G nnz=3
@@ -23,8 +23,8 @@
 //! # Versioning
 //!
 //! `HELLO` answers with a capability banner (`proto=2
-//! caps=delta,errcodes,semirings,execbatch,obs,capacity`) so clients can discover
-//! what the server speaks before relying on it.  Proto 2 extends proto 1
+//! caps=delta,errcodes,semirings,execbatch,obs,capacity,persist`) so clients
+//! can discover what the server speaks before relying on it.  Proto 2 extends proto 1
 //! *additively*: every proto-1 token keeps its position and meaning, new
 //! information rides in appended `key=value` tokens (`delta=`,
 //! `fallbacks=`, `fp=`, `trace=` in `RESULT` headers;
@@ -61,10 +61,10 @@
 //! [`MAX_LINE_BYTES`]: a longer one is discarded unread and answered
 //! `ERR ETOOBIG`.
 
-use crate::error::ServerError;
+use crate::error::{ErrorCode, ServerError};
 use matlang_engine::ExecStats;
-use matlang_matrix::MatrixStorage;
-use matlang_semiring::Semiring;
+use matlang_matrix::{Matrix, MatrixStorage};
+use matlang_semiring::{Real, Semiring};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
@@ -611,6 +611,15 @@ pub struct WireResult {
 }
 
 impl WireResult {
+    /// Rebuilds the dense matrix this result denotes.
+    pub fn to_dense(&self) -> Matrix<Real> {
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        for &(i, j, v) in &self.entries {
+            out.set(i, j, Real(v)).expect("wire entry in bounds");
+        }
+        out
+    }
+
     /// The header line this result serializes under.
     pub fn header(&self) -> ResponseHeader {
         ResponseHeader {
@@ -972,7 +981,7 @@ pub fn write_shared_result(out: &mut impl Write, result: &SharedResult) -> std::
 }
 
 /// One `(row, col, value)` entry of a `RESULT` or `LOAD` body.
-type Entry = (usize, usize, f64);
+pub(crate) type Entry = (usize, usize, f64);
 
 /// Whether `b` separates tokens on an entry line: ASCII white space, which
 /// is all a writer of this protocol emits.
@@ -1124,6 +1133,614 @@ pub fn read_lines_block(
     }
     expect_end(input)?;
     Ok(lines)
+}
+
+/// Reads the result blocks of an `EXECBATCH` reply (the client side of
+/// [`write_response`]).  `header` is the already-consumed `BATCH <n>` line.
+pub fn read_batch(header: &str, input: &mut impl BufRead) -> Result<Vec<WireResult>, String> {
+    let count: usize = header
+        .strip_prefix("BATCH ")
+        .and_then(|n| n.trim().parse().ok())
+        .ok_or_else(|| format!("malformed EXECBATCH reply `{header}`"))?;
+    let mut results = Vec::with_capacity(count.min(1 << 16));
+    for _ in 0..count {
+        let header = reply_line(input, "connection closed mid-batch", |line| {
+            Ok(line.trim_end().to_string())
+        })?;
+        results.push(read_result(&header, input)?);
+    }
+    Ok(results)
+}
+
+/// Reads an `ERR <CODE> <message>` line (the client side of [`write_err`]);
+/// `None` for any other line.  A code this version does not know, or a
+/// line without a message, reads as [`ErrorCode::Unknown`] with everything
+/// after `ERR ` as the message.
+pub fn parse_err(line: &str) -> Option<(ErrorCode, &str)> {
+    let rest = line.strip_prefix("ERR ")?;
+    let known = rest
+        .split_once(' ')
+        .and_then(|(code, message)| Some((ErrorCode::from_wire(code)?, message)));
+    Some(known.unwrap_or((ErrorCode::Unknown, rest)))
+}
+
+/// The storage backend every instance has, as named on the wire (`LIST`,
+/// the `INSTANCE` reply, `EXPLAIN`/`PROFILE`/`STATS`/`TOP` headers) and in
+/// new snapshots.  `dense` is still accepted wherever a backend is read —
+/// the `INSTANCE` verb and old snapshot tags — as an alias for it.
+pub(crate) const BACKEND: &str = "adaptive";
+
+/// The server's `HELLO` banner: protocol revision and capability tokens.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ServerHello {
+    /// The protocol revision the server speaks.
+    pub proto: u32,
+    /// The announced capability tokens (`delta`, `errcodes`, …).
+    pub caps: Vec<String>,
+}
+
+impl ServerHello {
+    /// The banner this server announces.
+    pub fn ours() -> ServerHello {
+        let caps = CAPABILITIES.iter().map(|cap| cap.to_string()).collect();
+        ServerHello {
+            proto: PROTOCOL_VERSION,
+            caps,
+        }
+    }
+
+    /// Whether the server announced a capability token.
+    pub fn has_capability(&self, cap: &str) -> bool {
+        self.caps.iter().any(|c| c == cap)
+    }
+}
+
+/// The outcome of a `PREPARE`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PrepareOutcome {
+    /// The query id to pass to `EXEC`.
+    pub qid: usize,
+    /// Whether this exact statement was already prepared on the instance.
+    pub reused_statement: bool,
+    /// Whether the plan came from the store-wide plan cache.
+    pub reused_plan: bool,
+    /// DAG node count of the (batch) plan.
+    pub plan_nodes: usize,
+    /// [`matlang_engine::Plan::structure_fingerprint`] of the plan the
+    /// statement will execute: the rewritten DAG, whose shape depends on
+    /// the instance statistics at planning time, is what runs, and this
+    /// identifies the variant.
+    pub plan_fingerprint: u64,
+}
+
+/// How the server maintained its memo cache on an `UPDATE`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum DeltaWire {
+    /// The update was propagated exactly, patching `patched` cached nodes.
+    Applied {
+        /// Cached nodes patched.
+        patched: u64,
+    },
+    /// The update fell back to invalidation; `reason` is the stable
+    /// fallback code (`non-idempotent-semiring`, `not-insert-only`, …).
+    Fallback {
+        /// The stable fallback-reason code.
+        reason: String,
+    },
+    /// The server predates the delta tokens (proto 1).
+    Unreported,
+}
+
+/// The outcome of an `UPDATE`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UpdateReply {
+    /// Entries applied to the instance matrix.
+    pub applied: usize,
+    /// Cached plan nodes dropped (0 on a fully patched delta pass).
+    pub invalidated: u64,
+    /// How the cache was maintained.
+    pub delta: DeltaWire,
+}
+
+/// One instance of a `LIST` reply (proto 2 `obs`), on the wire
+/// `name:backend:semiring:delta_patches:delta_fallbacks`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct InstanceEntry {
+    /// The instance name.
+    pub name: String,
+    /// Storage backend: `adaptive` from this server, also for an instance
+    /// created with the `dense` alias.
+    pub backend: String,
+    /// Semiring wire name (`real` / `bool` / `nat` / `minplus`).
+    pub semiring: String,
+    /// Cumulative cached nodes patched by delta propagation.
+    pub delta_patches: u64,
+    /// Cumulative `UPDATE`s that fell back to invalidation.
+    pub delta_fallbacks: u64,
+}
+
+impl InstanceEntry {
+    /// Reads one `LIST` field from the right, so an instance name
+    /// containing `:` survives intact.
+    fn parse(field: &str) -> Option<InstanceEntry> {
+        let mut parts = field.rsplitn(5, ':');
+        let delta_fallbacks = parts.next()?.parse().ok()?;
+        let delta_patches = parts.next()?.parse().ok()?;
+        let semiring = parts.next()?.to_string();
+        let backend = parts.next()?.to_string();
+        let name = parts.next()?.to_string();
+        Some(InstanceEntry {
+            name,
+            backend,
+            semiring,
+            delta_patches,
+            delta_fallbacks,
+        })
+    }
+}
+
+/// One slow-query record of a `SLOWLOG` block — the trace id, label and
+/// wall time of the offending request plus the forensic detail lines
+/// captured when it crossed the slow threshold — which is the record the
+/// trace ring keeps.
+pub use matlang_obs::trace::SlowQuery as SlowlogEntry;
+
+/// The lines of a `SLOWLOG` block: per entry, its `ENTRY` line, then its
+/// detail lines.
+pub fn slowlog_lines(entries: Vec<SlowlogEntry>) -> Vec<String> {
+    let mut lines = Vec::new();
+    for entry in entries {
+        let (id, us, count) = (entry.trace_id, entry.total_us, entry.detail.len());
+        let label = entry.label;
+        lines.push(format!(
+            "ENTRY trace={id:016x} total_us={us} detail={count} {label}"
+        ));
+        lines.extend(entry.detail);
+    }
+    lines
+}
+
+/// Reads the entries of a `SLOWLOG` block (the other side of
+/// [`slowlog_lines`]).
+pub fn parse_slowlog(lines: Vec<String>) -> Result<Vec<SlowlogEntry>, String> {
+    let mut entries = Vec::new();
+    let mut lines = lines.into_iter();
+    while let Some(line) = lines.next() {
+        let Some(rest) = line.strip_prefix("ENTRY ") else {
+            return Err(format!("expected ENTRY line, got `{line}`"));
+        };
+        let fields = Fields::new(rest);
+        let count: usize = fields.value("detail")?;
+        // The label is everything after the detail= token.
+        let label = rest
+            .split_once(" detail=")
+            .and_then(|(_, tail)| tail.split_once(' '))
+            .map_or("", |(_, label)| label);
+        let entry = SlowlogEntry {
+            trace_id: fields.hex("trace")?,
+            label: label.to_string(),
+            total_us: fields.value("total_us")?,
+            detail: lines.by_ref().take(count).collect(),
+        };
+        if entry.detail.len() != count {
+            return Err("truncated SLOWLOG entry detail".to_string());
+        }
+        entries.push(entry);
+    }
+    Ok(entries)
+}
+
+/// One instance's durability figures — the payload of a `WALSTAT` reply.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WalStat {
+    /// Whether the instance is currently persisted.
+    pub persisted: bool,
+    /// Newest WAL sequence number ever issued for the instance (survives
+    /// compaction; 0 when nothing was ever logged).
+    pub seq: u64,
+    /// Records currently in the log (drops to 0 after compaction).
+    pub records: u64,
+    /// Bytes currently in the log.
+    pub wal_bytes: u64,
+    /// Size of the newest snapshot written this session, in bytes.
+    pub snapshot_bytes: u64,
+    /// The WAL size past which the next applied `UPDATE` compacts.
+    pub compact_threshold: u64,
+}
+
+impl WalStat {
+    /// The one-line wire rendering (`persist=on|off`, then the figures).
+    pub fn render(&self) -> String {
+        format!(
+            "persist={} seq={} records={} wal_bytes={} snapshot_bytes={} compact={}",
+            if self.persisted { "on" } else { "off" },
+            self.seq,
+            self.records,
+            self.wal_bytes,
+            self.snapshot_bytes,
+            self.compact_threshold,
+        )
+    }
+
+    fn parse(fields: &Fields<'_>) -> Result<WalStat, String> {
+        Ok(WalStat {
+            persisted: fields.text("persist")? == "on",
+            seq: fields.value("seq")?,
+            records: fields.value("records")?,
+            wal_bytes: fields.value("wal_bytes")?,
+            snapshot_bytes: fields.value("snapshot_bytes")?,
+            compact_threshold: fields.value("compact")?,
+        })
+    }
+}
+
+/// One-line readiness snapshot — the payload of a `HEALTH` reply.
+#[derive(Clone, Debug, PartialEq)]
+pub struct HealthReport {
+    /// `ok`, or `pressure` when the accounted bytes exceed the budget.
+    pub status: &'static str,
+    /// Accounted bytes across every instance (data + caches + overlays).
+    pub total_bytes: u64,
+    /// The soft budget ([`crate::StoreConfig::mem_budget`]), if one is
+    /// configured.
+    pub budget: Option<u64>,
+    /// Instances hosted.
+    pub instances: usize,
+    /// Live client connections (the `connections_active` gauge).
+    pub connections: i64,
+    /// Cumulative `EXEC` statements, process-wide.
+    pub exec_total: u64,
+    /// Slow queries per executed statement (0 when nothing ran).
+    pub slow_rate: f64,
+    /// Delta fallbacks per `UPDATE` (0 when none ran).
+    pub fallback_rate: f64,
+    /// Cumulative pressure evictions (plans + memo caches).
+    pub pressure_evictions: u64,
+}
+
+impl HealthReport {
+    /// The one-line wire rendering (`-` for "no budget configured"; the
+    /// rates to four decimals).
+    pub fn render(&self) -> String {
+        format!(
+            "status={} bytes={} budget={} instances={} connections={} exec={} \
+             slow_rate={:.4} fallback_rate={:.4} evictions={}",
+            self.status,
+            self.total_bytes,
+            self.budget
+                .map_or_else(|| "-".to_string(), |b| b.to_string()),
+            self.instances,
+            self.connections,
+            self.exec_total,
+            self.slow_rate,
+            self.fallback_rate,
+            self.pressure_evictions,
+        )
+    }
+
+    fn parse(fields: &Fields<'_>) -> Result<HealthReport, String> {
+        Ok(HealthReport {
+            status: match fields.text("status")? {
+                "ok" => "ok",
+                "pressure" => "pressure",
+                _ => return Err(fields.malformed()),
+            },
+            total_bytes: fields.value("bytes")?,
+            budget: match fields.text("budget")? {
+                "-" => None,
+                _ => Some(fields.value("budget")?),
+            },
+            instances: fields.value("instances")?,
+            connections: fields.value("connections")?,
+            exec_total: fields.value("exec")?,
+            slow_rate: fields.value("slow_rate")?,
+            fallback_rate: fields.value("fallback_rate")?,
+            pressure_evictions: fields.value("evictions")?,
+        })
+    }
+}
+
+/// Every single-line success reply, in the one grammar both ends share:
+/// the session writes its [`Display`](std::fmt::Display) form, the client
+/// reads it back with [`Reply::parse`].  Each variant holds, in order, the
+/// values its line shows.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Reply {
+    /// `OK matlangd proto=… caps=…` — the `HELLO` banner.
+    Hello(ServerHello),
+    /// `OK instance <name> adaptive <semiring>`.
+    Instance(String, SemiringKind),
+    /// `OK dim <sym> <value>`.
+    Dim(String, usize),
+    /// `OK load <var> nnz=<stored>`.
+    Load(String, usize),
+    /// `OK gen <var> nnz=<stored>`.
+    Gen(String, usize),
+    /// `OK prepared <qid> plan=built|cached statement=new|reused nodes=… fp=…`.
+    Prepared(PrepareOutcome),
+    /// `OK update <var> entries=… invalidated=…`, then `delta=applied
+    /// patched=…` or `delta=fallback reason=…` (proto 2).
+    Update(String, UpdateReply),
+    /// `OK instances`, then one [`InstanceEntry`] field per instance.
+    Instances(Vec<InstanceEntry>),
+    /// `OK dropped <instance>`.
+    Dropped(String),
+    /// `OK health status=… bytes=… …`.
+    Health(HealthReport),
+    /// `OK saved <instance> bytes=… path=…`; the path runs to the end of
+    /// the line.
+    Saved(String, u64, String),
+    /// `OK restored <instance> dims=… vars=…`.
+    Restored(String, usize, usize),
+    /// `OK persist <instance> on|off`.
+    Persist(String, bool),
+    /// `OK walstat <instance> persist=… seq=… …`.
+    Walstat(String, WalStat),
+    /// `OK pong`.
+    Pong,
+    /// `OK bye` — the last line of a session.
+    Bye,
+}
+
+impl std::fmt::Display for Reply {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let on_off = |on: bool| if on { "on" } else { "off" };
+        match self {
+            Reply::Hello(hello) => {
+                let caps = hello.caps.join(",");
+                write!(f, "OK matlangd proto={} caps={caps}", hello.proto)
+            }
+            Reply::Instance(name, semiring) => {
+                write!(f, "OK instance {name} {BACKEND} {}", semiring.name())
+            }
+            Reply::Dim(sym, value) => write!(f, "OK dim {sym} {value}"),
+            Reply::Load(var, nnz) => write!(f, "OK load {var} nnz={nnz}"),
+            Reply::Gen(var, nnz) => write!(f, "OK gen {var} nnz={nnz}"),
+            Reply::Prepared(p) => write!(
+                f,
+                "OK prepared {} plan={} statement={} nodes={} fp={:016x}",
+                p.qid,
+                if p.reused_plan { "cached" } else { "built" },
+                if p.reused_statement { "reused" } else { "new" },
+                p.plan_nodes,
+                p.plan_fingerprint,
+            ),
+            Reply::Update(var, reply) => {
+                let (applied, invalidated) = (reply.applied, reply.invalidated);
+                write!(
+                    f,
+                    "OK update {var} entries={applied} invalidated={invalidated}"
+                )?;
+                match &reply.delta {
+                    DeltaWire::Applied { patched } => write!(f, " delta=applied patched={patched}"),
+                    DeltaWire::Fallback { reason } => write!(f, " delta=fallback reason={reason}"),
+                    DeltaWire::Unreported => Ok(()),
+                }
+            }
+            Reply::Instances(entries) => {
+                f.write_str("OK instances ")?;
+                for (at, e) in entries.iter().enumerate() {
+                    let sep = if at == 0 { "" } else { " " };
+                    let (patches, fallbacks) = (e.delta_patches, e.delta_fallbacks);
+                    write!(
+                        f,
+                        "{sep}{}:{}:{}:{patches}:{fallbacks}",
+                        e.name, e.backend, e.semiring
+                    )?;
+                }
+                Ok(())
+            }
+            Reply::Dropped(instance) => write!(f, "OK dropped {instance}"),
+            Reply::Health(report) => write!(f, "OK health {}", report.render()),
+            Reply::Saved(instance, bytes, path) => {
+                write!(f, "OK saved {instance} bytes={bytes} path={path}")
+            }
+            Reply::Restored(instance, dims, vars) => {
+                write!(f, "OK restored {instance} dims={dims} vars={vars}")
+            }
+            Reply::Persist(instance, on) => write!(f, "OK persist {instance} {}", on_off(*on)),
+            Reply::Walstat(instance, stat) => write!(f, "OK walstat {instance} {}", stat.render()),
+            Reply::Pong => f.write_str("OK pong"),
+            Reply::Bye => f.write_str("OK bye"),
+        }
+    }
+}
+
+impl Reply {
+    /// Reads a reply line (without its newline).  Positional words are read
+    /// in order; `key=value` fields are looked up by key, so a field a
+    /// newer server appends is ignored, and an `UPDATE` reply without the
+    /// proto-2 delta fields reads as [`DeltaWire::Unreported`].
+    pub fn parse(line: &str) -> Result<Reply, String> {
+        let mut f = Fields::new(line);
+        if f.word()? != "OK" {
+            return Err(f.malformed());
+        }
+        Ok(match f.word()? {
+            "matlangd" => Reply::Hello(ServerHello {
+                proto: f.value("proto")?,
+                caps: f.text("caps").map_or_else(
+                    |_| Vec::new(),
+                    |caps| caps.split(',').map(String::from).collect(),
+                ),
+            }),
+            "instance" => {
+                let name = f.word()?.to_string();
+                f.word()?; // the backend: always `adaptive`
+                let semiring = SemiringKind::parse(f.word()?).ok_or_else(|| f.malformed())?;
+                Reply::Instance(name, semiring)
+            }
+            "dim" => Reply::Dim(f.word()?.to_string(), f.parsed()?),
+            "load" => Reply::Load(f.word()?.to_string(), f.value("nnz")?),
+            "gen" => Reply::Gen(f.word()?.to_string(), f.value("nnz")?),
+            "prepared" => Reply::Prepared(PrepareOutcome {
+                qid: f.parsed()?,
+                reused_plan: f.text("plan")? == "cached",
+                reused_statement: f.text("statement")? == "reused",
+                plan_nodes: f.value("nodes")?,
+                plan_fingerprint: f.hex("fp")?,
+            }),
+            "update" => {
+                let var = f.word()?.to_string();
+                let delta = match f.text("delta") {
+                    Ok("applied") => DeltaWire::Applied {
+                        patched: f.value("patched")?,
+                    },
+                    Ok("fallback") => DeltaWire::Fallback {
+                        reason: f.value("reason")?,
+                    },
+                    _ => DeltaWire::Unreported,
+                };
+                let (applied, invalidated) = (f.value("entries")?, f.value("invalidated")?);
+                Reply::Update(
+                    var,
+                    UpdateReply {
+                        applied,
+                        invalidated,
+                        delta,
+                    },
+                )
+            }
+            "instances" => Reply::Instances(
+                f.words
+                    .by_ref()
+                    .map(|field| {
+                        InstanceEntry::parse(field)
+                            .ok_or_else(|| format!("malformed LIST field `{field}`"))
+                    })
+                    .collect::<Result<_, _>>()?,
+            ),
+            "dropped" => Reply::Dropped(f.word()?.to_string()),
+            "health" => Reply::Health(HealthReport::parse(&f)?),
+            "saved" => {
+                let path = line.split_once(" path=").ok_or_else(|| f.malformed())?.1;
+                Reply::Saved(f.word()?.to_string(), f.value("bytes")?, path.to_string())
+            }
+            "restored" => {
+                Reply::Restored(f.word()?.to_string(), f.value("dims")?, f.value("vars")?)
+            }
+            "persist" => {
+                let instance = f.word()?.to_string();
+                match f.word()? {
+                    "on" => Reply::Persist(instance, true),
+                    "off" => Reply::Persist(instance, false),
+                    _ => return Err(f.malformed()),
+                }
+            }
+            "walstat" => Reply::Walstat(f.word()?.to_string(), WalStat::parse(&f)?),
+            "pong" => Reply::Pong,
+            "bye" => Reply::Bye,
+            _ => return Err(f.malformed()),
+        })
+    }
+}
+
+/// A reply line being read: positional words off the front, `key=value`
+/// fields by key (the first token `key=…` anywhere on the line).
+struct Fields<'a> {
+    line: &'a str,
+    words: std::str::SplitWhitespace<'a>,
+}
+
+impl<'a> Fields<'a> {
+    fn new(line: &'a str) -> Self {
+        let words = line.split_whitespace();
+        Fields { line, words }
+    }
+
+    fn malformed(&self) -> String {
+        format!("malformed reply `{}`", self.line)
+    }
+
+    /// The next positional word.
+    fn word(&mut self) -> Result<&'a str, String> {
+        self.words.next().ok_or_else(|| self.malformed())
+    }
+
+    /// The next positional word, parsed.
+    fn parsed<T: std::str::FromStr>(&mut self) -> Result<T, String> {
+        self.word()?.parse().map_err(|_| self.malformed())
+    }
+
+    /// The text of the `key=` field.
+    fn text(&self, key: &str) -> Result<&'a str, String> {
+        self.line
+            .split_whitespace()
+            .find_map(|token| token.strip_prefix(key)?.strip_prefix('='))
+            .ok_or_else(|| format!("missing {key}= in reply `{}`", self.line))
+    }
+
+    /// The `key=` field, parsed.
+    fn value<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
+        self.text(key)?.parse().map_err(|_| self.malformed())
+    }
+
+    /// The `key=` field, read as hexadecimal.
+    fn hex(&self, key: &str) -> Result<u64, String> {
+        u64::from_str_radix(self.text(key)?, 16).map_err(|_| self.malformed())
+    }
+}
+
+/// Everything one request is answered with, short of an `ERR` line.
+pub enum Response {
+    /// A single-line reply.
+    Line(Reply),
+    /// A line-counted block: its tag and payload lines.
+    Lines(&'static str, Vec<String>),
+    /// A `RESULT … END` block.
+    Result(SharedResult),
+    /// The result blocks of an `EXECBATCH`.
+    Batch(Vec<SharedResult>),
+}
+
+impl From<Reply> for Response {
+    fn from(reply: Reply) -> Response {
+        Response::Line(reply)
+    }
+}
+
+/// Writes the answer to one request: the response, or its `ERR` line.
+pub fn write_response(
+    out: &mut impl Write,
+    response: Result<Response, ServerError>,
+) -> std::io::Result<()> {
+    match response {
+        Ok(Response::Line(reply)) => writeln!(out, "{reply}"),
+        Ok(Response::Lines(tag, lines)) => write_lines_block(out, tag, &lines),
+        Ok(Response::Result(result)) => write_shared_result(out, &result),
+        Ok(Response::Batch(results)) => {
+            writeln!(out, "BATCH {}", results.len())?;
+            results.iter().try_for_each(|r| write_shared_result(out, r))
+        }
+        Err(error) => write_err(out, &error),
+    }
+}
+
+/// Parses a Prometheus text exposition into a name → value map of the
+/// un-labeled samples.  Deliberately lenient — a scrape should never fail
+/// because one line is odd: `#` comments, labeled samples (`{…}` names),
+/// lines without a parseable number, and non-finite values (`NaN`,
+/// `+Inf`/`-Inf`, which `f64::parse` happily accepts) are all skipped
+/// rather than surfaced as errors.
+pub fn parse_metrics_map(text: &str) -> std::collections::BTreeMap<String, f64> {
+    let mut map = std::collections::BTreeMap::new();
+    for line in text.lines() {
+        if line.trim_start().starts_with('#') {
+            continue;
+        }
+        let mut tokens = line.split_whitespace();
+        if let (Some(name), Some(value)) = (tokens.next(), tokens.next()) {
+            if name.contains('{') {
+                continue; // labeled sample (histogram quantile, per-instance gauge)
+            }
+            if let Ok(value) = value.parse::<f64>() {
+                if value.is_finite() {
+                    map.insert(name.to_string(), value);
+                }
+            }
+        }
+    }
+    map
 }
 
 #[cfg(test)]
@@ -1955,6 +2572,156 @@ mod tests {
             String::from_utf8(wire).unwrap(),
             "ERR ENOINST unknown instance `g`\n"
         );
+    }
+
+    #[test]
+    fn every_reply_parses_back_to_the_value_it_renders() {
+        let health = |budget| HealthReport {
+            status: "pressure",
+            total_bytes: 4096,
+            budget,
+            instances: 2,
+            connections: 3,
+            exec_total: 8,
+            slow_rate: 0.25,
+            fallback_rate: 0.5,
+            pressure_evictions: 1,
+        };
+        let update = |delta| UpdateReply {
+            applied: 2,
+            invalidated: 5,
+            delta,
+        };
+        let entry = |name: &str, patches| InstanceEntry {
+            name: name.into(),
+            backend: BACKEND.into(),
+            semiring: "bool".into(),
+            delta_patches: patches,
+            delta_fallbacks: 1,
+        };
+        let replies = vec![
+            Reply::Hello(ServerHello::ours()),
+            Reply::Instance("g".into(), SemiringKind::MinPlus),
+            Reply::Dim("n".into(), 4),
+            Reply::Load("G".into(), 3),
+            Reply::Gen("G".into(), 32),
+            Reply::Prepared(PrepareOutcome {
+                qid: 1,
+                reused_statement: false,
+                reused_plan: true,
+                plan_nodes: 7,
+                plan_fingerprint: 0x00ab_cdef_0123_4567,
+            }),
+            Reply::Update("G".into(), update(DeltaWire::Applied { patched: 3 })),
+            Reply::Update(
+                "G".into(),
+                update(DeltaWire::Fallback {
+                    reason: "not-insert-only".into(),
+                }),
+            ),
+            Reply::Update("G".into(), update(DeltaWire::Unreported)),
+            Reply::Instances(vec![]),
+            Reply::Instances(vec![entry("g", 0), entry("a:b", 9)]),
+            Reply::Dropped("g".into()),
+            Reply::Health(health(None)),
+            Reply::Health(health(Some(1 << 20))),
+            Reply::Saved("g".into(), 275, "/data dir/g.snap".into()),
+            Reply::Restored("copy".into(), 1, 2),
+            Reply::Persist("g".into(), true),
+            Reply::Persist("g".into(), false),
+            Reply::Walstat("g".into(), WalStat::default()),
+            Reply::Walstat(
+                "g".into(),
+                WalStat {
+                    persisted: true,
+                    seq: 9,
+                    records: 2,
+                    wal_bytes: 57,
+                    snapshot_bytes: 275,
+                    compact_threshold: 1 << 20,
+                },
+            ),
+            Reply::Pong,
+            Reply::Bye,
+        ];
+        for reply in replies {
+            let line = reply.to_string();
+            assert!(line.starts_with("OK ") && !line.contains('\n'), "{line}");
+            assert_eq!(Reply::parse(&line), Ok(reply.clone()), "{line}");
+            // The client reads lines with trailing white space trimmed.
+            assert_eq!(Reply::parse(line.trim_end()), Ok(reply), "{line}");
+        }
+        // Unknown keys a newer server appends are ignored.
+        assert_eq!(
+            Reply::parse("OK gen G nnz=5 extra=1"),
+            Ok(Reply::Gen("G".into(), 5))
+        );
+        for bad in [
+            "",
+            "OK",
+            "ERR EPROTO x",
+            "OK nope",
+            "OK gen G",
+            "OK dim n x",
+        ] {
+            assert!(Reply::parse(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn slowlog_entries_parse_back_from_their_lines() {
+        let entries = vec![
+            SlowlogEntry {
+                trace_id: 0x1f,
+                label: "EXEC g 0".into(),
+                total_us: 1234,
+                detail: vec!["#0 var G".into(), "observed #0 computed=1".into()],
+            },
+            SlowlogEntry {
+                trace_id: 2,
+                label: String::new(),
+                total_us: 0,
+                detail: vec![],
+            },
+        ];
+        let lines = slowlog_lines(entries.clone());
+        assert_eq!(
+            lines[0],
+            "ENTRY trace=000000000000001f total_us=1234 detail=2 EXEC g 0"
+        );
+        assert_eq!(parse_slowlog(lines.clone()), Ok(entries));
+        assert!(
+            parse_slowlog(lines[..2].to_vec()).is_err(),
+            "truncated detail"
+        );
+        assert!(
+            parse_slowlog(vec!["#0 var G".into()]).is_err(),
+            "no ENTRY line"
+        );
+    }
+
+    #[test]
+    fn err_lines_parse_back_to_their_category() {
+        for error in [
+            ServerError::UnknownInstance { name: "g".into() },
+            ServerError::protocol("expected x, got `y`"),
+            ServerError::LineTooLong,
+        ] {
+            let mut wire = Vec::new();
+            write_err(&mut wire, &error).unwrap();
+            let line = String::from_utf8(wire).unwrap();
+            let message = error.to_string();
+            assert_eq!(
+                parse_err(line.trim_end()),
+                Some((error.category(), message.as_str()))
+            );
+        }
+        assert_eq!(
+            parse_err("ERR EFUTURE x"),
+            Some((ErrorCode::Unknown, "EFUTURE x"))
+        );
+        assert_eq!(parse_err("ERR"), None);
+        assert_eq!(parse_err("OK pong"), None);
     }
 
     #[test]

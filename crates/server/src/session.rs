@@ -7,10 +7,10 @@
 
 use crate::error::ServerError;
 use crate::protocol::{
-    bounded_line, read_entry, write_err, write_lines_block, write_shared_result, LineRead, Request,
-    CAPABILITIES, PROTOCOL_VERSION,
+    bounded_line, read_entry, slowlog_lines, write_err, write_response, Entry, LineRead, Reply,
+    Request, Response, ServerHello,
 };
-use crate::store::{DeltaDisposition, Store, BACKEND};
+use crate::store::Store;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,7 +117,7 @@ pub fn serve_connection(
         match request {
             Err(error) => write_err(&mut writer, &error)?,
             Ok(Request::Quit) => {
-                writeln!(writer, "OK bye")?;
+                write_response(&mut writer, Ok(Reply::Bye.into()))?;
                 writer.flush()?;
                 return Ok(());
             }
@@ -146,165 +146,62 @@ pub fn serve_connection(
     }
 }
 
+/// Answers one request.
 fn dispatch(
     store: &Store,
     request: Request,
     reader: &mut BufReader<TcpStream>,
     writer: &mut impl Write,
 ) -> std::io::Result<()> {
-    match request {
-        Request::Hello => writeln!(
-            writer,
-            "OK matlangd proto={PROTOCOL_VERSION} caps={}",
-            CAPABILITIES.join(",")
-        ),
-        Request::Instance { name, semiring } => {
-            match store.create_instance_with(&name, true, semiring) {
-                Ok(()) => writeln!(writer, "OK instance {name} {BACKEND} {}", semiring.name()),
-                Err(e) => write_err(writer, &e),
-            }
-        }
+    let response = match request {
+        Request::Hello => Ok(Reply::Hello(ServerHello::ours()).into()),
+        Request::Instance { name, semiring } => store
+            .create_instance_with(&name, true, semiring)
+            .map(|()| Reply::Instance(name, semiring).into()),
         Request::Dim {
             instance,
             sym,
             value,
-        } => match store.set_dim(&instance, &sym, value) {
-            Ok(()) => writeln!(writer, "OK dim {sym} {value}"),
-            Err(e) => write_err(writer, &e),
-        },
+        } => store
+            .set_dim(&instance, &sym, value)
+            .map(|()| Reply::Dim(sym, value).into()),
         Request::Load {
             instance,
             var,
             rows,
             cols,
             nnz,
-        } => {
-            // The entry lines belong to this request even if it fails
-            // late: consume all of them first so the protocol stays in
-            // sync, then apply.
-            // `nnz` is an untrusted wire value: clamp the pre-allocation
-            // so a hostile header cannot force a huge up-front allocation
-            // (the vector still grows to the real entry count).
-            let mut entries = Vec::with_capacity(nnz.min(1 << 16));
-            let mut parse_error = None;
-            for _ in 0..nnz {
-                let entry = read_entry(reader, |line, _| {
-                    ServerError::protocol(format!("malformed entry `{}`", line.trim()))
-                })?;
-                match entry {
-                    LineRead::Line(Ok(entry)) => entries.push(entry),
-                    LineRead::Line(Err(error)) => {
-                        parse_error.get_or_insert(error);
-                    }
-                    LineRead::TooLong => {
-                        parse_error.get_or_insert(ServerError::LineTooLong);
-                    }
-                    LineRead::Eof => {
-                        return write_err(
-                            writer,
-                            &ServerError::protocol("connection closed mid-LOAD"),
-                        )
-                    }
-                }
-            }
-            if let Some(error) = parse_error {
-                return write_err(writer, &error);
-            }
-            match store.load_matrix(&instance, &var, rows, cols, entries) {
-                Ok(stored) => writeln!(writer, "OK load {var} nnz={stored}"),
-                Err(e) => write_err(writer, &e),
-            }
-        }
+        } => read_load_body(reader, nnz)?
+            .and_then(|entries| store.load_matrix(&instance, &var, rows, cols, entries))
+            .map(|nnz| Reply::Load(var, nnz).into()),
         Request::Gen {
             instance,
             var,
             sym,
             kind,
-        } => match store.generate_matrix(&instance, &var, &sym, kind) {
-            Ok(nnz) => writeln!(writer, "OK gen {var} nnz={nnz}"),
-            Err(e) => write_err(writer, &e),
-        },
-        Request::Prepare { instance, text } => match store.prepare(&instance, &text) {
-            Ok(outcome) => writeln!(
-                writer,
-                "OK prepared {} plan={} statement={} nodes={} fp={:016x}",
-                outcome.qid,
-                if outcome.reused_plan {
-                    "cached"
-                } else {
-                    "built"
-                },
-                if outcome.reused_statement {
-                    "reused"
-                } else {
-                    "new"
-                },
-                outcome.plan_nodes,
-                outcome.plan_fingerprint,
-            ),
-            Err(e) => write_err(writer, &e),
-        },
-        Request::Exec { instance, qid } => match store.exec_shared(&instance, &[qid]) {
-            Ok(results) => write_shared_result(writer, &results[0]),
-            Err(e) => write_err(writer, &e),
-        },
-        Request::ExecBatch { instance, qids } => match store.exec_shared(&instance, &qids) {
-            Ok(results) => {
-                writeln!(writer, "BATCH {}", results.len())?;
-                for result in &results {
-                    write_shared_result(writer, result)?;
-                }
-                Ok(())
-            }
-            Err(e) => write_err(writer, &e),
-        },
-        Request::Query { instance, text } => match store.query_shared(&instance, &text) {
-            Ok(result) => write_shared_result(writer, &result),
-            Err(e) => write_err(writer, &e),
-        },
+        } => store
+            .generate_matrix(&instance, &var, &sym, kind)
+            .map(|nnz| Reply::Gen(var, nnz).into()),
+        Request::Prepare { instance, text } => store
+            .prepare(&instance, &text)
+            .map(|outcome| Reply::Prepared(outcome).into()),
+        Request::Exec { instance, qid } => store
+            .exec_shared(&instance, &[qid])
+            .map(|mut results| Response::Result(results.remove(0))),
+        Request::ExecBatch { instance, qids } => {
+            store.exec_shared(&instance, &qids).map(Response::Batch)
+        }
+        Request::Query { instance, text } => {
+            store.query_shared(&instance, &text).map(Response::Result)
+        }
         Request::Update {
             instance,
             var,
             entries,
-        } => match store.update(&instance, &var, &entries) {
-            Ok(outcome) => {
-                // Proto-2 appends how the cache was maintained; the
-                // proto-1 prefix is unchanged.
-                write!(
-                    writer,
-                    "OK update {var} entries={} invalidated={}",
-                    outcome.applied, outcome.invalidated
-                )?;
-                match outcome.delta {
-                    DeltaDisposition::Applied { patched } => {
-                        writeln!(writer, " delta=applied patched={patched}")
-                    }
-                    DeltaDisposition::Fallback { reason } => {
-                        writeln!(writer, " delta=fallback reason={}", reason.code())
-                    }
-                }
-            }
-            Err(e) => write_err(writer, &e),
-        },
-        Request::List => {
-            // Proto 2 describes each instance as colon-separated fields;
-            // clients parse from the right so names survive unchanged.
-            let fields: Vec<String> = store
-                .list_detailed()
-                .iter()
-                .map(|info| {
-                    format!(
-                        "{}:{}:{}:{}:{}",
-                        info.name,
-                        info.backend,
-                        info.semiring,
-                        info.delta_patches,
-                        info.delta_fallbacks
-                    )
-                })
-                .collect();
-            writeln!(writer, "OK instances {}", fields.join(" "))
-        }
+        } => store
+            .update(&instance, &var, &entries)
+            .map(|reply| Reply::Update(var, reply).into()),
+        Request::List => Ok(Reply::Instances(store.list_detailed()).into()),
         Request::Metrics { window } => {
             // Every METRICS request also records a registry snapshot into
             // the window ring, so windowed baselines accrue from scrape
@@ -316,80 +213,78 @@ fn dispatch(
                 }
                 Some(secs) => matlang_obs::metrics::render_window_lines(secs),
             };
-            write_lines_block(writer, "METRICS", &lines)
+            Ok(Response::Lines("METRICS", lines))
         }
-        Request::Stats { instance } => match store.stats(&instance) {
-            Ok(lines) => write_lines_block(writer, "STATS", &lines),
-            Err(e) => write_err(writer, &e),
-        },
+        Request::Stats { instance } => store
+            .stats(&instance)
+            .map(|lines| Response::Lines("STATS", lines)),
         Request::Slowlog { n } => {
             let entries = matlang_obs::trace::slow_queries(n.unwrap_or(16));
-            let mut lines = Vec::new();
-            for slow in &entries {
-                lines.push(format!(
-                    "ENTRY trace={:016x} total_us={} detail={} {}",
-                    slow.trace_id,
-                    slow.total_us,
-                    slow.detail.len(),
-                    slow.label
-                ));
-                lines.extend(slow.detail.iter().cloned());
-            }
-            write_lines_block(writer, "SLOWLOG", &lines)
+            Ok(Response::Lines("SLOWLOG", slowlog_lines(entries)))
         }
-        Request::Explain { instance, text } => match store.explain(&instance, &text) {
-            Ok(lines) => write_lines_block(writer, "EXPLAIN", &lines),
-            Err(e) => write_err(writer, &e),
-        },
-        Request::Profile { instance, text } => match store.profile(&instance, &text) {
-            Ok(lines) => write_lines_block(writer, "PROFILE", &lines),
-            Err(e) => write_err(writer, &e),
-        },
-        Request::Drop { instance } => match store.drop_instance(&instance) {
-            Ok(()) => writeln!(writer, "OK dropped {instance}"),
-            Err(e) => write_err(writer, &e),
-        },
-        Request::Health => writeln!(writer, "OK health {}", store.health().render()),
-        Request::Top { n } => write_lines_block(writer, "TOP", &store.top(n)),
+        Request::Explain { instance, text } => store
+            .explain(&instance, &text)
+            .map(|lines| Response::Lines("EXPLAIN", lines)),
+        Request::Profile { instance, text } => store
+            .profile(&instance, &text)
+            .map(|lines| Response::Lines("PROFILE", lines)),
+        Request::Drop { instance } => store
+            .drop_instance(&instance)
+            .map(|()| Reply::Dropped(instance).into()),
+        Request::Health => Ok(Reply::Health(store.health()).into()),
+        Request::Top { n } => Ok(Response::Lines("TOP", store.top(n))),
         Request::TraceExport { n } => {
             let traces = matlang_obs::trace::recent(n.unwrap_or(32));
-            let lines: Vec<String> = matlang_obs::export::render_chrome_trace(&traces)
+            let lines = matlang_obs::export::render_chrome_trace(&traces)
                 .lines()
                 .map(String::from)
                 .collect();
-            write_lines_block(writer, "TRACE", &lines)
+            Ok(Response::Lines("TRACE", lines))
         }
-        Request::Save { instance, path } => {
-            match store.save(&instance, path.as_deref().map(std::path::Path::new)) {
-                Ok((bytes, path)) => writeln!(
-                    writer,
-                    "OK saved {instance} bytes={bytes} path={}",
-                    path.display()
-                ),
-                Err(e) => write_err(writer, &e),
-            }
-        }
-        Request::Restore { instance, path } => {
-            match store.restore(&instance, std::path::Path::new(&path)) {
-                Ok((dims, vars)) => {
-                    writeln!(writer, "OK restored {instance} dims={dims} vars={vars}")
-                }
-                Err(e) => write_err(writer, &e),
-            }
-        }
-        Request::Persist { instance, on } => match store.set_persist(&instance, on) {
-            Ok(on) => writeln!(
-                writer,
-                "OK persist {instance} {}",
-                if on { "on" } else { "off" }
-            ),
-            Err(e) => write_err(writer, &e),
-        },
-        Request::Walstat { instance } => match store.walstat(&instance) {
-            Ok(stat) => writeln!(writer, "OK walstat {instance} {}", stat.render()),
-            Err(e) => write_err(writer, &e),
-        },
-        Request::Ping => writeln!(writer, "OK pong"),
+        Request::Save { instance, path } => store
+            .save(&instance, path.as_deref().map(std::path::Path::new))
+            .map(|(bytes, path)| Reply::Saved(instance, bytes, path.display().to_string()).into()),
+        Request::Restore { instance, path } => store
+            .restore(&instance, std::path::Path::new(&path))
+            .map(|(dims, vars)| Reply::Restored(instance, dims, vars).into()),
+        Request::Persist { instance, on } => store
+            .set_persist(&instance, on)
+            .map(|on| Reply::Persist(instance, on).into()),
+        Request::Walstat { instance } => store
+            .walstat(&instance)
+            .map(|stat| Reply::Walstat(instance, stat).into()),
+        Request::Ping => Ok(Reply::Pong.into()),
         Request::Quit => unreachable!("handled by the session loop"),
+    };
+    write_response(writer, response)
+}
+
+/// Reads the `nnz` entry lines of a `LOAD`.  They belong to the request
+/// even if it fails late, so every one is consumed before the first error
+/// is reported, which keeps the session in step with the client.
+fn read_load_body(
+    reader: &mut BufReader<TcpStream>,
+    nnz: usize,
+) -> std::io::Result<Result<Vec<Entry>, ServerError>> {
+    // `nnz` is an untrusted wire value: clamp the pre-allocation so a
+    // hostile header cannot force a huge up-front allocation (the vector
+    // still grows to the real entry count).
+    let mut entries = Vec::with_capacity(nnz.min(1 << 16));
+    let mut error = None;
+    for _ in 0..nnz {
+        let entry = read_entry(reader, |line, _| {
+            ServerError::protocol(format!("malformed entry `{}`", line.trim()))
+        })?;
+        match entry {
+            LineRead::Line(Ok(entry)) => entries.push(entry),
+            LineRead::Line(Err(e)) => {
+                error.get_or_insert(e);
+            }
+            LineRead::TooLong => {
+                error.get_or_insert(ServerError::LineTooLong);
+            }
+            LineRead::Eof => return Ok(Err(ServerError::protocol("connection closed mid-LOAD"))),
+        }
     }
+    Ok(error.map_or(Ok(entries), Err))
 }

@@ -65,13 +65,16 @@
 //! the next `EXEC` answers from cache.  Otherwise the server falls back to
 //! dropping exactly the cached nodes depending on the touched variable
 //! ([`Plan::invalidate_dependents_in`]) and records *why* in the
-//! [`UpdateOutcome`] — standing queries over other variables keep their
+//! [`UpdateReply`] — standing queries over other variables keep their
 //! warm results either way.
 
 use crate::config::StoreConfig;
 use crate::error::ServerError;
 use crate::persist::{self, Snapshot, Wal, WalRecord};
-use crate::protocol::{ExecStatsWire, GenKind, SemiringKind, SharedResult, WireResult};
+use crate::protocol::{
+    DeltaWire, ExecStatsWire, GenKind, HealthReport, InstanceEntry, PrepareOutcome, SemiringKind,
+    SharedResult, UpdateReply, WalStat, WireResult, BACKEND,
+};
 use matlang_core::{typecheck, Dim, Expr, FunctionRegistry, Instance, MatrixType, Schema};
 use matlang_engine::delta::{absorbs, join_is_idempotent, propagate, DeltaFallback, DeltaOverlay};
 use matlang_engine::{expr_fingerprint, Engine, Executor, InstanceStats, Plan};
@@ -102,13 +105,11 @@ fn check_dimension(what: &str, value: usize) -> Result<(), ServerError> {
     Ok(())
 }
 
-/// One prepared statement: the query text, its parsed form and its
-/// fingerprint (the dedup key — re-preparing the same text returns the
-/// existing id without disturbing the warm cache).
+/// One prepared statement: its parsed form and its fingerprint (the
+/// dedup key — re-preparing the same query returns the existing id
+/// without disturbing the warm cache).
 #[derive(Clone, Debug)]
 pub struct PreparedQuery {
-    /// The query text as received.
-    pub text: String,
     /// The parsed, type-checked expression.
     pub expr: Expr,
     /// [`expr_fingerprint`] of `expr`.
@@ -122,8 +123,11 @@ pub trait ServerSemiring: Semiring {
     /// The wire token ([`SemiringKind::name`]) for this semiring.
     const NAME: &'static str;
 
-    /// The function registry instances of this semiring carry.
-    fn registry() -> FunctionRegistry<Self>;
+    /// The function registry instances of this semiring carry: none but
+    /// the built-ins, unless a semiring says otherwise.
+    fn registry() -> FunctionRegistry<Self> {
+        FunctionRegistry::new()
+    }
 }
 
 impl ServerSemiring for Real {
@@ -137,26 +141,14 @@ impl ServerSemiring for Real {
 
 impl ServerSemiring for Boolean {
     const NAME: &'static str = "bool";
-
-    fn registry() -> FunctionRegistry<Boolean> {
-        FunctionRegistry::new()
-    }
 }
 
 impl ServerSemiring for Nat {
     const NAME: &'static str = "nat";
-
-    fn registry() -> FunctionRegistry<Nat> {
-        FunctionRegistry::new()
-    }
 }
 
 impl ServerSemiring for MinPlus {
     const NAME: &'static str = "minplus";
-
-    fn registry() -> FunctionRegistry<MinPlus> {
-        FunctionRegistry::new()
-    }
 }
 
 /// Byte-level resource account of one instance.  Byte figures count
@@ -244,26 +236,6 @@ fn publish_account(name: &str, account: &mut ResourceAccount, store_bytes: &Atom
     account.published = now;
 }
 
-/// Retires a dropped instance's contribution: zeroes its labelled gauge
-/// and subtracts its published figures from the aggregates and from
-/// `store_bytes`.
-fn unpublish_account(name: &str, account: &mut ResourceAccount, store_bytes: &AtomicI64) {
-    if !matlang_obs::enabled() {
-        return;
-    }
-    account
-        .labelled
-        .get_or_insert_with(|| labelled_gauge(name))
-        .set(0);
-    let was = account.published;
-    matlang_obs::gauge!("instance_bytes").add(-was.total);
-    store_bytes.fetch_sub(was.total, Ordering::Relaxed);
-    matlang_obs::gauge!("memo_cache_entries").add(-was.cache_entries);
-    matlang_obs::gauge!("memo_cache_bytes").add(-was.cache_bytes);
-    matlang_obs::gauge!("overlay_bytes").add(-was.overlay_bytes);
-    account.published = PublishedAccount::default();
-}
-
 /// Per-instance durability state: the open WAL plus the gauge bookkeeping
 /// needed to retract this instance's `wal_bytes` contribution exactly.
 /// Present only while the instance is persisted (`PERSIST <inst> on`, or
@@ -290,13 +262,6 @@ fn publish_wal_bytes(p: &mut Persistence) {
     let now = p.wal.bytes as i64;
     matlang_obs::gauge!("wal_bytes").add(now - p.published_wal_bytes);
     p.published_wal_bytes = now;
-}
-
-/// Retires this instance's `wal_bytes` contribution (`DROP`, `PERSIST
-/// off`, or a WAL write failure degrading the instance to non-persisted).
-fn retract_wal_bytes(p: &mut Persistence) {
-    matlang_obs::gauge!("wal_bytes").add(-p.published_wal_bytes);
-    p.published_wal_bytes = 0;
 }
 
 /// Serializes an instance's durable content — dims and matrices, in the
@@ -449,6 +414,35 @@ impl<K: ServerSemiring> BackendState<K> {
         self.overlay.reset(self.cache.len());
     }
 
+    /// Makes `plan`, planned from `stats`, the batch's active plan.  Its node
+    /// ids are new, so the memo cache and its delta overlay start cold.
+    fn install_plan(&mut self, plan: Arc<Plan>, stats: InstanceStats) {
+        self.cache = vec![None; plan.nodes().len()];
+        self.overlay.reset(plan.nodes().len());
+        self.plan = Some(plan);
+        self.planned_stats = Some(stats);
+    }
+
+    /// Stops persisting — `DROP`, `PERSIST off`, or a WAL write failure
+    /// degrading the instance — closing the WAL and retiring this
+    /// instance's share of the `wal_bytes` gauge.
+    fn unpersist(&mut self) {
+        if let Some(p) = self.persist.take() {
+            matlang_obs::gauge!("wal_bytes").add(-p.published_wal_bytes);
+        }
+    }
+
+    /// The `instance <name> backend=… semiring=…` line that heads the
+    /// `EXPLAIN`, `PROFILE` and `STATS` blocks.
+    fn header(&self, name: &str) -> String {
+        format!("instance {name} backend={BACKEND} semiring={}", K::NAME)
+    }
+
+    /// The semiring's wire name.
+    fn semiring(&self) -> &'static str {
+        K::NAME
+    }
+
     /// Recomputes the byte figures of the account from O(1) per-slot
     /// length reads: every variable's [`MatrixStorage::heap_bytes`], the
     /// memo cache's residency and the pending overlays.  Cost is
@@ -480,12 +474,6 @@ impl<K: ServerSemiring> BackendState<K> {
     }
 }
 
-/// The storage backend every instance has, as named on the wire (`LIST`,
-/// the `INSTANCE` reply, `EXPLAIN`/`PROFILE`/`STATS`/`TOP` headers) and in
-/// new snapshots.  `dense` is still accepted wherever a backend is read —
-/// the `INSTANCE` verb and old snapshot tags — as an alias for it.
-pub(crate) const BACKEND: &str = "adaptive";
-
 /// A named instance: the same state machine over every supported
 /// semiring, each storing its matrices as [`MatrixRepr`].
 pub(crate) enum ServerInstance {
@@ -508,16 +496,6 @@ impl ServerInstance {
             SemiringKind::MinPlus => ServerInstance::MinPlus(BackendState::default()),
         }
     }
-
-    /// The semiring name as used by the protocol.
-    fn semiring_name(&self) -> &'static str {
-        match self {
-            ServerInstance::Real(_) => Real::NAME,
-            ServerInstance::Bool(_) => Boolean::NAME,
-            ServerInstance::Nat(_) => Nat::NAME,
-            ServerInstance::MinPlus(_) => MinPlus::NAME,
-        }
-    }
 }
 
 /// Runs a closure against the semiring-generic state of a
@@ -530,6 +508,15 @@ macro_rules! with_state {
             ServerInstance::Nat($state) => $body,
             ServerInstance::MinPlus($state) => $body,
         }
+    };
+}
+
+/// Runs a closure against the semiring-generic state of the named instance
+/// under its lock: [`ServerError::UnknownInstance`] when there is none,
+/// else `Ok` of what the closure returns.
+macro_rules! with_instance {
+    ($store:expr, $name:expr, |$state:ident| $body:expr) => {
+        $store.with_instance($name, |instance| with_state!(instance, |$state| $body))
     };
 }
 
@@ -551,105 +538,6 @@ fn instance_from_snapshot(snap: &Snapshot) -> Result<ServerInstance, ServerError
     let mut instance = ServerInstance::create(semiring);
     with_state!(&mut instance, |state| populate_from_snapshot(state, snap))?;
     Ok(instance)
-}
-
-/// The outcome of a `PREPARE`.
-#[derive(Clone, Copy, Debug)]
-pub struct PrepareOutcome {
-    /// The query id to pass to `EXEC`.
-    pub qid: usize,
-    /// Whether this exact statement was already prepared on the instance.
-    pub reused_statement: bool,
-    /// Whether the plan came from the store-wide plan cache.
-    pub reused_plan: bool,
-    /// DAG node count of the (batch) plan.
-    pub plan_nodes: usize,
-    /// [`Plan::structure_fingerprint`] of the plan the statement will
-    /// execute.  The cost-based rewrite layer means the *rewritten* DAG —
-    /// not the query text — is what runs, and its shape depends on the
-    /// instance statistics at planning time; this fingerprint identifies
-    /// the variant (echoed on the wire as `fp=` so clients can tell two
-    /// plan variants of the same text apart).
-    pub plan_fingerprint: u64,
-}
-
-/// How an `UPDATE` maintained the prepared-plan memo cache.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DeltaDisposition {
-    /// The update was exact under the delta rules and was propagated
-    /// through the DAG.
-    Applied {
-        /// Cached nodes whose overlay absorbed a non-empty delta.
-        patched: u64,
-    },
-    /// The update could not be propagated exactly; dependent cache
-    /// entries were invalidated instead.
-    Fallback {
-        /// Why the delta path was refused.
-        reason: DeltaFallback,
-    },
-}
-
-/// The outcome of an `UPDATE`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UpdateOutcome {
-    /// Entries applied to the instance matrix.
-    pub applied: usize,
-    /// Cached plan nodes dropped (0 on a fully patched delta pass).
-    pub invalidated: u64,
-    /// Whether the cache was patched or invalidated, and why.
-    pub delta: DeltaDisposition,
-}
-
-/// One row of a detailed `LIST` reply: the instance name, its backend and
-/// semiring, and the cumulative delta-maintenance counters.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InstanceInfo {
-    /// The instance name.
-    pub name: String,
-    /// Storage backend: always `adaptive`, also for an instance created
-    /// with the `dense` alias.
-    pub backend: &'static str,
-    /// Semiring wire name (`real` / `bool` / `nat` / `minplus`).
-    pub semiring: &'static str,
-    /// Cumulative cached nodes patched by delta propagation.
-    pub delta_patches: u64,
-    /// Cumulative `UPDATE`s that fell back to invalidation.
-    pub delta_fallbacks: u64,
-}
-
-/// One instance's durability figures — the payload behind the `WALSTAT`
-/// verb and the typed reply of [`crate::client::Client::walstat`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WalStat {
-    /// Whether the instance is currently persisted.
-    pub persisted: bool,
-    /// Newest WAL sequence number ever issued for the instance (survives
-    /// compaction; 0 when nothing was ever logged).
-    pub seq: u64,
-    /// Records currently in the log (drops to 0 after compaction).
-    pub records: u64,
-    /// Bytes currently in the log.
-    pub wal_bytes: u64,
-    /// Size of the newest snapshot written this session, in bytes.
-    pub snapshot_bytes: u64,
-    /// The WAL size past which the next applied `UPDATE` compacts.
-    pub compact_threshold: u64,
-}
-
-impl WalStat {
-    /// The one-line wire rendering (`persist=on|off`, then the figures).
-    pub fn render(&self) -> String {
-        format!(
-            "persist={} seq={} records={} wal_bytes={} snapshot_bytes={} compact={}",
-            if self.persisted { "on" } else { "off" },
-            self.seq,
-            self.records,
-            self.wal_bytes,
-            self.snapshot_bytes,
-            self.compact_threshold,
-        )
-    }
 }
 
 /// The plan-cache key: `(queries fingerprint, schema fingerprint, stats
@@ -710,12 +598,7 @@ impl LruPlanCache {
     fn insert(&mut self, key: PlanKey, plan: Arc<Plan>) {
         self.tick += 1;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            if let Some(&oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(key, _)| key)
-            {
+            if let Some(oldest) = self.coldest() {
                 self.entries.remove(&oldest);
             }
         }
@@ -726,12 +609,7 @@ impl LruPlanCache {
     /// Evicts the least-recently-used entry outright (pressure
     /// shedding).  Returns whether anything was evicted.
     fn evict_coldest(&mut self) -> bool {
-        let oldest = self
-            .entries
-            .iter()
-            .min_by_key(|(_, (_, stamp))| *stamp)
-            .map(|(key, _)| *key);
-        match oldest {
+        match self.coldest() {
             Some(key) => {
                 self.entries.remove(&key);
                 self.publish();
@@ -739,6 +617,12 @@ impl LruPlanCache {
             }
             None => false,
         }
+    }
+
+    /// The key of the least-recently-used entry.
+    fn coldest(&self) -> Option<PlanKey> {
+        let stamps = self.entries.iter().map(|(key, (_, stamp))| (stamp, key));
+        stamps.min().map(|(_, key)| *key)
     }
 
     fn len(&self) -> usize {
@@ -952,8 +836,7 @@ impl Store {
                 publish_wal_bytes(p);
             }
             Err(_) => {
-                retract_wal_bytes(p);
-                state.persist = None;
+                state.unpersist();
                 matlang_obs::trace::event("persist:error");
                 return;
             }
@@ -973,9 +856,7 @@ impl Store {
     /// artifacts, retracting the instance's `wal_bytes` gauge share.
     /// Returns the resulting persisted flag.
     pub fn set_persist(&self, name: &str, on: bool) -> Result<bool, ServerError> {
-        let instance = self.instance(name)?;
-        let mut guard = instance.lock().expect("instance poisoned");
-        with_state!(&mut *guard, |state| {
+        with_instance!(self, name, |state| {
             if on {
                 if state.persist.is_some() {
                     return Ok(true);
@@ -1011,10 +892,7 @@ impl Store {
                 }
                 Ok(true)
             } else {
-                if let Some(p) = state.persist.as_mut() {
-                    retract_wal_bytes(p);
-                }
-                state.persist = None;
+                state.unpersist();
                 if let Some(dir) = self.data_dir() {
                     if persist::filesystem_safe(name) {
                         persist::remove_instance_files(dir, name)
@@ -1023,7 +901,7 @@ impl Store {
                 }
                 Ok(false)
             }
-        })
+        })?
     }
 
     /// Writes a snapshot of an instance now — the `SAVE` verb.  With an
@@ -1032,20 +910,9 @@ impl Store {
     /// the data directory, and a persisted instance compacts its WAL into
     /// it.  Returns the byte size and the path written.
     pub fn save(&self, name: &str, path: Option<&Path>) -> Result<(u64, PathBuf), ServerError> {
-        let instance = self.instance(name)?;
-        let mut guard = instance.lock().expect("instance poisoned");
-        with_state!(&mut *guard, |state| {
-            let covered_seq = state.persist.as_ref().map_or(0, |p| p.wal.last_seq);
-            match path {
-                Some(path) => {
-                    let snap = encode_snapshot(state, covered_seq);
-                    let bytes = snap
-                        .write_atomic(path)
-                        .map_err(|e| ServerError::storage(e.to_string()))?;
-                    matlang_obs::counter!("persist_snapshot_total").inc();
-                    matlang_obs::trace::event("persist:snapshot");
-                    Ok((bytes, path.to_path_buf()))
-                }
+        with_instance!(self, name, |state| {
+            let target = match path {
+                Some(path) => path.to_path_buf(),
                 None => {
                     let dir = self.data_dir().ok_or_else(|| {
                         ServerError::storage(
@@ -1059,21 +926,22 @@ impl Store {
                     }
                     let target = persist::snapshot_path(dir, name);
                     if state.persist.is_some() {
+                        // A persisted instance compacts its WAL into it.
                         self.checkpoint_in(state, name)?;
                         let bytes = state.persist.as_ref().expect("persisted").snapshot_bytes;
-                        Ok((bytes, target))
-                    } else {
-                        let snap = encode_snapshot(state, covered_seq);
-                        let bytes = snap
-                            .write_atomic(&target)
-                            .map_err(|e| ServerError::storage(e.to_string()))?;
-                        matlang_obs::counter!("persist_snapshot_total").inc();
-                        matlang_obs::trace::event("persist:snapshot");
-                        Ok((bytes, target))
+                        return Ok((bytes, target));
                     }
+                    target
                 }
-            }
-        })
+            };
+            let covered_seq = state.persist.as_ref().map_or(0, |p| p.wal.last_seq);
+            let bytes = encode_snapshot(state, covered_seq)
+                .write_atomic(&target)
+                .map_err(|e| ServerError::storage(e.to_string()))?;
+            matlang_obs::counter!("persist_snapshot_total").inc();
+            matlang_obs::trace::event("persist:snapshot");
+            Ok((bytes, target))
+        })?
     }
 
     /// Creates a new instance from a snapshot file — the `RESTORE` verb.
@@ -1101,26 +969,21 @@ impl Store {
 
     /// An instance's durability figures — the `WALSTAT` verb.
     pub fn walstat(&self, name: &str) -> Result<WalStat, ServerError> {
-        let instance = self.instance(name)?;
-        let guard = instance.lock().expect("instance poisoned");
-        Ok(with_state!(&*guard, |state| match state.persist.as_ref() {
+        let compact_threshold = self.config.wal_compact();
+        with_instance!(self, name, |state| match state.persist.as_ref() {
             Some(p) => WalStat {
                 persisted: true,
                 seq: p.wal.last_seq,
                 records: p.wal.records,
                 wal_bytes: p.wal.bytes,
                 snapshot_bytes: p.snapshot_bytes,
-                compact_threshold: self.config.wal_compact(),
+                compact_threshold,
             },
             None => WalStat {
-                persisted: false,
-                seq: 0,
-                records: 0,
-                wal_bytes: 0,
-                snapshot_bytes: 0,
-                compact_threshold: self.config.wal_compact(),
+                compact_threshold,
+                ..WalStat::default()
             },
-        }))
+        })
     }
 
     /// Creates a named instance over ℝ.  Fails if the name is taken.
@@ -1167,12 +1030,15 @@ impl Store {
             })?;
         let mut guard = removed.lock().expect("instance poisoned");
         with_state!(&mut *guard, |state| {
-            if let Some(p) = state.persist.as_mut() {
-                retract_wal_bytes(p);
-            }
             // Close the WAL handle before unlinking its file.
-            state.persist = None;
-            unpublish_account(name, &mut state.account, &self.accounted_bytes)
+            state.unpersist();
+            // Publishing an empty account retires the instance's share.
+            let mut retired = ResourceAccount {
+                published: state.account.published,
+                labelled: state.account.labelled,
+                ..ResourceAccount::default()
+            };
+            publish_account(name, &mut retired, &self.accounted_bytes)
         });
         if let Some(dir) = self.data_dir() {
             if persist::filesystem_safe(name) {
@@ -1184,64 +1050,66 @@ impl Store {
 
     /// Instance names in sorted order.
     pub fn list_instances(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .instances
-            .read()
-            .expect("store poisoned")
-            .keys()
-            .cloned()
-            .collect();
+        let mut names: Vec<String> = self.snapshot().into_iter().map(|(name, _)| name).collect();
         names.sort();
         names
     }
 
     /// Per-instance descriptions in name order: backend, semiring and the
     /// cumulative delta-maintenance counters (the `LIST` wire reply).
-    pub fn list_detailed(&self) -> Vec<InstanceInfo> {
-        let handles: Vec<(String, Arc<Mutex<ServerInstance>>)> = {
-            let map = self.instances.read().expect("store poisoned");
-            map.iter()
-                .map(|(name, handle)| (name.clone(), Arc::clone(handle)))
-                .collect()
-        };
-        let mut infos: Vec<InstanceInfo> = handles
+    pub fn list_detailed(&self) -> Vec<InstanceEntry> {
+        let mut entries: Vec<InstanceEntry> = self
+            .snapshot()
             .into_iter()
             .map(|(name, handle)| {
                 let guard = handle.lock().expect("instance poisoned");
-                let (delta_patches, delta_fallbacks) = with_state!(&*guard, |state| (
-                    state.delta_patches,
-                    state.delta_fallbacks
-                ));
-                InstanceInfo {
+                with_state!(&*guard, |state| InstanceEntry {
                     name,
-                    backend: BACKEND,
-                    semiring: guard.semiring_name(),
-                    delta_patches,
-                    delta_fallbacks,
-                }
+                    backend: BACKEND.to_string(),
+                    semiring: state.semiring().to_string(),
+                    delta_patches: state.delta_patches,
+                    delta_fallbacks: state.delta_fallbacks,
+                })
             })
             .collect();
-        infos.sort_by(|a, b| a.name.cmp(&b.name));
-        infos
+        entries.sort_by(|a, b| a.name.cmp(&b.name));
+        entries
     }
 
-    fn instance(&self, name: &str) -> Result<Arc<Mutex<ServerInstance>>, ServerError> {
-        self.instances
+    /// Every instance with its name, taken under the map's read lock and
+    /// handed out after releasing it, so no instance is locked while the
+    /// map is.
+    fn snapshot(&self) -> Vec<(String, Arc<Mutex<ServerInstance>>)> {
+        let map = self.instances.read().expect("store poisoned");
+        map.iter()
+            .map(|(name, handle)| (name.clone(), Arc::clone(handle)))
+            .collect()
+    }
+
+    /// Runs `f` on the named instance under its lock.  Fails only when no
+    /// such instance exists; what `f` returns is passed through.
+    fn with_instance<T>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&mut ServerInstance) -> T,
+    ) -> Result<T, ServerError> {
+        let instance = self
+            .instances
             .read()
             .expect("store poisoned")
             .get(name)
             .cloned()
             .ok_or_else(|| ServerError::UnknownInstance {
                 name: name.to_string(),
-            })
+            })?;
+        let mut guard = instance.lock().expect("instance poisoned");
+        Ok(f(&mut guard))
     }
 
     /// Assigns a size symbol on an instance.
     pub fn set_dim(&self, name: &str, sym: &str, value: usize) -> Result<(), ServerError> {
         check_dimension("dimension", value)?;
-        let instance = self.instance(name)?;
-        let mut guard = instance.lock().expect("instance poisoned");
-        with_state!(&mut *guard, |state| {
+        with_instance!(self, name, |state| {
             state.instance.set_dim(sym, value);
             // Dimension symbols are not matrix variables, so they are
             // invisible to the plan's dependency index — a dim change
@@ -1254,7 +1122,7 @@ impl Store {
             self.checkpoint_in(state, name)?;
             state.account_touch(name, &self.accounted_bytes);
             Ok(())
-        })
+        })?
     }
 
     /// Assigns a matrix from explicit `(row, col, value)` entries, with
@@ -1288,13 +1156,9 @@ impl Store {
         sym: &str,
         kind: GenKind,
     ) -> Result<usize, ServerError> {
-        let instance = self.instance(name)?;
-        let n = {
-            let guard = instance.lock().expect("instance poisoned");
-            with_state!(&*guard, |state| state
-                .instance
-                .dim_value(&Dim::Sym(sym.to_string())))
-        }
+        let n = with_instance!(self, name, |state| state
+            .instance
+            .dim_value(&Dim::Sym(sym.to_string())))?
         .ok_or_else(|| {
             ServerError::storage(format!("size symbol `{sym}` has no assigned dimension"))
         })?;
@@ -1328,9 +1192,7 @@ impl Store {
         var: &str,
         sparse: SparseMatrix<Real>,
     ) -> Result<usize, ServerError> {
-        let instance = self.instance(name)?;
-        let mut guard = instance.lock().expect("instance poisoned");
-        let stored = with_state!(&mut *guard, |state| {
+        let stored = with_instance!(self, name, |state| {
             let stored = assign_in(state, var, &sparse);
             if stored.is_ok() {
                 // A wholesale rebind cannot be expressed as WAL entries;
@@ -1339,10 +1201,22 @@ impl Store {
             }
             state.account_touch(name, &self.accounted_bytes);
             stored
-        });
-        drop(guard);
+        })?;
         self.maybe_shed(name);
         stored
+    }
+
+    /// Type-checks `expr` on an instance and plans it on its own — the
+    /// one-shot plan of `QUERY`, `EXPLAIN` and `PROFILE`.
+    fn plan_one<K: ServerSemiring>(
+        &self,
+        state: &BackendState<K>,
+        expr: &Expr,
+    ) -> Result<Plan, ServerError> {
+        typecheck_in(&state.instance, expr)?;
+        Ok(self
+            .engine
+            .plan(std::slice::from_ref(expr), &state.instance))
     }
 
     /// Parses, type-checks and plans a query against an instance,
@@ -1353,25 +1227,19 @@ impl Store {
     pub fn prepare(&self, name: &str, text: &str) -> Result<PrepareOutcome, ServerError> {
         matlang_obs::counter!("prepare_total").inc();
         let expr = parse_traced(text)?;
-        let instance = self.instance(name)?;
-        let mut guard = instance.lock().expect("instance poisoned");
-        with_state!(&mut *guard, |state| {
-            let outcome = self.prepare_in(state, text, expr);
+        with_instance!(self, name, |state| {
+            let outcome = self.prepare_in(state, expr);
             state.account_touch(name, &self.accounted_bytes);
             outcome
-        })
+        })?
     }
 
     fn prepare_in<K: ServerSemiring>(
         &self,
         state: &mut BackendState<K>,
-        text: &str,
         expr: Expr,
     ) -> Result<PrepareOutcome, ServerError> {
-        let schema = derive_schema(&state.instance)?;
-        typecheck(&expr, &schema).map_err(|e| ServerError::Type {
-            message: e.to_string(),
-        })?;
+        typecheck_in(&state.instance, &expr)?;
         let fingerprint = expr_fingerprint(&expr);
         if let Some(qid) = state
             .prepared
@@ -1379,23 +1247,16 @@ impl Store {
             .position(|p| p.fingerprint == fingerprint)
         {
             matlang_obs::counter!("plan_cache_hits_total").inc();
+            let plan = state.plan.as_ref();
             return Ok(PrepareOutcome {
                 qid,
                 reused_statement: true,
                 reused_plan: true,
-                plan_nodes: state.plan.as_ref().map(|p| p.nodes().len()).unwrap_or(0),
-                plan_fingerprint: state
-                    .plan
-                    .as_ref()
-                    .map(|p| p.structure_fingerprint())
-                    .unwrap_or(0),
+                plan_nodes: plan.map_or(0, |p| p.nodes().len()),
+                plan_fingerprint: plan.map_or(0, |p| p.structure_fingerprint()),
             });
         }
-        state.prepared.push(PreparedQuery {
-            text: text.to_string(),
-            expr,
-            fingerprint,
-        });
+        state.prepared.push(PreparedQuery { expr, fingerprint });
         let stats = InstanceStats::from_instance(&state.instance);
         let key = plan_key(&state.prepared, &stats, state.stats_generation);
         let mut reused_plan = true;
@@ -1407,29 +1268,34 @@ impl Store {
             } else {
                 reused_plan = false;
                 matlang_obs::counter!("plan_cache_misses_total").inc();
-                let queries: Vec<Expr> = state.prepared.iter().map(|p| p.expr.clone()).collect();
-                let mut plan = self.engine.plan_with_stats::<K>(&queries, &stats);
-                // Every node is memoized: a prepared query re-executed on
-                // an unchanged instance is answered by one root-cache hit.
-                plan.mark_all_cacheable();
-                let plan = Arc::new(plan);
+                let plan = self.plan_batch::<K>(&state.prepared, &stats);
                 plan_cache.insert(key, Arc::clone(&plan));
                 plan
             }
         };
-        // The plan's node ids changed; start the shared cache (and its
-        // delta overlay) cold.
-        state.cache = vec![None; plan.nodes().len()];
-        state.overlay.reset(plan.nodes().len());
-        state.plan = Some(Arc::clone(&plan));
-        state.planned_stats = Some(stats);
-        Ok(PrepareOutcome {
+        let outcome = PrepareOutcome {
             qid: state.prepared.len() - 1,
             reused_statement: false,
             reused_plan,
             plan_nodes: plan.nodes().len(),
             plan_fingerprint: plan.structure_fingerprint(),
-        })
+        };
+        state.install_plan(plan, stats);
+        Ok(outcome)
+    }
+
+    /// Plans the prepared batch from `stats` with every node memoized: a
+    /// prepared query re-executed on an unchanged instance is answered by
+    /// one root-cache hit.
+    fn plan_batch<K: ServerSemiring>(
+        &self,
+        prepared: &[PreparedQuery],
+        stats: &InstanceStats,
+    ) -> Arc<Plan> {
+        let queries: Vec<Expr> = prepared.iter().map(|p| p.expr.clone()).collect();
+        let mut plan = self.engine.plan_with_stats::<K>(&queries, stats);
+        plan.mark_all_cacheable();
+        Arc::new(plan)
     }
 
     /// Executes prepared queries through the instance's persistent memo
@@ -1447,10 +1313,7 @@ impl Store {
         name: &str,
         qids: &[usize],
     ) -> Result<Vec<SharedResult>, ServerError> {
-        let instance = self.instance(name)?;
-        let mut guard = instance.lock().expect("instance poisoned");
-        let outcome = with_state!(&mut *guard, |state| self.exec_in(state, name, qids));
-        drop(guard);
+        let outcome = with_instance!(self, name, |state| self.exec_in(state, name, qids))?;
         self.maybe_shed(name);
         outcome
     }
@@ -1483,19 +1346,13 @@ impl Store {
         matlang_obs::trace::event("replan:drift");
         state.stats_generation += 1;
         state.replans += 1;
-        let queries: Vec<Expr> = state.prepared.iter().map(|p| p.expr.clone()).collect();
-        let mut plan = self.engine.plan_with_stats::<K>(&queries, &current);
-        plan.mark_all_cacheable();
-        let plan = Arc::new(plan);
+        let plan = self.plan_batch::<K>(&state.prepared, &current);
         let key = plan_key(&state.prepared, &current, state.stats_generation);
         self.plan_cache
             .lock()
             .expect("plan cache poisoned")
             .insert(key, Arc::clone(&plan));
-        state.cache = vec![None; plan.nodes().len()];
-        state.overlay.reset(plan.nodes().len());
-        state.plan = Some(plan);
-        state.planned_stats = Some(current);
+        state.install_plan(plan, current);
     }
 
     fn exec_in<K: ServerSemiring>(
@@ -1611,9 +1468,7 @@ impl Store {
     pub fn query_shared(&self, name: &str, text: &str) -> Result<SharedResult, ServerError> {
         matlang_obs::counter!("query_total").inc();
         let expr = parse_traced(text)?;
-        let instance = self.instance(name)?;
-        let mut guard = instance.lock().expect("instance poisoned");
-        with_state!(&mut *guard, |state| self.query_in(state, &expr))
+        with_instance!(self, name, |state| self.query_in(state, &expr))?
     }
 
     fn query_in<K: ServerSemiring>(
@@ -1621,13 +1476,7 @@ impl Store {
         state: &mut BackendState<K>,
         expr: &Expr,
     ) -> Result<SharedResult, ServerError> {
-        let schema = derive_schema(&state.instance)?;
-        typecheck(expr, &schema).map_err(|e| ServerError::Type {
-            message: e.to_string(),
-        })?;
-        let plan = self
-            .engine
-            .plan(std::slice::from_ref(expr), &state.instance);
+        let plan = self.plan_one(state, expr)?;
         let mut exec = Executor::new(
             &plan,
             &state.instance,
@@ -1652,19 +1501,17 @@ impl Store {
     /// Applies in-place point updates to a matrix variable, then maintains
     /// the prepared-plan memo cache: exact **delta propagation** when the
     /// semiring and the batch allow it, dependency-scoped invalidation
-    /// otherwise (see the module docs).  The [`UpdateOutcome`] reports
+    /// otherwise (see the module docs).  The [`UpdateReply`] reports
     /// which path ran and why.
     pub fn update(
         &self,
         name: &str,
         var: &str,
         entries: &[(usize, usize, f64)],
-    ) -> Result<UpdateOutcome, ServerError> {
+    ) -> Result<UpdateReply, ServerError> {
         matlang_obs::counter!("update_total").inc();
         let timer = matlang_obs::enabled().then(std::time::Instant::now);
-        let instance = self.instance(name)?;
-        let mut guard = instance.lock().expect("instance poisoned");
-        let outcome = with_state!(&mut *guard, |state| {
+        let outcome = with_instance!(self, name, |state| {
             let mut applied = 0usize;
             let outcome = self.update_in(state, var, entries, &mut applied);
             // Log exactly the applied prefix — on a mid-batch failure the
@@ -1675,11 +1522,10 @@ impl Store {
             }
             state.account_touch(name, &self.accounted_bytes);
             outcome
-        });
+        })?;
         if let Some(t) = timer {
             matlang_obs::histogram!("update_latency_us").observe(t.elapsed().as_micros() as u64);
         }
-        drop(guard);
         self.maybe_shed(name);
         outcome
     }
@@ -1690,7 +1536,7 @@ impl Store {
         var: &str,
         entries: &[(usize, usize, f64)],
         applied_out: &mut usize,
-    ) -> Result<UpdateOutcome, ServerError> {
+    ) -> Result<UpdateReply, ServerError> {
         let has_plan = state.plan.is_some();
         let matrix =
             state
@@ -1703,10 +1549,10 @@ impl Store {
         // (trivially exact) delta application of the empty update, not a
         // fallback — and must not disturb the warm cache either way.
         if entries.is_empty() {
-            return Ok(UpdateOutcome {
+            return Ok(UpdateReply {
                 applied: 0,
                 invalidated: 0,
-                delta: DeltaDisposition::Applied { patched: 0 },
+                delta: DeltaWire::Applied { patched: 0 },
             });
         }
         let (rows, cols) = matrix.shape();
@@ -1776,7 +1622,7 @@ impl Store {
                 matlang_obs::counter!("delta_applied_total").inc();
                 (
                     report.invalidated,
-                    DeltaDisposition::Applied {
+                    DeltaWire::Applied {
                         patched: report.patched,
                     },
                 )
@@ -1800,12 +1646,13 @@ impl Store {
                 } else {
                     0
                 };
-                (invalidated, DeltaDisposition::Fallback { reason })
+                let reason = reason.code().to_string();
+                (invalidated, DeltaWire::Fallback { reason })
             }
         };
         match failure {
             Some(e) => Err(e),
-            None => Ok(UpdateOutcome {
+            None => Ok(UpdateReply {
                 applied,
                 invalidated,
                 delta: disposition,
@@ -1819,23 +1666,11 @@ impl Store {
     /// the applied rewrites (the `EXPLAIN` wire block).
     pub fn explain(&self, name: &str, text: &str) -> Result<Vec<String>, ServerError> {
         let expr = parse_traced(text)?;
-        let instance = self.instance(name)?;
-        let guard = instance.lock().expect("instance poisoned");
-        let semiring = guard.semiring_name();
-        with_state!(&*guard, |state| {
-            let schema = derive_schema(&state.instance)?;
-            typecheck(&expr, &schema).map_err(|e| ServerError::Type {
-                message: e.to_string(),
-            })?;
-            let plan = self
-                .engine
-                .plan(std::slice::from_ref(&expr), &state.instance);
-            let mut lines = vec![format!(
-                "instance {name} backend={BACKEND} semiring={semiring}"
-            )];
-            lines.extend(plan.explain());
+        with_instance!(self, name, |state| {
+            let mut lines = vec![state.header(name)];
+            lines.extend(self.plan_one(state, &expr)?.explain());
             Ok(lines)
-        })
+        })?
     }
 
     /// Plans **and executes** a query once with per-node profiling, then
@@ -1844,17 +1679,8 @@ impl Store {
     /// `QUERY`, this bypasses the prepared-statement cache entirely.
     pub fn profile(&self, name: &str, text: &str) -> Result<Vec<String>, ServerError> {
         let expr = parse_traced(text)?;
-        let instance = self.instance(name)?;
-        let mut guard = instance.lock().expect("instance poisoned");
-        let semiring = guard.semiring_name();
-        with_state!(&mut *guard, |state| {
-            let schema = derive_schema(&state.instance)?;
-            typecheck(&expr, &schema).map_err(|e| ServerError::Type {
-                message: e.to_string(),
-            })?;
-            let plan = self
-                .engine
-                .plan(std::slice::from_ref(&expr), &state.instance);
+        with_instance!(self, name, |state| {
+            let plan = self.plan_one(state, &expr)?;
             let mut options = self.engine.exec_options;
             options.profile = true;
             let timer = std::time::Instant::now();
@@ -1866,9 +1692,7 @@ impl Store {
             let total_us = timer.elapsed().as_micros() as u64;
             let samples = exec.samples();
             let stats = exec.stats();
-            let mut lines = vec![format!(
-                "instance {name} backend={BACKEND} semiring={semiring} total_us={total_us}"
-            )];
+            let mut lines = vec![format!("{} total_us={total_us}", state.header(name))];
             for (id, sample) in samples.iter().enumerate() {
                 lines.push(format!(
                     "#{id} {desc} | {us}us computed={computed} hits={hits} out={rows}x{cols} nnz={nnz}",
@@ -1889,7 +1713,7 @@ impl Store {
                 stats.fused_products,
             ));
             Ok(lines)
-        })
+        })?
     }
 
     /// Reports an instance's planned-vs-current statistics — the `STATS`
@@ -1898,10 +1722,7 @@ impl Store {
     /// the nnz the active plan was built against (`planned_nnz`, `-` before
     /// anything is prepared) with the instance's current nnz.
     pub fn stats(&self, name: &str) -> Result<Vec<String>, ServerError> {
-        let instance = self.instance(name)?;
-        let guard = instance.lock().expect("instance poisoned");
-        let semiring = guard.semiring_name();
-        with_state!(&*guard, |state| {
+        with_instance!(self, name, |state| {
             let current = InstanceStats::from_instance(&state.instance);
             let referenced = |var: &str| {
                 state
@@ -1932,13 +1753,14 @@ impl Store {
                 ));
             }
             let mut lines = vec![format!(
-                "instance {name} backend={BACKEND} semiring={semiring} generation={} replans={} drift={worst:.2} threshold={:.2}",
+                "{} generation={} replans={} drift={worst:.2} threshold={:.2}",
+                state.header(name),
                 state.stats_generation,
                 state.replans,
                 self.config.replan_drift(),
             )];
             lines.append(&mut var_lines);
-            Ok(lines)
+            lines
         })
     }
 
@@ -1947,13 +1769,10 @@ impl Store {
     /// per-slot reads under the instance lock), so the report is truthful
     /// even while observability recording is disabled.
     pub fn health(&self) -> HealthReport {
-        let handles: Vec<Arc<Mutex<ServerInstance>>> = {
-            let map = self.instances.read().expect("store poisoned");
-            map.values().cloned().collect()
-        };
+        let handles = self.snapshot();
         let instances = handles.len();
         let mut total_bytes = 0u64;
-        for handle in handles {
+        for (_, handle) in handles {
             let mut guard = handle.lock().expect("instance poisoned");
             total_bytes += with_state!(&mut *guard, |state| {
                 state.account_refresh();
@@ -1965,16 +1784,26 @@ impl Store {
             Some(b) if total_bytes > b => "pressure",
             _ => "ok",
         };
+        let rate = |part: u64, whole: u64| match whole {
+            0 => 0.0,
+            _ => part as f64 / whole as f64,
+        };
+        let exec_total = matlang_obs::counter!("exec_total").get();
         HealthReport {
             status,
             total_bytes,
             budget,
             instances,
             connections: matlang_obs::gauge!("connections_active").get(),
-            exec_total: matlang_obs::counter!("exec_total").get(),
-            slow_total: matlang_obs::counter!("slow_queries_total").get(),
-            fallback_total: matlang_obs::counter!("delta_fallback_total").get(),
-            update_total: matlang_obs::counter!("update_total").get(),
+            exec_total,
+            slow_rate: rate(
+                matlang_obs::counter!("slow_queries_total").get(),
+                exec_total,
+            ),
+            fallback_rate: rate(
+                matlang_obs::counter!("delta_fallback_total").get(),
+                matlang_obs::counter!("update_total").get(),
+            ),
             pressure_evictions: matlang_obs::counter!("pressure_evictions_total").get(),
         }
     }
@@ -1985,17 +1814,11 @@ impl Store {
     /// cache residency (first 8 roots; `-` marks a cold root).
     pub fn top(&self, n: Option<usize>) -> Vec<String> {
         const ROOT_COLUMNS: usize = 8;
-        let handles: Vec<(String, Arc<Mutex<ServerInstance>>)> = {
-            let map = self.instances.read().expect("store poisoned");
-            map.iter()
-                .map(|(name, handle)| (name.clone(), Arc::clone(handle)))
-                .collect()
-        };
+        let handles = self.snapshot();
         let mut rows = Vec::with_capacity(handles.len());
         for (name, handle) in handles {
             let mut guard = handle.lock().expect("instance poisoned");
-            let semiring = guard.semiring_name();
-            let (account, roots) = with_state!(&mut *guard, |state| {
+            let (semiring, account, roots) = with_state!(&mut *guard, |state| {
                 state.account_refresh();
                 let mut roots = Vec::new();
                 if let Some(plan) = state.plan.as_ref() {
@@ -2014,7 +1837,7 @@ impl Store {
                         roots.push(format!("(+{})", plan.roots().len() - ROOT_COLUMNS));
                     }
                 }
-                (state.account, roots)
+                (state.semiring(), state.account, roots)
             });
             rows.push((name, semiring, account, roots));
         }
@@ -2079,15 +1902,11 @@ impl Store {
                 matlang_obs::trace::event("pressure:evict-plan");
             }
         }
-        let snapshot: Vec<(String, Arc<Mutex<ServerInstance>>)> = {
-            let map = self.instances.read().expect("store poisoned");
-            map.iter()
-                .filter(|(name, _)| name.as_str() != just_used)
-                .map(|(name, handle)| (name.clone(), Arc::clone(handle)))
-                .collect()
-        };
         let mut candidates: Vec<(u64, String, Arc<Mutex<ServerInstance>>)> = Vec::new();
-        for (name, handle) in snapshot {
+        for (name, handle) in self.snapshot() {
+            if name == just_used {
+                continue;
+            }
             let idle = match handle.try_lock() {
                 Ok(guard) => with_state!(&*guard, |state| {
                     let resident = state.account.cache_bytes + state.account.overlay_bytes;
@@ -2114,69 +1933,6 @@ impl Store {
             matlang_obs::counter!("pressure_evictions_total").inc();
             matlang_obs::trace::event("pressure:evict-cache");
         }
-    }
-}
-
-/// One-line readiness snapshot — the payload behind the `HEALTH` verb.
-#[derive(Clone, Debug)]
-pub struct HealthReport {
-    /// `ok`, or `pressure` when the accounted bytes exceed the budget.
-    pub status: &'static str,
-    /// Accounted bytes across every instance (data + caches + overlays).
-    pub total_bytes: u64,
-    /// The soft budget ([`StoreConfig::mem_budget`]), if one is configured.
-    pub budget: Option<u64>,
-    /// Instances hosted.
-    pub instances: usize,
-    /// Live client connections (the `connections_active` gauge).
-    pub connections: i64,
-    /// Cumulative `EXEC` statements, process-wide.
-    pub exec_total: u64,
-    /// Cumulative queries past the slow threshold.
-    pub slow_total: u64,
-    /// Cumulative delta-maintenance fallbacks.
-    pub fallback_total: u64,
-    /// Cumulative `UPDATE` statements.
-    pub update_total: u64,
-    /// Cumulative pressure evictions (plans + memo caches).
-    pub pressure_evictions: u64,
-}
-
-impl HealthReport {
-    /// Slow queries per executed statement (0 when nothing ran).
-    pub fn slow_rate(&self) -> f64 {
-        if self.exec_total == 0 {
-            0.0
-        } else {
-            self.slow_total as f64 / self.exec_total as f64
-        }
-    }
-
-    /// Delta fallbacks per `UPDATE` (0 when none ran).
-    pub fn fallback_rate(&self) -> f64 {
-        if self.update_total == 0 {
-            0.0
-        } else {
-            self.fallback_total as f64 / self.update_total as f64
-        }
-    }
-
-    /// The one-line wire rendering (`-` for "no budget configured").
-    pub fn render(&self) -> String {
-        format!(
-            "status={} bytes={} budget={} instances={} connections={} exec={} \
-             slow_rate={:.4} fallback_rate={:.4} evictions={}",
-            self.status,
-            self.total_bytes,
-            self.budget
-                .map_or_else(|| "-".to_string(), |b| b.to_string()),
-            self.instances,
-            self.connections,
-            self.exec_total,
-            self.slow_rate(),
-            self.fallback_rate(),
-            self.pressure_evictions,
-        )
     }
 }
 
@@ -2211,13 +1967,15 @@ fn assign_in<K: ServerSemiring>(
     Ok(nnz)
 }
 
-/// Derives the typing schema of an instance: every matrix variable is
-/// typed by matching its concrete shape against the instance's size-symbol
-/// assignments (dimension 1 is the distinguished symbol `1`; other values
-/// resolve to the first size symbol carrying them, in name order).
-fn derive_schema<K: Semiring>(
+/// Type-checks `expr` against the schema of an instance: every matrix
+/// variable is typed by matching its concrete shape against the instance's
+/// size-symbol assignments (dimension 1 is the distinguished symbol `1`;
+/// other values resolve to the first size symbol carrying them, in name
+/// order).
+fn typecheck_in<K: Semiring>(
     instance: &Instance<K, MatrixRepr<K>>,
-) -> Result<Schema, ServerError> {
+    expr: &Expr,
+) -> Result<(), ServerError> {
     let dim_for = |value: usize| -> Result<Dim, ServerError> {
         if value == 1 {
             return Ok(Dim::One);
@@ -2237,7 +1995,11 @@ fn derive_schema<K: Semiring>(
         let (rows, cols) = matrix.shape();
         schema.declare(var.clone(), MatrixType::new(dim_for(rows)?, dim_for(cols)?));
     }
-    Ok(schema)
+    typecheck(expr, &schema)
+        .map(|_| ())
+        .map_err(|e| ServerError::Type {
+            message: e.to_string(),
+        })
 }
 
 fn shared_result<M: MatrixStorage>(
@@ -2294,9 +2056,10 @@ mod tests {
         assert_eq!(store.list_instances().len(), 2);
         let describe = |name: &str| {
             let info = store.list_detailed().into_iter().find(|i| i.name == name);
-            info.map(|i| (i.backend, i.semiring)).unwrap()
+            info.map(|i| format!("{}:{}", i.backend, i.semiring))
+                .unwrap()
         };
-        assert_eq!(describe("h"), ("adaptive", "real"));
+        assert_eq!(describe("h"), "adaptive:real");
         store.drop_instance("h").unwrap();
         assert!(matches!(
             store.drop_instance("h"),
@@ -2309,7 +2072,7 @@ mod tests {
         store
             .create_instance_with("w", true, SemiringKind::MinPlus)
             .unwrap();
-        assert_eq!(describe("w"), ("adaptive", "minplus"));
+        assert_eq!(describe("w"), "adaptive:minplus");
     }
 
     #[test]
@@ -2360,8 +2123,8 @@ mod tests {
         // ℝ has no idempotent ⊕: the delta path must refuse and say why.
         assert_eq!(
             outcome.delta,
-            DeltaDisposition::Fallback {
-                reason: DeltaFallback::NonIdempotentSemiring
+            DeltaWire::Fallback {
+                reason: DeltaFallback::NonIdempotentSemiring.code().to_string()
             }
         );
         // The G query is untouched: answered fully from cache.
@@ -2397,7 +2160,7 @@ mod tests {
         store.exec("b", &[qid]).unwrap(); // warm
         let outcome = store.update("b", "G", &[(2, 3, 1.0)]).unwrap();
         assert!(
-            matches!(outcome.delta, DeltaDisposition::Applied { patched } if patched > 0),
+            matches!(outcome.delta, DeltaWire::Applied { patched } if patched > 0),
             "Boolean edge insert must be patched, got {:?}",
             outcome.delta
         );
@@ -2428,8 +2191,8 @@ mod tests {
         let outcome = store.update("b", "G", &[(0, 1, 0.0)]).unwrap();
         assert_eq!(
             outcome.delta,
-            DeltaDisposition::Fallback {
-                reason: DeltaFallback::NotInsertOnly
+            DeltaWire::Fallback {
+                reason: DeltaFallback::NotInsertOnly.code().to_string()
             }
         );
         assert!(outcome.invalidated > 0);
@@ -2449,7 +2212,7 @@ mod tests {
         store.exec("w", &[qid]).unwrap(); // warm
                                           // Lowering a weight absorbs under min — patched.
         let lowered = store.update("w", "G", &[(0, 1, 2.0)]).unwrap();
-        assert!(matches!(lowered.delta, DeltaDisposition::Applied { .. }));
+        assert!(matches!(lowered.delta, DeltaWire::Applied { .. }));
         let warm = store.exec("w", &[qid]).unwrap();
         assert_eq!(warm[0].stats.cache_misses, 0);
         // The shortest 0→2 two-hop path now costs 2 + 7 = 9.
@@ -2458,8 +2221,8 @@ mod tests {
         let raised = store.update("w", "G", &[(0, 1, 6.0)]).unwrap();
         assert_eq!(
             raised.delta,
-            DeltaDisposition::Fallback {
-                reason: DeltaFallback::NotInsertOnly
+            DeltaWire::Fallback {
+                reason: DeltaFallback::NotInsertOnly.code().to_string()
             }
         );
         let recomputed = store.exec("w", &[qid]).unwrap();

@@ -199,6 +199,20 @@ impl fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
+/// A snapshot or WAL that cannot be used is a storage failure.
+impl From<crate::persist::PersistError> for ServerError {
+    fn from(e: crate::persist::PersistError) -> Self {
+        ServerError::storage(e.to_string())
+    }
+}
+
+/// A matrix shape or bounds violation is a storage failure.
+impl From<matlang_matrix::MatrixError> for ServerError {
+    fn from(e: matlang_matrix::MatrixError) -> Self {
+        ServerError::storage(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -62,7 +62,7 @@
 //! `ERR ETOOBIG`.
 
 use crate::error::{ErrorCode, ServerError};
-use matlang_engine::ExecStats;
+use matlang_engine::{ExecStats, Plan};
 use matlang_matrix::{Matrix, MatrixStorage};
 use matlang_semiring::{Real, Semiring};
 use std::io::{BufRead, Write};
@@ -472,19 +472,6 @@ pub struct ExecStatsWire {
     pub delta_fallbacks: u64,
 }
 
-impl From<ExecStats> for ExecStatsWire {
-    fn from(stats: ExecStats) -> ExecStatsWire {
-        ExecStatsWire {
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            invalidations: stats.invalidations,
-            fused_products: stats.fused_products,
-            delta_patches: stats.delta_patches,
-            delta_fallbacks: 0,
-        }
-    }
-}
-
 /// A parsed `RESULT` header line — the typed replacement for the stringly
 /// `key=value` scan.  [`ResponseHeader::parse`] **ignores unknown keys**
 /// and defaults missing ones to zero, so a proto-2 client keeps working
@@ -672,20 +659,29 @@ pub struct SharedResult {
 }
 
 impl SharedResult {
-    /// Wraps an executor result with the counters its header will carry.
+    /// Wraps a result of `plan` with the counters its header carries: the
+    /// executor's `stats`, the instance's cumulative `(delta patches,
+    /// delta fallbacks)`, and the current trace id.
     pub fn new<M: MatrixStorage>(
         matrix: Arc<M>,
-        stats: ExecStatsWire,
-        plan_nodes: usize,
-        fingerprint: u64,
-        trace: u64,
+        stats: ExecStats,
+        (delta_patches, delta_fallbacks): (u64, u64),
+        plan: &Plan,
     ) -> SharedResult {
+        let stats = ExecStatsWire {
+            cache_hits: stats.cache_hits,
+            cache_misses: stats.cache_misses,
+            invalidations: stats.invalidations,
+            fused_products: stats.fused_products,
+            delta_patches,
+            delta_fallbacks,
+        };
         SharedResult {
             matrix,
             stats,
-            plan_nodes,
-            fingerprint,
-            trace,
+            plan_nodes: plan.nodes().len(),
+            fingerprint: plan.structure_fingerprint(),
+            trace: matlang_obs::trace::current_id(),
         }
     }
 

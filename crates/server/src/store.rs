@@ -72,8 +72,8 @@ use crate::config::StoreConfig;
 use crate::error::ServerError;
 use crate::persist::{self, Snapshot, Wal, WalRecord};
 use crate::protocol::{
-    DeltaWire, ExecStatsWire, GenKind, HealthReport, InstanceEntry, PrepareOutcome, SemiringKind,
-    SharedResult, UpdateReply, WalStat, WireResult, BACKEND,
+    DeltaWire, GenKind, HealthReport, InstanceEntry, PrepareOutcome, SemiringKind, SharedResult,
+    UpdateReply, WalStat, WireResult, BACKEND,
 };
 use matlang_core::{typecheck, Dim, Expr, FunctionRegistry, Instance, MatrixType, Schema};
 use matlang_engine::delta::{absorbs, join_is_idempotent, propagate, DeltaFallback, DeltaOverlay};
@@ -724,14 +724,11 @@ impl Store {
             return;
         }
         for name in persist::scan_snapshots(dir) {
-            match self.recover_one(dir, &name) {
-                Ok(()) => {
-                    matlang_obs::counter!("persist_recovered_total").inc();
-                    matlang_obs::trace::event("persist:recover");
-                }
-                Err(_) => {
-                    matlang_obs::trace::event("persist:recover-failed");
-                }
+            if self.recover_one(dir, &name).is_ok() {
+                matlang_obs::counter!("persist_recovered_total").inc();
+                matlang_obs::trace::event("persist:recover");
+            } else {
+                matlang_obs::trace::event("persist:recover-failed");
             }
         }
     }
@@ -744,11 +741,10 @@ impl Store {
     /// old or the new complete snapshot, never a torn one.
     fn recover_one(&self, dir: &Path, name: &str) -> Result<(), ServerError> {
         let snap_path = persist::snapshot_path(dir, name);
-        let snap = Snapshot::read(&snap_path).map_err(|e| ServerError::storage(e.to_string()))?;
+        let snap = Snapshot::read(&snap_path)?;
         let mut instance = instance_from_snapshot(&snap)?;
         let snapshot_bytes = std::fs::metadata(&snap_path).map(|m| m.len()).unwrap_or(0);
-        let (wal, records) = Wal::open(&persist::wal_path(dir, name))
-            .map_err(|e| ServerError::storage(e.to_string()))?;
+        let (wal, records) = Wal::open(&persist::wal_path(dir, name))?;
         with_state!(&mut instance, |state| {
             replay_wal_records(state, &records, snap.covered_seq)?;
             let mut p = Persistence {
@@ -786,19 +782,13 @@ impl Store {
         state: &mut BackendState<K>,
         name: &str,
     ) -> Result<(), ServerError> {
-        let covered_seq = match (&state.persist, self.data_dir()) {
-            (Some(p), Some(_)) => p.wal.last_seq,
-            _ => return Ok(()),
+        let (Some(p), Some(dir)) = (&state.persist, self.data_dir()) else {
+            return Ok(());
         };
-        let dir = self.data_dir().expect("matched above");
-        let snap = encode_snapshot(state, covered_seq);
-        let bytes = snap
-            .write_atomic(&persist::snapshot_path(dir, name))
-            .map_err(|e| ServerError::storage(e.to_string()))?;
+        let snap = encode_snapshot(state, p.wal.last_seq);
+        let bytes = snap.write_atomic(&persist::snapshot_path(dir, name))?;
         let p = state.persist.as_mut().expect("matched above");
-        p.wal
-            .truncate()
-            .map_err(|e| ServerError::storage(e.to_string()))?;
+        p.wal.truncate()?;
         p.snapshot_bytes = bytes;
         publish_wal_bytes(p);
         matlang_obs::counter!("persist_snapshot_total").inc();
@@ -871,8 +861,7 @@ impl Store {
                         "instance name `{name}` is not filesystem-safe"
                     )));
                 }
-                let (wal, _stale) = Wal::open(&persist::wal_path(dir, name))
-                    .map_err(|e| ServerError::storage(e.to_string()))?;
+                let (wal, _stale) = Wal::open(&persist::wal_path(dir, name))?;
                 let mut p = Persistence {
                     wal,
                     snapshot_bytes: 0,
@@ -881,9 +870,7 @@ impl Store {
                 // Whatever the log held belonged to an earlier, dropped
                 // persistence session: this one starts at sequence 0 with
                 // the initial snapshot as its base.
-                p.wal
-                    .truncate()
-                    .map_err(|e| ServerError::storage(e.to_string()))?;
+                p.wal.truncate()?;
                 p.wal.last_seq = 0;
                 state.persist = Some(p);
                 if let Err(e) = self.checkpoint_in(state, name) {
@@ -895,8 +882,7 @@ impl Store {
                 state.unpersist();
                 if let Some(dir) = self.data_dir() {
                     if persist::filesystem_safe(name) {
-                        persist::remove_instance_files(dir, name)
-                            .map_err(|e| ServerError::storage(e.to_string()))?;
+                        persist::remove_instance_files(dir, name)?;
                     }
                 }
                 Ok(false)
@@ -935,9 +921,7 @@ impl Store {
                 }
             };
             let covered_seq = state.persist.as_ref().map_or(0, |p| p.wal.last_seq);
-            let bytes = encode_snapshot(state, covered_seq)
-                .write_atomic(&target)
-                .map_err(|e| ServerError::storage(e.to_string()))?;
+            let bytes = encode_snapshot(state, covered_seq).write_atomic(&target)?;
             matlang_obs::counter!("persist_snapshot_total").inc();
             matlang_obs::trace::event("persist:snapshot");
             Ok((bytes, target))
@@ -949,7 +933,7 @@ impl Store {
     /// persisted (use `PERSIST <inst> on`).  Returns the restored dim and
     /// variable counts.
     pub fn restore(&self, name: &str, path: &Path) -> Result<(usize, usize), ServerError> {
-        let snap = Snapshot::read(path).map_err(|e| ServerError::storage(e.to_string()))?;
+        let snap = Snapshot::read(path)?;
         let mut instance = instance_from_snapshot(&snap)?;
         let mut instances = self.instances.write().expect("store poisoned");
         if instances.contains_key(name) {
@@ -1142,8 +1126,7 @@ impl Store {
             .into_iter()
             .map(|(i, j, v)| (i, j, Real(v)))
             .collect();
-        let sparse = SparseMatrix::from_triplets(rows, cols, triplets)
-            .map_err(|e| ServerError::storage(e.to_string()))?;
+        let sparse = SparseMatrix::from_triplets(rows, cols, triplets)?;
         self.assign_matrix(name, var, sparse)
     }
 
@@ -1398,13 +1381,11 @@ impl Store {
                 matlang_obs::histogram!("exec_latency_us").observe(t.elapsed().as_micros() as u64);
             }
             match run {
-                Ok(value) => results.push(shared_result(
+                Ok(value) => results.push(SharedResult::new(
                     value,
                     exec.stats().since(&before),
-                    plan.nodes().len(),
-                    plan.structure_fingerprint(),
-                    state.delta_patches,
-                    state.delta_fallbacks,
+                    (state.delta_patches, state.delta_fallbacks),
+                    plan,
                 )),
                 Err(e) => {
                     outcome = Err(ServerError::Eval {
@@ -1488,14 +1469,7 @@ impl Store {
             .map_err(|e| ServerError::Eval {
                 message: e.to_string(),
             })?;
-        Ok(shared_result(
-            value,
-            exec.stats(),
-            plan.nodes().len(),
-            plan.structure_fingerprint(),
-            0,
-            0,
-        ))
+        Ok(SharedResult::new(value, exec.stats(), (0, 0), &plan))
     }
 
     /// Applies in-place point updates to a matrix variable, then maintains
@@ -1592,7 +1566,7 @@ impl Store {
         let mut failure = None;
         for &(i, j, v) in entries {
             if let Err(e) = matrix.set_entry(i, j, K::from_f64(v)) {
-                failure = Some(ServerError::storage(e.to_string()));
+                failure = Some(e.into());
                 break;
             }
             applied += 1;
@@ -1957,8 +1931,7 @@ fn assign_in<K: ServerSemiring>(
         .iter_entries()
         .map(|(i, j, v)| (i, j, K::from_f64(v.0)))
         .collect();
-    let converted = SparseMatrix::from_triplets(sparse.rows(), sparse.cols(), triplets)
-        .map_err(|e| ServerError::storage(e.to_string()))?;
+    let converted = SparseMatrix::from_triplets(sparse.rows(), sparse.cols(), triplets)?;
     let nnz = converted.nnz();
     state
         .instance
@@ -2000,26 +1973,6 @@ fn typecheck_in<K: Semiring>(
         .map_err(|e| ServerError::Type {
             message: e.to_string(),
         })
-}
-
-fn shared_result<M: MatrixStorage>(
-    value: Arc<M>,
-    stats: matlang_engine::ExecStats,
-    plan_nodes: usize,
-    fingerprint: u64,
-    delta_patches: u64,
-    delta_fallbacks: u64,
-) -> SharedResult {
-    let mut wire_stats = ExecStatsWire::from(stats);
-    wire_stats.delta_patches = delta_patches;
-    wire_stats.delta_fallbacks = delta_fallbacks;
-    SharedResult::new(
-        value,
-        wire_stats,
-        plan_nodes,
-        fingerprint,
-        matlang_obs::trace::current_id(),
-    )
 }
 
 #[cfg(test)]

@@ -132,7 +132,7 @@ impl ErrorCode {
 
 impl ServerError {
     /// The category a client reads this error as.
-    pub fn category(&self) -> ErrorCode {
+    pub(crate) fn category(&self) -> ErrorCode {
         match self {
             ServerError::InstanceExists { .. } => ErrorCode::InstanceExists,
             ServerError::UnknownInstance { .. } => ErrorCode::UnknownInstance,

@@ -71,8 +71,8 @@ pub use config::{
 pub use error::{ErrorCode, ServerError};
 pub use protocol::{
     parse_metrics_map, DeltaWire, ExecStatsWire, GenKind, HealthReport, InstanceEntry,
-    PrepareOutcome, Reply, Request, ResponseHeader, SemiringKind, ServerHello, SharedResult,
-    SlowlogEntry, UpdateReply, WalStat, WireResult, CAPABILITIES, MAX_LINE_BYTES, PROTOCOL_VERSION,
+    PrepareOutcome, Request, ResponseHeader, SemiringKind, ServerHello, SharedResult, SlowlogEntry,
+    UpdateReply, WalStat, WireResult, CAPABILITIES, MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
 pub use session::SessionStats;
 pub use store::{ResourceAccount, ServerSemiring, Store, MAX_DIMENSION};

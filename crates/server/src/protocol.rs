@@ -1133,7 +1133,10 @@ pub fn read_lines_block(
 
 /// Reads the result blocks of an `EXECBATCH` reply (the client side of
 /// [`write_response`]).  `header` is the already-consumed `BATCH <n>` line.
-pub fn read_batch(header: &str, input: &mut impl BufRead) -> Result<Vec<WireResult>, String> {
+pub(crate) fn read_batch(
+    header: &str,
+    input: &mut impl BufRead,
+) -> Result<Vec<WireResult>, String> {
     let count: usize = header
         .strip_prefix("BATCH ")
         .and_then(|n| n.trim().parse().ok())
@@ -1152,7 +1155,7 @@ pub fn read_batch(header: &str, input: &mut impl BufRead) -> Result<Vec<WireResu
 /// `None` for any other line.  A code this version does not know, or a
 /// line without a message, reads as [`ErrorCode::Unknown`] with everything
 /// after `ERR ` as the message.
-pub fn parse_err(line: &str) -> Option<(ErrorCode, &str)> {
+pub(crate) fn parse_err(line: &str) -> Option<(ErrorCode, &str)> {
     let rest = line.strip_prefix("ERR ")?;
     let known = rest
         .split_once(' ')
@@ -1177,7 +1180,7 @@ pub struct ServerHello {
 
 impl ServerHello {
     /// The banner this server announces.
-    pub fn ours() -> ServerHello {
+    pub(crate) fn ours() -> ServerHello {
         let caps = CAPABILITIES.iter().map(|cap| cap.to_string()).collect();
         ServerHello {
             proto: PROTOCOL_VERSION,
@@ -1283,7 +1286,7 @@ pub use matlang_obs::trace::SlowQuery as SlowlogEntry;
 
 /// The lines of a `SLOWLOG` block: per entry, its `ENTRY` line, then its
 /// detail lines.
-pub fn slowlog_lines(entries: Vec<SlowlogEntry>) -> Vec<String> {
+pub(crate) fn slowlog_lines(entries: Vec<SlowlogEntry>) -> Vec<String> {
     let mut lines = Vec::new();
     for entry in entries {
         let (id, us, count) = (entry.trace_id, entry.total_us, entry.detail.len());
@@ -1298,7 +1301,7 @@ pub fn slowlog_lines(entries: Vec<SlowlogEntry>) -> Vec<String> {
 
 /// Reads the entries of a `SLOWLOG` block (the other side of
 /// [`slowlog_lines`]).
-pub fn parse_slowlog(lines: Vec<String>) -> Result<Vec<SlowlogEntry>, String> {
+pub(crate) fn parse_slowlog(lines: Vec<String>) -> Result<Vec<SlowlogEntry>, String> {
     let mut entries = Vec::new();
     let mut lines = lines.into_iter();
     while let Some(line) = lines.next() {
@@ -1441,7 +1444,7 @@ impl HealthReport {
 /// reads it back with [`Reply::parse`].  Each variant holds, in order, the
 /// values its line shows.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Reply {
+pub(crate) enum Reply {
     /// `OK matlangd proto=… caps=…` — the `HELLO` banner.
     Hello(ServerHello),
     /// `OK instance <name> adaptive <semiring>`.
@@ -1547,7 +1550,7 @@ impl Reply {
     /// in order; `key=value` fields are looked up by key, so a field a
     /// newer server appends is ignored, and an `UPDATE` reply without the
     /// proto-2 delta fields reads as [`DeltaWire::Unreported`].
-    pub fn parse(line: &str) -> Result<Reply, String> {
+    pub(crate) fn parse(line: &str) -> Result<Reply, String> {
         let mut f = Fields::new(line);
         if f.word()? != "OK" {
             return Err(f.malformed());
@@ -1678,7 +1681,7 @@ impl<'a> Fields<'a> {
 }
 
 /// Everything one request is answered with, short of an `ERR` line.
-pub enum Response {
+pub(crate) enum Response {
     /// A single-line reply.
     Line(Reply),
     /// A line-counted block: its tag and payload lines.
@@ -1696,7 +1699,7 @@ impl From<Reply> for Response {
 }
 
 /// Writes the answer to one request: the response, or its `ERR` line.
-pub fn write_response(
+pub(crate) fn write_response(
     out: &mut impl Write,
     response: Result<Response, ServerError>,
 ) -> std::io::Result<()> {

@@ -1590,15 +1590,12 @@ impl Reply {
                     },
                     _ => DeltaWire::Unreported,
                 };
-                let (applied, invalidated) = (f.value("entries")?, f.value("invalidated")?);
-                Reply::Update(
-                    var,
-                    UpdateReply {
-                        applied,
-                        invalidated,
-                        delta,
-                    },
-                )
+                let reply = UpdateReply {
+                    applied: f.value("entries")?,
+                    invalidated: f.value("invalidated")?,
+                    delta,
+                };
+                Reply::Update(var, reply)
             }
             "instances" => Reply::Instances(
                 f.words

@@ -77,7 +77,7 @@ use crate::protocol::{
 };
 use matlang_core::{typecheck, Dim, Expr, FunctionRegistry, Instance, MatrixType, Schema};
 use matlang_engine::delta::{absorbs, join_is_idempotent, propagate, DeltaFallback, DeltaOverlay};
-use matlang_engine::{expr_fingerprint, Engine, Executor, InstanceStats, Plan};
+use matlang_engine::{expr_fingerprint, Engine, Executor, InstanceStats, Plan, VarStats};
 use matlang_matrix::{
     sparse_erdos_renyi, sparse_power_law, MatrixCodec, MatrixRepr, MatrixStorage, SparseMatrix,
 };
@@ -421,6 +421,36 @@ impl<K: ServerSemiring> BackendState<K> {
         self.overlay.reset(plan.nodes().len());
         self.plan = Some(plan);
         self.planned_stats = Some(stats);
+    }
+
+    /// Each variable of `current` with the nnz the active plan was built
+    /// against (`None` before anything is planned), its drift from that
+    /// and whether the plan reads it: the one drift rule that re-planning
+    /// and `STATS` share.
+    fn drifts<'a>(
+        &'a self,
+        current: &'a InstanceStats,
+    ) -> impl Iterator<Item = (&'a str, &'a VarStats, Option<usize>, f64, bool)> + 'a {
+        current.vars.iter().map(|(var, cur)| {
+            let planned = self.planned_stats.as_ref().and_then(|s| s.vars.get(var));
+            let planned = planned.map(|s| s.nnz);
+            let plan = self.plan.as_ref();
+            let referenced = plan.is_some_and(|p| !p.dependents_of(var).is_empty());
+            (
+                var.as_str(),
+                cur,
+                planned,
+                drift(planned.unwrap_or(0), cur.nnz),
+                referenced,
+            )
+        })
+    }
+
+    /// The largest drift of a variable the plan reads (1 when there is
+    /// none): only those can make a plan stale.
+    fn worst_drift(&self, current: &InstanceStats) -> f64 {
+        let referenced = self.drifts(current).filter(|d| d.4);
+        referenced.map(|d| d.3).fold(1.0, f64::max)
     }
 
     /// Stops persisting — `DROP`, `PERSIST off`, or a WAL write failure
@@ -1308,21 +1338,8 @@ impl Store {
     /// built from fresh statistics, cached under the bumped stats
     /// generation, and starts with a cold memo cache (node ids changed).
     fn maybe_replan<K: ServerSemiring>(&self, state: &mut BackendState<K>) {
-        let (Some(plan), Some(planned)) = (state.plan.as_ref(), state.planned_stats.as_ref())
-        else {
-            return;
-        };
         let current = InstanceStats::from_instance(&state.instance);
-        let mut worst = 1.0f64;
-        for (var, cur) in &current.vars {
-            // Only variables the plan actually reads can invalidate it.
-            if plan.dependents_of(var).is_empty() {
-                continue;
-            }
-            let old = planned.vars.get(var).map(|s| s.nnz).unwrap_or(0);
-            worst = worst.max(drift(old, cur.nnz));
-        }
-        if worst <= self.config.replan_drift() {
+        if state.worst_drift(&current) <= self.config.replan_drift() {
             return;
         }
         matlang_obs::counter!("replan_total").inc();
@@ -1698,42 +1715,24 @@ impl Store {
     pub fn stats(&self, name: &str) -> Result<Vec<String>, ServerError> {
         with_instance!(self, name, |state| {
             let current = InstanceStats::from_instance(&state.instance);
-            let referenced = |var: &str| {
-                state
-                    .plan
-                    .as_ref()
-                    .is_some_and(|p| !p.dependents_of(var).is_empty())
-            };
-            let mut worst = 1.0f64;
-            let mut var_lines = Vec::with_capacity(current.vars.len());
-            for (var, cur) in &current.vars {
-                let planned = state
-                    .planned_stats
-                    .as_ref()
-                    .and_then(|s| s.vars.get(var))
-                    .map(|s| s.nnz);
-                let drift = drift(planned.unwrap_or(0), cur.nnz);
-                let is_referenced = referenced(var);
-                if is_referenced {
-                    worst = worst.max(drift);
-                }
-                var_lines.push(format!(
+            let mut lines = vec![format!(
+                "{} generation={} replans={} drift={:.2} threshold={:.2}",
+                state.header(name),
+                state.stats_generation,
+                state.replans,
+                state.worst_drift(&current),
+                self.config.replan_drift(),
+            )];
+            for (var, cur, planned, drift, referenced) in state.drifts(&current) {
+                lines.push(format!(
                     "var {var} shape={}x{} planned_nnz={} current_nnz={} drift={drift:.2} referenced={}",
                     cur.rows,
                     cur.cols,
                     planned.map_or_else(|| "-".to_string(), |n| n.to_string()),
                     cur.nnz,
-                    if is_referenced { "yes" } else { "no" },
+                    if referenced { "yes" } else { "no" },
                 ));
             }
-            let mut lines = vec![format!(
-                "{} generation={} replans={} drift={worst:.2} threshold={:.2}",
-                state.header(name),
-                state.stats_generation,
-                state.replans,
-                self.config.replan_drift(),
-            )];
-            lines.append(&mut var_lines);
             lines
         })
     }

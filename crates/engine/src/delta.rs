@@ -173,11 +173,6 @@ impl<K: Semiring> DeltaOverlay<K> {
         self.pending.resize(len, None);
     }
 
-    /// Number of nodes with a pending overlay.
-    pub fn pending_nodes(&self) -> usize {
-        self.pending.iter().filter(|p| p.is_some()).count()
-    }
-
     /// Heap bytes held by the pending overlay patches (CSR accounting per
     /// patch).  O(pending nodes) — each patch reports in O(1).
     pub fn pending_bytes(&self) -> usize {
@@ -284,7 +279,7 @@ impl<K: Semiring> DeltaOverlay<K> {
 /// The caller is responsible for the exactness gate
 /// ([`join_is_idempotent`] plus per-entry [`absorbs`]) **and** for having
 /// already applied the update to the instance matrix itself — this
-/// function only maintains the plan cache.
+/// function only maintains the plan's memo cache.
 pub fn propagate<K, M>(
     plan: &Plan,
     cache: &mut NodeCache<M>,
@@ -942,7 +937,7 @@ mod tests {
         let delta = SparseMatrix::zeros(3, 3);
         let report = propagate(&plan, &mut cache, &mut overlay, "G", &delta);
         assert_eq!(report, DeltaReport::default());
-        assert_eq!(overlay.pending_nodes(), 0);
+        assert_eq!(overlay.pending_bytes(), 0);
     }
 
     /// Repeated updates trigger overlay compaction once the pending delta

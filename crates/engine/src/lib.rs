@@ -83,9 +83,8 @@ use matlang_core::{EvalError, Expr, FunctionRegistry, Instance};
 use matlang_matrix::MatrixStorage;
 use matlang_semiring::Semiring;
 
-/// A stable fingerprint of an expression's structure, suitable as the
-/// query half of a plan-cache key (the instance half is
-/// [`InstanceStats::schema_fingerprint`]).
+/// A stable fingerprint of an expression's structure: the query server's
+/// dedup key for prepared statements.
 ///
 /// The fingerprint hashes the expression's canonical textual form, which
 /// `matlang_parser` guarantees round-trips (`parse(e.to_string()) == e`),
@@ -327,24 +326,6 @@ mod tests {
         let c = Expr::var("G").mm(Expr::var("G").t());
         assert_eq!(expr_fingerprint(&a), expr_fingerprint(&b));
         assert_ne!(expr_fingerprint(&a), expr_fingerprint(&c));
-
-        let inst: Instance<Real> = Instance::new()
-            .with_dim("n", 3)
-            .with_matrix("G", Matrix::identity(3));
-        let stats = InstanceStats::from_instance(&inst);
-        let same = InstanceStats::from_instance(
-            &Instance::<Real>::new()
-                .with_dim("n", 3)
-                // Different nnz, same shapes: same schema fingerprint.
-                .with_matrix("G", Matrix::zeros(3, 3)),
-        );
-        let different = InstanceStats::from_instance(
-            &Instance::<Real>::new()
-                .with_dim("n", 4)
-                .with_matrix("G", Matrix::identity(4)),
-        );
-        assert_eq!(stats.schema_fingerprint(), same.schema_fingerprint());
-        assert_ne!(stats.schema_fingerprint(), different.schema_fingerprint());
     }
 
     #[test]

@@ -133,35 +133,6 @@ impl InstanceStats {
         stats
     }
 
-    /// A fingerprint of the instance's **schema-level** shape: size-symbol
-    /// assignments plus per-variable dimensions, deliberately excluding
-    /// non-zero counts.  Two instances with the same fingerprint produce
-    /// mutually *valid* plans: the node set, roots and dependency index
-    /// are functions of the queries and shapes alone, while nnz tunes the
-    /// advisory representation hints **and**, with the
-    /// cost-based rewrite layer, the chosen chain association and kernel
-    /// fusions — every such variant evaluates identically over any
-    /// same-schema instance, it is merely cost-tuned for the nnz profile
-    /// it was planned against ([`crate::Plan::structure_fingerprint`]
-    /// identifies the variant).  A plan cache — e.g. the query server's
-    /// prepared-statement cache — can therefore key on `(query
-    /// fingerprint, schema fingerprint)` and keep serving a cached plan
-    /// across incremental instance updates.
-    pub fn schema_fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        for (sym, n) in &self.dims {
-            sym.hash(&mut hasher);
-            n.hash(&mut hasher);
-        }
-        for (var, stats) in &self.vars {
-            var.hash(&mut hasher);
-            stats.rows.hash(&mut hasher);
-            stats.cols.hash(&mut hasher);
-        }
-        hasher.finish()
-    }
-
     pub(crate) fn dim(&self, sym: &str) -> Option<usize> {
         self.dims.get(sym).copied()
     }

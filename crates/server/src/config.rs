@@ -21,12 +21,6 @@ pub const DEFAULT_REPLAN_DRIFT: f64 = 4.0;
 /// fresh snapshot (see [`StoreConfigBuilder::wal_compact`]).
 pub const DEFAULT_WAL_COMPACT: u64 = 1 << 20;
 
-/// How many `(queries, schema)` plan variants a store's plan cache
-/// retains before evicting the least-recently-used one.  Plans are small
-/// next to instance data, but an unbounded cache would grow with every
-/// distinct prepared batch a long-lived server ever sees.
-pub const PLAN_CACHE_CAPACITY: usize = 64;
-
 /// Parses a byte count: plain bytes, or with a binary suffix `k`/`m`/`g`
 /// (case-insensitive, powers of 1024 — `64m` is 64·2²⁰ bytes).  Zero,
 /// overflow and anything malformed are `None`.
@@ -52,7 +46,6 @@ fn parse_bytes(raw: &str) -> Option<u64> {
 /// Everything configurable about a [`Store`](crate::Store).
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
-    plan_cache_capacity: usize,
     data_dir: Option<PathBuf>,
     wal_compact: u64,
     mem_budget: Option<u64>,
@@ -67,7 +60,7 @@ impl Default for StoreConfig {
     /// `MATLANG_MEM_BUDGET` (else unlimited; both byte figures take
     /// `k`/`m`/`g` binary suffixes), `MATLANG_REPLAN_DRIFT` (a ratio
     /// ≥ 1.0, else [`DEFAULT_REPLAN_DRIFT`]), `MATLANG_SLOW_MS` (else
-    /// [`DEFAULT_SLOW_MS`]), plan cache at [`PLAN_CACHE_CAPACITY`].
+    /// [`DEFAULT_SLOW_MS`]).
     fn default() -> Self {
         StoreConfig::from_lookup(|key| std::env::var(key).ok())
     }
@@ -79,7 +72,6 @@ impl StoreConfig {
     fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> StoreConfig {
         let bytes = |key| lookup(key).and_then(|v| parse_bytes(&v));
         StoreConfig {
-            plan_cache_capacity: PLAN_CACHE_CAPACITY,
             data_dir: lookup("MATLANG_DATA_DIR")
                 .filter(|v| !v.is_empty())
                 .map(PathBuf::from),
@@ -112,11 +104,6 @@ impl StoreConfig {
         self.wal_compact
     }
 
-    /// The plan-cache bound.
-    pub fn plan_cache_capacity(&self) -> usize {
-        self.plan_cache_capacity
-    }
-
     /// The soft memory budget in bytes (`None`: unlimited).
     pub fn mem_budget(&self) -> Option<u64> {
         self.mem_budget
@@ -140,12 +127,6 @@ pub struct StoreConfigBuilder {
 }
 
 impl StoreConfigBuilder {
-    /// Bounds the store's plan cache (default [`PLAN_CACHE_CAPACITY`]).
-    pub fn plan_cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.plan_cache_capacity = capacity;
-        self
-    }
-
     /// Enables persistence under `dir`: the store recovers every snapshot
     /// found there and `PERSIST <inst> on` becomes legal.
     pub fn data_dir(mut self, dir: impl Into<PathBuf>) -> Self {
@@ -169,11 +150,10 @@ impl StoreConfigBuilder {
     /// Sets the soft memory budget in bytes; `None` (or `Some(0)`, as in
     /// the environment grammar) means unlimited.  When the accounted bytes
     /// across the store's instances exceed it, `HEALTH` reports
-    /// `status=pressure` and the store sheds *derived* state — cold
-    /// plan-cache entries, then idle instances' memo caches and overlays
-    /// — after each mutating request.  Primary data is never shed, so a
-    /// budget smaller than the loaded matrices simply keeps the store in
-    /// (reported) pressure.
+    /// `status=pressure` and the store sheds *derived* state — idle
+    /// instances' memo caches and overlays — after each mutating request.
+    /// Primary data is never shed, so a budget smaller than the loaded
+    /// matrices simply keeps the store in (reported) pressure.
     pub fn mem_budget(mut self, budget: Option<u64>) -> Self {
         self.config.mem_budget = budget.filter(|bytes| *bytes > 0);
         self
@@ -242,7 +222,6 @@ mod tests {
         let config = config_from(&[]);
         assert_eq!(config.data_dir(), None);
         assert_eq!(config.wal_compact(), DEFAULT_WAL_COMPACT);
-        assert_eq!(config.plan_cache_capacity(), PLAN_CACHE_CAPACITY);
         assert_eq!(config.mem_budget(), None);
         assert_eq!(config.replan_drift(), DEFAULT_REPLAN_DRIFT);
         assert_eq!(config.slow_ms(), DEFAULT_SLOW_MS);
@@ -309,7 +288,6 @@ mod tests {
             .mem_budget(Some(0))
             .replan_drift(0.25)
             .slow_ms(0)
-            .plan_cache_capacity(2)
             .build();
         assert_eq!(config.data_dir(), Some(Path::new("/explicit")));
         assert_eq!(config.wal_compact(), 1, "clamped to at least one byte");
@@ -320,6 +298,5 @@ mod tests {
         );
         assert_eq!(config.replan_drift(), 1.0, "clamped to the floor");
         assert_eq!(config.slow_ms(), 0);
-        assert_eq!(config.plan_cache_capacity(), 2);
     }
 }

@@ -65,9 +65,7 @@ pub mod store;
 pub mod worker;
 
 pub use client::{Client, ClientError};
-pub use config::{
-    StoreConfig, StoreConfigBuilder, DEFAULT_REPLAN_DRIFT, DEFAULT_WAL_COMPACT, PLAN_CACHE_CAPACITY,
-};
+pub use config::{StoreConfig, StoreConfigBuilder, DEFAULT_REPLAN_DRIFT, DEFAULT_WAL_COMPACT};
 pub use error::{ErrorCode, ServerError};
 pub use protocol::{
     parse_metrics_map, DeltaWire, ExecStatsWire, GenKind, HealthReport, InstanceEntry,
@@ -164,11 +162,10 @@ pub struct ServerConfig {
     /// Capacity of the accepted-connection queue; a full queue blocks the
     /// accept loop (backpressure).
     pub queue_capacity: usize,
-    /// Store configuration (plan-cache capacity, data directory, WAL
-    /// compaction threshold, memory budget, re-plan drift ratio, slow-query
-    /// threshold); the default honours `MATLANG_DATA_DIR`,
-    /// `MATLANG_WAL_COMPACT`, `MATLANG_MEM_BUDGET`, `MATLANG_REPLAN_DRIFT`
-    /// and `MATLANG_SLOW_MS`.
+    /// Store configuration (data directory, WAL compaction threshold,
+    /// memory budget, re-plan drift ratio, slow-query threshold); the
+    /// default honours `MATLANG_DATA_DIR`, `MATLANG_WAL_COMPACT`,
+    /// `MATLANG_MEM_BUDGET`, `MATLANG_REPLAN_DRIFT` and `MATLANG_SLOW_MS`.
     pub store: StoreConfig,
 }
 

@@ -1201,7 +1201,9 @@ pub struct PrepareOutcome {
     pub qid: usize,
     /// Whether this exact statement was already prepared on the instance.
     pub reused_statement: bool,
-    /// Whether the plan came from the store-wide plan cache.
+    /// Whether the `PREPARE` reused the instance's current plan instead of
+    /// planning: true exactly when the statement was already prepared on
+    /// that instance (wire `plan=cached`, else `plan=built`).
     pub reused_plan: bool,
     /// DAG node count of the (batch) plan.
     pub plan_nodes: usize,

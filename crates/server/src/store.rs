@@ -5,24 +5,15 @@
 //! * a `RwLock`-guarded map from instance name to its state — the
 //!   read lock is enough to *find* an instance, per-instance `Mutex`es
 //!   serialize work on one instance while different instances proceed in
-//!   parallel on different worker threads;
-//! * a **plan cache** keyed by `(queries fingerprint, schema
-//!   fingerprint, stats generation)` ([`matlang_engine::expr_fingerprint`]
-//!   / [`InstanceStats::schema_fingerprint`] / the instance's adaptive
-//!   re-plan counter): two instances with the same shape preparing the
-//!   same queries share one hash-consed [`Plan`].
-//!   The cache is bounded (default
-//!   [`PLAN_CACHE_CAPACITY`](crate::PLAN_CACHE_CAPACITY)) with
-//!   least-recently-used eviction, so a long-lived server preparing ever
-//!   new query batches cannot grow it without bound.  With the engine's
-//!   cost-based rewrite layer, the cached plan is the *rewritten* DAG —
-//!   its chain association and fused kernels were chosen from the
-//!   statistics of the instance that first planned it.  Any such variant
-//!   is semantically valid for every same-schema instance (the rules are
-//!   semiring identities over the shapes the schema fixes), merely tuned
-//!   for the first planner's nnz profile; [`Plan::structure_fingerprint`]
-//!   is reported on every `PREPARE` (wire token `fp=`) so clients can
-//!   tell which variant they got.
+//!   parallel on different worker threads.  This map's lock is the only
+//!   store-wide one;
+//! * nothing shared between instances: each instance's prepared batch has
+//!   one [`Plan`], planned from that instance's own statistics and kept
+//!   with it.  With the engine's cost-based rewrite layer the plan is the
+//!   *rewritten* DAG, its chain association and fused kernels chosen for
+//!   this instance's nnz profile; [`Plan::structure_fingerprint`] is
+//!   reported on every `PREPARE` (wire token `fp=`) so clients can tell
+//!   which variant they got.
 //!
 //! # Drift re-planning
 //!
@@ -34,12 +25,9 @@
 //! ([`StoreConfigBuilder::replan_drift`](crate::StoreConfigBuilder::replan_drift),
 //! default 4×), the plan is transparently rebuilt from fresh statistics,
 //! so chain association and dense/CSR representation choices re-derive
-//! from the inputs as they are now.  Each re-plan bumps the instance's
-//! stats generation, which is part of the plan-cache key, so stale plan
-//! variants cannot be resurrected by a later `PREPARE`.  Re-planning never
-//! changes results — plans differ only in cost hints and association,
-//! which the engine's parity gates cover — it only changes how fast the
-//! next `EXEC` runs.
+//! from the inputs as they are now.  Re-planning never changes results —
+//! plans differ only in cost hints and association, which the engine's
+//! parity gates cover — it only changes how fast the next `EXEC` runs.
 //!
 //! Each instance computes over one of the wire-selectable semirings
 //! ([`SemiringKind`], see [`ServerSemiring`]) and stores every matrix as a
@@ -84,7 +72,6 @@ use matlang_matrix::{
 use matlang_parser::parse;
 use matlang_semiring::{Boolean, MinPlus, Nat, Real, Semiring};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -357,8 +344,8 @@ pub(crate) struct BackendState<K: ServerSemiring> {
     /// Prepared statements, indexed by query id.
     pub prepared: Vec<PreparedQuery>,
     /// One plan covering every prepared statement (root *i* ↔ query id
-    /// *i*), shared through the store-wide plan cache.
-    pub plan: Option<Arc<Plan>>,
+    /// *i*), planned from this instance's own statistics.
+    pub plan: Option<Plan>,
     /// The persistent memo cache over `plan`'s nodes.
     pub cache: matlang_engine::NodeCache<MatrixRepr<K>>,
     /// This semiring's pointwise-function registry.
@@ -373,9 +360,6 @@ pub(crate) struct BackendState<K: ServerSemiring> {
     /// The statistics the active plan was built against — the baseline
     /// the drift check compares the current instance to.
     pub planned_stats: Option<InstanceStats>,
-    /// Bumped on every drift-triggered re-plan; part of the plan-cache
-    /// key, so stale pre-drift plan variants cannot be served again.
-    pub stats_generation: u64,
     /// Cumulative drift-triggered re-plans (the `STATS` wire counter).
     pub replans: u64,
     /// Byte-level resource account (data, memo cache, overlays) plus
@@ -398,7 +382,6 @@ impl<K: ServerSemiring> Default for BackendState<K> {
             delta_patches: 0,
             delta_fallbacks: 0,
             planned_stats: None,
-            stats_generation: 0,
             replans: 0,
             account: ResourceAccount::default(),
             persist: None,
@@ -416,7 +399,7 @@ impl<K: ServerSemiring> BackendState<K> {
 
     /// Makes `plan`, planned from `stats`, the batch's active plan.  Its node
     /// ids are new, so the memo cache and its delta overlay start cold.
-    fn install_plan(&mut self, plan: Arc<Plan>, stats: InstanceStats) {
+    fn install_plan(&mut self, plan: Plan, stats: InstanceStats) {
         self.cache = vec![None; plan.nodes().len()];
         self.overlay.reset(plan.nodes().len());
         self.plan = Some(plan);
@@ -570,22 +553,6 @@ fn instance_from_snapshot(snap: &Snapshot) -> Result<ServerInstance, ServerError
     Ok(instance)
 }
 
-/// The plan-cache key: `(queries fingerprint, schema fingerprint, stats
-/// generation)`.  The generation is 0 until the owning instance's drift
-/// check re-plans, so same-schema instances still share plans; after a
-/// re-plan the bumped generation retires every earlier variant for that
-/// instance.
-type PlanKey = (u64, u64, u64);
-
-/// The fingerprint half of a [`PlanKey`] for one prepared batch.
-fn plan_key(prepared: &[PreparedQuery], stats: &InstanceStats, generation: u64) -> PlanKey {
-    let mut key_hasher = std::collections::hash_map::DefaultHasher::new();
-    for p in prepared {
-        p.fingerprint.hash(&mut key_hasher);
-    }
-    (key_hasher.finish(), stats.schema_fingerprint(), generation)
-}
-
 /// How far a variable's nnz moved from `planned` to `current`, as the ratio
 /// `(max + 1) / (min + 1)` — the `+ 1` keeps it finite through the
 /// empty ↔ dense flip that matters most.
@@ -593,98 +560,9 @@ fn drift(planned: usize, current: usize) -> f64 {
     (planned.max(current) as f64 + 1.0) / (planned.min(current) as f64 + 1.0)
 }
 
-/// A minimal LRU map for shared plans: a `HashMap` plus a monotonically
-/// increasing use-stamp per entry; inserting at capacity evicts the entry
-/// with the smallest stamp.  Eviction scans the map — `O(capacity)` on
-/// insert — which is the right trade at this size (64 entries) versus
-/// carrying a linked order structure.
-struct LruPlanCache {
-    capacity: usize,
-    tick: u64,
-    entries: HashMap<PlanKey, (Arc<Plan>, u64)>,
-}
-
-impl LruPlanCache {
-    fn new(capacity: usize) -> Self {
-        LruPlanCache {
-            capacity: capacity.max(1),
-            tick: 0,
-            entries: HashMap::new(),
-        }
-    }
-
-    /// Looks up a plan, refreshing its recency on a hit.
-    fn get(&mut self, key: &PlanKey) -> Option<Arc<Plan>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(key).map(|(plan, stamp)| {
-            *stamp = tick;
-            Arc::clone(plan)
-        })
-    }
-
-    /// Inserts a plan, evicting the least-recently-used entry when the
-    /// cache is full and the key is new.
-    fn insert(&mut self, key: PlanKey, plan: Arc<Plan>) {
-        self.tick += 1;
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            if let Some(oldest) = self.coldest() {
-                self.entries.remove(&oldest);
-            }
-        }
-        self.entries.insert(key, (plan, self.tick));
-        self.publish();
-    }
-
-    /// Evicts the least-recently-used entry outright (pressure
-    /// shedding).  Returns whether anything was evicted.
-    fn evict_coldest(&mut self) -> bool {
-        match self.coldest() {
-            Some(key) => {
-                self.entries.remove(&key);
-                self.publish();
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The key of the least-recently-used entry.
-    fn coldest(&self) -> Option<PlanKey> {
-        let stamps = self.entries.iter().map(|(key, (_, stamp))| (stamp, key));
-        stamps.min().map(|(_, key)| *key)
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total DAG nodes across the retained plans — the cache's weight
-    /// figure (plans hold no matrix data, so nodes are the honest unit).
-    fn weight_nodes(&self) -> usize {
-        self.entries
-            .values()
-            .map(|(plan, _)| plan.nodes().len())
-            .sum()
-    }
-
-    /// Refreshes the plan-cache gauges (entry count and node weight).
-    /// O(entries) at ≤ `capacity` entries, called only on
-    /// content changes, never on lookups.
-    fn publish(&self) {
-        matlang_obs::gauge!("plan_cache_plans").set(self.len() as i64);
-        matlang_obs::gauge!("plan_cache_weight_nodes").set(self.weight_nodes() as i64);
-    }
-}
-
 /// The shared server state; see the module docs.
 pub struct Store {
     instances: RwLock<HashMap<String, Arc<Mutex<ServerInstance>>>>,
-    plan_cache: Mutex<LruPlanCache>,
     engine: Engine,
     config: StoreConfig,
     /// The accounted bytes this store's instances last published — the
@@ -724,7 +602,6 @@ impl Store {
     pub fn with_config(config: StoreConfig) -> Store {
         let store = Store {
             instances: RwLock::new(HashMap::new()),
-            plan_cache: Mutex::new(LruPlanCache::new(config.plan_cache_capacity())),
             engine: Engine::new(),
             config,
             accounted_bytes: AtomicI64::new(0),
@@ -796,11 +673,6 @@ impl Store {
             .expect("store poisoned")
             .insert(name.to_string(), Arc::new(Mutex::new(instance)));
         Ok(())
-    }
-
-    /// Number of plans currently retained by the process-wide plan cache.
-    pub fn plan_cache_len(&self) -> usize {
-        self.plan_cache.lock().expect("plan cache poisoned").len()
     }
 
     /// Writes a fresh snapshot covering everything logged so far and
@@ -1235,8 +1107,8 @@ impl Store {
     /// Parses, type-checks and plans a query against an instance,
     /// registering it as a prepared statement.  All of the instance's
     /// prepared statements are planned **as one batch** so they share a
-    /// memo cache; the batch plan itself is shared through the store-wide
-    /// `(queries, schema)`-keyed plan cache.
+    /// memo cache, and the batch is planned from this instance's own
+    /// statistics.
     pub fn prepare(&self, name: &str, text: &str) -> Result<PrepareOutcome, ServerError> {
         matlang_obs::counter!("prepare_total").inc();
         let expr = parse_traced(text)?;
@@ -1270,26 +1142,13 @@ impl Store {
             });
         }
         state.prepared.push(PreparedQuery { expr, fingerprint });
+        matlang_obs::counter!("plan_cache_misses_total").inc();
         let stats = InstanceStats::from_instance(&state.instance);
-        let key = plan_key(&state.prepared, &stats, state.stats_generation);
-        let mut reused_plan = true;
-        let plan = {
-            let mut plan_cache = self.plan_cache.lock().expect("plan cache poisoned");
-            if let Some(plan) = plan_cache.get(&key) {
-                matlang_obs::counter!("plan_cache_hits_total").inc();
-                plan
-            } else {
-                reused_plan = false;
-                matlang_obs::counter!("plan_cache_misses_total").inc();
-                let plan = self.plan_batch::<K>(&state.prepared, &stats);
-                plan_cache.insert(key, Arc::clone(&plan));
-                plan
-            }
-        };
+        let plan = self.plan_batch::<K>(&state.prepared, &stats);
         let outcome = PrepareOutcome {
             qid: state.prepared.len() - 1,
             reused_statement: false,
-            reused_plan,
+            reused_plan: false,
             plan_nodes: plan.nodes().len(),
             plan_fingerprint: plan.structure_fingerprint(),
         };
@@ -1304,11 +1163,11 @@ impl Store {
         &self,
         prepared: &[PreparedQuery],
         stats: &InstanceStats,
-    ) -> Arc<Plan> {
+    ) -> Plan {
         let queries: Vec<Expr> = prepared.iter().map(|p| p.expr.clone()).collect();
         let mut plan = self.engine.plan_with_stats::<K>(&queries, stats);
         plan.mark_all_cacheable();
-        Arc::new(plan)
+        plan
     }
 
     /// Executes prepared queries through the instance's persistent memo
@@ -1335,8 +1194,8 @@ impl Store {
     /// per-variable statistics have drifted past the configured
     /// [`replan_drift`](StoreConfig::replan_drift) from
     /// the snapshot the active plan was built against.  The new plan is
-    /// built from fresh statistics, cached under the bumped stats
-    /// generation, and starts with a cold memo cache (node ids changed).
+    /// built from fresh statistics and starts with a cold memo cache (node
+    /// ids changed).
     fn maybe_replan<K: ServerSemiring>(&self, state: &mut BackendState<K>) {
         let current = InstanceStats::from_instance(&state.instance);
         if state.worst_drift(&current) <= self.config.replan_drift() {
@@ -1344,14 +1203,8 @@ impl Store {
         }
         matlang_obs::counter!("replan_total").inc();
         matlang_obs::trace::event("replan:drift");
-        state.stats_generation += 1;
         state.replans += 1;
         let plan = self.plan_batch::<K>(&state.prepared, &current);
-        let key = plan_key(&state.prepared, &current, state.stats_generation);
-        self.plan_cache
-            .lock()
-            .expect("plan cache poisoned")
-            .insert(key, Arc::clone(&plan));
         state.install_plan(plan, current);
     }
 
@@ -1715,11 +1568,12 @@ impl Store {
     pub fn stats(&self, name: &str) -> Result<Vec<String>, ServerError> {
         with_instance!(self, name, |state| {
             let current = InstanceStats::from_instance(&state.instance);
+            // `generation=` is the plan's re-plan count, kept on the wire
+            // beside `replans=` for the clients that read it.
+            let replans = state.replans;
             let mut lines = vec![format!(
-                "{} generation={} replans={} drift={:.2} threshold={:.2}",
+                "{} generation={replans} replans={replans} drift={:.2} threshold={:.2}",
                 state.header(name),
-                state.stats_generation,
-                state.replans,
                 state.worst_drift(&current),
                 self.config.replan_drift(),
             )];
@@ -1847,10 +1701,9 @@ impl Store {
 
     /// Sheds memory after a mutating request when this store's accounted
     /// bytes exceed the soft budget
-    /// ([`mem_budget`](StoreConfig::mem_budget)): first the cold half
-    /// of the plan cache (plans are pure derived state), then the memo
-    /// caches and overlays of idle instances — coldest `last_active_us`
-    /// first — skipping `just_used` and anything currently locked
+    /// ([`mem_budget`](StoreConfig::mem_budget)): the memo caches and
+    /// overlays of idle instances — coldest `last_active_us` first —
+    /// skipping `just_used` and anything currently locked
     /// (`try_lock`: shedding must never contend with or deadlock against
     /// a session holding an instance).  Primary matrix data is never
     /// shed.  Every eviction bumps `pressure_evictions_total` and leaves
@@ -1867,14 +1720,6 @@ impl Store {
             return;
         }
         matlang_obs::trace::event("pressure:shed");
-        {
-            let mut plans = self.plan_cache.lock().expect("plan cache poisoned");
-            let keep = plans.capacity() / 2;
-            while plans.len() > keep && plans.evict_coldest() {
-                matlang_obs::counter!("pressure_evictions_total").inc();
-                matlang_obs::trace::event("pressure:evict-plan");
-            }
-        }
         let mut candidates: Vec<(u64, String, Arc<Mutex<ServerInstance>>)> = Vec::new();
         for (name, handle) in self.snapshot() {
             if name == just_used {
@@ -2224,55 +2069,38 @@ mod tests {
     }
 
     #[test]
-    fn plans_are_shared_across_same_shape_instances() {
-        let store = seeded_store();
-        store.create_instance("h", true).unwrap();
-        store.set_dim("h", "n", 4).unwrap();
-        store
-            .load_matrix("h", "G", 4, 4, vec![(0, 0, 7.0)])
-            .unwrap();
-        let first = store.prepare("g", "(G * G)").unwrap();
-        assert!(!first.reused_plan);
-        let second = store.prepare("h", "(G * G)").unwrap();
-        assert!(second.reused_plan, "same queries + same schema → same plan");
-        // Different shape → different plan cache key.
-        store.create_instance("k", true).unwrap();
-        store.set_dim("k", "n", 5).unwrap();
-        store
-            .load_matrix("k", "G", 5, 5, vec![(0, 0, 7.0)])
-            .unwrap();
-        let third = store.prepare("k", "(G * G)").unwrap();
-        assert!(!third.reused_plan);
-    }
-
-    #[test]
-    fn plan_cache_evicts_in_lru_order() {
-        // Capacity 2, three distinct plan keys; a `get` must refresh
-        // recency so the *untouched* entry is the one evicted.
-        let store = Store::with_config(StoreConfig::builder().plan_cache_capacity(2).build());
-        let seed = |name: &str| {
+    fn each_instance_plans_from_its_own_statistics() {
+        // Two 16 × 16 instances of one schema: a 16-entry ring, for which
+        // the masked product `(G · G) ∘ G` is worth fusing, and a full
+        // matrix, for which it is not.
+        let ring: Vec<(usize, usize, f64)> = (0..16).map(|k| (k, (k + 1) % 16, 1.0)).collect();
+        let full: Vec<(usize, usize, f64)> = (0..256).map(|k| (k / 16, k % 16, 1.0)).collect();
+        let seed = |store: &Store, name: &str, entries: &[(usize, usize, f64)]| {
             store.create_instance(name, true).unwrap();
-            store.set_dim(name, "n", 4).unwrap();
+            store.set_dim(name, "n", 16).unwrap();
             store
-                .load_matrix(name, "G", 4, 4, vec![(0, 1, 1.0), (2, 3, 2.0)])
+                .load_matrix(name, "G", 16, 16, entries.to_vec())
                 .unwrap();
         };
-        for name in ["a", "b", "c", "d", "e", "f"] {
-            seed(name);
-        }
-        assert!(!store.prepare("a", "(G * G)").unwrap().reused_plan); // insert k1
-        assert!(!store.prepare("b", "(G + G)").unwrap().reused_plan); // insert k2
-        assert_eq!(store.plan_cache_len(), 2);
-        assert!(store.prepare("c", "(G * G)").unwrap().reused_plan); // touch k1
-        assert!(!store.prepare("d", "transpose(G)").unwrap().reused_plan); // k3 evicts k2
-        assert_eq!(store.plan_cache_len(), 2);
-        assert!(
-            store.prepare("f", "(G * G)").unwrap().reused_plan,
-            "k1 was refreshed by the earlier hit and must have survived the eviction"
+        let query = "((G * G) ** G)";
+        let alone = Store::new();
+        seed(&alone, "full", &full);
+        let planned_alone = alone.prepare("full", query).unwrap();
+
+        let store = Store::new();
+        seed(&store, "ring", &ring);
+        seed(&store, "full", &full);
+        store.prepare("ring", query).unwrap();
+        let outcome = store.prepare("full", query).unwrap();
+        assert!(!outcome.reused_plan, "another instance's plan was reused");
+        assert_eq!(
+            outcome.plan_fingerprint, planned_alone.plan_fingerprint,
+            "`full` must get the plan it gets in a store of its own"
         );
-        assert!(
-            !store.prepare("e", "(G + G)").unwrap().reused_plan,
-            "k2 was least recently used and must have been evicted"
+        let results = store.exec("full", &[outcome.qid]).unwrap();
+        assert_eq!(
+            results[0].stats.fused_products, 0,
+            "a masked sparse product ran over a full matrix"
         );
     }
 

@@ -79,13 +79,12 @@ fn a_store_under_its_budget_sheds_nothing_for_another_stores_bytes() {
     big.load_matrix("big", "G", 128, 128, full).unwrap();
     assert!(big.health().total_bytes > BUDGET);
 
-    // Store A: a 64 KiB budget, one 4 × 4 instance, and two plans in a
-    // plan cache of two — an over-budget EXEC would evict the colder one.
+    // Store A: a 64 KiB budget and one 4 × 4 instance with two prepared
+    // queries — an over-budget EXEC would shed something.
     let small = Store::with_config(
         StoreConfig::builder()
             .no_data_dir()
             .mem_budget(Some(BUDGET))
-            .plan_cache_capacity(2)
             .build(),
     );
     small.create_instance("small", true).unwrap();
@@ -94,7 +93,6 @@ fn a_store_under_its_budget_sheds_nothing_for_another_stores_bytes() {
     small.load_matrix("small", "G", 4, 4, ring).unwrap();
     small.prepare("small", "(G * G)").unwrap();
     small.prepare("small", "(G + G)").unwrap();
-    assert_eq!(small.plan_cache_len(), 2);
 
     let evictions = small.health().pressure_evictions;
     small.exec("small", &[0, 1]).unwrap();
@@ -103,7 +101,6 @@ fn a_store_under_its_budget_sheds_nothing_for_another_stores_bytes() {
         evictions,
         "a store under its own budget evicted something"
     );
-    assert_eq!(small.plan_cache_len(), 2);
     let again = small.exec("small", &[0, 1]).unwrap();
     assert!(again.iter().all(|result| result.stats.cache_misses == 0));
     let health = small.health();
@@ -132,13 +129,12 @@ fn a_refused_restore_adds_nothing_to_the_store_that_refused_it() {
     source.save("big", Some(&snapshot)).unwrap();
     source.drop_instance("big").unwrap();
 
-    // A 64 KiB budget, one 4 × 4 instance and two plans in a plan cache
-    // of two; restoring the snapshot under the taken name is refused.
+    // A 64 KiB budget and one 4 × 4 instance with two prepared queries;
+    // restoring the snapshot under the taken name is refused.
     let store = Store::with_config(
         StoreConfig::builder()
             .no_data_dir()
             .mem_budget(Some(BUDGET))
-            .plan_cache_capacity(2)
             .build(),
     );
     store.create_instance("small", true).unwrap();
@@ -157,5 +153,4 @@ fn a_refused_restore_adds_nothing_to_the_store_that_refused_it() {
         evictions,
         "the refused snapshot was counted against the budget"
     );
-    assert_eq!(store.plan_cache_len(), 2);
 }

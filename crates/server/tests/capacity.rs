@@ -376,34 +376,25 @@ fn top_token(lines: &[String], instance: &str, key: &str) -> u64 {
 
 /// A soft memory budget smaller than the loaded data keeps the store
 /// permanently over budget, so every mutating request sheds derived
-/// state — the cold half of the plan cache and the memo caches of *idle*
-/// instances — while the just-used instance keeps its warm cache and
-/// primary data is never touched.
+/// state — the memo caches of *idle* instances — while the just-used
+/// instance keeps its warm cache and primary data is never touched.
+/// Plans live with their instance and are not shed.
 #[test]
 fn over_budget_store_sheds_plans_and_idle_memo_caches() {
-    // Capacity 2 so the "evict down to the cold half" plan-cache policy
-    // is observable with two distinct plans.  One byte of budget: the
-    // primary data alone exceeds it forever.
-    let store = Store::with_config(
-        StoreConfig::builder()
-            .plan_cache_capacity(2)
-            .mem_budget(Some(1))
-            .build(),
-    );
+    // One byte of budget: the primary data alone exceeds it forever.
+    let store = Store::with_config(StoreConfig::builder().mem_budget(Some(1)).build());
     for name in ["a", "b"] {
         store.create_instance(name, true).unwrap();
         store.set_dim(name, "n", 16).unwrap();
         let entries: Vec<(usize, usize, f64)> = (0..16).map(|i| (i, (i + 3) % 16, 1.0)).collect();
         store.load_matrix(name, "G", 16, 16, entries).unwrap();
     }
-    // Distinct queries so the two instances hold two distinct plans.
     store.prepare("a", "(G * G)").unwrap();
     store.prepare("b", "(G + G)").unwrap();
-    assert_eq!(store.plan_cache_len(), 2);
 
     // Warm both instances, `b` last: the shed pass after `b`'s EXEC sees
-    // `a` idle with a resident memo cache and evicts it, plus the cold
-    // half of the plan cache.  `b` (just used) must keep its warm cache.
+    // `a` idle with a resident memo cache and evicts it.  `b` (just used)
+    // must keep its warm cache.
     store.exec("a", &[0]).unwrap();
     store.exec("b", &[0]).unwrap();
 
@@ -421,19 +412,14 @@ fn over_budget_store_sheds_plans_and_idle_memo_caches() {
     // Primary data is never shed.
     assert!(top_token(&top, "a", "data") > 0);
     assert!(top_token(&top, "b", "data") > 0);
-    assert_eq!(
-        store.plan_cache_len(),
-        1,
-        "cold half of the plan cache evicted"
-    );
 
     let health = store.health();
     assert_eq!(health.status, "pressure");
     assert_eq!(health.budget, Some(1));
     assert!(health.total_bytes > 1);
     assert!(
-        health.pressure_evictions >= 2,
-        "plan + memo evictions must be counted, got {}",
+        health.pressure_evictions >= 1,
+        "memo evictions must be counted, got {}",
         health.pressure_evictions
     );
     assert!(health.render().contains("status=pressure"));

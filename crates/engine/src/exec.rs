@@ -52,17 +52,12 @@
 //! Neither rule changes an operation's order, its error, or what
 //! [`ExecStats`] and [`NodeSample`] record.
 
-use crate::plan::{LoopIndex, NodeId, Plan, PlanOp, ReprChoice, VarSlot};
+use crate::plan::{LoopIndex, NodeId, Plan, PlanOp, VarSlot};
 use matlang_core::{EvalError, FunctionRegistry, Instance, MatrixType};
 use matlang_matrix::{Canonical, MatrixStorage};
 use matlang_semiring::Semiring;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Above this many entries the executor never *forces* a dense
-/// representation from a cost-model hint: a wrong estimate must not
-/// materialize a huge dense matrix.
-const DENSE_HINT_MAX_ENTRIES: usize = 1 << 20;
 
 /// Largest dimension whose canonical vectors an executor keeps and shares
 /// across iterations and nesting levels.  A canonical vector costs O(n)
@@ -457,33 +452,8 @@ impl<'p, K: Semiring, M: MatrixStorage<Elem = K>> Executor<'p, K, M> {
                 sample.nnz = value.nnz() as u64;
             }
         }
-        let node = self.plan.node(id);
-        if node.cacheable {
-            let mut value = value.shared();
-            // Apply the planner's representation choice to computed values
-            // (adaptive backend only; other backends ignore the hint).  A
-            // variable load keeps the layout it is stored in: an instance
-            // load is a fresh clone, which the hint would re-lay out on
-            // every recompute.  Re-representing needs ownership; a value
-            // still shared keeps its layout rather than pay a deep clone.
-            let est = node.est.filter(|_| !matches!(node.op, PlanOp::Var(..)));
-            if let Some(est) = est {
-                value = match Arc::try_unwrap(value) {
-                    Ok(owned) => {
-                        let adjusted = match est.choice {
-                            ReprChoice::Sparse => owned.prefer_repr(true),
-                            ReprChoice::Dense
-                                if owned.rows() * owned.cols() <= DENSE_HINT_MAX_ENTRIES =>
-                            {
-                                owned.prefer_repr(false)
-                            }
-                            ReprChoice::Dense => owned,
-                        };
-                        Arc::new(adjusted)
-                    }
-                    Err(shared) => shared,
-                };
-            }
+        if self.plan.node(id).cacheable {
+            let value = value.shared();
             self.cache[id] = Some(Arc::clone(&value));
             return Ok(Value::Shared(value));
         }

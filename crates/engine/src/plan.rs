@@ -19,7 +19,7 @@
 //! Plans are built by the [`crate::Planner`] and evaluated by the
 //! [`crate::Executor`]; [`PlanReport`] summarizes what the planner did
 //! (CSE sharing, hoistable nodes, `rewrite::simplify` savings, per-node
-//! representation choices).
+//! representation predictions).
 
 use matlang_core::MatrixType;
 use std::collections::HashMap;
@@ -469,7 +469,12 @@ impl PlanOp {
     }
 }
 
-/// The representation the cost model picked for a node's result.
+/// The layout the cost model predicts for a node's result: what
+/// [`matlang_matrix::repr::csr_fits`] gives for the estimated shape and
+/// nnz.  A prediction only, never applied to values — a computed value
+/// takes the layout its own density picks.  It prices products, gates
+/// masked-product fusion, and is shown by [`Plan::explain`] and counted
+/// in [`PlanReport`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReprChoice {
     /// Dense row-major storage.
@@ -493,7 +498,8 @@ pub struct NodeEstimate {
     pub nnz: f64,
     /// Estimated semiring multiplications to compute the node once.
     pub work: f64,
-    /// The storage representation chosen for the result.
+    /// The storage representation predicted for the result (never
+    /// applied to it; see [`ReprChoice`]).
     pub choice: ReprChoice,
 }
 
@@ -569,9 +575,9 @@ pub struct PlanReport {
     pub simplify_savings: usize,
     /// Nodes marked loop-invariant with respect to an enclosing loop.
     pub hoistable_nodes: usize,
-    /// Nodes whose cost-model choice is dense storage.
+    /// Nodes whose predicted layout is dense storage.
     pub dense_nodes: usize,
-    /// Nodes whose cost-model choice is CSR storage.
+    /// Nodes whose predicted layout is CSR storage.
     pub sparse_nodes: usize,
     /// Every cost-based rewrite the planner applied (chain reordering,
     /// transpose/ones pushdown, diag and masked-product fusion, loop-index

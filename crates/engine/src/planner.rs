@@ -38,7 +38,7 @@ use crate::plan::{
     ReprChoice, VarSlot,
 };
 use matlang_core::{Dim, Expr, Instance, MatrixType};
-use matlang_matrix::repr::{MIN_ADAPTIVE_ENTRIES, SPARSIFY_THRESHOLD};
+use matlang_matrix::repr::csr_fits;
 use matlang_matrix::MatrixStorage;
 use matlang_semiring::Semiring;
 use std::collections::hash_map::RandomState;
@@ -1658,13 +1658,11 @@ pub(crate) fn product_cost(
     (nnz, sparse_work.min(dense_work))
 }
 
-/// Clamps the non-zero estimate to the shape and derives the
-/// representation choice from the density thresholds of
-/// [`matlang_matrix::repr`].
+/// Clamps the non-zero estimate to the shape and predicts the layout the
+/// value will take, by the rule [`csr_fits`] of [`matlang_matrix::repr`].
 fn finish(rows: usize, cols: usize, nnz: f64, work: f64) -> NodeEstimate {
-    let total = (rows * cols) as f64;
-    let nnz = nnz.min(total);
-    let choice = if rows * cols >= MIN_ADAPTIVE_ENTRIES && nnz <= SPARSIFY_THRESHOLD * total {
+    let nnz = nnz.min((rows * cols) as f64);
+    let choice = if csr_fits(rows, cols, nnz) {
         ReprChoice::Sparse
     } else {
         ReprChoice::Dense

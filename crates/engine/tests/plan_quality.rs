@@ -5,9 +5,9 @@
 
 use matlang_algorithms::graphs;
 use matlang_core::{evaluate, rewrite, Expr, FunctionRegistry, Instance, SparseInstance};
-use matlang_engine::{Engine, ExecOptions, Executor, InstanceStats, PlanOp, Planner};
+use matlang_engine::{Engine, ExecOptions, Executor, InstanceStats, PlanOp, Planner, ReprChoice};
 use matlang_matrix::{sparse_erdos_renyi, Matrix, MatrixRepr, SparseMatrix};
-use matlang_semiring::{Nat, Semiring};
+use matlang_semiring::{Nat, Real, Semiring};
 use std::time::Instant;
 
 /// The Figure 1 witness corpus: one query per language/fragment the figure
@@ -104,9 +104,9 @@ fn timing_guard_engine_beats_naive_evaluation_on_hoisting_heavy_query() {
     );
 }
 
-/// The planner's representation hint applies to computed values only: an
+/// The planner's layout is a prediction, never applied to a value: an
 /// instance matrix is read in the layout it is stored in.  Here `A` is full,
-/// so the cost model prefers dense for it, yet it is stored as CSR — and a
+/// so the cost model predicts dense for it, yet it is stored as CSR — and a
 /// cached read of it must stay CSR rather than be re-laid-out (a deep copy
 /// per recompute) on every execution.
 #[test]
@@ -137,6 +137,50 @@ fn instance_loads_keep_their_stored_layout() {
     assert!(
         cached.is_sparse(),
         "A was re-laid-out as {}",
+        cached.backend_name()
+    );
+}
+
+/// A computed value takes the layout its own density picks, whatever the
+/// planner estimated.  Every product of the all-ones `A` with `B` (row 0 =
+/// +1, row 1 = −1) cancels to zero, so `A·B` is estimated full — dense —
+/// and is in fact the zero matrix: cached, it must be CSR, not 8 KiB of
+/// stored zeros.
+#[test]
+fn computed_values_take_the_layout_of_their_own_density() {
+    let n = 32;
+    let mut b = vec![Real(0.0); n * n];
+    b[..n].fill(Real(1.0));
+    b[n..2 * n].fill(Real(-1.0));
+    let inst: SparseInstance<Real> = Instance::new()
+        .with_dim("n", n)
+        .with_matrix(
+            "A",
+            MatrixRepr::from_dense_auto(Matrix::from_vec(n, n, vec![Real(1.0); n * n]).unwrap()),
+        )
+        .with_matrix(
+            "B",
+            MatrixRepr::from_dense_auto(Matrix::from_vec(n, n, b).unwrap()),
+        );
+    let query = Expr::var("A").mm(Expr::var("B"));
+    let mut plan = Engine::new().plan(std::slice::from_ref(&query), &inst);
+    plan.mark_all_cacheable();
+    let root = plan.roots()[0];
+    let est = plan.node(root).est.expect("estimated");
+    assert_eq!((est.nnz, est.choice), ((n * n) as f64, ReprChoice::Dense));
+    let registry = FunctionRegistry::<Real>::new();
+    let mut exec = Executor::new(&plan, &inst, &registry, ExecOptions::default());
+    let result = exec.run(root).unwrap();
+    assert!(result.is_zero());
+    assert_eq!(
+        result.to_dense(),
+        evaluate(&query, &inst, &registry).unwrap().to_dense()
+    );
+    let cache = exec.into_cache();
+    let cached = cache[root].as_ref().expect("every node is cacheable");
+    assert!(
+        cached.is_sparse(),
+        "the all-zero product is cached {}",
         cached.backend_name()
     );
 }

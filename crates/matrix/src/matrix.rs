@@ -272,8 +272,7 @@ impl<K: Semiring> Matrix<K> {
     }
 
     /// Fraction of entries that are non-zero (`nnz / (rows·cols)`; 0 for an
-    /// empty shape).  Used by the adaptive representation heuristic in
-    /// [`crate::MatrixRepr`].
+    /// empty shape).
     pub fn density(&self) -> f64 {
         let total = self.rows * self.cols;
         if total == 0 {

@@ -1,22 +1,21 @@
-//! Adaptive matrix representation: dense or CSR, selected per result by a
-//! density threshold.
+//! Adaptive matrix representation: dense or CSR, picked by a value's own
+//! density.
 //!
 //! [`MatrixRepr`] is the unified value representation the backend-aware
 //! evaluator runs on.  Each operation dispatches to the kernels of whichever
 //! representations the operands are in (promoting a sparse operand to dense
 //! when the other operand is dense) and then **normalizes** the result:
 //!
-//! * a sparse result denser than [`DENSIFY_THRESHOLD`] is converted to
-//!   dense storage — beyond that point CSR's index overhead outweighs the
-//!   skipped zeros;
-//! * a dense result with at most [`SPARSIFY_THRESHOLD`] density is
-//!   compressed to CSR;
-//! * matrices with fewer than [`MIN_ADAPTIVE_ENTRIES`] total entries always
-//!   stay dense — at that size the representation switch costs more than it
-//!   saves.
+//! * a sparse result more than half full is converted to dense storage —
+//!   beyond that point CSR's index overhead outweighs the skipped zeros;
+//! * a dense result that passes [`csr_fits`] is compressed to CSR;
+//! * matrices with fewer than 64 total entries always stay dense — at that
+//!   size the representation switch costs more than it saves.
 //!
-//! The two thresholds are deliberately apart (hysteresis) so a value whose
-//! density hovers near the boundary does not flip representation on every
+//! That and instance load (`from_{dense,sparse}_auto`) are the only places
+//! a layout is decided; the query planner calls [`csr_fits`] to predict it.
+//! The two thresholds are apart (hysteresis) so a value whose density
+//! hovers near the boundary does not flip representation on every
 //! operation.  Equality is semantic: a dense and a sparse `MatrixRepr`
 //! holding the same entries compare equal.
 
@@ -27,13 +26,21 @@ use std::borrow::Cow;
 use std::fmt;
 
 /// Sparse results denser than this are converted to dense storage.
-pub const DENSIFY_THRESHOLD: f64 = 0.5;
+const DENSIFY_THRESHOLD: f64 = 0.5;
 
 /// Dense results at most this dense are compressed to CSR.
-pub const SPARSIFY_THRESHOLD: f64 = 0.25;
+const SPARSIFY_THRESHOLD: f64 = 0.25;
 
 /// Matrices with fewer total entries than this always stay dense.
-pub const MIN_ADAPTIVE_ENTRIES: usize = 64;
+const MIN_ADAPTIVE_ENTRIES: usize = 64;
+
+/// Whether a `rows × cols` value with `nnz` non-zeros belongs in CSR: at
+/// least 64 entries, at most a quarter of them non-zero.  The dense → CSR
+/// rule of [`MatrixRepr::normalized`], and the planner's prediction of it.
+pub fn csr_fits(rows: usize, cols: usize, nnz: f64) -> bool {
+    let total = rows * cols;
+    total >= MIN_ADAPTIVE_ENTRIES && nnz <= SPARSIFY_THRESHOLD * total as f64
+}
 
 /// A matrix held in either dense row-major or CSR storage.
 #[derive(Clone)]
@@ -95,12 +102,10 @@ impl<K: Semiring> MatrixRepr<K> {
         }
     }
 
-    /// Applies the density heuristic, converting the representation when the
-    /// current one is a poor fit.  Every operation below normalizes its
-    /// result, so evaluation automatically tracks the density of
+    /// Applies the layout rule to the value's own density.  Every operation
+    /// below normalizes its result, so evaluation tracks the density of
     /// intermediate values (e.g. powers of an adjacency matrix densify as
-    /// paths multiply).  A dense value that stays dense is moved, never
-    /// copied.
+    /// paths multiply).  A dense value that stays dense is moved, not copied.
     pub fn normalized(self) -> Self {
         let (rows, cols) = self.shape();
         match self {
@@ -111,26 +116,10 @@ impl<K: Semiring> MatrixRepr<K> {
             MatrixRepr::Sparse(s) if s.density() > DENSIFY_THRESHOLD => {
                 MatrixRepr::Dense(s.to_dense())
             }
-            MatrixRepr::Dense(ref d) if d.density() <= SPARSIFY_THRESHOLD => {
+            MatrixRepr::Dense(ref d) if csr_fits(rows, cols, d.nnz() as f64) => {
                 MatrixRepr::Sparse(SparseMatrix::from_dense(d))
             }
             other => other,
-        }
-    }
-
-    /// Steers the storage towards a caller-chosen representation (the
-    /// query planner's per-node cost-model choice).  `sparse = false`
-    /// always densifies; `sparse = true` compresses to CSR unless the value
-    /// is denser than [`DENSIFY_THRESHOLD`] — an estimate must not force a
-    /// pathological CSR of a near-full matrix.  The stored entries are
-    /// unchanged either way.
-    pub fn prefer(self, sparse: bool) -> Self {
-        match (sparse, self) {
-            (true, MatrixRepr::Dense(d)) if d.density() <= DENSIFY_THRESHOLD => {
-                MatrixRepr::Sparse(SparseMatrix::from_dense(&d))
-            }
-            (false, MatrixRepr::Sparse(s)) => MatrixRepr::Dense(s.to_dense()),
-            (_, other) => other,
         }
     }
 

@@ -134,15 +134,6 @@ pub trait MatrixStorage: Clone + PartialEq + Debug + Send + Sync + Sized + 'stat
     /// Matrix product `e₁ · e₂`.
     fn matmul(&self, other: &Self) -> Result<Self>;
 
-    /// Re-selects the storage representation according to a planner hint
-    /// (`sparse = true` prefers CSR, `false` prefers dense).  Entries are
-    /// never changed; single-representation backends ignore the hint, the
-    /// adaptive [`MatrixRepr`] honors it via [`MatrixRepr::prefer`].
-    fn prefer_repr(self, sparse: bool) -> Self {
-        let _ = sparse;
-        self
-    }
-
     /// Hadamard (pointwise) product `e₁ ∘ e₂` (entrywise `⊙`).
     fn hadamard(&self, other: &Self) -> Result<Self>;
 
@@ -601,10 +592,6 @@ impl<K: Semiring> MatrixStorage for MatrixRepr<K> {
         MatrixRepr::matmul(self, other)
     }
 
-    fn prefer_repr(self, sparse: bool) -> Self {
-        MatrixRepr::prefer(self, sparse)
-    }
-
     fn hadamard(&self, other: &Self) -> Result<Self> {
         MatrixRepr::hadamard(self, other)
     }
@@ -695,7 +682,7 @@ impl<K: Semiring> MatrixStorage for MatrixRepr<K> {
 
     fn apply_delta(&self, delta: &SparseMatrix<K>) -> Result<Self> {
         // Keep the current representation: a patched cache entry stays in
-        // whatever form the executor's repr hints chose for it.
+        // the layout the density rule gave it when it was computed.
         match self {
             MatrixRepr::Dense(d) => Ok(MatrixRepr::Dense(MatrixStorage::apply_delta(d, delta)?)),
             MatrixRepr::Sparse(s) => Ok(MatrixRepr::Sparse(s.add(delta)?)),

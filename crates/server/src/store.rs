@@ -24,9 +24,9 @@
 //! variable has drifted past the store's configured ratio
 //! ([`StoreConfigBuilder::replan_drift`](crate::StoreConfigBuilder::replan_drift),
 //! default 4×), the plan is transparently rebuilt from fresh statistics,
-//! so chain association and dense/CSR representation choices re-derive
+//! so chain association and the predicted dense/CSR layouts re-derive
 //! from the inputs as they are now.  Re-planning never changes results —
-//! plans differ only in cost hints and association, which the engine's
+//! plans differ only in cost estimates and association, which the engine's
 //! parity gates cover — it only changes how fast the next `EXEC` runs.
 //!
 //! Each instance computes over one of the wire-selectable semirings

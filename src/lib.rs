@@ -15,7 +15,7 @@
 //! * [`core`] — the expression AST, schemas, typing, fragments and the
 //!   evaluator.
 //! * [`engine`] — the query planner (CSE, loop-invariant hoisting,
-//!   cost-based representation choice) and the memoizing executor,
+//!   cost-based representation prediction) and the memoizing executor,
 //!   including batched evaluation of many queries over one instance.
 //! * [`server`] — a concurrent query service over a line-delimited TCP
 //!   protocol: named instances, prepared queries with a persistent memo
